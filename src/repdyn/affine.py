@@ -168,35 +168,26 @@ class SphereExtreme:
     word: words.Word
 
 
-def _scan_extremes(gens, L_max, stat, policy, threads):
-    """Per-sphere maxima of ``stat(product)`` with shortlex tie-breaks.
+def _scan_extremes(gens, L_max, stat, policy):
+    """Per-sphere maxima of the stacked statistic ``stat(products)``, ties
+    going to the shortlex-first word.
 
     Returns (records, truncated); stops at the last complete sphere when a
     product overflows.
     """
 
-    def leaf(letters, product):
-        return stat(product), letters
+    def extreme(letters, products):
+        values = stat(products)
+        i = words.shortlex_argmin(-values, letters)
+        return SphereExtreme(
+            length=letters.shape[1], count=len(values), value=float(values[i]),
+            word=words.Word(letters[i]),
+        )
 
-    records = []
-    truncated = False
-    for L in range(1, L_max + 1):
-        try:
-            rows = words.map_sphere_products(gens, L, leaf, policy, threads)
-        except NumericOverflowError:
-            truncated = True
-            break
-        best = min(
-            rows, key=lambda r: (-r[0], tuple(words.letter_rank(l) for l in r[1]))
-        )
-        records.append(
-            SphereExtreme(
-                length=L, count=len(rows), value=float(best[0]), word=words.Word(best[1])
-            )
-        )
+    records = words.map_sphere_products(gens, L_max, extreme, policy)
     if not records:
         raise NumericOverflowError("no complete sphere before overflow", prefix_length=1)
-    return records, truncated
+    return records, len(records) < L_max
 
 
 @dataclass
@@ -214,7 +205,7 @@ class HksReport:
     truncated: bool
 
 
-def hks_test(gens, L_max: int, policy=words.Exhaustive(), threads=1,
+def hks_test(gens, L_max: int, policy=words.Exhaustive(),
              threshold=DEFAULT_HKS_THRESHOLD) -> HksReport:
     """Scan the normalized determinant ``|det(rho(g) - I)|`` over spheres.
 
@@ -226,11 +217,12 @@ def hks_test(gens, L_max: int, policy=words.Exhaustive(), threads=1,
     n = lin.dim
     eye = np.eye(n)
 
-    def stat(product):
-        smax = np.linalg.svd(product, compute_uv=False)[0]
-        return float(np.abs(np.linalg.det(product - eye)) / (1.0 + smax) ** n)
+    def stat(products):
+        smax = np.linalg.svd(products, compute_uv=False)[:, 0]
+        # float_power runs libm pow like scalar ``**``; array ``**`` rounds differently
+        return np.abs(np.linalg.det(products - eye)) / np.float_power(1.0 + smax, n)
 
-    records, truncated = _scan_extremes(lin, L_max, stat, policy, threads)
+    records, truncated = _scan_extremes(lin, L_max, stat, policy)
     worst = max(records, key=lambda r: r.value)
     first_fail = next((r.length for r in records if r.value > threshold), None)
     return HksReport(
@@ -262,8 +254,7 @@ class EigenvalueOneReport:
 
 
 def eigenvalue_norm_one_check(gens, L_max: int, tol=DEFAULT_EIGENVALUE_TOL,
-                              policy=words.Exhaustive(),
-                              threads=1) -> EigenvalueOneReport:
+                              policy=words.Exhaustive()) -> EigenvalueOneReport:
     """Does every scanned product have an eigenvalue of modulus 1?
 
     The deviation of a product is ``min_i |log lambda_i|``; the check passes
@@ -271,11 +262,11 @@ def eigenvalue_norm_one_check(gens, L_max: int, tol=DEFAULT_EIGENVALUE_TOL,
     """
     lin = _linear_part(gens)
 
-    def stat(product):
-        moduli = np.abs(np.linalg.eigvals(product))
-        return float(np.abs(np.log(moduli)).min())
+    def stat(products):
+        moduli = np.abs(np.linalg.eigvals(products))
+        return np.abs(np.log(moduli)).min(axis=1)
 
-    records, truncated = _scan_extremes(lin, L_max, stat, policy, threads)
+    records, truncated = _scan_extremes(lin, L_max, stat, policy)
     worst = max(records, key=lambda r: r.value)
     return EigenvalueOneReport(
         passed=worst.value <= tol,
@@ -305,7 +296,6 @@ class BoundedSingularReport:
 
 
 def bounded_singular_check(gens, L_max: int, policy=words.Exhaustive(),
-                           threads=1,
                            slope_floor=PLATEAU_SLOPE_FLOOR) -> BoundedSingularReport:
     """Do per-sphere maxima of ``min_i |log a_i|`` plateau rather than grow?
 
@@ -318,11 +308,11 @@ def bounded_singular_check(gens, L_max: int, policy=words.Exhaustive(),
         raise ValueError("L_max must be at least 2 to fit a slope")
     lin = _linear_part(gens)
 
-    def stat(product):
-        s = np.linalg.svd(product, compute_uv=False)
-        return float(np.abs(np.log(s)).min())
+    def stat(products):
+        s = np.linalg.svd(products, compute_uv=False)
+        return np.abs(np.log(s)).min(axis=1)
 
-    records, truncated = _scan_extremes(lin, L_max, stat, policy, threads)
+    records, truncated = _scan_extremes(lin, L_max, stat, policy)
     values = [r.value for r in records]
     if len(records) >= 2:
         slope, _, se = fit_line([r.length for r in records], values)

@@ -406,8 +406,7 @@ def _config(args, **extra):
 def cmd_dominate(args) -> int:
     gens, _ = load_generator_set(args)
     rep = domination.domination_scan(
-        gens, k=args.k, L_max=args.max_length, policy=_policy(args),
-        threads=args.threads,
+        gens, k=args.k, L_max=args.max_length, policy=_policy(args)
     )
     csv_path = os.path.join(args.out_dir, "dominate_spheres.csv")
     write_csv(
@@ -464,9 +463,7 @@ def cmd_dominate(args) -> int:
 
 def cmd_spectrum(args) -> int:
     gens, _ = load_generator_set(args)
-    cone = spectrum.sample_cone(
-        gens, m_max=args.m_max, policy=_policy(args), threads=args.threads
-    )
+    cone = spectrum.sample_cone(gens, m_max=args.m_max, policy=_policy(args))
     contain = spectrum.containment_check(cone, k=args.k, tol=args.tol)
     invol = spectrum.involution_symmetry_check(cone)
 
@@ -611,14 +608,12 @@ def cmd_split(args) -> int:
 def cmd_affine(args) -> int:
     agens, _ = load_affine_set(args)
     policy = _policy(args)
-    hks = affine.hks_test(agens, L_max=args.max_length, policy=policy,
-                          threads=args.threads)
+    hks = affine.hks_test(agens, L_max=args.max_length, policy=policy)
     eig = affine.eigenvalue_norm_one_check(
-        agens, L_max=args.max_length, tol=args.tol, policy=policy,
-        threads=args.threads,
+        agens, L_max=args.max_length, tol=args.tol, policy=policy
     )
     bounded = affine.bounded_singular_check(
-        agens, L_max=args.max_length, policy=policy, threads=args.threads
+        agens, L_max=args.max_length, policy=policy
     )
     gens = agens.linear_part
 
@@ -700,15 +695,14 @@ def cmd_flowmetric(args) -> int:
 # argument parsing
 
 
-def _default_threads() -> int:
-    env = os.environ.get("REPDYN_THREADS", "")
-    try:
-        value = int(env)
-        if value >= 1:
-            return value
-    except ValueError:
-        pass
-    return os.cpu_count() or 1
+def _int_at_least(low):
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -725,14 +719,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="scan whole word spheres or sample them",
     )
     common.add_argument(
-        "--samples", type=int, default=DEFAULT_SAMPLES,
+        "--samples", type=_int_at_least(1), default=DEFAULT_SAMPLES,
         help="words per sphere under the sampled policy",
     )
     common.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help="seed for sampled scans")
     common.add_argument(
-        "--threads", type=int, default=_default_threads(),
-        help="worker threads (default: REPDYN_THREADS or all cores)",
+        "--threads", type=int, default=1,
+        help="accepted for compatibility; has no effect",
     )
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -740,14 +734,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dominate", parents=[common],
                        help="k-domination and partial hyperbolicity scan")
     p.add_argument("--k", type=int, default=1, help="dominated index")
-    p.add_argument("--max-length", type=int, default=8,
+    p.add_argument("--max-length", type=_int_at_least(3), default=8,
                    help="largest word sphere scanned")
     p.set_defaults(handler=cmd_dominate)
 
     p = sub.add_parser("spectrum", parents=[common],
                        help="joint spectrum cone and zero-index containment")
     p.add_argument("--k", type=int, default=1, help="containment index")
-    p.add_argument("--m-max", type=int, default=6,
+    p.add_argument("--m-max", type=_int_at_least(2), default=6,
                    help="deepest normalized sample level")
     p.add_argument("--tol", type=float, default=None,
                    help="zero tolerance (default: scale aware per sample)")
@@ -762,7 +756,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("affine", parents=[common],
                        help="eigenvalue-1 constraints for affine actions")
-    p.add_argument("--max-length", type=int, default=6,
+    p.add_argument("--max-length", type=_int_at_least(2), default=6,
                    help="largest word sphere scanned")
     p.add_argument("--tol", type=float, default=affine.DEFAULT_EIGENVALUE_TOL,
                    help="unit-modulus eigenvalue tolerance")
@@ -777,8 +771,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:
+        # argparse exits 2 after printing a usage error and 0 after --help
+        return EXIT_USAGE if e.code else EXIT_OK
     try:
         os.makedirs(args.out_dir, exist_ok=True)
         return args.handler(args)

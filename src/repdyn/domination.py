@@ -195,29 +195,24 @@ class DominationReport:
     exhaustive: bool
 
 
-def _sphere_record(gens, k, length, policy, threads) -> SphereRecord:
-    n = gens.dim
-
-    def leaf(letters, product):
-        s = np.log(np.linalg.svd(product, compute_uv=False))
-        gap = min(s[k - 1] - s[k], s[n - k - 1] - s[n - k])
-        return gap, s[k - 1], s[n - k], letters
-
-    rows = words.map_sphere_products(gens, length, leaf, policy, threads)
-    best = min(rows, key=lambda r: (r[0], tuple(words.letter_rank(l) for l in r[3])))
+def _sphere_record(k, letters, products) -> SphereRecord:
+    n = products.shape[-1]
+    s = np.log(np.linalg.svd(products, compute_uv=False))
+    gaps = np.minimum(s[:, k - 1] - s[:, k], s[:, n - k - 1] - s[:, n - k])
+    i = words.shortlex_argmin(gaps, letters)
     return SphereRecord(
-        length=length,
-        count=len(rows),
-        gap_min=float(best[0]),
-        gap_mean=float(np.mean([r[0] for r in rows])),
-        argmin=words.Word(best[3]),
-        logak_min=float(min(r[1] for r in rows)),
-        lognk1_max=float(max(r[2] for r in rows)),
+        length=letters.shape[1],
+        count=len(gaps),
+        gap_min=float(gaps[i]),
+        gap_mean=float(np.mean(gaps)),
+        argmin=words.Word(letters[i]),
+        logak_min=float(s[:, k - 1].min()),
+        lognk1_max=float(s[:, n - k].max()),
     )
 
 
 def domination_scan(gens: GeneratorSet, k: int, L_max: int,
-                    policy=words.Exhaustive(), threads=1,
+                    policy=words.Exhaustive(),
                     gap_tol=DEFAULT_GAP_TOL) -> DominationReport:
     """Scan word spheres for k-domination and partial hyperbolicity.
 
@@ -231,8 +226,6 @@ def domination_scan(gens: GeneratorSet, k: int, L_max: int,
     policy : Exhaustive or Sampled
         Sampled scans can refute but never certify; their verdict is
         ``"refuted"`` or ``"inconclusive"``.
-    threads : int
-        Worker threads for exhaustive spheres (first-letter partition).
     gap_tol : float
         A sphere minimum gap at or below this refutes.
 
@@ -256,17 +249,15 @@ def domination_scan(gens: GeneratorSet, k: int, L_max: int,
     truncated = False
     refuted_at = None
     violating = None
-    for L in range(1, L_max + 1):
-        try:
-            rec = _sphere_record(gens, k, L, policy, threads)
-        except NumericOverflowError:
-            truncated = True
-            break
-        spheres.append(rec)
-        if rec.gap_min <= gap_tol:
-            refuted_at = L
-            violating = rec.argmin
-            break
+    try:
+        for letters, products in words.iter_sphere_products(gens, L_max, policy):
+            rec = _sphere_record(k, letters, products)
+            spheres.append(rec)
+            if rec.gap_min <= gap_tol:
+                refuted_at, violating = rec.length, rec.argmin
+                break
+    except NumericOverflowError:
+        truncated = True
     L_used = spheres[-1].length if spheres else 0
 
     fit_spheres = [r for r in spheres if r.length >= 2]

@@ -145,7 +145,7 @@ def _hull_of_cloud(cloud):
     return cloud[np.sort(hull.vertices)].copy(), adim
 
 
-def sample_cone(gens, m_max: int, policy=words.Exhaustive(), threads=1,
+def sample_cone(gens, m_max: int, policy=words.Exhaustive(),
                 zero_tol_coeff=DEFAULT_ZERO_TOL_COEFF) -> ConeEstimate:
     """Collect normalized Jordan (and Cartan) samples for m = 1..m_max.
 
@@ -157,41 +157,37 @@ def sample_cone(gens, m_max: int, policy=words.Exhaustive(), threads=1,
     """
     if m_max < 2:
         raise ValueError("m_max must be at least 2")
-    n = gens.dim
 
-    def leaf(letters, product):
-        jv = np.log(np.sort(np.abs(np.linalg.eigvals(product)))[::-1]) / len(letters)
-        cv = np.log(np.linalg.svd(product, compute_uv=False)) / len(letters)
-        tol = zero_tol_coeff * max(1.0, float(np.abs(jv).max()))
-        return ConeSample(
-            length=len(letters),
-            word=words.Word(letters),
-            jordan=jv,
-            cartan=cv,
-            zero_indices=_zero_indices(jv, tol),
-            active_walls=_active_walls(jv, tol),
-            zero_tol=float(tol),
-        )
-
-    samples: dict[int, list[ConeSample]] = {}
-    truncated = False
-    for m in range(1, m_max + 1):
-        try:
-            level = words.map_sphere_products(
-                gens, m, leaf, policy, threads, inversion_closed=True
+    def level(letters, products):
+        m = letters.shape[1]
+        moduli = np.sort(np.abs(np.linalg.eigvals(products)), axis=1)
+        # np.log runs libm on a reversed 1-D view; its 2-D SIMD loop rounds differently
+        jordan = np.log(moduli.ravel()[::-1]).reshape(moduli.shape)[::-1] / m
+        if not np.isfinite(jordan).all():
+            raise NumericOverflowError("eigenvalue modulus left float64 range",
+                                       prefix_length=m)
+        cartan = np.log(np.linalg.svd(products, compute_uv=False)) / m
+        tols = zero_tol_coeff * np.maximum(1.0, np.abs(jordan).max(axis=1))
+        return [
+            ConeSample(
+                length=m,
+                word=words.Word(w),
+                jordan=jv,
+                cartan=cv,
+                zero_indices=_zero_indices(jv, tol),
+                active_walls=_active_walls(jv, tol),
+                zero_tol=float(tol),
             )
-        except NumericOverflowError:
-            truncated = True
-            break
-        if any(not np.isfinite(s.jordan).all() for s in level):
-            truncated = True
-            break
-        samples[m] = level
-    if not samples:
+            for w, jv, cv, tol in zip(letters, jordan, cartan, tols)
+        ]
+
+    levels = words.map_sphere_products(gens, m_max, level, policy, inversion_closed=True)
+    if not levels:
         raise NumericOverflowError(
             "no complete sample level before overflow", prefix_length=1
         )
-    m_used = max(samples)
+    samples = dict(enumerate(levels, start=1))
+    m_used = len(levels)
 
     cloud = np.array([s.jordan for s in samples[m_used]])
     vertices, adim = _hull_of_cloud(cloud)
@@ -208,7 +204,7 @@ def sample_cone(gens, m_max: int, policy=words.Exhaustive(), threads=1,
         samples=samples,
         m_max=m_max,
         m_used=m_used,
-        truncated=truncated,
+        truncated=m_used < m_max,
         hull_vertices=vertices,
         hull_affine_dim=adim,
         hausdorff=float(hausdorff),

@@ -12,14 +12,14 @@ movable basepoint (the discrete translation flow shifts the basepoint), and
 lines can be integrated against the weight ``2**-|t|`` (`flow_metric`).
 
 Scan policies select between exhaustive sphere enumeration
-(:class:`Exhaustive`) and seeded random sampling (:class:`Sampled`); the
-product of every enumerated word is built by extending a shared prefix, so a
-sphere costs one matrix multiply per tree node rather than per word-length.
+(:class:`Exhaustive`) and seeded random sampling (:class:`Sampled`).
+`iter_sphere_products` is the one sphere engine behind every scan: it yields
+each sphere as stacked letter and product arrays, building an exhaustive
+sphere from the previous one with a single stacked multiply.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import total_ordering
 
@@ -37,12 +37,9 @@ _WEIGHT_MOMENT_1 = (1.0 - LOG2) / (2.0 * LOG2**2)
 _WEIGHT_MOMENT_0 = 1.0 / (2.0 * LOG2) - _WEIGHT_MOMENT_1
 
 
-def letter_inverse(letter: int) -> int:
-    return -letter
-
-def letter_rank(letter: int) -> int:
-    """Position of a letter in the alphabet order 1, -1, 2, -2, ..."""
-    return 2 * (abs(letter) - 1) + (0 if letter > 0 else 1)
+def letter_rank(letter):
+    """Position of a letter (or of each in an array) in the order 1, -1, 2, -2, ..."""
+    return 2 * (abs(letter) - 1) + (letter < 0)
 
 
 def alphabet(rank: int) -> list[int]:
@@ -192,12 +189,16 @@ def evaluate(word, gens) -> np.ndarray:
     letters = word.letters if isinstance(word, Word) else tuple(word)
     product = np.eye(gens.dim)
     for i, l in enumerate(letters):
-        product = product @ gens.image(l)
-        if not np.isfinite(product).all():
-            raise NumericOverflowError(
-                f"product overflowed after {i + 1} letters", prefix_length=i + 1
-            )
+        product = _checked(product @ gens.image(l), i + 1)
     return product
+
+
+def _checked(products, length):
+    if not np.isfinite(products).all():
+        raise NumericOverflowError(
+            f"product overflowed after {length} letters", prefix_length=length
+        )
+    return products
 
 
 @dataclass(frozen=True)
@@ -212,45 +213,9 @@ class Sampled:
     count: int
     seed: int
 
-
-def iter_sphere_products(gens, length: int, first_letters=None):
-    """Yield ``(letters, product)`` for each reduced word of a given length.
-
-    Products are built by extending a shared prefix product with one multiply
-    per enumeration-tree node.  ``first_letters`` restricts the first letter
-    (used to partition work across threads).  Yielded products must not be
-    mutated; order is shortlex within the given first letters.
-    """
-    if count_sphere(gens.rank, length) > ENUMERATION_CAP:
-        raise EnumerationSizeError(
-            f"sphere of length {length} in rank {gens.rank} exceeds the enumeration cap"
-        )
-    letters = alphabet(gens.rank)
-    if length == 0:
-        yield (), np.eye(gens.dim)
-        return
-    firsts = list(first_letters) if first_letters is not None else letters
-
-    def descend(prefix, product):
-        if len(prefix) == length:
-            yield prefix, product
-            return
-        for l in letters:
-            if l == -prefix[-1]:
-                continue
-            nxt = product @ gens.image(l)
-            if not np.isfinite(nxt).all():
-                raise NumericOverflowError(
-                    f"product overflowed after {len(prefix) + 1} letters",
-                    prefix_length=len(prefix) + 1,
-                )
-            yield from descend(prefix + (l,), nxt)
-
-    for first in firsts:
-        start = gens.image(first)
-        if not np.isfinite(start).all():
-            raise NumericOverflowError("generator image is not finite", prefix_length=1)
-        yield from descend((first,), start)
+    def __post_init__(self):
+        if self.count < 1:
+            raise ValueError("sampled scans need at least one word per sphere")
 
 
 def sampled_words(rank: int, length: int, policy: Sampled, inversion_closed=False):
@@ -274,31 +239,79 @@ def sampled_words(rank: int, length: int, policy: Sampled, inversion_closed=Fals
     return words
 
 
-def map_sphere_products(gens, length, func, policy=Exhaustive(), threads=1,
-                        inversion_closed=False):
-    """Apply ``func(letters, product)`` across one sphere and collect results.
+def iter_sphere_products(gens, L_max: int, policy=Exhaustive(),
+                         inversion_closed=False):
+    """Yield ``(letters, products)`` for the spheres of length 1 .. L_max.
 
-    Returns a list in deterministic order (shortlex for exhaustive scans,
-    draw order for sampled ones) regardless of thread count.  Threads
-    partition the exhaustive enumeration by first letter.
+    ``letters`` is an ``(N, L)`` integer array holding one word per row and
+    ``products`` the ``(N, n, n)`` stack of their images; neither may be
+    mutated.  Exhaustive spheres come in shortlex order, each built from the
+    previous one by one stacked multiply with the allowed next letters.
+    Sampled spheres are the `sampled_words` draws in draw order, evaluated
+    with one stacked multiply per letter.  Raises
+    :class:`NumericOverflowError` at the first sphere holding a product
+    outside float64 range, and :class:`EnumerationSizeError` before an
+    exhaustive sphere larger than ENUMERATION_CAP.
     """
-    if isinstance(policy, Sampled):
-        words = sampled_words(gens.rank, length, policy, inversion_closed)
-        return [func(w.letters, evaluate(w, gens)) for w in words]
+    size = 2 * gens.rank
+    letter_set = np.array(alphabet(gens.rank), dtype=np.min_scalar_type(-size))
+    images = np.stack([gens.image(l) for l in letter_set])
+    # alphabet positions allowed after position r; r ^ 1 holds its inverse
+    children = np.array([[c for c in range(size) if c != r ^ 1] for r in range(size)])
+    for L in range(1, L_max + 1):
+        if isinstance(policy, Sampled):
+            drawn = sampled_words(gens.rank, L, policy, inversion_closed)
+            letters = np.array([w.letters for w in drawn], dtype=letter_set.dtype)
+            products = np.eye(gens.dim)  # broadcast against the stack below
+            for i in range(L):
+                products = _checked(products @ images[letter_rank(letters[:, i])], i + 1)
+        elif count_sphere(gens.rank, L) > ENUMERATION_CAP:
+            raise EnumerationSizeError(
+                f"sphere of length {L} in rank {gens.rank} exceeds the enumeration cap"
+            )
+        elif L == 1:
+            letters, products = letter_set[:, None], _checked(images, 1)
+        else:
+            nxt = children[letter_rank(letters[:, -1])].ravel()
+            fan = children.shape[1]
+            letters = np.concatenate(
+                [np.repeat(letters, fan, axis=0), letter_set[nxt, None]], axis=1
+            )
+            products = _checked(np.repeat(products, fan, axis=0) @ images[nxt], L)
+        yield letters, products
 
-    if length == 0 or threads <= 1:
-        return [func(ls, p) for ls, p in iter_sphere_products(gens, length)]
 
-    def run_part(first):
-        return [func(ls, p) for ls, p in iter_sphere_products(gens, length, [first])]
+def map_sphere_products(gens, L_max: int, stat, policy=Exhaustive(),
+                        inversion_closed=False) -> list:
+    """``stat(letters, products)`` of each complete sphere 1 .. L_max, in order.
 
-    firsts = alphabet(gens.rank)
-    with ThreadPoolExecutor(max_workers=min(threads, len(firsts))) as pool:
-        parts = list(pool.map(run_part, firsts))
+    The list stops before the first sphere whose products, or whose
+    statistic, raise :class:`NumericOverflowError`; a list shorter than
+    ``L_max`` marks a truncated scan.
+    """
     out = []
-    for part in parts:
-        out.extend(part)
+    try:
+        for letters, products in iter_sphere_products(
+            gens, L_max, policy, inversion_closed
+        ):
+            out.append(stat(letters, products))
+    except NumericOverflowError:
+        pass
     return out
+
+
+def shortlex_argmin(values, letters) -> int:
+    """Row of the smallest value, ties going to the shortlex-first word.
+
+    ``letters`` holds the equal-length word of each row, as yielded by
+    `iter_sphere_products`.  A NaN counts as smallest, as in ``np.argmin``.
+    """
+    first = int(np.argmin(values))
+    tied = np.flatnonzero(values == values[first])
+    if tied.size < 2:
+        return first
+    ranks = letter_rank(letters[tied])
+    return int(tied[np.lexsort(ranks.T[::-1])[0]])
 
 
 class FlowLineWindow:

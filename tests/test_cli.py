@@ -128,10 +128,19 @@ class TestInputHandling:
         rc = main(["dominate", "--input", str(bad), "--out-dir", str(tmp_path)])
         assert rc == EXIT_USAGE
 
-    def test_bad_k_is_usage_error(self, ping_pong_doc, tmp_path):
-        rc = main(["dominate", "--input", ping_pong_doc, "--k", "2",
-                   "--out-dir", str(tmp_path)])
-        assert rc == EXIT_USAGE
+    def test_bad_k_is_usage_error(self, ping_pong_doc, tmp_path, capsys):
+        # the same contract covers values rejected while parsing arguments
+        for argv in (
+            ["dominate", "--k", "2"],
+            ["dominate", "--policy", "sampled", "--samples", "0"],
+            ["dominate", "--policy", "sampled", "--samples", "-3"],
+            ["spectrum", "--policy", "sampled", "--samples", "0"],
+            ["affine", "--max-length", "0"],
+        ):
+            rc = main(argv + ["--input", ping_pong_doc, "--out-dir", str(tmp_path)])
+            assert rc == EXIT_USAGE, argv
+            err = capsys.readouterr().err
+            assert "must" in err and "Traceback" not in err, argv
 
 
 class TestVerdictExitCodes:

@@ -127,15 +127,6 @@ class TestDominationScan:
         )
         assert rep.verdict == "refuted"
 
-    def test_thread_count_does_not_change_report(self, ping_pong):
-        r1 = domination_scan(ping_pong, k=1, L_max=6, threads=1)
-        r4 = domination_scan(ping_pong, k=1, L_max=6, threads=4)
-        assert r1.verdict == r4.verdict
-        assert r1.A_hat == r4.A_hat
-        for s1, s4 in zip(r1.spheres, r4.spheres):
-            assert s1.gap_min == s4.gap_min
-            assert s1.argmin == s4.argmin
-
     def test_k_range_validated(self, ping_pong):
         with pytest.raises(ValueError):
             domination_scan(ping_pong, k=2, L_max=4)

@@ -18,7 +18,6 @@ from repdyn.words import (
     flow_metric,
     iter_sphere_products,
     letter_rank,
-    map_sphere_products,
     random_word,
     sampled_words,
     shift_flow,
@@ -119,16 +118,12 @@ class TestEvaluate:
         assert info.value.prefix_length == 52
 
     def test_iter_sphere_products_consistent(self, ping_pong):
-        for letters, product in iter_sphere_products(ping_pong, 3):
-            np.testing.assert_allclose(
-                product, evaluate(Word(letters), ping_pong), atol=1e-10
-            )
-
-    def test_map_thread_determinism(self, ping_pong):
-        func = lambda letters, product: (letters, float(np.linalg.norm(product)))
-        serial = map_sphere_products(ping_pong, 4, func, threads=1)
-        threaded = map_sphere_products(ping_pong, 4, func, threads=4)
-        assert serial == threaded
+        spheres = list(iter_sphere_products(ping_pong, 3))
+        assert [len(letters) for letters, _ in spheres] == [4, 12, 36]
+        for length, (letters, products) in enumerate(spheres, start=1):
+            assert [Word(w) for w in letters] == list(enumerate_sphere(2, length))
+            for w, product in zip(letters, products):
+                assert np.array_equal(product, evaluate(Word(w), ping_pong))
 
 
 class TestFlowLineWindow:
