@@ -32,17 +32,19 @@ def pad(m):
 gens = GeneratorSet([pad(a), pad(b)], names=("a", "b"))
 
 cone = sample_cone(gens, m_max=8)
-print(f"sampled {sum(len(v) for v in cone.samples.values())} words "
+print(f"sampled {sum(len(level) for level in cone.levels.values())} words "
       f"up to length {cone.m_used}")
 print(f"hull affine dimension: {cone.hull_affine_dim}")
 print(f"cloud movement at the last length step (Hausdorff): "
       f"{cone.hausdorff:.5f}")
 
-some = cone.samples[4][:3]
+# each level is columnar: one row per word in every array
+level = cone.levels[4]
 print("\na few normalized samples at length 4:")
-for s in some:
-    print(f"  {gens.word_name(s.word):16s} jordan/m = {np.round(s.jordan, 4)} "
-          f"zero indices {s.zero_indices}")
+for row in range(3):
+    zero = tuple(int(i) + 1 for i in np.flatnonzero(level.zero[row]))
+    print(f"  {gens.word_name(level.word(row)):16s} "
+          f"jordan/m = {np.round(level.jordan[row], 4)} zero indices {zero}")
 
 # --- zero indices must stay inside the middle window --------------------
 report = containment_check(cone, k=1)

@@ -272,23 +272,29 @@ def format_number(x) -> str:
     return f"{float(x):.17g}"
 
 
+def _format_cell(cell) -> str:
+    if isinstance(cell, bool):
+        return str(cell).lower()
+    if isinstance(cell, (int, np.integer)):
+        return str(int(cell))
+    if isinstance(cell, (float, np.floating)):
+        return format_number(cell)
+    return str(cell)
+
+
 def write_csv(path, header, rows):
-    """Write a CSV with LF endings and 17-significant-digit floats."""
+    """Write a CSV with LF endings and 17-significant-digit floats.
+
+    String cells are written as they are, so a caller can format whole
+    columns up front.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            out = []
-            for cell in row:
-                if isinstance(cell, bool):
-                    out.append(str(cell).lower())
-                elif isinstance(cell, (int, np.integer)):
-                    out.append(str(int(cell)))
-                elif isinstance(cell, (float, np.floating)):
-                    out.append(format_number(cell))
-                else:
-                    out.append(str(cell))
-            writer.writerow(out)
+        writer.writerows(
+            [cell if isinstance(cell, str) else _format_cell(cell) for cell in row]
+            for row in rows
+        )
 
 
 def _jsonable(value):
@@ -461,8 +467,25 @@ def cmd_dominate(args) -> int:
     return EXIT_INCONCLUSIVE
 
 
+def _cone_rows(gens, cone):
+    """CSV rows of every cone sample, formatted a column at a time."""
+    letter_names = {l: gens.word_name((l,)) for l in words.alphabet(gens.rank)}
+    for m, level in sorted(cone.levels.items()):
+        # a bool is one byte, so a void view makes each mask row one sortable key
+        keys = np.ascontiguousarray(level.zero).view(f"V{cone.n}").ravel()
+        _, first, mask_of_row = np.unique(keys, return_index=True, return_inverse=True)
+        zero_names = [
+            ";".join(str(i + 1) for i in np.flatnonzero(level.zero[r])) for r in first
+        ]
+        coords = [[f"{x:.17g}" for x in col] for col in level.jordan.T.tolist()]
+        names = [" ".join([letter_names[l] for l in w]) for w in level.letters.tolist()]
+        zeros = [zero_names[i] for i in mask_of_row.ravel().tolist()]
+        yield from zip([str(m)] * len(level), *coords, zeros, names)
+
+
 def cmd_spectrum(args) -> int:
     gens, _ = load_generator_set(args)
+    spectrum.neutral_window(args.k, gens.dim)  # refuse a bad --k before sampling
     cone = spectrum.sample_cone(gens, m_max=args.m_max, policy=_policy(args))
     contain = spectrum.containment_check(cone, k=args.k, tol=args.tol)
     invol = spectrum.involution_symmetry_check(cone)
@@ -473,11 +496,7 @@ def cmd_spectrum(args) -> int:
     write_csv(
         samples_path,
         ["m"] + coord_names + ["zero_indices", "word"],
-        [
-            (s.length, *s.jordan,
-             ";".join(str(i) for i in s.zero_indices), gens.word_name(s.word))
-            for s in cone.iter_samples()
-        ],
+        _cone_rows(gens, cone),
     )
     hull_path = os.path.join(args.out_dir, "spectrum_hull.csv")
     write_csv(hull_path, coord_names, [tuple(v) for v in cone.hull_vertices])
@@ -705,6 +724,18 @@ def _int_at_least(low):
     return integer
 
 
+def _tolerance(text):
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not (np.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite nonnegative number, got {text!r}"
+        )
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repdyn",
@@ -743,7 +774,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1, help="containment index")
     p.add_argument("--m-max", type=_int_at_least(2), default=6,
                    help="deepest normalized sample level")
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=_tolerance, default=None,
                    help="zero tolerance (default: scale aware per sample)")
     p.set_defaults(handler=cmd_spectrum)
 
@@ -758,7 +789,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="eigenvalue-1 constraints for affine actions")
     p.add_argument("--max-length", type=_int_at_least(2), default=6,
                    help="largest word sphere scanned")
-    p.add_argument("--tol", type=float, default=affine.DEFAULT_EIGENVALUE_TOL,
+    p.add_argument("--tol", type=_tolerance, default=affine.DEFAULT_EIGENVALUE_TOL,
                    help="unit-modulus eigenvalue tolerance")
     p.set_defaults(handler=cmd_affine)
 

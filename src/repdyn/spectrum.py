@@ -7,6 +7,12 @@ asymptotic spectral data of the whole group.  `sample_cone` collects the
 clouds for m = 1..m_max, reports the convex hull at the deepest level and a
 Hausdorff-distance convergence proxy between the last two clouds.
 
+Each level m is one columnar :class:`ConeLevel`: the words as an ``(N, m)``
+letter array and their normalized Jordan and Cartan vectors, zero
+tolerances and zero masks as arrays with one row per word, taken straight
+from the stacked sphere engine.  The checks below read those arrays
+whole and build a `Word` only for a row they report.
+
 `zero_index_interval` lists the coordinates of a Jordan vector that vanish
 up to tolerance; `containment_check` tests whether those indices stay inside
 the neutral window {k+1, ..., n-k} across every nonzero sample, the spectral
@@ -37,18 +43,8 @@ _AFFINE_RANK_TOL = 1e-9
 _INVOLUTION_TOL = 1e-8
 
 
-def _zero_indices(values, tol):
-    return tuple(int(i) + 1 for i in np.flatnonzero(np.abs(values) <= tol))
-
-
-def _active_walls(values, tol):
-    n = values.size
-    walls = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(values[i] - values[j]) <= tol:
-                walls.append((i + 1, j + 1))
-    return tuple(walls)
+def _zero_indices(mask):
+    return tuple(int(i) + 1 for i in np.flatnonzero(mask))
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,28 +67,39 @@ def zero_index_interval(v: SpectralVector, tol: float) -> ZeroIndexInterval:
         raise ValueError("zero-index structure is defined for jordan vectors only")
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
-    idx = _zero_indices(v.values, tol)
+    idx = _zero_indices(np.abs(v.values) <= tol)
     consecutive = not idx or idx == tuple(range(idx[0], idx[-1] + 1))
     return ZeroIndexInterval(indices=idx, is_consecutive=consecutive, tol=float(tol))
 
 
 @dataclass(frozen=True, eq=False)
-class ConeSample:
-    """One normalized spectral sample of a length-m product."""
+class ConeLevel:
+    """The normalized spectral samples of all length-m words, one row each.
 
-    length: int
-    word: words.Word
+    ``letters`` is ``(N, m)``, ``jordan`` and ``cartan`` are ``(N, n)``,
+    ``zero_tol`` is ``(N,)`` and ``zero`` is the ``(N, n)`` mask
+    ``|jordan| <= zero_tol``.  The arrays are read-only.
+    """
+
+    letters: np.ndarray
     jordan: np.ndarray
     cartan: np.ndarray
-    zero_indices: tuple[int, ...]
-    active_walls: tuple[tuple[int, int], ...]
-    zero_tol: float
+    zero_tol: np.ndarray
+    zero: np.ndarray
 
     def __post_init__(self):
-        for field in ("jordan", "cartan"):
-            arr = np.asarray(getattr(self, field), dtype=float).copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, field, arr)
+        for field in ("letters", "jordan", "cartan", "zero_tol", "zero"):
+            getattr(self, field).flags.writeable = False
+
+    @property
+    def length(self) -> int:
+        return self.letters.shape[1]
+
+    def __len__(self):
+        return self.letters.shape[0]
+
+    def word(self, row) -> words.Word:
+        return words.Word(self.letters[row].tolist())
 
 
 @dataclass
@@ -100,7 +107,7 @@ class ConeEstimate:
     """Sampled joint spectrum clouds plus hull and convergence data."""
 
     gens: object
-    samples: dict[int, list[ConeSample]]
+    levels: dict[int, ConeLevel]
     m_max: int
     m_used: int
     truncated: bool
@@ -113,10 +120,6 @@ class ConeEstimate:
     @property
     def n(self) -> int:
         return self.gens.dim
-
-    def iter_samples(self):
-        for m in sorted(self.samples):
-            yield from self.samples[m]
 
 
 def _hull_of_cloud(cloud):
@@ -149,7 +152,7 @@ def sample_cone(gens, m_max: int, policy=words.Exhaustive(),
                 zero_tol_coeff=DEFAULT_ZERO_TOL_COEFF) -> ConeEstimate:
     """Collect normalized Jordan (and Cartan) samples for m = 1..m_max.
 
-    Every sample keeps both projections so eigenvalue and singular value
+    Every level keeps both projections so eigenvalue and singular value
     readings can be compared downstream.  Sampled policies close each draw
     under word inversion so involution symmetry stays structural.  A product
     overflowing float64 truncates the sweep at the last complete level,
@@ -168,31 +171,20 @@ def sample_cone(gens, m_max: int, policy=words.Exhaustive(),
                                        prefix_length=m)
         cartan = np.log(np.linalg.svd(products, compute_uv=False)) / m
         tols = zero_tol_coeff * np.maximum(1.0, np.abs(jordan).max(axis=1))
-        return [
-            ConeSample(
-                length=m,
-                word=words.Word(w),
-                jordan=jv,
-                cartan=cv,
-                zero_indices=_zero_indices(jv, tol),
-                active_walls=_active_walls(jv, tol),
-                zero_tol=float(tol),
-            )
-            for w, jv, cv, tol in zip(letters, jordan, cartan, tols)
-        ]
+        return ConeLevel(letters, jordan, cartan, tols, np.abs(jordan) <= tols[:, None])
 
     levels = words.map_sphere_products(gens, m_max, level, policy, inversion_closed=True)
     if not levels:
         raise NumericOverflowError(
             "no complete sample level before overflow", prefix_length=1
         )
-    samples = dict(enumerate(levels, start=1))
     m_used = len(levels)
+    levels = dict(enumerate(levels, start=1))
 
-    cloud = np.array([s.jordan for s in samples[m_used]])
+    cloud = levels[m_used].jordan
     vertices, adim = _hull_of_cloud(cloud)
     if m_used >= 2:
-        prev = np.array([s.jordan for s in samples[m_used - 1]])
+        prev = levels[m_used - 1].jordan
         hausdorff = max(
             directed_hausdorff(cloud, prev)[0], directed_hausdorff(prev, cloud)[0]
         )
@@ -201,7 +193,7 @@ def sample_cone(gens, m_max: int, policy=words.Exhaustive(),
 
     return ConeEstimate(
         gens=gens,
-        samples=samples,
+        levels=levels,
         m_max=m_max,
         m_used=m_used,
         truncated=m_used < m_max,
@@ -230,44 +222,57 @@ class ContainmentReport:
     tol: Optional[float]
 
 
+def _row_norms(x):
+    """Euclidean norm of each row, bit for bit ``np.linalg.norm`` of that row.
+
+    ``np.linalg.norm(x, axis=1)`` rounds differently; a stacked row dot
+    takes the same dot product as the 1-D norm.
+    """
+    return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
+
+
+def neutral_window(k: int, n: int) -> tuple[int, ...]:
+    """The 1-based neutral window {k+1, ..., n-k}; raises for k outside 1..n//2."""
+    if not 1 <= k <= n // 2:
+        raise ValueError(f"k must satisfy 1 <= k <= {n // 2} for dimension {n}")
+    return tuple(range(k + 1, n - k + 1))
+
+
 def containment_check(cone: ConeEstimate, k: int, tol=None) -> ContainmentReport:
     """Do the zero indices of every nonzero sample stay in {k+1..n-k}?
 
     A sample is "zero" when all its coordinates vanish within tolerance;
     such samples are exempt (they are the cone tip).  With ``tol=None`` each
-    sample's own scale-aware tolerance is used.  ``C_hat`` is the smallest
+    sample's own scale-aware tolerance is used; an explicit ``tol`` must be
+    finite and nonnegative.  ``C_hat`` is the smallest
     unit-normalized gap ``v_k - v_(k+1)`` over nonzero samples, the
     empirical margin separating the expanding block from the rest.  The
     window is empty when ``2k = n``; that is an automatic fail (no neutral
     block can exist), reported with reason "empty window".
     """
     n = cone.n
-    if not 1 <= k <= n // 2:
-        raise ValueError(f"k must satisfy 1 <= k <= {n // 2} for dimension {n}")
-    window = tuple(range(k + 1, n - k + 1))
+    window = neutral_window(k, n)
+    if tol is not None and not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
+    outside = np.ones(n, dtype=bool)
+    outside[k : n - k] = False
 
     violations = []
     C_hat = float("inf")
     n_samples = n_zero = n_empty = 0
-    wset = set(window)
-    for sample in cone.iter_samples():
-        n_samples += 1
-        sample_tol = sample.zero_tol if tol is None else tol
-        idx = (
-            sample.zero_indices
-            if tol is None
-            else _zero_indices(sample.jordan, sample_tol)
-        )
-        if len(idx) == n:
-            n_zero += 1
-            continue
-        if not idx:
-            n_empty += 1
-        elif not set(idx) <= wset:
-            violations.append((sample.length, sample.word, idx))
-        norm = float(np.linalg.norm(sample.jordan))
-        gap = float(sample.jordan[k - 1] - sample.jordan[k]) / norm
-        C_hat = min(C_hat, gap)
+    for m, level in sorted(cone.levels.items()):
+        zero = level.zero if tol is None else np.abs(level.jordan) <= tol
+        count = zero.sum(axis=1)
+        nonzero = count < n
+        n_samples += len(level)
+        n_zero += int(np.count_nonzero(~nonzero))
+        n_empty += int(np.count_nonzero(count == 0))
+        for row in np.flatnonzero(nonzero & (zero & outside).any(axis=1)):
+            violations.append((m, level.word(row), _zero_indices(zero[row])))
+        jv = level.jordan[nonzero]
+        # fmin skips NaN gaps, as a running Python min does
+        gaps = (jv[:, k - 1] - jv[:, k]) / _row_norms(jv)
+        C_hat = float(np.fmin.reduce(gaps, initial=C_hat))
 
     if not window:
         passed, reason = False, "empty window"
@@ -302,6 +307,13 @@ class InvolutionReport:
     tol: float
 
 
+def _row_keys(letters):
+    """One hashable bytes key per row of a letter array."""
+    letters = np.ascontiguousarray(letters)
+    raw, width = letters.tobytes(), letters.itemsize * letters.shape[1]
+    return [raw[i : i + width] for i in range(0, len(raw), width)]
+
+
 def involution_symmetry_check(cone: ConeEstimate,
                               tol=_INVOLUTION_TOL) -> InvolutionReport:
     """Check each sample against its inverse word's sample.
@@ -313,20 +325,18 @@ def involution_symmetry_check(cone: ConeEstimate,
     """
     mismatches = []
     worst = 0.0
-    for m in sorted(cone.samples):
-        by_letters = {s.word.letters: s for s in cone.samples[m]}
-        for sample in cone.samples[m]:
-            partner = by_letters.get(sample.word.inverse().letters)
-            if partner is None:
-                mismatches.append((m, sample.word, float("nan")))
-                continue
-            dev = max(
-                float(np.abs(-sample.jordan[::-1] - partner.jordan).max()),
-                float(np.abs(-sample.cartan[::-1] - partner.cartan).max()),
-            )
-            worst = max(worst, dev)
-            if dev > tol:
-                mismatches.append((m, sample.word, dev))
+    for m, level in sorted(cone.levels.items()):
+        row_of = {key: r for r, key in enumerate(_row_keys(level.letters))}
+        inverses = _row_keys(-level.letters[:, ::-1])
+        partner = np.array([row_of.get(key, -1) for key in inverses], dtype=np.intp)
+        paired = partner >= 0
+        jordan = np.abs(-level.jordan[:, ::-1] - level.jordan[partner]).max(axis=1)
+        cartan = np.abs(-level.cartan[:, ::-1] - level.cartan[partner]).max(axis=1)
+        # Python's max(jordan, cartan): the first argument unless the second is larger
+        dev = np.where(paired, np.where(cartan > jordan, cartan, jordan), np.nan)
+        worst = float(np.fmax.reduce(dev, initial=worst))
+        for row in np.flatnonzero(~paired | (dev > tol)):
+            mismatches.append((m, level.word(row), float(dev[row])))
     return InvolutionReport(
         passed=not mismatches, max_deviation=worst, mismatches=mismatches, tol=tol
     )

@@ -188,9 +188,18 @@ def evaluate(word, gens) -> np.ndarray:
     """
     letters = word.letters if isinstance(word, Word) else tuple(word)
     product = np.eye(gens.dim)
-    for i, l in enumerate(letters):
-        product = _checked(product @ gens.image(l), i + 1)
+    with _overflow_raises():
+        for i, l in enumerate(letters):
+            product = _checked(product @ gens.image(l), i + 1)
     return product
+
+
+def _overflow_raises():
+    """Silence numpy's overflow warnings where `_checked` raises for them.
+
+    A product that overflows can also hold ``inf - inf``, hence ``invalid``.
+    """
+    return np.errstate(over="ignore", invalid="ignore")
 
 
 def _checked(products, length):
@@ -259,25 +268,29 @@ def iter_sphere_products(gens, L_max: int, policy=Exhaustive(),
     # alphabet positions allowed after position r; r ^ 1 holds its inverse
     children = np.array([[c for c in range(size) if c != r ^ 1] for r in range(size)])
     for L in range(1, L_max + 1):
-        if isinstance(policy, Sampled):
-            drawn = sampled_words(gens.rank, L, policy, inversion_closed)
-            letters = np.array([w.letters for w in drawn], dtype=letter_set.dtype)
-            products = np.eye(gens.dim)  # broadcast against the stack below
-            for i in range(L):
-                products = _checked(products @ images[letter_rank(letters[:, i])], i + 1)
-        elif count_sphere(gens.rank, L) > ENUMERATION_CAP:
-            raise EnumerationSizeError(
-                f"sphere of length {L} in rank {gens.rank} exceeds the enumeration cap"
-            )
-        elif L == 1:
-            letters, products = letter_set[:, None], _checked(images, 1)
-        else:
-            nxt = children[letter_rank(letters[:, -1])].ravel()
-            fan = children.shape[1]
-            letters = np.concatenate(
-                [np.repeat(letters, fan, axis=0), letter_set[nxt, None]], axis=1
-            )
-            products = _checked(np.repeat(products, fan, axis=0) @ images[nxt], L)
+        # scoped per sphere: the state must not leak to the caller across the yield
+        with _overflow_raises():
+            if isinstance(policy, Sampled):
+                drawn = sampled_words(gens.rank, L, policy, inversion_closed)
+                letters = np.array([w.letters for w in drawn], dtype=letter_set.dtype)
+                products = np.eye(gens.dim)  # broadcast against the stack below
+                for i in range(L):
+                    products = _checked(
+                        products @ images[letter_rank(letters[:, i])], i + 1
+                    )
+            elif count_sphere(gens.rank, L) > ENUMERATION_CAP:
+                raise EnumerationSizeError(
+                    f"sphere of length {L} in rank {gens.rank} exceeds the enumeration cap"
+                )
+            elif L == 1:
+                letters, products = letter_set[:, None], _checked(images, 1)
+            else:
+                nxt = children[letter_rank(letters[:, -1])].ravel()
+                fan = children.shape[1]
+                letters = np.concatenate(
+                    [np.repeat(letters, fan, axis=0), letter_set[nxt, None]], axis=1
+                )
+                products = _checked(np.repeat(products, fan, axis=0) @ images[nxt], L)
         yield letters, products
 
 

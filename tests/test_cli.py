@@ -1,18 +1,23 @@
 """Command-line behavior: exit codes, report files, and determinism."""
 
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
 
+from repdyn import spectrum
 from repdyn.cli import (
     EXIT_FAIL,
     EXIT_INCONCLUSIVE,
     EXIT_OK,
     EXIT_USAGE,
+    format_number,
     main,
     validate_report,
 )
+from repdyn.domination import GeneratorSet
 
 from conftest import form_preserving_matrix, ping_pong_matrices, rotation2
 
@@ -135,6 +140,11 @@ class TestInputHandling:
             ["dominate", "--policy", "sampled", "--samples", "0"],
             ["dominate", "--policy", "sampled", "--samples", "-3"],
             ["spectrum", "--policy", "sampled", "--samples", "0"],
+            ["spectrum", "--tol", "-1"],
+            ["spectrum", "--tol", "nan"],
+            ["spectrum", "--tol", "inf"],
+            ["affine", "--tol", "nan"],
+            ["affine", "--tol", "-0.5"],
             ["affine", "--max-length", "0"],
         ):
             rc = main(argv + ["--input", ping_pong_doc, "--out-dir", str(tmp_path)])
@@ -165,6 +175,20 @@ class TestVerdictExitCodes:
                    "--max-length", "5", "--policy", "sampled", "--samples", "10",
                    "--seed", "3", "--out-dir", str(tmp_path)])
         assert rc == EXIT_INCONCLUSIVE
+
+    def test_spectrum_bad_k_refused_before_sampling(self, padded_doc, tmp_path, capsys,
+                                                    monkeypatch):
+        # n = 3 allows only k = 1; the check must come before the cone is built
+        def sample_cone(*args, **kwargs):
+            raise AssertionError("the cone was sampled before k was checked")
+
+        monkeypatch.setattr(spectrum, "sample_cone", sample_cone)
+        out = tmp_path / "out"
+        rc = main(["spectrum", "--input", padded_doc, "--k", "2", "--m-max", "9",
+                   "--out-dir", str(out)])
+        assert rc == EXIT_USAGE
+        assert "must" in capsys.readouterr().err
+        assert not (out / "spectrum_cone_samples.csv").exists()
 
     def test_spectrum_empty_window_fails(self, ping_pong_doc, tmp_path):
         rc = main(["spectrum", "--input", ping_pong_doc, "--k", "1",
@@ -243,6 +267,38 @@ class TestDeterminism:
             tmp_path, "spectrum",
         )
         assert one == two
+
+
+class TestSpectrumCsv:
+    """The column-wise cone CSV against per-sample formatting."""
+
+    @pytest.mark.parametrize("mats", [
+        [np.diag([1.0, 1.0, 0.5]), np.diag([2.0, 1.0, 1.0])],
+        [np.eye(3), np.diag([4.0, 1.0, 0.25])],
+    ])
+    def test_rows_match_per_sample_formatting(self, mats, tmp_path):
+        doc = {"n": 3, "generators": [
+            {"name": f"g{i}", "rows": rows(m)} for i, m in enumerate(mats)
+        ]}
+        out = tmp_path / "out"
+        main(["spectrum", "--input", write_doc(tmp_path / "g.json", doc),
+              "--k", "1", "--m-max", "4", "--out-dir", str(out)])
+        gens = GeneratorSet(mats, names=["g0", "g1"])
+        cone = spectrum.sample_cone(gens, 4)
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(["m", "c1", "c2", "c3", "zero_indices", "word"])
+        masks = set()
+        for m, level in cone.levels.items():
+            for r in range(len(level)):
+                zero = ";".join(str(i + 1) for i in np.flatnonzero(level.zero[r]))
+                masks.add(zero)
+                writer.writerow([str(m), *(format_number(x) for x in level.jordan[r]),
+                                 zero, gens.word_name(level.word(r))])
+        assert len(masks) > 1
+        text = (out / "spectrum_cone_samples.csv").read_text(encoding="utf-8")
+        assert text == expected.getvalue()
+
 
 class TestReportValidation:
     def test_round_trip_revalidates(self, ping_pong_doc, tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from repdyn.domination import GeneratorSet
 from repdyn.linalg import SpectralVector
 from repdyn.spectrum import (
+    ConeLevel,
     containment_check,
     involution_symmetry_check,
     sample_cone,
@@ -45,9 +46,11 @@ class TestSampleCone:
     def test_samples_are_normalized_by_length(self):
         gens = GeneratorSet([np.diag([4.0, 0.25])], names=["a"])
         cone = sample_cone(gens, m_max=4)
-        for s in cone.iter_samples():
+        assert sorted(cone.levels) == [1, 2, 3, 4]
+        for m, level in cone.levels.items():
+            assert level.length == m and len(level) == 2
             np.testing.assert_allclose(
-                s.jordan, [2.0 * LOG2, -2.0 * LOG2], atol=1e-10
+                level.jordan, [[2.0 * LOG2, -2.0 * LOG2]] * 2, atol=1e-10
             )
         assert cone.m_used == 4
         assert not cone.truncated
@@ -63,17 +66,23 @@ class TestSampleCone:
         cone = sample_cone(ping_pong_padded, m_max=5)
         assert cone.n == 3
         # every sample of the padded pair lies on the ray (t, 0, -t)
-        for s in cone.iter_samples():
-            assert s.jordan[1] == pytest.approx(0.0, abs=1e-8)
-            assert s.jordan[0] == pytest.approx(-s.jordan[2], abs=1e-8)
+        for level in cone.levels.values():
+            np.testing.assert_allclose(level.jordan[:, 1], 0.0, atol=1e-8)
+            np.testing.assert_allclose(level.jordan[:, 0], -level.jordan[:, 2], atol=1e-8)
+            assert (level.zero == [False, True, False]).all()
 
     def test_sampled_policy_deterministic(self, ping_pong_padded):
         pol = Sampled(count=12, seed=5)
         c1 = sample_cone(ping_pong_padded, m_max=5, policy=pol)
         c2 = sample_cone(ping_pong_padded, m_max=5, policy=pol)
-        w1 = [s.word for s in c1.iter_samples()]
-        w2 = [s.word for s in c2.iter_samples()]
-        assert w1 == w2
+        assert c1.levels.keys() == c2.levels.keys()
+        for m in c1.levels:
+            assert np.array_equal(c1.levels[m].letters, c2.levels[m].letters)
+
+    def test_levels_are_read_only(self, ping_pong_padded):
+        level = sample_cone(ping_pong_padded, m_max=2).levels[2]
+        with pytest.raises(ValueError):
+            level.jordan[0, 0] = 1.0
 
 
 class TestContainment:
@@ -107,6 +116,13 @@ class TestContainment:
         with pytest.raises(ValueError):
             containment_check(cone, k=2)
 
+    @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+    def test_tol_validated(self, ping_pong_padded, tol):
+        # a negative or NaN tolerance would pass vacuously with every sample empty
+        cone = sample_cone(ping_pong_padded, m_max=3)
+        with pytest.raises(ValueError):
+            containment_check(cone, k=1, tol=tol)
+
 
 class TestInvolutionSymmetry:
     def test_padded_pair_is_symmetric(self, ping_pong_padded):
@@ -125,11 +141,29 @@ class TestInvolutionSymmetry:
 
     def test_doctored_sample_is_caught(self, ping_pong_padded):
         cone = sample_cone(ping_pong_padded, m_max=3)
-        samples = {m: list(group) for m, group in cone.samples.items()}
-        bad = samples[2][0]
-        samples[2][0] = dataclasses.replace(
-            bad, jordan=bad.jordan + np.array([1.0, 0.0, -1.0])
-        )
-        doctored = dataclasses.replace(cone, samples=samples)
-        rep = involution_symmetry_check(doctored)
+        level = cone.levels[2]
+        jordan = level.jordan.copy()
+        jordan[0] += np.array([1.0, 0.0, -1.0])
+        levels = dict(cone.levels)
+        levels[2] = dataclasses.replace(level, jordan=jordan)
+        rep = involution_symmetry_check(dataclasses.replace(cone, levels=levels))
         assert not rep.passed
+        # the doctored row and its inverse's row both see the deviation
+        assert {(m, w) for m, w, _ in rep.mismatches} == {
+            (2, level.word(0)), (2, level.word(0).inverse())
+        }
+        assert rep.max_deviation == pytest.approx(1.0, abs=1e-9)
+
+    def test_unpaired_word_is_a_mismatch(self, ping_pong_padded):
+        cone = sample_cone(ping_pong_padded, m_max=2)
+        level = cone.levels[2]
+        keep = np.arange(1, len(level))
+        levels = dict(cone.levels)
+        levels[2] = ConeLevel(
+            level.letters[keep], level.jordan[keep], level.cartan[keep],
+            level.zero_tol[keep], level.zero[keep],
+        )
+        rep = involution_symmetry_check(dataclasses.replace(cone, levels=levels))
+        assert not rep.passed
+        [(m, word, dev)] = rep.mismatches
+        assert m == 2 and word == level.word(0).inverse() and np.isnan(dev)

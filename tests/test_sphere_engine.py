@@ -3,15 +3,24 @@
 The reference enumerates words one by one (`enumerate_sphere` or
 `sampled_words`), evaluates each with `evaluate`, applies per-matrix numpy
 calls and reduces with Python ``min`` over ``(value, shortlex key)``.  Every
-scan statistic must agree with it bit for bit.
+scan statistic must agree with it bit for bit.  The columnar cone checks are
+held to a per-sample loop over the same levels in the same way.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from repdyn.affine import bounded_singular_check, eigenvalue_norm_one_check, hks_test
 from repdyn.domination import GeneratorSet, SphereRecord, domination_scan
-from repdyn.spectrum import sample_cone
+from repdyn.spectrum import (
+    ConeLevel,
+    _row_norms,
+    containment_check,
+    involution_symmetry_check,
+    sample_cone,
+)
 from repdyn.words import (
     Exhaustive,
     Sampled,
@@ -128,18 +137,119 @@ def test_affine_extremes(gens, policy):
 def test_cone_samples(request, fixture, policy):
     gens = request.getfixturevalue(fixture)
     cone = sample_cone(gens, 4, policy)
-    assert sorted(cone.samples) == [1, 2, 3, 4]
-    for m, level in cone.samples.items():
+    assert sorted(cone.levels) == [1, 2, 3, 4]
+    for m, level in cone.levels.items():
         rows = reference_rows(gens, m, policy, inversion_closed=True)
-        assert len(level) == len(rows)
-        for sample, (w, p) in zip(level, rows):
+        assert level.length == m and len(level) == len(rows)
+        for r, (w, p) in enumerate(rows):
             jv = np.log(np.sort(np.abs(np.linalg.eigvals(p)))[::-1]) / m
             cv = np.log(np.linalg.svd(p, compute_uv=False)) / m
             tol = cone.zero_tol_coeff * max(1.0, float(np.abs(jv).max()))
-            assert sample.word == w and sample.length == m
-            assert np.array_equal(sample.jordan, jv)
-            assert np.array_equal(sample.cartan, cv)
-            assert sample.zero_tol == tol
+            assert level.word(r) == w
+            assert np.array_equal(level.jordan[r], jv)
+            assert np.array_equal(level.cartan[r], cv)
+            assert level.zero_tol[r] == tol
+            assert np.array_equal(level.zero[r], np.abs(jv) <= tol)
+
+
+def reference_samples(cone):
+    """(m, word, jordan, cartan, zero_tol) of each sample, one row at a time."""
+    for m in sorted(cone.levels):
+        level = cone.levels[m]
+        for r in range(len(level)):
+            yield m, level.word(r), level.jordan[r], level.cartan[r], float(level.zero_tol[r])
+
+
+def reference_containment(cone, k, tol):
+    """The per-sample containment loop, with a 1-D norm per sample."""
+    n = cone.n
+    window = set(range(k + 1, n - k + 1))
+    violations, C_hat, n_samples, n_zero, n_empty = [], float("inf"), 0, 0, 0
+    for m, word, jv, _, zero_tol in reference_samples(cone):
+        n_samples += 1
+        bound = zero_tol if tol is None else tol
+        idx = tuple(int(i) + 1 for i in np.flatnonzero(np.abs(jv) <= bound))
+        if len(idx) == n:
+            n_zero += 1
+            continue
+        if not idx:
+            n_empty += 1
+        elif not set(idx) <= window:
+            violations.append((m, word, idx))
+        C_hat = min(C_hat, float(jv[k - 1] - jv[k]) / float(np.linalg.norm(jv)))
+    return violations, C_hat, n_samples, n_zero, n_empty
+
+
+def reference_involution(cone, tol):
+    """The per-sample involution loop, pairing words through a dict."""
+    mismatches, worst = [], 0.0
+    samples = list(reference_samples(cone))
+    by_word = {(m, w): (jv, cv) for m, w, jv, cv, _ in samples}
+    for m, word, jv, cv, _ in samples:
+        partner = by_word.get((m, word.inverse()))
+        if partner is None:
+            mismatches.append((m, word, float("nan")))
+            continue
+        dev = max(float(np.abs(-jv[::-1] - partner[0]).max()),
+                  float(np.abs(-cv[::-1] - partner[1]).max()))
+        worst = max(worst, dev)
+        if dev > tol:
+            mismatches.append((m, word, dev))
+    return worst, mismatches
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+def test_row_norms_match_per_row_norm(n):
+    rows = np.random.default_rng(n).standard_normal((2000, n))
+    expected = [np.linalg.norm(row) for row in rows]
+    assert np.array_equal(_row_norms(rows), expected)
+
+
+@pytest.fixture(params=["ping_pong_padded", "rank3_dim4", "escape"])
+def cone_gens(request):
+    if request.param == "escape":
+        # a repeated unit modulus at the top puts index 1 in the zero set
+        return GeneratorSet([np.diag([1.0, 1.0, 0.5]), np.diag([2.0, 1.0, 1.0])])
+    return request.getfixturevalue(request.param)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_containment_matches_per_sample_reference(cone_gens, policy):
+    cone = sample_cone(cone_gens, 4, policy)
+    for k in range(1, cone.n // 2 + 1):
+        for tol in (None, 0.0, 0.05, 0.3):
+            rep = containment_check(cone, k, tol)
+            violations, C_hat, n_samples, n_zero, n_empty = reference_containment(
+                cone, k, tol
+            )
+            assert rep.violations == violations
+            assert (rep.n_samples, rep.n_zero, rep.n_empty) == (n_samples, n_zero, n_empty)
+            if np.isfinite(C_hat):
+                assert rep.C_hat == C_hat
+            else:
+                assert np.isnan(rep.C_hat)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_involution_matches_per_sample_reference(cone_gens, policy):
+    cone = sample_cone(cone_gens, 4, policy)
+    # drop one word of the last level so its inverse is left unpaired
+    last = cone.levels[4]
+    keep = np.arange(1, len(last))
+    clipped = dict(cone.levels)
+    clipped[4] = ConeLevel(last.letters[keep], last.jordan[keep], last.cartan[keep],
+                           last.zero_tol[keep], last.zero[keep])
+    for c in (cone, dataclasses.replace(cone, levels=clipped)):
+        for tol in (1e-8, 1e-14, 0.0):
+            rep = involution_symmetry_check(c, tol)
+            worst, mismatches = reference_involution(c, tol)
+            assert rep.max_deviation == worst
+            assert [(m, w) for m, w, _ in rep.mismatches] == [
+                (m, w) for m, w, _ in mismatches
+            ]
+            assert np.array_equal([d for *_, d in rep.mismatches],
+                                  [d for *_, d in mismatches], equal_nan=True)
+            assert rep.passed == (not mismatches)
 
 
 def test_shortlex_argmin_breaks_ties_by_word():

@@ -1,5 +1,7 @@
 """Free-group words, sphere enumeration, flow lines, and the flow metric."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -109,12 +111,21 @@ class TestEvaluate:
         )
         np.testing.assert_allclose(evaluate(w, ping_pong), expected, atol=1e-12)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflow_names_prefix(self):
         # (1e6)^52 = 1e312 leaves float64 range at the 52nd letter
         big = GeneratorSet([np.diag([1e6, 1e-6])])
         with pytest.raises(NumericOverflowError) as info:
             evaluate(Word([1] * 60), big)
+        assert info.value.prefix_length == 52
+
+    @pytest.mark.parametrize("policy", [Exhaustive(), Sampled(count=3, seed=0)])
+    def test_sphere_overflow_raises_without_warning(self, policy):
+        big = GeneratorSet([np.diag([1e6, 1e-6])])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericOverflowError) as info:
+                for _ in iter_sphere_products(big, 60, policy):
+                    pass
         assert info.value.prefix_length == 52
 
     def test_iter_sphere_products_consistent(self, ping_pong):
