@@ -589,18 +589,12 @@ def cmd_split(args) -> int:
             "dominance_contracting_over_neutral",
         ]
         t_max = max(tt, *(len(rates.curves[c]) - 1 for c in curve_cols))
+        # the residual at t is the largest move of a block from t - 1 to t
+        frames = flowbundle.splitting_frames(traj, args.k, np.arange(2, tt + 1))
+        residual = np.max([subspace_distance(f[1:], f[:-1]) for f in frames], axis=0)
         rows = []
         for t in range(t_max + 1):
-            if 3 <= t <= tt:
-                prev = flowbundle.splitting_at(traj, args.k, t - 1, t - 1)
-                cur = flowbundle.splitting_at(traj, args.k, t, t)
-                res_cell = max(
-                    subspace_distance(cur[0], prev[0]),
-                    subspace_distance(cur[1], prev[1]),
-                    subspace_distance(cur[2], prev[2]),
-                )
-            else:
-                res_cell = ""
+            res_cell = float(residual[t - 3]) if 3 <= t <= tt else ""
             cells = [
                 float(rates.curves[c][t]) if t < len(rates.curves[c]) else ""
                 for c in curve_cols

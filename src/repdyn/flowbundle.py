@@ -13,6 +13,11 @@ block from the directions most contracted by forward transport, and the
 neutral block from the middle right-singular directions.  `measure_rates`
 then fits the contraction and dominance constants that a partially
 hyperbolic splitting must exhibit, optionally in a changed fiber norm.
+
+Frames come from stacked decompositions: `splitting_frames` reads the
+blocks at many times off one checked SVD (`linalg.singular_frames`) of all
+their products, and `measure_rates` does the same for its relative
+products, so a window costs a few stacked LAPACK calls, not one per time.
 """
 
 from __future__ import annotations
@@ -30,9 +35,11 @@ from .linalg import (
     Subspace,
     bottom_singular_subspace,
     require_matrix,
+    require_orthonormal,
+    singular_frames,
     subspace_distance,
 )
-from .words import FlowLineWindow
+from .words import FlowLineWindow, alphabet, letter_rank
 
 # default half width for trajectory windows
 DEFAULT_WINDOW = 48
@@ -55,13 +62,14 @@ class CocycleTrajectory:
 
     ``forward[t]`` is ``P(t)`` for ``t = 0..t_forward`` and ``backward[t]``
     is ``P(-t)``; ``P(t + 1) = image(letter at t) @ P(t)`` and backward
-    steps apply inverse images.
+    steps apply inverse images.  Both are read-only ``(T + 1, n, n)``
+    stacks.
     """
 
     gens: GeneratorSet
     line: FlowLineWindow
-    forward: list = field(repr=False)
-    backward: list = field(repr=False)
+    forward: np.ndarray = field(repr=False)
+    backward: np.ndarray = field(repr=False)
     truncated: bool = False
 
     @property
@@ -115,6 +123,8 @@ def build_trajectory(gens: GeneratorSet, line: FlowLineWindow,
             truncated = True
             break
         backward.append(nxt)
+    forward, backward = np.stack(forward), np.stack(backward)
+    forward.flags.writeable = backward.flags.writeable = False
     return CocycleTrajectory(
         gens=gens, line=line, forward=forward, backward=backward, truncated=truncated
     )
@@ -141,20 +151,51 @@ class SplittingEstimate:
 
 
 def _check_gaps(traj, k, sign):
+    """Raise at the first time 1, 2, ... in direction ``sign`` where the
+    singular gap at index k or n - k of ``P(sign * t)`` collapses."""
     n = traj.dim
-    horizon = traj.t_forward if sign > 0 else traj.t_backward
-    for t in range(1, horizon + 1):
-        s = np.linalg.svd(traj.product(sign * t), compute_uv=False)
-        for p in sorted({k, n - k}):
-            gap = (s[p - 1] - s[p]) / s[p - 1]
-            if gap < GAP_TOL:
-                raise DegenerateGapError(
-                    f"singular gap at index {p} degenerate at time {sign * t}"
-                    f" (relative gap {gap:.3e})",
-                    index=p,
-                    gap=float(gap),
-                    time=sign * t,
-                )
+    store = traj.forward if sign > 0 else traj.backward
+    s = np.linalg.svd(store[1:], compute_uv=False)
+    index = np.array(sorted({k, n - k}))
+    gaps = (s[:, index - 1] - s[:, index]) / s[:, index - 1]
+    failed = np.flatnonzero(gaps < GAP_TOL)
+    if failed.size:
+        row, col = divmod(int(failed[0]), index.size)
+        p, gap, t = int(index[col]), gaps[row, col], sign * (row + 1)
+        raise DegenerateGapError(
+            f"singular gap at index {p} degenerate at time {t} (relative gap {gap:.3e})",
+            index=p,
+            gap=float(gap),
+            time=t,
+        )
+
+
+def _right_frames(first, second, k):
+    """``vt`` of two equal-length stacks of products, from one checked SVD.
+
+    The products are checked as `bottom_singular_subspace` checks them, in
+    the order ``first[0], second[0], first[1], second[1], ...``, so the
+    first failure is the one that check would meet first.
+    """
+    n = first.shape[-1]
+    both = np.stack([first, second], axis=1).reshape(-1, n, n)
+    _, _, vt = singular_frames(both, n - k, stacklevel=3)
+    return vt[0::2], vt[1::2]
+
+
+def _blocks(vt_forward, vt_backward, k):
+    """Stacked bases ``(v_plus, v_zero, v_minus)`` read off right singular
+    vectors, as `splitting_at` reads them."""
+    n = vt_forward.shape[-1]
+
+    def bases(rows):
+        return require_orthonormal(np.swapaxes(rows, 1, 2))
+
+    return (
+        bases(vt_backward[:, n - k :]),
+        bases(vt_forward[:, k : n - k]),
+        bases(vt_forward[:, n - k :]),
+    )
 
 
 def splitting_at(traj, k: int, t_forward: int, t_backward: int):
@@ -166,11 +207,25 @@ def splitting_at(traj, k: int, t_forward: int, t_backward: int):
     """
     n = traj.dim
     v_plus = bottom_singular_subspace(traj.product(-t_backward), k)
-    fwd = traj.product(t_forward)
-    v_minus = bottom_singular_subspace(fwd, k)
-    _, _, vt = np.linalg.svd(fwd)
-    v_zero = Subspace(vt[k : n - k].T)
-    return v_plus, v_zero, v_minus
+    _, _, vt = singular_frames(traj.product(t_forward)[None], n - k)
+    return v_plus, Subspace(vt[0, k : n - k].T), Subspace(vt[0, n - k :].T)
+
+
+def splitting_frames(traj, k: int, times):
+    """`splitting_at` ``(traj, k, t, t)`` for every t in ``times``, stacked.
+
+    Returns ``(v_plus, v_zero, v_minus)`` as read-only ``(N, n, p)`` stacks
+    of orthonormal bases (p the block dimension), one row per time, from one
+    SVD of all the products ``P(-t)`` and ``P(t)``.  They are checked in the
+    order ``P(-t), P(t)`` of each time in turn, and the first that fails
+    raises what `splitting_at` would raise for it.
+    """
+    times = np.asarray(times, dtype=int)
+    horizon = min(traj.t_forward, traj.t_backward)
+    if times.size and not (0 <= times.min() and times.max() <= horizon):
+        raise WindowBoundsError(f"times must lie in 0..{horizon}")
+    vt_back, vt_fwd = _right_frames(traj.backward[times], traj.forward[times], k)
+    return _blocks(vt_fwd, vt_back, k)
 
 
 def estimate_splitting(traj: CocycleTrajectory, k: int) -> SplittingEstimate:
@@ -248,44 +303,15 @@ class RateReport:
     norm_used: bool
 
 
-def _log_smax(m):
-    return float(np.log(np.linalg.svd(m, compute_uv=False)[0]))
+def _log_stretches(steps, bases):
+    """Log largest and log smallest singular value of each ``step @ basis``."""
+    logs = np.log(np.linalg.svd(steps @ bases, compute_uv=False))
+    return logs[:, 0], logs[:, -1]
 
 
-def _log_smin(m):
-    return float(np.log(np.linalg.svd(m, compute_uv=False)[-1]))
-
-
-def _relative_forward(gens, line, s, h):
-    """Transport matrix from the fiber at time s to time s + h."""
-    m = np.eye(gens.dim)
-    for u in range(s, s + h):
-        m = gens.image(line.letter(u)) @ m
-    return m
-
-
-def _relative_backward(gens, line, s, h):
-    """Transport matrix from the fiber at time s to time s - h."""
-    m = np.eye(gens.dim)
-    for u in range(1, h + 1):
-        m = gens.image(-line.letter(s - u)) @ m
-    return m
-
-
-def _local_frames(gens, line, s, h, k):
-    """Splitting blocks at time s, re-estimated from a length-h window.
-
-    Short relative products stay well conditioned, so the blocks carry a
-    uniformly small error at every time.  Transporting one basis across the
-    whole window instead would let the strongest direction amplify basis
-    error until the contracted blocks sink below float noise.
-    """
-    fwd = _relative_forward(gens, line, s, h)
-    v_minus = bottom_singular_subspace(fwd, k)
-    _, _, vt = np.linalg.svd(fwd)
-    v_zero = Subspace(vt[k : gens.dim - k].T)
-    v_plus = bottom_singular_subspace(_relative_backward(gens, line, s, h), k)
-    return v_plus, v_zero, v_minus
+def _running_sum(steps):
+    """0 followed by the running sums of ``steps``, added one at a time."""
+    return np.cumsum(np.concatenate(([0.0], steps)))
 
 
 def measure_rates(traj: CocycleTrajectory, split: SplittingEstimate,
@@ -298,6 +324,9 @@ def measure_rates(traj: CocycleTrajectory, split: SplittingEstimate,
     of each curve.  ``norm_matrix`` measures the fibers in the norm
     ``|W v|`` instead of the Euclidean one, i.e. transports in the
     coordinates ``x -> W x``; fitted rates are insensitive to that choice.
+    The relative products, their frames and the stretches are all computed
+    as stacks over the times, and the curves are running sums that add the
+    stretches in time order.
     """
     gens, line = traj.gens, traj.line
     if norm_matrix is not None:
@@ -309,6 +338,7 @@ def measure_rates(traj: CocycleTrajectory, split: SplittingEstimate,
         )
 
     k = split.k
+    n = traj.dim
     tb, tf = traj.t_backward, traj.t_forward
     h = max(1, min(_RELATIVE_WINDOW, min(tb, tf) // 2))
     extent_f = tf - h
@@ -316,28 +346,42 @@ def measure_rates(traj: CocycleTrajectory, split: SplittingEstimate,
     if extent_f < 1 or extent_b < 1:
         raise WindowBoundsError("trajectory window too small to fit rates")
 
-    up_back = np.zeros(extent_b + 1)
-    acc = 0.0
-    for s in range(extent_b):
-        v_plus, _, _ = _local_frames(gens, line, -s, h, k)
-        step = gens.image(-line.letter(-s - 1))
-        acc += _log_smax(step @ v_plus.basis)
-        up_back[s + 1] = acc
+    # the blocks at time s are re-estimated from the relative products over
+    # [s, s + h] and [s - h, s].  Short products stay well conditioned, so
+    # the blocks carry a uniformly small error at every time; transporting
+    # one basis across the whole window would let the strongest direction
+    # amplify basis error until the contracted blocks sink below float
+    # noise.  The backward curve needs the blocks at s = 0, -1, ...,
+    # 1 - extent_b and the forward curves at s = 0, 1, ..., extent_f - 1.
+    times = np.concatenate([-np.arange(extent_b), np.arange(1, extent_f)])
+    first = 1 - extent_b - h
+    ranks = letter_rank(np.array([line.letter(u) for u in range(first, extent_f + h - 1)]))
+    images = np.stack([gens.image(l) for l in alphabet(gens.rank)])
 
-    down_fwd = np.zeros(extent_f + 1)
-    dom_pz = np.zeros(extent_f + 1)
-    dom_zm = np.zeros(extent_f + 1)
-    acc_minus = acc_pz = acc_zm = 0.0
-    for s in range(extent_f):
-        v_plus, v_zero, v_minus = _local_frames(gens, line, s, h, k)
-        step = gens.image(line.letter(s))
-        log_minus = _log_smax(step @ v_minus.basis)
-        acc_minus += log_minus
-        acc_pz += _log_smax(step @ v_zero.basis) - _log_smin(step @ v_plus.basis)
-        acc_zm += log_minus - _log_smin(step @ v_zero.basis)
-        down_fwd[s + 1] = acc_minus
-        dom_pz[s + 1] = acc_pz
-        dom_zm[s + 1] = acc_zm
+    def image_at(u, inverse=False):
+        """Images of the letters at times ``u`` (an index array), or their inverses."""
+        return images[ranks[u - first] ^ inverse]
+
+    forward = backward = np.eye(n)
+    for j in range(h):
+        forward = image_at(times + j) @ forward
+        backward = image_at(times - j - 1, inverse=True) @ backward
+    vt_fwd, vt_back = _right_frames(forward, backward, k)
+    plus, zero, minus = _blocks(vt_fwd, vt_back, k)
+
+    s_b = np.arange(extent_b)
+    stretch_b, _ = _log_stretches(image_at(-s_b - 1, inverse=True), plus[:extent_b])
+    up_back = _running_sum(stretch_b)
+
+    s_f = np.arange(extent_f)
+    rows = np.where(s_f == 0, 0, s_f + extent_b - 1)
+    step = image_at(s_f)
+    log_minus, _ = _log_stretches(step, minus[rows])
+    zero_max, zero_min = _log_stretches(step, zero[rows])
+    _, plus_min = _log_stretches(step, plus[rows])
+    down_fwd = _running_sum(log_minus)
+    dom_pz = _running_sum(zero_max - plus_min)
+    dom_zm = _running_sum(log_minus - zero_min)
 
     start_f = min(extent_f - int(_FIT_FRACTION * extent_f), extent_f - 1)
     start_b = min(extent_b - int(_FIT_FRACTION * extent_b), extent_b - 1)

@@ -248,7 +248,9 @@ def containment_check(cone: ConeEstimate, k: int, tol=None) -> ContainmentReport
     unit-normalized gap ``v_k - v_(k+1)`` over nonzero samples, the
     empirical margin separating the expanding block from the rest.  The
     window is empty when ``2k = n``; that is an automatic fail (no neutral
-    block can exist), reported with reason "empty window".
+    block can exist), reported with reason "empty window".  A pass also
+    needs ``C_hat > 0``: with no positive margin, or no nonzero sample at
+    all (``C_hat`` NaN), the check fails with reason "no k-gap".
     """
     n = cone.n
     window = neutral_window(k, n)
@@ -274,14 +276,16 @@ def containment_check(cone: ConeEstimate, k: int, tol=None) -> ContainmentReport
         gaps = (jv[:, k - 1] - jv[:, k]) / _row_norms(jv)
         C_hat = float(np.fmin.reduce(gaps, initial=C_hat))
 
+    if not np.isfinite(C_hat):
+        C_hat = float("nan")
     if not window:
         passed, reason = False, "empty window"
     elif violations:
         passed, reason = False, "zero-index escape"
+    elif not C_hat > 0.0:
+        passed, reason = False, "no k-gap"
     else:
         passed, reason = True, ""
-    if not np.isfinite(C_hat):
-        C_hat = float("nan")
     return ContainmentReport(
         passed=passed,
         reason=reason,

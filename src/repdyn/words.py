@@ -227,25 +227,46 @@ class Sampled:
             raise ValueError("sampled scans need at least one word per sphere")
 
 
+def _letter_dtype(rank: int):
+    return np.min_scalar_type(-2 * rank)
+
+
+def _next_positions(rank: int) -> np.ndarray:
+    """Row r lists the alphabet positions allowed after position r, in order.
+
+    Position ``r ^ 1`` holds the inverse of the letter at position r.
+    """
+    size = 2 * rank
+    return np.array([[c for c in range(size) if c != r ^ 1] for r in range(size)])
+
+
 def sampled_words(rank: int, length: int, policy: Sampled, inversion_closed=False):
-    """Deterministic list of sampled words for one sphere.
+    """Deterministic ``(N, length)`` letter array of sampled words for one sphere.
 
     The seed is mixed with the length so different spheres draw different
-    words.  With ``inversion_closed`` the list is closed under inversion and
-    deduplicated, preserving first-seen order.
+    words.  Row i is the word that the i-th of ``policy.count`` calls of
+    `random_word` on the same generator would draw: one array draw takes
+    the same random integers in the same order.  With ``inversion_closed``
+    each word is followed by its inverse and repeated rows are dropped,
+    keeping the first of each.
     """
     rng = np.random.default_rng([policy.seed, length])
-    words = [random_word(rank, length, rng) for _ in range(policy.count)]
+    size = 2 * rank
+    highs = np.full(length, size - 1)
+    highs[:1] = size
+    # the first draw picks an alphabet position, each later one picks from
+    # the alphabet without the inverse of the letter before it; turn each
+    # column into positions once the one before it has been turned
+    positions = rng.integers(0, highs, size=(policy.count, length))
+    allowed = _next_positions(rank)
+    for i in range(1, length):
+        positions[:, i] = allowed[positions[:, i - 1], positions[:, i]]
+    letters = np.array(alphabet(rank), dtype=_letter_dtype(rank))[positions]
     if inversion_closed:
-        closed = []
-        seen = set()
-        for w in words:
-            for cand in (w, w.inverse()):
-                if cand.letters not in seen:
-                    seen.add(cand.letters)
-                    closed.append(cand)
-        words = closed
-    return words
+        both = np.stack([letters, -letters[:, ::-1]], axis=1).reshape(-1, length)
+        _, first = np.unique(both, axis=0, return_index=True)
+        letters = both[np.sort(first)]
+    return letters
 
 
 def iter_sphere_products(gens, L_max: int, policy=Exhaustive(),
@@ -262,17 +283,14 @@ def iter_sphere_products(gens, L_max: int, policy=Exhaustive(),
     outside float64 range, and :class:`EnumerationSizeError` before an
     exhaustive sphere larger than ENUMERATION_CAP.
     """
-    size = 2 * gens.rank
-    letter_set = np.array(alphabet(gens.rank), dtype=np.min_scalar_type(-size))
+    letter_set = np.array(alphabet(gens.rank), dtype=_letter_dtype(gens.rank))
     images = np.stack([gens.image(l) for l in letter_set])
-    # alphabet positions allowed after position r; r ^ 1 holds its inverse
-    children = np.array([[c for c in range(size) if c != r ^ 1] for r in range(size)])
+    children = _next_positions(gens.rank)
     for L in range(1, L_max + 1):
         # scoped per sphere: the state must not leak to the caller across the yield
         with _overflow_raises():
             if isinstance(policy, Sampled):
-                drawn = sampled_words(gens.rank, L, policy, inversion_closed)
-                letters = np.array([w.letters for w in drawn], dtype=letter_set.dtype)
+                letters = sampled_words(gens.rank, L, policy, inversion_closed)
                 products = np.eye(gens.dim)  # broadcast against the stack below
                 for i in range(L):
                     products = _checked(

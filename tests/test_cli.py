@@ -195,6 +195,23 @@ class TestVerdictExitCodes:
                    "--m-max", "3", "--out-dir", str(tmp_path)])
         assert rc == EXIT_FAIL
 
+    def test_spectrum_without_k_gap_fails(self, tmp_path):
+        # the seeded 4x4 triple of the engine tests: words with a complex top
+        # eigenvalue pair have v1 = v2, so C_hat is 0 while no index escapes
+        rng = np.random.default_rng(8)
+        mats = [np.eye(4) + 0.6 * rng.standard_normal((4, 4)) for _ in range(3)]
+        doc = {"n": 4, "generators": [{"name": f"g{i}", "rows": rows(m)}
+                                      for i, m in enumerate(mats)]}
+        out = tmp_path / "out"
+        rc = main(["spectrum", "--input", write_doc(tmp_path / "g.json", doc),
+                   "--k", "1", "--m-max", "4", "--out-dir", str(out)])
+        assert rc == EXIT_FAIL
+        contain = read_summary(out, "spectrum")["results"]["containment"]
+        assert contain["passed"] is False
+        assert contain["reason"] == "no k-gap"
+        assert contain["C_hat"] == 0.0
+        assert contain["violations"] == []
+
     def test_affine_fixture_passes(self, affine_doc, tmp_path):
         out = tmp_path / "out"
         rc = main(["affine", "--input", affine_doc, "--max-length", "4",

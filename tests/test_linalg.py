@@ -1,9 +1,11 @@
 """Spectral projections and subspace geometry against closed-form oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from repdyn.errors import DegenerateGapError, DegenerateInputError
+from repdyn.errors import ConditionWarning, DegenerateGapError, DegenerateInputError
 from repdyn.linalg import (
     SpectralVector,
     Subspace,
@@ -13,6 +15,8 @@ from repdyn.linalg import (
     opposition_involution,
     principal_angle,
     require_matrix,
+    require_orthonormal,
+    singular_frames,
     subspace_distance,
     top_singular_subspace,
 )
@@ -198,3 +202,74 @@ class TestRequireMatrix:
 
         with pytest.warns(ConditionWarning):
             cartan_projection(np.diag([1e13, 1.0]))
+
+
+def caught_conditions(fn):
+    """Run ``fn`` recording every ConditionWarning; returns (result or error, texts)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ConditionWarning)
+        try:
+            out = fn()
+        except (DegenerateGapError, DegenerateInputError) as e:
+            out = e
+    return out, [str(w.message) for w in caught if w.category is ConditionWarning]
+
+
+class TestSingularFrames:
+    ILL = np.diag([1e13, 1.0, 0.5])
+    FLAT = np.diag([1e14, 1.0, 1.0])  # ill-conditioned, and no gap at index 2
+
+    def test_rows_match_one_matrix_svd(self):
+        ms = np.random.default_rng(4).standard_normal((50, 4, 4)) + 3.0 * np.eye(4)
+        u, s, vt = singular_frames(ms, 2)
+        for m, row in zip(ms, zip(u, s, vt)):
+            for got, expected in zip(row, np.linalg.svd(m)):
+                assert np.array_equal(got, expected)
+
+    def test_one_matrix_message_unchanged(self):
+        _, texts = caught_conditions(lambda: top_singular_subspace(self.ILL, 1))
+        assert texts == ["condition number 2.000e+13 exceeds 1e+12;"
+                         " downstream gaps may be meaningless"]
+
+    def test_stack_draws_one_aggregated_warning(self):
+        worse = np.diag([1e14, 1.0, 0.5])
+        ms = np.stack([self.ILL, np.eye(3) + np.diag([1.0, 0.5, 0.0]), worse])
+        _, texts = caught_conditions(lambda: singular_frames(ms, 1))
+        assert texts == ["2 of 3 products have condition number above 1e+12,"
+                         " the worst 2.000e+14; downstream gaps may be meaningless"]
+
+    def test_first_failing_row_wins(self):
+        singular = np.diag([1.0, 1.0, 0.0])
+        nonfinite = np.full((3, 3), np.inf)
+        # the gap failure of row 1 comes before the invalid rows after it;
+        # the rows up to it, itself included, count towards the warning
+        ms = np.stack([self.ILL, self.FLAT, self.ILL, singular, nonfinite])
+        err, texts = caught_conditions(lambda: singular_frames(ms, 2))
+        assert isinstance(err, DegenerateGapError)
+        assert str(err) == "singular gap at index 2 is degenerate (relative gap 0.000e+00)"
+        assert texts == ["2 of 5 products have condition number above 1e+12,"
+                         " the worst 1.000e+14; downstream gaps may be meaningless"]
+        for rows, message in (([0, 3, 1], "matrix is numerically singular"),
+                              ([0, 4, 3], "matrix has non-finite entries"),
+                              ([2, 0, 4], "matrix has non-finite entries")):
+            err, _ = caught_conditions(lambda: singular_frames(ms[rows], 2))
+            assert isinstance(err, DegenerateInputError)
+            assert str(err) == message
+        err, _ = caught_conditions(lambda: singular_frames(np.zeros((2, 3, 3)), 1))
+        assert str(err) == "matrix is the zero matrix"
+
+    def test_shape_and_index_checked(self):
+        with pytest.raises(DegenerateInputError):
+            singular_frames(np.ones((2, 3, 4)), 1)
+        with pytest.raises(DegenerateInputError):
+            singular_frames(np.eye(3), 1)
+        with pytest.raises(ValueError):
+            singular_frames(np.stack([np.eye(3)]), 3)
+
+    def test_stacked_orthonormality_checked(self):
+        bases = np.stack([np.eye(3)[:, :1]] * 4)
+        assert np.array_equal(require_orthonormal(bases), bases)
+        assert not require_orthonormal(bases).flags.writeable
+        bases[2, 1, 0] = 0.5
+        with pytest.raises(ValueError):
+            require_orthonormal(bases)

@@ -16,6 +16,8 @@ from repdyn.spectrum import (
 )
 from repdyn.words import Sampled
 
+from conftest import rotation3
+
 LOG2 = np.log(2.0)
 
 
@@ -110,6 +112,15 @@ class TestContainment:
         assert not rep.passed
         assert rep.reason == "zero-index escape"
         assert rep.violations
+
+    def test_cone_tip_alone_has_no_gap(self):
+        # eigenvalues of a rotation all have modulus 1: every sample is zero
+        cone = sample_cone(GeneratorSet([rotation3(0.6, 0.7)]), m_max=3)
+        rep = containment_check(cone, k=1)
+        assert rep.n_zero == rep.n_samples > 0
+        assert np.isnan(rep.C_hat)
+        assert not rep.passed
+        assert rep.reason == "no k-gap"
 
     def test_k_validated(self, ping_pong_padded):
         cone = sample_cone(ping_pong_padded, m_max=3)

@@ -1,7 +1,7 @@
 """The stacked sphere engine against a per-word reference.
 
-The reference enumerates words one by one (`enumerate_sphere` or
-`sampled_words`), evaluates each with `evaluate`, applies per-matrix numpy
+The reference enumerates words one by one (`enumerate_sphere`, or the rows
+of `sampled_words`), evaluates each with `evaluate`, applies per-matrix numpy
 calls and reduces with Python ``min`` over ``(value, shortlex key)``.  Every
 scan statistic must agree with it bit for bit.  The columnar cone checks are
 held to a per-sample loop over the same levels in the same way.
@@ -24,6 +24,7 @@ from repdyn.spectrum import (
 from repdyn.words import (
     Exhaustive,
     Sampled,
+    Word,
     enumerate_sphere,
     evaluate,
     iter_sphere_products,
@@ -48,7 +49,8 @@ def gens(request):
 
 def reference_rows(gens, length, policy, inversion_closed=False):
     if isinstance(policy, Sampled):
-        drawn = sampled_words(gens.rank, length, policy, inversion_closed)
+        letters = sampled_words(gens.rank, length, policy, inversion_closed)
+        drawn = [Word(row) for row in letters.tolist()]
     else:
         drawn = list(enumerate_sphere(gens.rank, length))
     return [(w, evaluate(w, gens)) for w in drawn]

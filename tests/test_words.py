@@ -97,10 +97,37 @@ class TestSphere:
         pol = Sampled(count=25, seed=9)
         draw1 = sampled_words(2, 5, pol)
         draw2 = sampled_words(2, 5, pol)
-        assert draw1 == draw2
+        assert draw1.shape == (25, 5)
+        assert np.array_equal(draw1, draw2)
         closed = sampled_words(2, 5, pol, inversion_closed=True)
-        got = set(closed)
-        assert {w.inverse() for w in closed} == got
+        got = {Word(row) for row in closed.tolist()}
+        assert len(got) == len(closed)
+        assert {w.inverse() for w in got} == got
+
+    @pytest.mark.parametrize("inversion_closed", [False, True])
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_sampled_words_match_per_letter_draw(self, rank, inversion_closed):
+        def reference(length, policy):
+            """One `random_word` call per word, deduplicated in a loop."""
+            rng = np.random.default_rng([policy.seed, length])
+            drawn = [random_word(rank, length, rng) for _ in range(policy.count)]
+            if not inversion_closed:
+                return [w.letters for w in drawn]
+            out, seen = [], set()
+            for w in drawn:
+                for cand in (w.letters, w.inverse().letters):
+                    if cand not in seen:
+                        seen.add(cand)
+                        out.append(cand)
+            return out
+
+        for length in (1, 2, 5, 24):
+            for seed in (0, 1, 1618389002, 2**40 + 3):
+                for count in (1, 7, 300):
+                    policy = Sampled(count=count, seed=seed)
+                    got = sampled_words(rank, length, policy, inversion_closed)
+                    assert got.shape[1] == length
+                    assert [tuple(r) for r in got.tolist()] == reference(length, policy)
 
 
 class TestEvaluate:
