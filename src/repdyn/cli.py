@@ -683,13 +683,13 @@ def cmd_flowmetric(args) -> int:
                 f"{args.input}: geodesics[{j}] covers half width {g.half_width},"
                 f" below the requested window {args.window}"
             )
-    pairs = []
-    for i in range(len(geos)):
-        for j in range(i, len(geos)):
-            r = words.flow_metric(geos[i], geos[j], args.window)
-            pairs.append(
-                {"i": i, "j": j, "value": r.value, "tail_bound": r.tail_bound}
-            )
+    pairs = [
+        {"i": i, "j": j, "value": r.value, "tail_bound": r.tail_bound}
+        for i in range(len(geos))
+        for j, r in enumerate(
+            words.flow_metric(geos[i], geos[i:], args.window), start=i
+        )
+    ]
     csv_path = os.path.join(args.out_dir, "flowmetric_pairs.csv")
     write_csv(
         csv_path,
@@ -775,8 +775,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("split", parents=[common],
                        help="cocycle splitting and rates along flow lines")
     p.add_argument("--k", type=int, default=1, help="splitting index")
-    p.add_argument("--window", type=int, default=flowbundle.DEFAULT_WINDOW,
-                   help="trajectory half width")
+    p.add_argument("--window", type=_int_at_least(1),
+                   default=flowbundle.DEFAULT_WINDOW, help="trajectory half width")
     p.set_defaults(handler=cmd_split)
 
     p = sub.add_parser("affine", parents=[common],
@@ -789,7 +789,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("flowmetric", parents=[common],
                        help="weighted distances between tree geodesics")
-    p.add_argument("--window", type=int, default=40,
+    p.add_argument("--window", type=_int_at_least(1), default=40,
                    help="truncation half width of the distance integral")
     p.set_defaults(handler=cmd_flowmetric)
     return parser

@@ -27,8 +27,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
-from scipy.spatial.distance import directed_hausdorff
 
 from . import words
 from .errors import NumericOverflowError
@@ -141,6 +139,9 @@ def _hull_of_cloud(cloud):
         lo = int(np.argmin(coords[:, 0]))
         hi = int(np.argmax(coords[:, 0]))
         return cloud[[lo, hi]].copy(), 1
+    # imported here: scipy.spatial is slow to import and few commands need it
+    from scipy.spatial import ConvexHull, QhullError
+
     try:
         hull = ConvexHull(coords)
     except QhullError:
@@ -184,6 +185,8 @@ def sample_cone(gens, m_max: int, policy=words.Exhaustive(),
     cloud = levels[m_used].jordan
     vertices, adim = _hull_of_cloud(cloud)
     if m_used >= 2:
+        from scipy.spatial.distance import directed_hausdorff
+
         prev = levels[m_used - 1].jordan
         hausdorff = max(
             directed_hausdorff(cloud, prev)[0], directed_hausdorff(prev, cloud)[0]

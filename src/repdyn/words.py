@@ -7,9 +7,10 @@ and spheres enumerate in shortlex order with respect to it.
 
 Beyond plain words the module models unit-speed parametrized lines in the
 Cayley tree: :class:`FlowLineWindow` is a window of edge letters around a
-movable basepoint (the discrete translation flow shifts the basepoint), and
-:class:`TreeGeodesic` pins an actual vertex path so distances between two
-lines can be integrated against the weight ``2**-|t|`` (`flow_metric`).
+basepoint, and :class:`TreeGeodesic` pins an actual vertex path, kept as
+one zero-padded letter array, so that `flow_metric` can integrate the
+distances between lines against the weight ``2**-|t|`` for many pairs and
+all times at once.
 
 Scan policies select between exhaustive sphere enumeration
 (:class:`Exhaustive`) and seeded random sampling (:class:`Sampled`).
@@ -350,8 +351,8 @@ class FlowLineWindow:
 
     ``letters`` holds the edge letters at absolute positions ``-T .. T-1``
     (the letter at position ``j`` labels the edge from time ``j`` to
-    ``j + 1``).  The discrete translation flow moves the basepoint offset;
-    positions are always addressed relative to the current basepoint.
+    ``j + 1``).  The basepoint sits ``basepoint_offset`` positions from the
+    center; positions are always addressed relative to the basepoint.
     """
 
     __slots__ = ("_letters", "_half_width", "_offset")
@@ -427,34 +428,18 @@ class FlowLineWindow:
         letters = [p[j % len(p)] for j in range(-half_width, half_width)]
         return cls(letters, half_width)
 
-    @classmethod
-    def random(cls, rank: int, half_width: int, seed) -> "FlowLineWindow":
-        """Draw a uniformly random reduced window."""
-        rng = np.random.default_rng(seed)
-        w = random_word(rank, 2 * half_width, rng)
-        return cls(w.letters, half_width)
-
-
-def shift_flow(line: FlowLineWindow, t: int) -> FlowLineWindow:
-    """Translate the basepoint by ``t`` units along the line.
-
-    Raises :class:`WindowBoundsError` once the shifted basepoint leaves the
-    stored window; shifting by ``t`` then ``-t`` returns an equal window.
-    """
-    return FlowLineWindow(
-        line._letters, line._half_width, line.basepoint_offset + t
-    )
-
 
 class TreeGeodesic:
     """A unit-speed geodesic path of vertices in the Cayley tree.
 
     The vertex at time 0 is ``anchor``; ``stream`` holds the edge letters at
     positions ``-T .. T-1`` exactly as in :class:`FlowLineWindow`, so
-    ``vertex(t + 1) = vertex(t) * letter``.  Vertices are precomputed.
+    ``vertex(t + 1) = vertex(t) * letter``.  The vertices at times
+    ``-T .. T`` are kept as the rows of one letter array padded with zeros,
+    together with their lengths; `vertex` builds a :class:`Word` from a row.
     """
 
-    __slots__ = ("_anchor", "_stream", "_half_width", "_vertices")
+    __slots__ = ("_anchor", "_half_width", "_letters", "_lengths")
 
     def __init__(self, anchor: Word, stream, half_width: int):
         if not isinstance(anchor, Word):
@@ -466,21 +451,19 @@ class TreeGeodesic:
             raise ValueError(
                 f"expected {2 * half_width} stream letters for half width {half_width}"
             )
+        if 0 in stream:
+            raise ValueError("letters must be nonzero integers")
         for a, b in zip(stream, stream[1:]):
             if b == -a:
                 raise ValueError("edge letter stream is not reduced")
-        vertices = [None] * (2 * half_width + 1)
-        vertices[half_width] = anchor
-        for t in range(half_width):
-            step = Word((stream[half_width + t],))
-            vertices[half_width + t + 1] = vertices[half_width + t] * step
-        for t in range(half_width):
-            back = Word((-stream[half_width - 1 - t],))
-            vertices[half_width - t - 1] = vertices[half_width - t] * back
+        forward = stream[half_width:]
+        backward = tuple(-l for l in reversed(stream[:half_width]))
+        back_letters, back_lengths = _ray_vertices(anchor.letters, backward)
+        letters, lengths = _ray_vertices(anchor.letters, forward)
         self._anchor = anchor
-        self._stream = stream
         self._half_width = half_width
-        self._vertices = tuple(vertices)
+        self._letters = np.concatenate([back_letters[::-1], letters[1:]])
+        self._lengths = np.concatenate([back_lengths[::-1], lengths[1:]])
 
     @property
     def half_width(self) -> int:
@@ -493,7 +476,19 @@ class TreeGeodesic:
     def vertex(self, t: int) -> Word:
         if not -self._half_width <= t <= self._half_width:
             raise WindowBoundsError(f"time {t} is outside the window")
-        return self._vertices[t + self._half_width]
+        i = t + self._half_width
+        return Word(self._letters[i, : self._lengths[i]])
+
+    def window(self, half_width: int):
+        """Padded letter rows and lengths of the vertices at times -T .. T.
+
+        ``T`` is ``half_width``; a row may carry more padding than its
+        vertices need.
+        """
+        if not 0 <= half_width <= self._half_width:
+            raise WindowBoundsError(f"half width {half_width} is outside the window")
+        rows = slice(self._half_width - half_width, self._half_width + half_width + 1)
+        return self._letters[rows], self._lengths[rows]
 
     @classmethod
     def from_rays(cls, anchor, forward, backward, half_width=None) -> "TreeGeodesic":
@@ -514,6 +509,29 @@ class TreeGeodesic:
         ) + forward[:half_width]
         anchor = anchor if isinstance(anchor, Word) else Word(anchor)
         return cls(anchor, stream, half_width)
+
+
+def _ray_vertices(anchor, ray):
+    """Rows ``anchor * ray[:t]`` for t = 0 .. len(ray), zero padded, and their lengths.
+
+    The ray is reduced, so it can only cancel a tail of the anchor, and only
+    with its first letters: after ``c`` cancelling letters the vertex at time
+    ``t`` is ``anchor[:n - s] + ray[s:t]`` with ``s = min(c, t)``.
+    """
+    n, T = len(anchor), len(ray)
+    c = 0
+    while c < min(n, T) and ray[c] == -anchor[n - 1 - c]:
+        c += 1
+    t = np.arange(T + 1)[:, None]
+    s = np.minimum(t, c)
+    lengths = n + t - 2 * s
+    # column j reads the anchor before n - s and the ray after it, where
+    # ray[j - (n - s) + s] sits at j + 2s of anchor + ray
+    j = np.arange(n + T)
+    source = np.array((0,) + anchor + ray, dtype=np.int64)
+    index = np.where(j < n - s, j, j + 2 * s) + 1
+    rows = source[np.where(j < lengths, index, 0)]
+    return rows, lengths[:, 0]
 
 
 def tree_distance(v: Word, w: Word) -> int:
@@ -539,8 +557,11 @@ class FlowMetricResult:
         return self.value
 
 
-def flow_metric(g: TreeGeodesic, h: TreeGeodesic, half_width=None) -> FlowMetricResult:
+def flow_metric(g: TreeGeodesic, h, half_width=None):
     """Integral of the tree distance against the weight ``2**-|t|``.
+
+    ``h`` is one geodesic, giving one :class:`FlowMetricResult`, or a
+    sequence of them, giving the list of results of ``g`` against each.
 
     The distance between two unit-speed geodesics is piecewise linear with
     integer breakpoints, so interpolating the integer samples linearly and
@@ -549,24 +570,49 @@ def flow_metric(g: TreeGeodesic, h: TreeGeodesic, half_width=None) -> FlowMetric
     tail bound uses the a-priori estimate distance <= 2|t| outside the
     window.
     """
-    limit = min(g.half_width, h.half_width)
+    others = [h] if isinstance(h, TreeGeodesic) else list(h)
+    limit = min(geo.half_width for geo in [g, *others])
     if half_width is None:
         half_width = limit
-    if not 1 <= half_width <= limit:
+    if half_width < 1:
+        raise WindowBoundsError(f"half width must be at least 1, got {half_width}")
+    if half_width > limit:
         raise WindowBoundsError(
             f"half width {half_width} exceeds the common window {limit}"
         )
-    d = np.array(
-        [tree_distance(g.vertex(t), h.vertex(t)) for t in range(-half_width, half_width + 1)],
-        dtype=float,
-    )
+    d = _window_distances(g, others, half_width).astype(float)
     weights = 2.0 ** (-np.arange(half_width, dtype=float))
-    center = half_width  # index of t = 0 in d
-    inner = d[center : center + half_width]       # d at t = 0 .. T-1
-    outer = d[center + 1 : center + half_width + 1]  # d at t = 1 .. T
-    forward = np.sum(weights * (inner * _WEIGHT_MOMENT_0 + outer * _WEIGHT_MOMENT_1))
-    inner = d[center : center - half_width : -1]  # d at t = 0 .. -(T-1)
-    outer = d[center - 1 :: -1]                   # d at t = -1 .. -T
-    backward = np.sum(weights * (inner * _WEIGHT_MOMENT_0 + outer * _WEIGHT_MOMENT_1))
-    tail = 4.0 * 2.0 ** (-half_width) * (half_width / LOG2 + 1.0 / LOG2**2)
-    return FlowMetricResult(float(forward + backward), float(tail), half_width)
+    center = half_width  # column of t = 0 in d
+    inner = d[:, center : center + half_width]       # d at t = 0 .. T-1
+    outer = d[:, center + 1 : center + half_width + 1]  # d at t = 1 .. T
+    forward = np.sum(
+        weights * (inner * _WEIGHT_MOMENT_0 + outer * _WEIGHT_MOMENT_1), axis=1
+    )
+    inner = d[:, center : center - half_width : -1]  # d at t = 0 .. -(T-1)
+    outer = d[:, center - 1 :: -1]                   # d at t = -1 .. -T
+    backward = np.sum(
+        weights * (inner * _WEIGHT_MOMENT_0 + outer * _WEIGHT_MOMENT_1), axis=1
+    )
+    tail = float(4.0 * 2.0 ** (-half_width) * (half_width / LOG2 + 1.0 / LOG2**2))
+    out = [FlowMetricResult(float(v), tail, half_width) for v in forward + backward]
+    return out[0] if isinstance(h, TreeGeodesic) else out
+
+
+def _window_distances(g: TreeGeodesic, others, half_width: int) -> np.ndarray:
+    """``(len(others), 2T+1)`` tree distances from ``g`` at each time ``-T .. T``.
+
+    The common prefix of two vertices ends at the first letter where their
+    zero-padded rows differ, capped by the shorter length; a sentinel
+    column of mismatches stops rows that agree throughout.
+    """
+    windows = [geo.window(half_width) for geo in [g, *others]]
+    width = max(int(n.max()) for _, n in windows)
+    letters = np.zeros((len(windows), 2 * half_width + 1, width), dtype=np.int64)
+    for k, (rows, _) in enumerate(windows):
+        rows = rows[:, :width]
+        letters[k, :, : rows.shape[1]] = rows
+    lengths = np.stack([n for _, n in windows])
+    mismatch = np.ones((len(others), 2 * half_width + 1, width + 1), dtype=bool)
+    np.not_equal(letters[:1], letters[1:], out=mismatch[..., :width])
+    common = np.minimum(mismatch.argmax(axis=2), np.minimum(lengths[:1], lengths[1:]))
+    return lengths[:1] + lengths[1:] - 2 * common

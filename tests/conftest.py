@@ -1,4 +1,5 @@
-"""Shared fixtures: the generator sets exercised throughout the suite."""
+"""Shared fixtures: the generator sets exercised throughout the suite,
+and the per-vertex flow metric reference."""
 
 import numpy as np
 import pytest
@@ -6,6 +7,9 @@ from scipy.linalg import expm
 
 from repdyn.affine import AffineGeneratorSet, AffineMap
 from repdyn.domination import GeneratorSet
+from repdyn.words import tree_distance
+
+LOG2 = np.log(2.0)
 
 
 def rotation2(theta: float) -> np.ndarray:
@@ -86,3 +90,26 @@ def form_preserving_affine():
     h = form_preserving_matrix()
     maps = [AffineMap(h, np.array([0.3, -0.5, 0.1]))]
     return AffineGeneratorSet(maps, names=["h"])
+
+
+# closed-form moments of 2**-u on [0, 1], spelled as the library spells them
+_MOMENT_1 = (1.0 - LOG2) / (2.0 * LOG2**2)
+_MOMENT_0 = 1.0 / (2.0 * LOG2) - _MOMENT_1
+
+
+def reference_distances(g, h, half_width):
+    """Distances of one pair at times -T .. T, one `Word` vertex pair each."""
+    return [tree_distance(g.vertex(t), h.vertex(t))
+            for t in range(-half_width, half_width + 1)]
+
+
+def reference_flow_metric(g, h, half_width):
+    """The weighted sum of one pair, from per-vertex distances and 1-D sums."""
+    d = np.array(reference_distances(g, h, half_width), dtype=float)
+    weights = 2.0 ** (-np.arange(half_width, dtype=float))
+    c = half_width
+    forward = np.sum(weights * (d[c : c + half_width] * _MOMENT_0
+                                + d[c + 1 : c + half_width + 1] * _MOMENT_1))
+    backward = np.sum(weights * (d[c : c - half_width : -1] * _MOMENT_0
+                                 + d[c - 1 :: -1] * _MOMENT_1))
+    return float(forward + backward)

@@ -3,11 +3,16 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repdyn import spectrum
+import repdyn
+from repdyn import spectrum, words
 from repdyn.cli import (
     EXIT_FAIL,
     EXIT_INCONCLUSIVE,
@@ -19,7 +24,12 @@ from repdyn.cli import (
 )
 from repdyn.domination import GeneratorSet
 
-from conftest import form_preserving_matrix, ping_pong_matrices, rotation2
+from conftest import (
+    form_preserving_matrix,
+    ping_pong_matrices,
+    reference_flow_metric,
+    rotation2,
+)
 
 
 def write_doc(path, doc):
@@ -146,11 +156,16 @@ class TestInputHandling:
             ["affine", "--tol", "nan"],
             ["affine", "--tol", "-0.5"],
             ["affine", "--max-length", "0"],
+            ["split", "--window", "0"],
+            ["split", "--window", "-4"],
+            ["flowmetric", "--window", "0"],
         ):
             rc = main(argv + ["--input", ping_pong_doc, "--out-dir", str(tmp_path)])
             assert rc == EXIT_USAGE, argv
             err = capsys.readouterr().err
             assert "must" in err and "Traceback" not in err, argv
+            if "--window" in argv:
+                assert "must be at least 1" in err, argv
 
 
 class TestVerdictExitCodes:
@@ -315,6 +330,59 @@ class TestSpectrumCsv:
         assert len(masks) > 1
         text = (out / "spectrum_cone_samples.csv").read_text(encoding="utf-8")
         assert text == expected.getvalue()
+
+
+class TestFlowmetricCsv:
+    def test_rows_match_per_pair_reference(self, tmp_path):
+        # 30 seeded geodesics with half widths 40 .. 46, some of whose rays
+        # start by cancelling the anchor, at the window 40
+        rng = np.random.default_rng(30)
+        specs = []
+        while len(specs) < 30:
+            anchor = words.random_word(2, int(rng.integers(0, 4)), rng).letters
+            rays = [list(words.random_word(2, 40 + int(rng.integers(0, 7)), rng).letters)
+                    for _ in range(2)]
+            if anchor and rng.random() < 0.3:
+                rays[0][0] = -anchor[-1]  # rays[0][1] may cancel too
+            spec = {"anchor": list(anchor), "forward": rays[0], "backward": rays[1]}
+            if rng.random() < 0.5:
+                spec["forward"], spec["backward"] = rays[1], rays[0]
+            try:
+                geo = words.TreeGeodesic.from_rays(
+                    spec["anchor"], spec["forward"], spec["backward"]
+                )
+            except ValueError:
+                continue  # a ray that is not reduced, or rays sharing an edge
+            specs.append((spec, geo))
+        path = write_doc(tmp_path / "g.json",
+                         {"rank": 2, "geodesics": [s for s, _ in specs]})
+        out = tmp_path / "out"
+        assert main(["flowmetric", "--input", path, "--window", "40",
+                     "--out-dir", str(out)]) == EXIT_OK
+        geos = [g for _, g in specs]
+        tail = words.flow_metric(geos[0], geos[0], 40).tail_bound
+        expected = ["i,j,value,tail_bound"]
+        for i, g in enumerate(geos):
+            for j in range(i, len(geos)):
+                value = reference_flow_metric(g, geos[j], 40)
+                expected.append(f"{i},{j},{format_number(value)},{format_number(tail)}")
+        text = (out / "flowmetric_pairs.csv").read_bytes()
+        assert text == ("\n".join(expected) + "\n").encode()
+        pairs = read_summary(out, "flowmetric")["results"]["pairs"]
+        assert [p["value"] for p in pairs] == [
+            float(row.split(",")[2]) for row in expected[1:]
+        ]
+        assert len({g.half_width for g in geos}) > 3
+
+
+class TestImportCost:
+    def test_cli_import_leaves_scipy_spatial_out(self):
+        src = Path(repdyn.__file__).resolve().parents[1]
+        code = "import sys, repdyn.cli; print('scipy.spatial' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert run.stdout.strip() == "False"
 
 
 class TestReportValidation:

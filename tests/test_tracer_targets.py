@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repdyn import cli, linalg
+from repdyn import cli, linalg, words
 
 from conftest import partial_hyperbolic_matrices
 
@@ -57,3 +57,27 @@ def test_split_calls_the_traced_flow_names(tracing, tmp_path):
     # leaving the block restored every original
     assert cli.subspace_distance is linalg.subspace_distance
     assert np.isfinite(tracer.layer_metrics()["linalg.subspace_distance_s"])
+
+
+def test_flowmetric_reaches_the_distance_work_through_flow_metric(tracing, tmp_path):
+    doc = {"rank": 2, "geodesics": [
+        {"anchor": [], "forward": [1, 2] * 8, "backward": [2, 1] * 8},
+        {"anchor": [1], "forward": [2, 1] * 8, "backward": [-1, 2] * 8},
+        {"anchor": [2, -1], "forward": [1, 1] * 8, "backward": [2, 2] * 8},
+    ]}
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    original = words.flow_metric
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        code = cli.main(["flowmetric", "--input", str(path), "--window", "12",
+                         "--out-dir", str(tmp_path / "out")])
+    assert code == 0
+    # one call per geodesic, each against itself and the ones after it
+    assert tracer.calls["words.flow_metric"] == 3
+    names = [s["name"] for s in tracer.span_records()]
+    assert "cli.parse_geodesics" in names and "cli.cmd_flowmetric" in names
+    metrics = tracer.layer_metrics()
+    assert metrics["words.flow_metric_s"] > 0.0
+    assert metrics["cli.csv_rows"] == 6
+    assert words.flow_metric is original

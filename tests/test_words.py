@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repdyn.domination import GeneratorSet
 from repdyn.errors import NumericOverflowError, WindowBoundsError
@@ -22,11 +24,64 @@ from repdyn.words import (
     letter_rank,
     random_word,
     sampled_words,
-    shift_flow,
     tree_distance,
 )
+from repdyn.words import _window_distances
+
+from conftest import reference_distances, reference_flow_metric
 
 LOG2 = np.log(2.0)
+
+# anchors whose tails the first letters of one ray cancel, in part or whole
+CANCELLING = [
+    ([1, 2, 1], [-1, -2, -1, -1, -2, -2, 1, 2, 2], [2, 2, 1, 1, 2, 1, 2, 2, 2]),
+    ([1, 2, 1], [-1, -2, -2, 1, 1, 2, -1, -1, -2], [2, 1, 1, -2, -1, -1, 2, 2]),
+    ([2, -1], [2, 2, 1, -2, -1, -1, 2, 1, 1, 1], [1, -2, 1, 2, 1, 2, -1, -2, -1]),
+    ([2, -1], [-2, 1, 1, 2, 2, -1, -2, 1, 2, 1], [1, -2, -2, 1, 2, 1, 2, 1, 1]),
+    ([-2], [2, 1, 1, 2, -1, -2, -2, 1, 1, 2], [1, 1, 2, 1, -2, -2, 1, 2, -1]),
+    ([1, 2, 1], [2, 1, 1, 2, -1, -2, -2, 1, 1], [-1, -2, -2, 1, 2, 1, 1, 2, -1]),
+]
+
+
+def walked_vertices(anchor, forward, backward, half_width):
+    """Vertices at times -T .. T, one `Word` product per step."""
+    out = {0: Word(anchor)}
+    for t in range(half_width):
+        out[t + 1] = out[t] * Word([forward[t]])
+        out[-t - 1] = out[-t] * Word([backward[t]])
+    return [out[t] for t in range(-half_width, half_width + 1)]
+
+
+def random_geodesic(rng, rank, half_width, anchor_max=4):
+    """A seeded geodesic whose rays are ``half_width`` to ``half_width + 5`` long."""
+    anchor = random_word(rank, int(rng.integers(0, anchor_max + 1)), rng).letters
+    while True:
+        forward = random_word(rank, half_width + int(rng.integers(0, 6)), rng).letters
+        backward = random_word(rank, half_width + int(rng.integers(0, 6)), rng).letters
+        if forward[0] != backward[0]:
+            return TreeGeodesic.from_rays(anchor, forward, backward)
+
+
+@st.composite
+def geodesics(draw, rank=2):
+    """Random reduced rays; one of them often starts by cancelling the anchor."""
+    letters = alphabet(rank)
+
+    def extend(ray, length, avoid=None):
+        ray = list(ray)
+        while len(ray) < length:
+            banned = -ray[-1] if ray else avoid
+            ray.append(draw(st.sampled_from([l for l in letters if l != banned])))
+        return ray
+
+    anchor = extend([], draw(st.integers(0, 4)))
+    cancel = draw(st.integers(0, len(anchor)))
+    first = extend([-l for l in reversed(anchor[len(anchor) - cancel:])],
+                   max(cancel, draw(st.integers(1, 9))))
+    second = extend([], draw(st.integers(1, 9)), avoid=first[0])
+    if draw(st.booleans()):
+        return TreeGeodesic.from_rays(anchor, first, second)
+    return TreeGeodesic.from_rays(anchor, second, first)
 
 
 class TestWord:
@@ -183,22 +238,6 @@ class TestFlowLineWindow:
         with pytest.raises(WindowBoundsError):
             line.letter(-4)
 
-    def test_shift_round_trip(self):
-        line = FlowLineWindow.periodic([1, 2, 1], 6)
-        shifted = shift_flow(line, 2)
-        assert shifted.basepoint_offset == line.basepoint_offset + 2
-        back = shift_flow(shifted, -2)
-        assert [back.letter(i) for i in range(-4, 4)] == [
-            line.letter(i) for i in range(-4, 4)
-        ]
-
-    def test_random_is_seeded(self):
-        l1 = FlowLineWindow.random(2, 10, seed=3)
-        l2 = FlowLineWindow.random(2, 10, seed=3)
-        assert [l1.letter(i) for i in range(-10, 10)] == [
-            l2.letter(i) for i in range(-10, 10)
-        ]
-
 
 class TestTreeGeodesic:
     def test_vertices_walk_the_rays(self):
@@ -209,6 +248,32 @@ class TestTreeGeodesic:
         # backward letters are walked directly into the past
         assert geo.vertex(-1).letters == (1,)
         assert geo.vertex(-2).letters == (1, -2)
+
+    @pytest.mark.parametrize("anchor, forward, backward", CANCELLING)
+    def test_vertices_match_word_products(self, anchor, forward, backward):
+        geo = TreeGeodesic.from_rays(anchor, forward, backward)
+        assert geo.anchor == Word(anchor)
+        assert [geo.vertex(t) for t in range(-geo.half_width, geo.half_width + 1)] \
+            == walked_vertices(anchor, forward, backward, geo.half_width)
+
+    def test_input_checks(self):
+        with pytest.raises(ValueError, match="not reduced"):
+            TreeGeodesic.from_rays([1, -1], [2] * 3, [2] * 3)
+        with pytest.raises(ValueError, match="nonzero"):
+            TreeGeodesic.from_rays([], [1, 0, 1], [2] * 3)
+        with pytest.raises(ValueError, match="stream is not reduced"):
+            TreeGeodesic.from_rays([], [1, -1, 1], [2] * 3)
+        with pytest.raises(ValueError, match="stream is not reduced"):
+            TreeGeodesic.from_rays([], [1] * 3, [1] * 3)  # rays share their first edge
+        with pytest.raises(ValueError, match="at least 1"):
+            TreeGeodesic([], [], 0)
+        with pytest.raises(ValueError, match="expected 4"):
+            TreeGeodesic([], [1, 1, 1], 2)
+        geo = TreeGeodesic.from_rays([], [1] * 3, [2] * 3)
+        with pytest.raises(WindowBoundsError):
+            geo.vertex(4)
+        with pytest.raises(WindowBoundsError):
+            geo.window(4)
 
     def test_tree_distance_is_lcp_metric(self):
         assert tree_distance(Word([1, 2]), Word([1, 2])) == 0
@@ -264,3 +329,67 @@ class TestFlowMetric:
         r40 = flow_metric(g, h, 40)
         assert r40.tail_bound < r20.tail_bound
         assert abs(r40.value - r20.value) <= r20.tail_bound
+
+
+class TestArrayDistances:
+    """The stacked distances equal the per-vertex `tree_distance` loop exactly."""
+
+    def pool(self):
+        geos = [TreeGeodesic.from_rays(*spec) for spec in CANCELLING]
+        rng = np.random.default_rng(5)
+        for half_width in (8, 9, 11, 14):
+            geos.append(random_geodesic(rng, 2, half_width))
+        geos.append(random_geodesic(rng, 3, 10, anchor_max=6))
+        return geos
+
+    def test_every_pair_and_time(self):
+        geos = self.pool()
+        widths = {g.half_width for g in geos}
+        assert len(widths) > 3  # half widths differ and exceed the window
+        for window in (1, 3, 8):
+            for i, g in enumerate(geos):
+                got = _window_distances(g, geos, window)
+                assert got.shape == (len(geos), 2 * window + 1)
+                assert got[i].tolist() == [0] * (2 * window + 1)
+                for j, h in enumerate(geos):
+                    assert got[j].tolist() == reference_distances(g, h, window)
+
+    def test_values_are_the_per_pair_reference(self):
+        geos = self.pool()
+        window = min(g.half_width for g in geos)
+        for i, g in enumerate(geos):
+            batch = flow_metric(g, geos[i:], window)
+            assert len(batch) == len(geos) - i
+            for h, r in zip(geos[i:], batch):
+                assert r.value == reference_flow_metric(g, h, window)
+                assert r == flow_metric(g, h, window)
+                assert r.half_width == window
+
+    def test_default_window_is_the_common_one(self):
+        geos = self.pool()
+        results = flow_metric(geos[0], geos)
+        assert {r.half_width for r in results} == {min(g.half_width for g in geos)}
+
+    def test_window_checks(self):
+        g = TreeGeodesic.from_rays([], [1] * 5, [2] * 5)
+        h = TreeGeodesic.from_rays([1], [1] * 7, [2] * 7)
+        with pytest.raises(WindowBoundsError, match="at least 1, got 0"):
+            flow_metric(g, h, 0)
+        with pytest.raises(WindowBoundsError, match="at least 1, got -2"):
+            flow_metric(g, [h, g], -2)
+        with pytest.raises(WindowBoundsError, match="exceeds the common window 5"):
+            flow_metric(h, [h, g], 6)
+
+    @settings(max_examples=200, deadline=None)
+    @given(geodesics(), geodesics(), geodesics())
+    def test_metric_properties(self, g, h, k):
+        window = min(g.half_width, h.half_width, k.half_width)
+        d_gh, d_gk, d_gg = _window_distances(g, [h, k, g], window)
+        (d_hg,) = _window_distances(h, [g], window)
+        (d_kh,) = _window_distances(k, [h], window)
+        assert d_gh.tolist() == reference_distances(g, h, window)
+        assert (d_gg == 0).all()
+        assert (d_gh == d_hg).all()
+        assert (d_gh <= d_gk + d_kh).all()
+        assert flow_metric(g, g, window).value == 0.0
+        assert flow_metric(g, h, window).value == flow_metric(h, g, window).value
