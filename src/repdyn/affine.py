@@ -9,8 +9,13 @@ normalized determinant ``|det(rho(g) - I)| / (1 + smax(rho(g)))^n``;
 eigenvalue of modulus 1 up to tolerance; `bounded_singular_check` instead
 asks the per-sphere worst ``min_i |log a_i|`` to plateau rather than grow.
 
-All three scans accept either an :class:`AffineGeneratorSet` (linear part
-is projected out) or a bare linear :class:`~repdyn.domination.GeneratorSet`.
+`affine_checks` returns all three reports from one pass over the spheres:
+each sphere's products take one stacked SVD, which gives both the HKS
+``smax`` and the bounded-singular ``a_i``, plus one ``eigvals`` and one
+``det``.  The single checks run the same scan with their one statistic.
+
+All scans accept either an :class:`AffineGeneratorSet` (linear part is
+projected out) or a bare linear :class:`~repdyn.domination.GeneratorSet`.
 """
 
 from __future__ import annotations
@@ -168,26 +173,54 @@ class SphereExtreme:
     word: words.Word
 
 
-def _scan_extremes(gens, L_max, stat, policy):
-    """Per-sphere maxima of the stacked statistic ``stat(products)``, ties
-    going to the shortlex-first word.
+# Each statistic maps a sphere's (N, n, n) product stack and its stacked
+# singular values (largest first) to one value per word.
 
-    Returns (records, truncated); stops at the last complete sphere when a
-    product overflows.
+
+def _hks_values(products, s):
+    n = products.shape[-1]
+    # float_power runs libm pow like scalar ``**``; array ``**`` rounds differently
+    return np.abs(np.linalg.det(products - np.eye(n))) / np.float_power(1.0 + s[:, 0], n)
+
+
+def _eigenvalue_values(products, s):
+    return np.abs(np.log(np.abs(np.linalg.eigvals(products)))).min(axis=1)
+
+
+def _bounded_values(products, s):
+    return np.abs(np.log(s)).min(axis=1)
+
+
+def _scan_extremes(gens, L_max, stats, policy):
+    """Per-sphere maxima of each statistic in ``stats``, from one sphere pass.
+
+    Every sphere takes one stacked SVD that all the statistics share; ties
+    go to the shortlex-first word.  Returns one list of records per
+    statistic and whether the scan was truncated: it stops at the last
+    complete sphere when a product overflows.
     """
 
-    def extreme(letters, products):
-        values = stat(products)
-        i = words.shortlex_argmin(-values, letters)
-        return SphereExtreme(
-            length=letters.shape[1], count=len(values), value=float(values[i]),
-            word=words.Word(letters[i]),
-        )
+    def extremes(letters, products):
+        s = np.linalg.svd(products, compute_uv=False)
+        out = []
+        for stat in stats:
+            values = stat(products, s)
+            i = words.shortlex_argmin(-values, letters)
+            out.append(SphereExtreme(
+                length=letters.shape[1], count=len(values), value=float(values[i]),
+                word=words.Word(letters[i]),
+            ))
+        return out
 
-    records = words.map_sphere_products(gens, L_max, extreme, policy)
-    if not records:
+    spheres = words.map_sphere_products(_linear_part(gens), L_max, extremes, policy)
+    if not spheres:
         raise NumericOverflowError("no complete sphere before overflow", prefix_length=1)
-    return records, len(records) < L_max
+    return [list(records) for records in zip(*spheres)], len(spheres) < L_max
+
+
+def _require_fit_length(L_max):
+    if L_max < 2:
+        raise ValueError("L_max must be at least 2 to fit a slope")
 
 
 @dataclass
@@ -205,24 +238,7 @@ class HksReport:
     truncated: bool
 
 
-def hks_test(gens, L_max: int, policy=words.Exhaustive(),
-             threshold=DEFAULT_HKS_THRESHOLD) -> HksReport:
-    """Scan the normalized determinant ``|det(rho(g) - I)|`` over spheres.
-
-    The normalization ``(1 + smax(rho(g)))^n`` makes the statistic scale
-    free, so one threshold works across growth rates.  Passing means every
-    scanned product is consistent with having eigenvalue 1.
-    """
-    lin = _linear_part(gens)
-    n = lin.dim
-    eye = np.eye(n)
-
-    def stat(products):
-        smax = np.linalg.svd(products, compute_uv=False)[:, 0]
-        # float_power runs libm pow like scalar ``**``; array ``**`` rounds differently
-        return np.abs(np.linalg.det(products - eye)) / np.float_power(1.0 + smax, n)
-
-    records, truncated = _scan_extremes(lin, L_max, stat, policy)
+def _hks_report(records, L_max, truncated, threshold) -> HksReport:
     worst = max(records, key=lambda r: r.value)
     first_fail = next((r.length for r in records if r.value > threshold), None)
     return HksReport(
@@ -236,6 +252,18 @@ def hks_test(gens, L_max: int, policy=words.Exhaustive(),
         L_max=L_max,
         truncated=truncated,
     )
+
+
+def hks_test(gens, L_max: int, policy=words.Exhaustive(),
+             threshold=DEFAULT_HKS_THRESHOLD) -> HksReport:
+    """Scan the normalized determinant ``|det(rho(g) - I)|`` over spheres.
+
+    The normalization ``(1 + smax(rho(g)))^n`` makes the statistic scale
+    free, so one threshold works across growth rates.  Passing means every
+    scanned product is consistent with having eigenvalue 1.
+    """
+    (records,), truncated = _scan_extremes(gens, L_max, (_hks_values,), policy)
+    return _hks_report(records, L_max, truncated, threshold)
 
 
 @dataclass
@@ -253,20 +281,7 @@ class EigenvalueOneReport:
     truncated: bool
 
 
-def eigenvalue_norm_one_check(gens, L_max: int, tol=DEFAULT_EIGENVALUE_TOL,
-                              policy=words.Exhaustive()) -> EigenvalueOneReport:
-    """Does every scanned product have an eigenvalue of modulus 1?
-
-    The deviation of a product is ``min_i |log lambda_i|``; the check passes
-    when the worst deviation stays at or below ``tol``.
-    """
-    lin = _linear_part(gens)
-
-    def stat(products):
-        moduli = np.abs(np.linalg.eigvals(products))
-        return np.abs(np.log(moduli)).min(axis=1)
-
-    records, truncated = _scan_extremes(lin, L_max, stat, policy)
+def _eigenvalue_report(records, L_max, truncated, tol) -> EigenvalueOneReport:
     worst = max(records, key=lambda r: r.value)
     return EigenvalueOneReport(
         passed=worst.value <= tol,
@@ -279,6 +294,17 @@ def eigenvalue_norm_one_check(gens, L_max: int, tol=DEFAULT_EIGENVALUE_TOL,
         L_max=L_max,
         truncated=truncated,
     )
+
+
+def eigenvalue_norm_one_check(gens, L_max: int, tol=DEFAULT_EIGENVALUE_TOL,
+                              policy=words.Exhaustive()) -> EigenvalueOneReport:
+    """Does every scanned product have an eigenvalue of modulus 1?
+
+    The deviation of a product is ``min_i |log lambda_i|``; the check passes
+    when the worst deviation stays at or below ``tol``.
+    """
+    (records,), truncated = _scan_extremes(gens, L_max, (_eigenvalue_values,), policy)
+    return _eigenvalue_report(records, L_max, truncated, tol)
 
 
 @dataclass
@@ -295,24 +321,7 @@ class BoundedSingularReport:
     truncated: bool
 
 
-def bounded_singular_check(gens, L_max: int, policy=words.Exhaustive(),
-                           slope_floor=PLATEAU_SLOPE_FLOOR) -> BoundedSingularReport:
-    """Do per-sphere maxima of ``min_i |log a_i|`` plateau rather than grow?
-
-    Fits the sphere maxima against length; passing means the slope is 0
-    within two standard errors (or below ``slope_floor`` when the fit is
-    exact).  ``C_hat`` is the largest observed value, the empirical bound.
-    Needs ``L_max >= 2`` for the fit.
-    """
-    if L_max < 2:
-        raise ValueError("L_max must be at least 2 to fit a slope")
-    lin = _linear_part(gens)
-
-    def stat(products):
-        s = np.linalg.svd(products, compute_uv=False)
-        return np.abs(np.log(s)).min(axis=1)
-
-    records, truncated = _scan_extremes(lin, L_max, stat, policy)
+def _bounded_report(records, L_max, truncated, slope_floor) -> BoundedSingularReport:
     values = [r.value for r in records]
     if len(records) >= 2:
         slope, _, se = fit_line([r.length for r in records], values)
@@ -329,4 +338,39 @@ def bounded_singular_check(gens, L_max: int, policy=words.Exhaustive(),
         spheres=records,
         L_max=L_max,
         truncated=truncated,
+    )
+
+
+def bounded_singular_check(gens, L_max: int, policy=words.Exhaustive(),
+                           slope_floor=PLATEAU_SLOPE_FLOOR) -> BoundedSingularReport:
+    """Do per-sphere maxima of ``min_i |log a_i|`` plateau rather than grow?
+
+    Fits the sphere maxima against length; passing means the slope is 0
+    within two standard errors (or below ``slope_floor`` when the fit is
+    exact).  ``C_hat`` is the largest observed value, the empirical bound.
+    Needs ``L_max >= 2`` for the fit.
+    """
+    _require_fit_length(L_max)
+    (records,), truncated = _scan_extremes(gens, L_max, (_bounded_values,), policy)
+    return _bounded_report(records, L_max, truncated, slope_floor)
+
+
+def affine_checks(gens, L_max: int, policy=words.Exhaustive(),
+                  threshold=DEFAULT_HKS_THRESHOLD, tol=DEFAULT_EIGENVALUE_TOL,
+                  slope_floor=PLATEAU_SLOPE_FLOOR):
+    """`hks_test`, `eigenvalue_norm_one_check` and `bounded_singular_check`
+    from one sphere pass.
+
+    Returns the three reports, equal to what the three calls return; each
+    sphere is enumerated once and its SVD feeds both the HKS ``smax`` and
+    the bounded-singular ``min_i |log a_i|``.  Needs ``L_max >= 2``.
+    """
+    _require_fit_length(L_max)
+    (hks, eig, bounded), truncated = _scan_extremes(
+        gens, L_max, (_hks_values, _eigenvalue_values, _bounded_values), policy
+    )
+    return (
+        _hks_report(hks, L_max, truncated, threshold),
+        _eigenvalue_report(eig, L_max, truncated, tol),
+        _bounded_report(bounded, L_max, truncated, slope_floor),
     )

@@ -26,6 +26,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,9 @@ EXIT_NUMERIC = 70
 
 DEFAULT_SAMPLES = 200
 DEFAULT_SEED = 0
+
+# rows formatted per call of `write_csv`: bounds the text held in memory
+CSV_CHUNK_ROWS = 4096
 
 
 class InputFileError(Exception):
@@ -282,19 +286,53 @@ def _format_cell(cell) -> str:
     return str(cell)
 
 
-def write_csv(path, header, rows):
-    """Write a CSV with LF endings and 17-significant-digit floats.
+def _chunk_text(chunk, width):
+    """The rows of ``chunk`` formatted by one ``%`` call, or None when csv
+    quoting could touch one of their cells."""
+    specs, columns = [], []
+    for column in zip(*chunk):
+        kinds = set(map(type, column))
+        if kinds == {float}:
+            specs.append("%.17g")
+        elif kinds == {int}:
+            specs.append("%d")
+        else:
+            if kinds != {str}:
+                column = [_format_cell(cell) for cell in column]
+            text = "".join(column)
+            if any(c in text for c in ',"\r\n') or (width == 1 and "" in column):
+                return None
+            specs.append("%s")
+        columns.append(column)
+    template = ",".join(specs) + "\n"
+    return (template * len(chunk)) % tuple(chain.from_iterable(zip(*columns)))
 
-    String cells are written as they are, so a caller can format whole
-    columns up front.
+
+def write_csv(path, header, rows):
+    """Write a CSV with LF endings, a header row and 17-significant-digit floats.
+
+    Rows are read ``CSV_CHUNK_ROWS`` at a time, and each chunk is formatted
+    by one ``%`` call: a column of Python floats as ``%.17g``, a column of
+    Python ints as ``%d`` and any other column a cell at a time by
+    `_format_cell`.  A chunk holding a string that csv quoting could touch
+    (one with ``,``, ``"``, CR or LF, or the empty string of a one-column
+    row) is written by ``csv.writer`` instead, and so is the header, so
+    quoting follows the running interpreter's csv module.  Every row must
+    be as wide as the header; a ragged row raises ``ValueError``.
     """
+    width = len(header)
+    rows = iter(rows)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(
-            [cell if isinstance(cell, str) else _format_cell(cell) for cell in row]
-            for row in rows
-        )
+        while chunk := list(islice(rows, CSV_CHUNK_ROWS)):
+            if set(map(len, chunk)) != {width}:
+                raise ValueError(f"{path}: a row is not {width} cells wide")
+            text = _chunk_text(chunk, width)
+            if text is None:
+                writer.writerows([_format_cell(cell) for cell in row] for row in chunk)
+            else:
+                fh.write(text)
 
 
 def _jsonable(value):
@@ -468,8 +506,10 @@ def cmd_dominate(args) -> int:
 
 
 def _cone_rows(gens, cone):
-    """CSV rows of every cone sample, formatted a column at a time."""
-    letter_names = {l: gens.word_name((l,)) for l in words.alphabet(gens.rank)}
+    """CSV rows of every cone sample, as raw values for `write_csv`."""
+    letter_names = np.empty(2 * gens.rank + 1, dtype=object)
+    for l in words.alphabet(gens.rank):
+        letter_names[l] = gens.word_name((l,))  # a negative letter indexes from the end
     for m, level in sorted(cone.levels.items()):
         # a bool is one byte, so a void view makes each mask row one sortable key
         keys = np.ascontiguousarray(level.zero).view(f"V{cone.n}").ravel()
@@ -477,10 +517,9 @@ def _cone_rows(gens, cone):
         zero_names = [
             ";".join(str(i + 1) for i in np.flatnonzero(level.zero[r])) for r in first
         ]
-        coords = [[f"{x:.17g}" for x in col] for col in level.jordan.T.tolist()]
-        names = [" ".join([letter_names[l] for l in w]) for w in level.letters.tolist()]
+        names = [" ".join(w) for w in letter_names[level.letters].tolist()]
         zeros = [zero_names[i] for i in mask_of_row.ravel().tolist()]
-        yield from zip([str(m)] * len(level), *coords, zeros, names)
+        yield from zip([m] * len(level), *level.jordan.T.tolist(), zeros, names)
 
 
 def cmd_spectrum(args) -> int:
@@ -499,7 +538,7 @@ def cmd_spectrum(args) -> int:
         _cone_rows(gens, cone),
     )
     hull_path = os.path.join(args.out_dir, "spectrum_hull.csv")
-    write_csv(hull_path, coord_names, [tuple(v) for v in cone.hull_vertices])
+    write_csv(hull_path, coord_names, cone.hull_vertices.tolist())
 
     results = {
         "m_max": cone.m_max,
@@ -620,13 +659,8 @@ def cmd_split(args) -> int:
 
 def cmd_affine(args) -> int:
     agens, _ = load_affine_set(args)
-    policy = _policy(args)
-    hks = affine.hks_test(agens, L_max=args.max_length, policy=policy)
-    eig = affine.eigenvalue_norm_one_check(
-        agens, L_max=args.max_length, tol=args.tol, policy=policy
-    )
-    bounded = affine.bounded_singular_check(
-        agens, L_max=args.max_length, policy=policy
+    hks, eig, bounded = affine.affine_checks(
+        agens, L_max=args.max_length, policy=_policy(args), tol=args.tol
     )
     gens = agens.linear_part
 

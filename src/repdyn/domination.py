@@ -111,43 +111,6 @@ class GeneratorSet:
         return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class ParabolicIndexSet:
-    """A set of singular value indices ``1 <= i <= n - 1`` cut out of ``n``.
-
-    ``is_symmetric`` records whether the set equals its own reflection
-    ``i -> n - i``.
-    """
-
-    indices: tuple[int, ...]
-    n: int
-
-    def __post_init__(self):
-        idx = tuple(sorted(set(int(i) for i in self.indices)))
-        if any(not 1 <= i <= self.n - 1 for i in idx):
-            raise ValueError(f"indices must lie in [1, {self.n - 1}]")
-        object.__setattr__(self, "indices", idx)
-
-    @property
-    def is_symmetric(self) -> bool:
-        return self.indices == tuple(sorted(self.n - i for i in self.indices))
-
-
-def theta_star(theta: ParabolicIndexSet) -> ParabolicIndexSet:
-    """Reflect an index set: ``{i} -> {n - i}``."""
-    return ParabolicIndexSet(tuple(theta.n - i for i in theta.indices), theta.n)
-
-
-def block_structure(theta: ParabolicIndexSet) -> tuple[int, ...]:
-    """Diagonal block sizes of the parabolic subgroup cut out by ``theta``.
-
-    Cuts after each listed index: ``{i1 < ... < im}`` gives blocks
-    ``(i1, i2 - i1, ..., n - im)``.
-    """
-    cuts = (0,) + theta.indices + (theta.n,)
-    return tuple(b - a for a, b in zip(cuts, cuts[1:]))
-
-
 @dataclass
 class SphereRecord:
     """Gap statistics for one word sphere."""

@@ -415,22 +415,3 @@ def measure_rates(traj: CocycleTrajectory, split: SplittingEstimate,
         fit_start_backward=int(start_b),
         norm_used=norm_matrix is not None,
     )
-
-
-def splitting_index_scan(traj: CocycleTrajectory) -> dict:
-    """Try `estimate_splitting` for every admissible index.
-
-    Returns a dict mapping each ``k`` with ``1 <= k < n / 2`` to either a
-    :class:`SplittingEstimate` or the exception that ruled it out, so the
-    largest working index is visible at a glance.
-    """
-    out = {}
-    n = traj.dim
-    for k in range(1, (n + 1) // 2):
-        if not k < n / 2:
-            break
-        try:
-            out[k] = estimate_splitting(traj, k)
-        except (DegenerateGapError, DegenerateInputError, WindowBoundsError) as e:
-            out[k] = e
-    return out

@@ -10,10 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import repdyn
-from repdyn import spectrum, words
+from repdyn import affine, domination, spectrum, words
 from repdyn.cli import (
+    CSV_CHUNK_ROWS,
     EXIT_FAIL,
     EXIT_INCONCLUSIVE,
     EXIT_OK,
@@ -21,11 +24,13 @@ from repdyn.cli import (
     format_number,
     main,
     validate_report,
+    write_csv,
 )
 from repdyn.domination import GeneratorSet
 
 from conftest import (
     form_preserving_matrix,
+    partial_hyperbolic_matrices,
     ping_pong_matrices,
     reference_flow_metric,
     rotation2,
@@ -301,8 +306,132 @@ class TestDeterminism:
         assert one == two
 
 
+def reference_format_cell(cell):
+    """One non-string cell as the row-at-a-time writer formatted it."""
+    if isinstance(cell, bool):
+        return str(cell).lower()
+    if isinstance(cell, (int, np.integer)):
+        return str(int(cell))
+    if isinstance(cell, (float, np.floating)):
+        return f"{float(cell):.17g}"
+    return str(cell)
+
+
+def reference_csv(header, table) -> bytes:
+    """The bytes of the row-at-a-time writer: ``csv.writer`` over rows
+    formatted one cell at a time, string cells passed through."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    for row in table:
+        writer.writerow(
+            [cell if isinstance(cell, str) else reference_format_cell(cell) for cell in row]
+        )
+    return out.getvalue().encode("utf-8")
+
+
+SPECIAL_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324,
+                  1e-310, 2.2250738585072014e-308, 1e308, -1.7976931348623157e308]
+FLOATS = st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS))
+TEXT = st.text(alphabet=' ab,"\r\n;%é', max_size=6)
+CELLS = {
+    "float": FLOATS,
+    "int": st.integers(),
+    "text": TEXT,
+    "mixed": st.one_of(
+        st.booleans(), st.integers(), st.none(), TEXT, FLOATS,
+        st.integers(-2**63, 2**63 - 1).map(np.int64),
+        st.floats(width=32).map(np.float32),
+        FLOATS.map(np.float64),
+    ),
+}
+
+
+@st.composite
+def tables(draw):
+    """A header and rectangular rows whose columns are each one cell kind."""
+    kinds = draw(st.lists(st.sampled_from(sorted(CELLS)), max_size=4))
+    header = draw(st.lists(TEXT, min_size=len(kinds), max_size=len(kinds)))
+    table = draw(st.lists(st.tuples(*(CELLS[k] for k in kinds)), max_size=12))
+    return header, table
+
+
+class TestWriteCsv:
+    """The chunk-formatted writer against the row-at-a-time reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tables())
+    @example((["h", "x"], [('q"', 1.5)]))
+    @example((["h", "x"], [("a\rb", 1)]))
+    @example((["h", "x"], [("a\nb", None)]))
+    @example((["h", "x"], [("a,b", -0.0)]))
+    @example((["h"], [("",)]))
+    @example((["h"], [(True,), (np.int64(3),), (np.float32(0.1),)]))
+    def test_bytes_match_reference(self, tmp_path_factory, case):
+        header, table = case
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        write_csv(path, header, table)
+        assert path.read_bytes() == reference_csv(header, table)
+
+    @pytest.mark.parametrize("count", [1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS,
+                                       CSV_CHUNK_ROWS + 1])
+    @pytest.mark.parametrize("quoted_row", [None, 0, -1])
+    def test_row_counts_around_the_chunk_size(self, tmp_path, count, quoted_row):
+        table = [(i, i / 7.0, np.float64(-i), f"w{i}", None) for i in range(count)]
+        if quoted_row is not None:
+            table[quoted_row] = (0, 0.5, np.float64(1.0), 'a,"b"\r\n', True)
+        path = tmp_path / "t.csv"
+        header = ["i", "x", "y", "word", "flag"]
+        write_csv(path, header, iter(table))
+        assert path.read_bytes() == reference_csv(header, table)
+
+    @pytest.mark.parametrize("table", [
+        [("",)], [("x",), ("",), ("y",)], [("",)] * (CSV_CHUNK_ROWS + 1),
+        [(1.5,), ("",)], [(None,)],
+    ])
+    def test_one_column_rows_holding_the_empty_string(self, tmp_path, table):
+        path = tmp_path / "t.csv"
+        write_csv(path, ["only"], table)
+        assert path.read_bytes() == reference_csv(["only"], table)
+
+    def test_header_with_special_characters(self, tmp_path):
+        header = ["a,b", 'q"', "l\nm", "r\rs", ""]
+        table = [(1, 2.5, "x", "y", "z")]
+        path = tmp_path / "t.csv"
+        write_csv(path, header, table)
+        assert path.read_bytes() == reference_csv(header, table)
+
+    @pytest.mark.parametrize("bad", [(3,), (3, 4, 5), ()])
+    def test_ragged_row_raises(self, tmp_path, bad):
+        table = [(1, 2)] * 5 + [bad] + [(1, 2)]
+        with pytest.raises(ValueError, match="2 cells wide"):
+            write_csv(tmp_path / "t.csv", ["a", "b"], table)
+
+
+HOSTILE_NAMES = ["a,b", 'q"', "l\nm"]
+
+
+def hostile_generators():
+    """Three partially hyperbolic generators of SL(3)."""
+    g, h = partial_hyperbolic_matrices()
+    return [g, h, np.diag([3.0, 1.0, 1.0 / 3.0])]
+
+
 class TestSpectrumCsv:
     """The column-wise cone CSV against per-sample formatting."""
+
+    @staticmethod
+    def cone_reference(gens, cone):
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(["m"] + [f"c{i + 1}" for i in range(cone.n)]
+                        + ["zero_indices", "word"])
+        for m, level in cone.levels.items():
+            for r in range(len(level)):
+                zero = ";".join(str(i + 1) for i in np.flatnonzero(level.zero[r]))
+                writer.writerow([str(m), *(format_number(x) for x in level.jordan[r]),
+                                 zero, gens.word_name(level.word(r))])
+        return expected.getvalue().encode("utf-8")
 
     @pytest.mark.parametrize("mats", [
         [np.diag([1.0, 1.0, 0.5]), np.diag([2.0, 1.0, 1.0])],
@@ -317,19 +446,51 @@ class TestSpectrumCsv:
               "--k", "1", "--m-max", "4", "--out-dir", str(out)])
         gens = GeneratorSet(mats, names=["g0", "g1"])
         cone = spectrum.sample_cone(gens, 4)
-        expected = io.StringIO()
-        writer = csv.writer(expected, lineterminator="\n")
-        writer.writerow(["m", "c1", "c2", "c3", "zero_indices", "word"])
-        masks = set()
-        for m, level in cone.levels.items():
-            for r in range(len(level)):
-                zero = ";".join(str(i + 1) for i in np.flatnonzero(level.zero[r]))
-                masks.add(zero)
-                writer.writerow([str(m), *(format_number(x) for x in level.jordan[r]),
-                                 zero, gens.word_name(level.word(r))])
+        masks = {
+            tuple(row) for level in cone.levels.values() for row in level.zero.tolist()
+        }
         assert len(masks) > 1
-        text = (out / "spectrum_cone_samples.csv").read_text(encoding="utf-8")
-        assert text == expected.getvalue()
+        text = (out / "spectrum_cone_samples.csv").read_bytes()
+        assert text == self.cone_reference(gens, cone)
+
+    @pytest.mark.parametrize("command", ["spectrum", "dominate", "affine"])
+    def test_hostile_generator_names(self, command, tmp_path):
+        mats = hostile_generators()
+        doc = {"n": 3, "generators": [
+            {"name": name, "rows": rows(m)} for name, m in zip(HOSTILE_NAMES, mats)
+        ]}
+        path = write_doc(tmp_path / "g.json", doc)
+        out = tmp_path / "out"
+        gens = GeneratorSet(mats, names=HOSTILE_NAMES)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected, lineterminator="\n")
+        if command == "spectrum":
+            main(["spectrum", "--input", path, "--m-max", "3", "--out-dir", str(out)])
+            text = (out / "spectrum_cone_samples.csv").read_bytes()
+            assert text == self.cone_reference(gens, spectrum.sample_cone(gens, 3))
+            return
+        if command == "dominate":
+            main(["dominate", "--input", path, "--max-length", "3",
+                  "--out-dir", str(out)])
+            csv_name = "dominate_spheres.csv"
+            writer.writerow(["L", "gap_min", "logak_min", "lognk1_max", "gap_mean",
+                             "count", "argmin_word"])
+            for r in domination.domination_scan(gens, k=1, L_max=3).spheres:
+                writer.writerow([str(r.length), format_number(r.gap_min),
+                                 format_number(r.logak_min), format_number(r.lognk1_max),
+                                 format_number(r.gap_mean), str(r.count),
+                                 gens.word_name(r.argmin)])
+        else:
+            main(["affine", "--input", path, "--max-length", "3",
+                  "--out-dir", str(out)])
+            csv_name = "affine_hks.csv"
+            writer.writerow(["L", "max_normalized_det", "word"])
+            for r in affine.hks_test(gens, 3).spheres:
+                writer.writerow([str(r.length), format_number(r.value),
+                                 gens.word_name(r.word)])
+        text = (out / csv_name).read_bytes()
+        assert text == expected.getvalue().encode("utf-8")
+        assert text.count(b"\n") > 4  # three rows, and quoted names break lines
 
 
 class TestFlowmetricCsv:

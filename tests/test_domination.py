@@ -1,15 +1,12 @@
-"""Domination scans, flag estimates, and parabolic index bookkeeping."""
+"""Domination scans and flag estimates."""
 
 import numpy as np
 import pytest
 
 from repdyn.domination import (
     GeneratorSet,
-    ParabolicIndexSet,
-    block_structure,
     domination_scan,
     flag_estimate,
-    theta_star,
     transversality_check,
 )
 from repdyn.errors import DegenerateInputError
@@ -41,26 +38,6 @@ class TestGeneratorSet:
             GeneratorSet([np.zeros((2, 2))])
         with pytest.raises(DegenerateInputError):
             GeneratorSet([np.array([[1.0, 2.0], [2.0, 4.0]])])
-
-
-class TestParabolicIndices:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ParabolicIndexSet((0,), 4)
-        with pytest.raises(ValueError):
-            ParabolicIndexSet((4,), 4)
-
-    def test_star_is_reflection(self):
-        theta = ParabolicIndexSet((1,), 4)
-        assert theta_star(theta).indices == (3,)
-        sym = ParabolicIndexSet((1, 3), 4)
-        assert theta_star(sym).indices == (1, 3)
-        assert sym.is_symmetric
-        assert not theta.is_symmetric
-
-    def test_block_structure(self):
-        assert block_structure(ParabolicIndexSet((1, 3), 4)) == (1, 2, 1)
-        assert block_structure(ParabolicIndexSet((2,), 5)) == (2, 3)
 
 
 class TestDominationScan:

@@ -10,7 +10,6 @@ from repdyn.flowbundle import (
     estimate_splitting,
     measure_rates,
     splitting_at,
-    splitting_index_scan,
 )
 from repdyn.words import FlowLineWindow
 
@@ -86,11 +85,6 @@ class TestSplitting:
         np.testing.assert_allclose(vp.basis, split.v_plus.basis, atol=1e-12)
         np.testing.assert_allclose(vz.basis, split.v_zero.basis, atol=1e-12)
         np.testing.assert_allclose(vm.basis, split.v_minus.basis, atol=1e-12)
-
-    def test_index_scan_reports_all_indices(self, constant_traj):
-        out = splitting_index_scan(constant_traj)
-        assert set(out) == {1}
-        assert out[1].k == 1
 
 
 class TestRates:

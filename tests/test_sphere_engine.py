@@ -12,7 +12,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repdyn.affine import bounded_singular_check, eigenvalue_norm_one_check, hks_test
+from repdyn.affine import (
+    affine_checks,
+    bounded_singular_check,
+    eigenvalue_norm_one_check,
+    hks_test,
+)
 from repdyn.domination import GeneratorSet, SphereRecord, domination_scan
 from repdyn.spectrum import (
     ConeLevel,
@@ -132,6 +137,21 @@ def test_affine_extremes(gens, policy):
         got = [(r.length, r.count, r.value, r.word)
                for r in scan(gens, L_max=4, policy=policy).spheres]
         assert got == reference_extremes(gens, 4, policy, stat)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_one_pass_reports_equal_the_single_checks(gens, policy):
+    hks, eig, bounded = affine_checks(gens, L_max=4, policy=policy, threshold=1e-3,
+                                      tol=1e-2, slope_floor=1e-3)
+    assert hks == hks_test(gens, L_max=4, policy=policy, threshold=1e-3)
+    assert eig == eigenvalue_norm_one_check(gens, L_max=4, tol=1e-2, policy=policy)
+    assert bounded == bounded_singular_check(gens, L_max=4, policy=policy,
+                                             slope_floor=1e-3)
+
+
+def test_one_pass_needs_two_spheres(ping_pong):
+    with pytest.raises(ValueError, match="at least 2"):
+        affine_checks(ping_pong, L_max=1)
 
 
 @pytest.mark.parametrize("policy", POLICIES)

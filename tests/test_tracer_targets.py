@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repdyn import cli, linalg, words
+from repdyn import cli, domination, linalg, spectrum, words
 
 from conftest import partial_hyperbolic_matrices
 
@@ -81,3 +81,41 @@ def test_flowmetric_reaches_the_distance_work_through_flow_metric(tracing, tmp_p
     assert metrics["words.flow_metric_s"] > 0.0
     assert metrics["cli.csv_rows"] == 6
     assert words.flow_metric is original
+
+
+def test_affine_makes_one_sphere_pass(tracing, tmp_path):
+    g, h = partial_hyperbolic_matrices()
+    doc = {"n": 3,
+           "generators": [{"name": "g", "rows": g.tolist()},
+                          {"name": "h", "rows": h.tolist()}],
+           "translations": [[0.5, 0.0, -0.25], [0.0, 1.0, 0.0]]}
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        cli.main(["affine", "--input", str(path), "--max-length", "4",
+                  "--out-dir", str(tmp_path / "out")])
+    # the three statistics share one pass over the spheres
+    assert tracer.calls["words.map_sphere_products"] == 1
+    assert tracer.calls["words.iter_sphere_products"] == 1
+    assert tracer.layer_metrics()["cli.csv_rows"] == 4
+
+
+def test_spectrum_csv_rows_go_through_write_csv(tracing, tmp_path):
+    g, h = partial_hyperbolic_matrices()
+    doc = {"n": 3,
+           "generators": [{"name": "g", "rows": g.tolist()},
+                          {"name": "h", "rows": h.tolist()}]}
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        cli.main(["spectrum", "--input", str(path), "--m-max", "4",
+                  "--out-dir", str(tmp_path / "out")])
+    gens = domination.GeneratorSet([g, h])
+    cone = spectrum.sample_cone(gens, 4)
+    samples = sum(len(level) for level in cone.levels.values())
+    metrics = tracer.layer_metrics()
+    assert tracer.calls["cli.write_csv"] == 2
+    assert metrics["cli.csv_rows"] == samples + cone.hull_vertices.shape[0]
+    assert metrics["cli.emit_bytes"] > 0 and metrics["cli.emit_s"] > 0
