@@ -179,8 +179,18 @@ class SphereExtreme:
 
 def _hks_values(products, s):
     n = products.shape[-1]
-    # float_power runs libm pow like scalar ``**``; array ``**`` rounds differently
-    return np.abs(np.linalg.det(products - np.eye(n))) / np.float_power(1.0 + s[:, 0], n)
+    shifted = products - np.eye(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = np.linalg.det(shifted)
+        # float_power runs libm pow like scalar ``**``; array ``**`` rounds differently
+        scale = np.float_power(1.0 + s[:, 0], n)
+        values = np.abs(det) / scale
+    # where the determinant or the scale overflows, take the quotient in logs
+    far = ~(np.isfinite(det) & np.isfinite(scale)) | np.isnan(values)
+    if far.any():
+        _, logdet = np.linalg.slogdet(shifted[far])
+        values[far] = np.exp(logdet - n * np.log1p(s[far, 0]))
+    return values
 
 
 def _eigenvalue_values(products, s):

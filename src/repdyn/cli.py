@@ -25,6 +25,7 @@ import datetime
 import json
 import os
 import sys
+import warnings
 from fractions import Fraction
 from itertools import chain, islice
 from pathlib import Path
@@ -372,8 +373,7 @@ def write_summary(out_dir, command, config, results, csv_files):
     }
     path = os.path.join(out_dir, f"{command}_summary.json")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     with open(path, "r", encoding="utf-8") as fh:
         reread = json.load(fh)
     problems = validate_report(reread)
@@ -576,28 +576,98 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK if (contain.passed and invol.passed) else EXIT_FAIL
 
 
+_DEGENERATE = (DegenerateGapError, DegenerateInputError)
+
+_SPLIT_CURVES = (
+    "backward_expanding",
+    "forward_contracting",
+    "dominance_neutral_over_expanding",
+    "dominance_contracting_over_neutral",
+)
+
+
+def _residual_columns(traj, k):
+    """The residual column of each line: at t = 3, 4, ... the largest move
+    of a splitting block from t - 1 to t, as an array per line."""
+    tt = min(traj.t_forward, traj.t_backward)
+    frames = flowbundle.splitting_frames(traj, k, np.arange(2, tt + 1))
+    moves = [
+        subspace_distance(f[:, 1:].reshape(-1, *f.shape[2:]),
+                          f[:, :-1].reshape(-1, *f.shape[2:]))
+        for f in frames
+    ]
+    return np.max(moves, axis=0).reshape(traj.size, max(tt - 2, 0))
+
+
+def _replay(caught):
+    """Warn again what ``warnings.catch_warnings(record=True)`` caught, under
+    the filters in force, as if from where each was first raised."""
+    modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
+    for w in caught:
+        module = modules.get(w.filename)
+        if module is None:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+        else:
+            warnings.warn_explicit(
+                w.message, w.category, w.filename, w.lineno, module=module.__name__,
+                registry=vars(module).setdefault("__warningregistry__", {}),
+            )
+
+
+def _split_outcomes(traj, k):
+    """The outcome of each line of a trajectory: ``(split, rates, residual
+    column)``, or the error that makes the line degenerate.
+
+    The lines go through one stacked pass.  If a line degenerates there,
+    the pass is dropped together with the warnings it raised, and the lines
+    go through again one at a time, each exactly as it would alone.
+    """
+    if traj.size > 1:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                splits = flowbundle.estimate_splitting(traj, k)
+                rates = flowbundle.measure_rates(traj, splits)
+                outcomes = list(zip(splits, rates, _residual_columns(traj, k)))
+            except _DEGENERATE:
+                outcomes = None
+        if outcomes is not None:
+            _replay(caught)
+            return outcomes
+    outcomes = []
+    for one in traj.single_lines():
+        try:
+            splits = flowbundle.estimate_splitting(one, k)
+            rates = flowbundle.measure_rates(one, splits)
+        except _DEGENERATE as e:
+            outcomes.append(e)
+            continue
+        # an error in the residual column is not a line outcome: it stops the run
+        outcomes.append((splits[0], rates[0], _residual_columns(one, k)[0]))
+    return outcomes
+
+
 def cmd_split(args) -> int:
     gens, doc = load_generator_set(args)
     lines = parse_lines(doc, gens, args.window, args.input)
+    outcomes = [None] * len(lines)
+    for traj in flowbundle.build_trajectory(gens, [line for _, line in lines]):
+        for j, outcome in zip(traj.positions, _split_outcomes(traj, args.k)):
+            outcomes[j] = traj, outcome
     line_results = []
     csv_files = []
-    any_degenerate = False
-    for j, (label, line) in enumerate(lines):
-        traj = flowbundle.build_trajectory(gens, line)
+    for j, ((label, _), (traj, outcome)) in enumerate(zip(lines, outcomes)):
         entry = {"label": label, "index": j, "status": "ok", "detail": "",
                  "truncated": traj.truncated}
-        try:
-            split = flowbundle.estimate_splitting(traj, args.k)
-            rates = flowbundle.measure_rates(traj, split)
-        except (DegenerateGapError, DegenerateInputError) as e:
-            any_degenerate = True
+        line_results.append(entry)
+        if isinstance(outcome, _DEGENERATE):
             entry.update(
                 status="degenerate",
-                detail=str(e),
-                time=getattr(e, "time", None),
+                detail=str(outcome),
+                time=getattr(outcome, "time", None),
             )
-            line_results.append(entry)
             continue
+        split, rates, residual = outcome
         entry.update(
             k=split.k,
             residual=split.residual,
@@ -618,31 +688,20 @@ def cmd_split(args) -> int:
                 "Aprime_zero_minus": rates.Aprime_zero_minus,
             },
         )
-        line_results.append(entry)
 
         tt = min(traj.t_forward, traj.t_backward)
-        curve_cols = [
-            "backward_expanding",
-            "forward_contracting",
-            "dominance_neutral_over_expanding",
-            "dominance_contracting_over_neutral",
-        ]
-        t_max = max(tt, *(len(rates.curves[c]) - 1 for c in curve_cols))
-        # the residual at t is the largest move of a block from t - 1 to t
-        frames = flowbundle.splitting_frames(traj, args.k, np.arange(2, tt + 1))
-        residual = np.max([subspace_distance(f[1:], f[:-1]) for f in frames], axis=0)
+        curves = [rates.curves[c] for c in _SPLIT_CURVES]
+        t_max = max(tt, *(len(c) - 1 for c in curves))
         rows = []
         for t in range(t_max + 1):
             res_cell = float(residual[t - 3]) if 3 <= t <= tt else ""
-            cells = [
-                float(rates.curves[c][t]) if t < len(rates.curves[c]) else ""
-                for c in curve_cols
-            ]
+            cells = [float(c[t]) if t < len(c) else "" for c in curves]
             rows.append((t, res_cell, *cells))
         path = os.path.join(args.out_dir, f"split_line{j}.csv")
-        write_csv(path, ["t", "residual", *curve_cols], rows)
+        write_csv(path, ["t", "residual", *_SPLIT_CURVES], rows)
         csv_files.append(path)
 
+    any_degenerate = any(e["status"] == "degenerate" for e in line_results)
     results = {
         "window": args.window,
         "k": args.k,

@@ -14,15 +14,24 @@ neutral block from the middle right-singular directions.  `measure_rates`
 then fits the contraction and dominance constants that a partially
 hyperbolic splitting must exhibit, optionally in a changed fiber norm.
 
-Frames come from stacked decompositions: `splitting_frames` reads the
-blocks at many times off one checked SVD (`linalg.singular_frames`) of all
-their products, and `measure_rates` does the same for its relative
-products, so a window costs a few stacked LAPACK calls, not one per time.
+Everything runs on stacks of lines.  `build_trajectory` walks a sequence
+of lines together, one stacked product per step, and groups them by how
+far they reach in each direction (a line that overflows stops early); each
+group is one trajectory.  `estimate_splitting`, `measure_rates`,
+`splitting_at` and `splitting_frames` treat all the lines and times of a
+group in a few stacked LAPACK calls (`linalg.singular_frames` and friends),
+which decompose each matrix on its own, so a line gets the same bits in a
+group as alone.  A trajectory built from one line is a group of one, and
+the analyses then return one result instead of a list.  A check that fails
+on any line raises for the whole group, so a caller that wants per-line
+outcomes (``repdyn split``) runs a failing group again one line at a time.
+A stack whose products pass the condition limit draws one
+`ConditionWarning` that counts them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -58,76 +67,161 @@ _RELATIVE_WINDOW = 12
 
 @dataclass
 class CocycleTrajectory:
-    """Partial transport products along a flow line window.
+    """Partial transport products along flow line windows of equal reach.
 
-    ``forward[t]`` is ``P(t)`` for ``t = 0..t_forward`` and ``backward[t]``
-    is ``P(-t)``; ``P(t + 1) = image(letter at t) @ P(t)`` and backward
-    steps apply inverse images.  Both are read-only ``(T + 1, n, n)``
-    stacks.
+    ``forward[b, t]`` is ``P(t)`` of ``lines[b]`` for ``t = 0..t_forward``
+    and ``backward[b, t]`` is its ``P(-t)``; ``P(t + 1) = image(letter at
+    t) @ P(t)`` and backward steps apply inverse images.  Both are read-only
+    ``(B, T + 1, n, n)`` stacks.  ``truncated`` says that the lines stopped
+    short of their windows on overflow.  ``positions`` are the places of
+    the lines in the sequence given to `build_trajectory`; it is None for a
+    trajectory built from one line, whose analyses return one result, not a
+    list.
     """
 
     gens: GeneratorSet
-    line: FlowLineWindow
+    lines: tuple
     forward: np.ndarray = field(repr=False)
     backward: np.ndarray = field(repr=False)
     truncated: bool = False
+    positions: Optional[tuple] = None
 
     @property
     def dim(self) -> int:
         return self.gens.dim
 
     @property
+    def size(self) -> int:
+        return len(self.lines)
+
+    @property
     def t_forward(self) -> int:
-        return len(self.forward) - 1
+        return self.forward.shape[1] - 1
 
     @property
     def t_backward(self) -> int:
-        return len(self.backward) - 1
+        return self.backward.shape[1] - 1
 
-    def product(self, t: int) -> np.ndarray:
-        """Transport matrix from the fiber at time 0 to the fiber at t."""
+    def _single(self, items):
+        if self.size != 1:
+            raise ValueError(f"the trajectory holds {self.size} lines, not one")
+        return items[0]
+
+    @property
+    def line(self) -> FlowLineWindow:
+        """The flow line of a one-line trajectory."""
+        return self._single(self.lines)
+
+    def products(self, t: int) -> np.ndarray:
+        """Transport matrices from the fiber at time 0 to the fiber at t,
+        one per line, as an ``(B, n, n)`` stack."""
         store = self.forward if t >= 0 else self.backward
         i = abs(t)
-        if i >= len(store):
+        if i >= store.shape[1]:
             raise WindowBoundsError(f"time {t} outside the computed window")
-        return store[i]
+        return store[:, i]
+
+    def product(self, t: int) -> np.ndarray:
+        """Transport matrix of a one-line trajectory from time 0 to t."""
+        return self._single(self.products(t))
+
+    def single_lines(self) -> list["CocycleTrajectory"]:
+        """The lines one at a time, as one-line trajectories that keep their
+        positions (so their analyses still return lists)."""
+        return [
+            replace(
+                self,
+                lines=(line,),
+                forward=self.forward[b : b + 1],
+                backward=self.backward[b : b + 1],
+                positions=None if self.positions is None else (self.positions[b],),
+            )
+            for b, line in enumerate(self.lines)
+        ]
 
 
-def build_trajectory(gens: GeneratorSet, line: FlowLineWindow,
-                     half_width: Optional[int] = None) -> CocycleTrajectory:
-    """Compose generator images along a flow line window.
+def _per_line(traj, items):
+    """One result per line as a list, or the only one for a trajectory built
+    from a single line."""
+    return list(items) if traj.positions is not None else items[0]
 
-    Walks as far as the line's usable window (or ``half_width``, if smaller)
-    in both directions.  Overflowing float64 stops the affected direction at
-    the last finite product and flags the trajectory as truncated.
+
+def _images(gens):
+    """The generator images in `alphabet` order, as one stack."""
+    return np.stack([gens.image(l) for l in alphabet(gens.rank)])
+
+
+def build_trajectory(gens: GeneratorSet, lines, half_width: Optional[int] = None):
+    """Compose generator images along flow line windows.
+
+    Walks each line as far as its usable window (or ``half_width``, if
+    smaller) in both directions.  Overflowing float64 stops the affected
+    direction of a line at its last finite product and flags it as
+    truncated.  ``lines`` is one :class:`FlowLineWindow`, giving its
+    :class:`CocycleTrajectory`, or a sequence of them, giving a list of
+    trajectories: one per group of lines that reach equally far in each
+    direction and are equally truncated, in the order of each group's first
+    line.  All lines walk together, one stacked product per step.
     """
-    usable = line.usable_half_width
-    if half_width is None:
-        half_width = usable
-    if not 1 <= half_width <= usable:
-        raise WindowBoundsError(
-            f"half width {half_width} exceeds the usable window {usable}"
-        )
-    truncated = False
-    forward = [np.eye(gens.dim)]
-    for t in range(half_width):
-        nxt = gens.image(line.letter(t)) @ forward[-1]
-        if not np.isfinite(nxt).all():
-            truncated = True
-            break
-        forward.append(nxt)
-    backward = [np.eye(gens.dim)]
-    for t in range(half_width):
-        nxt = gens.image(-line.letter(-t - 1)) @ backward[-1]
-        if not np.isfinite(nxt).all():
-            truncated = True
-            break
-        backward.append(nxt)
-    forward, backward = np.stack(forward), np.stack(backward)
-    forward.flags.writeable = backward.flags.writeable = False
-    return CocycleTrajectory(
-        gens=gens, line=line, forward=forward, backward=backward, truncated=truncated
-    )
+    single = isinstance(lines, FlowLineWindow)
+    lines = (lines,) if single else tuple(lines)
+    if not lines:
+        raise ValueError("need at least one flow line")
+    reach = np.array([line.usable_half_width for line in lines])
+    if half_width is not None:
+        short = (half_width < 1) | (reach < half_width)
+        if short.any():
+            raise WindowBoundsError(
+                f"half width {half_width} exceeds the usable window"
+                f" {reach[np.argmax(short)]}"
+            )
+        reach[:] = half_width
+    count, width, n = len(lines), int(reach.max()), gens.dim
+
+    # row b holds the letters of line b at relative times -width..width-1,
+    # zero outside its reach; forward steps read the letters at 0, 1, ...
+    # and backward steps invert those at -1, -2, ...
+    letters = np.zeros((count, 2 * width), dtype=int)
+    for row, line, r in zip(letters, lines, reach):
+        row[width - r : width + r] = line.letters_between(-r, r)
+    steps = np.concatenate([letters[:, width:], -letters[:, width - 1 :: -1]])
+    # a line past its reach or its last finite product steps by the identity
+    images = np.concatenate([_images(gens), np.eye(n)[None]])
+    stay = len(images) - 1
+    ranks = np.where(steps == 0, stay, letter_rank(steps))
+
+    products = np.empty((2 * count, width + 1, n, n))
+    products[:, 0] = np.eye(n)
+    lengths = np.concatenate([reach, reach])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(width):
+            nxt = images[ranks[:, t]] @ products[:, t]
+            overflow = ~np.isfinite(nxt).all(axis=(1, 2))
+            if overflow.any():
+                lengths[overflow] = t
+                ranks[overflow, t + 1 :] = stay
+                nxt[overflow] = products[overflow, t]
+            products[:, t + 1] = nxt
+
+    t_fwd, t_back = lengths[:count], lengths[count:]
+    cut = (t_fwd < reach) | (t_back < reach)
+    keys = list(zip(t_fwd.tolist(), t_back.tolist(), cut.tolist()))
+    groups = []
+    for key in dict.fromkeys(keys):
+        members = [b for b, other in enumerate(keys) if other == key]
+        tf, tb, truncated = key
+        forward = products[members, : tf + 1]
+        backward = products[[count + b for b in members], : tb + 1]
+        forward.flags.writeable = backward.flags.writeable = False
+        groups.append(CocycleTrajectory(
+            gens=gens,
+            lines=tuple(lines[b] for b in members),
+            forward=forward,
+            backward=backward,
+            truncated=truncated,
+            positions=None if single else tuple(members),
+        ))
+    return groups[0] if single else groups
 
 
 @dataclass
@@ -152,16 +246,17 @@ class SplittingEstimate:
 
 def _check_gaps(traj, k, sign):
     """Raise at the first time 1, 2, ... in direction ``sign`` where the
-    singular gap at index k or n - k of ``P(sign * t)`` collapses."""
+    singular gap at index k or n - k of ``P(sign * t)`` collapses, on the
+    first line that has such a time."""
     n = traj.dim
     store = traj.forward if sign > 0 else traj.backward
-    s = np.linalg.svd(store[1:], compute_uv=False)
+    s = np.linalg.svd(store[:, 1:], compute_uv=False)
     index = np.array(sorted({k, n - k}))
-    gaps = (s[:, index - 1] - s[:, index]) / s[:, index - 1]
+    gaps = (s[..., index - 1] - s[..., index]) / s[..., index - 1]
     failed = np.flatnonzero(gaps < GAP_TOL)
     if failed.size:
-        row, col = divmod(int(failed[0]), index.size)
-        p, gap, t = int(index[col]), gaps[row, col], sign * (row + 1)
+        line, row, col = np.unravel_index(failed[0], gaps.shape)
+        p, gap, t = int(index[col]), gaps[line, row, col], sign * (int(row) + 1)
         raise DegenerateGapError(
             f"singular gap at index {p} degenerate at time {t} (relative gap {gap:.3e})",
             index=p,
@@ -183,18 +278,19 @@ def _right_frames(first, second, k):
     return vt[0::2], vt[1::2]
 
 
+def _bases(rows):
+    """Read-only orthonormal column bases from stacked rows of ``vt``."""
+    return require_orthonormal(np.swapaxes(rows, -1, -2))
+
+
 def _blocks(vt_forward, vt_backward, k):
     """Stacked bases ``(v_plus, v_zero, v_minus)`` read off right singular
     vectors, as `splitting_at` reads them."""
     n = vt_forward.shape[-1]
-
-    def bases(rows):
-        return require_orthonormal(np.swapaxes(rows, 1, 2))
-
     return (
-        bases(vt_backward[:, n - k :]),
-        bases(vt_forward[:, k : n - k]),
-        bases(vt_forward[:, n - k :]),
+        _bases(vt_backward[:, n - k :]),
+        _bases(vt_forward[:, k : n - k]),
+        _bases(vt_forward[:, n - k :]),
     )
 
 
@@ -203,32 +299,47 @@ def splitting_at(traj, k: int, t_forward: int, t_backward: int):
 
     Returns ``(v_plus, v_zero, v_minus)`` read off the products
     ``P(-t_backward)`` and ``P(t_forward)`` without residual or
-    independence checks; `estimate_splitting` wraps this with both.
+    independence checks; `estimate_splitting` wraps this with both.  They
+    are three :class:`Subspace` objects for a trajectory built from one
+    line, and three read-only ``(B, n, p)`` stacks of bases, one row per
+    line, for a group.
     """
     n = traj.dim
-    v_plus = bottom_singular_subspace(traj.product(-t_backward), k)
-    _, _, vt = singular_frames(traj.product(t_forward)[None], n - k)
-    return v_plus, Subspace(vt[0, k : n - k].T), Subspace(vt[0, n - k :].T)
+    v_plus = bottom_singular_subspace(traj.products(-t_backward), k)
+    _, _, vt = singular_frames(traj.products(t_forward), n - k)
+    blocks = (v_plus, _bases(vt[:, k : n - k]), _bases(vt[:, n - k :]))
+    if traj.positions is None:
+        return tuple(Subspace(b[0]) for b in blocks)
+    return blocks
 
 
 def splitting_frames(traj, k: int, times):
     """`splitting_at` ``(traj, k, t, t)`` for every t in ``times``, stacked.
 
     Returns ``(v_plus, v_zero, v_minus)`` as read-only ``(N, n, p)`` stacks
-    of orthonormal bases (p the block dimension), one row per time, from one
-    SVD of all the products ``P(-t)`` and ``P(t)``.  They are checked in the
-    order ``P(-t), P(t)`` of each time in turn, and the first that fails
-    raises what `splitting_at` would raise for it.
+    of orthonormal bases (p the block dimension), one row per time, or
+    ``(B, N, n, p)`` stacks with a row per line for a group, from one SVD of
+    all the products ``P(-t)`` and ``P(t)``.  They are checked line by line
+    in the order ``P(-t), P(t)`` of each time in turn, and the first that
+    fails raises what `splitting_at` would raise for it.
     """
     times = np.asarray(times, dtype=int)
     horizon = min(traj.t_forward, traj.t_backward)
     if times.size and not (0 <= times.min() and times.max() <= horizon):
         raise WindowBoundsError(f"times must lie in 0..{horizon}")
-    vt_back, vt_fwd = _right_frames(traj.backward[times], traj.forward[times], k)
-    return _blocks(vt_fwd, vt_back, k)
+    n = traj.dim
+    vt_back, vt_fwd = _right_frames(
+        traj.backward[:, times].reshape(-1, n, n),
+        traj.forward[:, times].reshape(-1, n, n),
+        k,
+    )
+    blocks = tuple(
+        b.reshape(traj.size, times.size, n, -1) for b in _blocks(vt_fwd, vt_back, k)
+    )
+    return tuple(b[0] for b in blocks) if traj.positions is None else blocks
 
 
-def estimate_splitting(traj: CocycleTrajectory, k: int) -> SplittingEstimate:
+def estimate_splitting(traj: CocycleTrajectory, k: int):
     """Candidate invariant splitting of index k from a trajectory window.
 
     Requires ``1 <= k < n / 2`` (the neutral block must be nonempty) and at
@@ -236,46 +347,51 @@ def estimate_splitting(traj: CocycleTrajectory, k: int) -> SplittingEstimate:
     :class:`DegenerateGapError`, naming the first failing time, when a
     required singular gap collapses anywhere in the window, and
     :class:`DegenerateInputError` when the three blocks fail to be
-    linearly independent.
+    linearly independent; on a group, the first line that fails a check
+    raises.  Returns one :class:`SplittingEstimate` for a trajectory built
+    from one line and a list, one per line, for a group.
     """
     n = traj.dim
     if not 1 <= k < n / 2:
         raise ValueError(f"k must satisfy 1 <= k < {n / 2:g} for dimension {n}")
     if traj.t_forward < 2 or traj.t_backward < 2:
         raise WindowBoundsError("need at least two steps in each direction")
-    _check_gaps(traj, k, +1)
-    _check_gaps(traj, k, -1)
+    # with positions, `splitting_at` keeps the line axis
+    group = traj if traj.positions is not None else replace(traj, positions=(0,))
+    _check_gaps(group, k, +1)
+    _check_gaps(group, k, -1)
 
-    t_fwd, t_back = traj.t_forward, traj.t_backward
-    v_plus, v_zero, v_minus = splitting_at(traj, k, t_fwd, t_back)
+    t_fwd, t_back = group.t_forward, group.t_backward
+    blocks = splitting_at(group, k, t_fwd, t_back)
 
     def shrink(t):
         s = max(1, (3 * t) // 4)
         return s if s < t else t - 1
 
-    p2, z2, m2 = splitting_at(traj, k, shrink(t_fwd), shrink(t_back))
-    residual = max(
-        subspace_distance(v_plus, p2),
-        subspace_distance(v_zero, z2),
-        subspace_distance(v_minus, m2),
-    )
-    stacked = np.hstack([v_plus.basis, v_zero.basis, v_minus.basis])
-    independence = float(np.linalg.svd(stacked, compute_uv=False)[-1])
-    if independence <= _INDEPENDENCE_TOL:
+    shrunk = splitting_at(group, k, shrink(t_fwd), shrink(t_back))
+    residual = np.max([subspace_distance(a, b) for a, b in zip(blocks, shrunk)], axis=0)
+    stacked = np.concatenate(blocks, axis=2)
+    independence = np.linalg.svd(stacked, compute_uv=False)[:, -1]
+    dependent = np.flatnonzero(independence <= _INDEPENDENCE_TOL)
+    if dependent.size:
         raise DegenerateInputError(
             f"splitting blocks nearly dependent (smallest stacked singular value"
-            f" {independence:.3e})"
+            f" {independence[dependent[0]]:.3e})"
         )
-    return SplittingEstimate(
-        k=k,
-        v_plus=v_plus,
-        v_zero=v_zero,
-        v_minus=v_minus,
-        residual=residual,
-        independence=independence,
-        t_forward=t_fwd,
-        t_backward=t_back,
-    )
+    v_plus, v_zero, v_minus = blocks
+    return _per_line(traj, [
+        SplittingEstimate(
+            k=k,
+            v_plus=Subspace(v_plus[b]),
+            v_zero=Subspace(v_zero[b]),
+            v_minus=Subspace(v_minus[b]),
+            residual=float(residual[b]),
+            independence=float(independence[b]),
+            t_forward=t_fwd,
+            t_backward=t_back,
+        )
+        for b in range(group.size)
+    ])
 
 
 @dataclass
@@ -306,16 +422,16 @@ class RateReport:
 def _log_stretches(steps, bases):
     """Log largest and log smallest singular value of each ``step @ basis``."""
     logs = np.log(np.linalg.svd(steps @ bases, compute_uv=False))
-    return logs[:, 0], logs[:, -1]
+    return logs[..., 0], logs[..., -1]
 
 
 def _running_sum(steps):
-    """0 followed by the running sums of ``steps``, added one at a time."""
-    return np.cumsum(np.concatenate(([0.0], steps)))
+    """0 followed by the running sums of each row of ``steps``, added one at
+    a time."""
+    return np.cumsum(np.concatenate([np.zeros((len(steps), 1)), steps], axis=1), axis=1)
 
 
-def measure_rates(traj: CocycleTrajectory, split: SplittingEstimate,
-                  norm_matrix=None) -> RateReport:
+def measure_rates(traj: CocycleTrajectory, split, norm_matrix=None):
     """Fit contraction and dominance rates of a splitting along a trajectory.
 
     Each curve accumulates, step by step, the logarithmic extremal stretch
@@ -325,10 +441,12 @@ def measure_rates(traj: CocycleTrajectory, split: SplittingEstimate,
     ``|W v|`` instead of the Euclidean one, i.e. transports in the
     coordinates ``x -> W x``; fitted rates are insensitive to that choice.
     The relative products, their frames and the stretches are all computed
-    as stacks over the times, and the curves are running sums that add the
-    stretches in time order.
+    as stacks over the lines and times, and the curves are running sums
+    that add the stretches in time order.  ``split`` is what
+    `estimate_splitting` returned for ``traj``, one estimate or a list for
+    a group, and the result is one :class:`RateReport` or a list to match.
     """
-    gens, line = traj.gens, traj.line
+    gens = traj.gens
     if norm_matrix is not None:
         w = require_matrix(norm_matrix, "norm matrix")
         w_inv = np.linalg.inv(w)
@@ -337,7 +455,7 @@ def measure_rates(traj: CocycleTrajectory, split: SplittingEstimate,
             names=gens.names,
         )
 
-    k = split.k
+    k = (split[0] if traj.positions is not None else split).k
     n = traj.dim
     tb, tf = traj.t_backward, traj.t_forward
     h = max(1, min(_RELATIVE_WINDOW, min(tb, tf) // 2))
@@ -355,30 +473,35 @@ def measure_rates(traj: CocycleTrajectory, split: SplittingEstimate,
     # 1 - extent_b and the forward curves at s = 0, 1, ..., extent_f - 1.
     times = np.concatenate([-np.arange(extent_b), np.arange(1, extent_f)])
     first = 1 - extent_b - h
-    ranks = letter_rank(np.array([line.letter(u) for u in range(first, extent_f + h - 1)]))
-    images = np.stack([gens.image(l) for l in alphabet(gens.rank)])
+    ranks = letter_rank(np.array(
+        [line.letters_between(first, extent_f + h - 1) for line in traj.lines]
+    ))
+    images = _images(gens)
 
     def image_at(u, inverse=False):
-        """Images of the letters at times ``u`` (an index array), or their inverses."""
-        return images[ranks[u - first] ^ inverse]
+        """Images of each line's letters at times ``u`` (an index array), or
+        their inverses, as a ``(B, len(u), n, n)`` stack."""
+        return images[ranks[:, u - first] ^ inverse]
 
     forward = backward = np.eye(n)
     for j in range(h):
         forward = image_at(times + j) @ forward
         backward = image_at(times - j - 1, inverse=True) @ backward
-    vt_fwd, vt_back = _right_frames(forward, backward, k)
-    plus, zero, minus = _blocks(vt_fwd, vt_back, k)
+    vt_fwd, vt_back = _right_frames(forward.reshape(-1, n, n), backward.reshape(-1, n, n), k)
+    plus, zero, minus = (
+        b.reshape(traj.size, times.size, n, -1) for b in _blocks(vt_fwd, vt_back, k)
+    )
 
     s_b = np.arange(extent_b)
-    stretch_b, _ = _log_stretches(image_at(-s_b - 1, inverse=True), plus[:extent_b])
+    stretch_b, _ = _log_stretches(image_at(-s_b - 1, inverse=True), plus[:, :extent_b])
     up_back = _running_sum(stretch_b)
 
     s_f = np.arange(extent_f)
     rows = np.where(s_f == 0, 0, s_f + extent_b - 1)
     step = image_at(s_f)
-    log_minus, _ = _log_stretches(step, minus[rows])
-    zero_max, zero_min = _log_stretches(step, zero[rows])
-    _, plus_min = _log_stretches(step, plus[rows])
+    log_minus, _ = _log_stretches(step, minus[:, rows])
+    zero_max, zero_min = _log_stretches(step, zero[:, rows])
+    _, plus_min = _log_stretches(step, plus[:, rows])
     down_fwd = _running_sum(log_minus)
     dom_pz = _running_sum(zero_max - plus_min)
     dom_zm = _running_sum(log_minus - zero_min)
@@ -392,26 +515,29 @@ def measure_rates(traj: CocycleTrajectory, split: SplittingEstimate,
         slope, intercept, _ = fit_line(ts, curve[ts[0] : ts[-1] + 1])
         return -slope, float(np.exp(intercept))
 
-    a_plus, A_plus = rate(up_back, ts_b)
-    a_minus, A_minus = rate(down_fwd, ts_f)
-    ap_pz, App_pz = rate(dom_pz, ts_f)
-    ap_zm, App_zm = rate(dom_zm, ts_f)
-    return RateReport(
-        a_plus=a_plus,
-        A_plus=A_plus,
-        a_minus=a_minus,
-        A_minus=A_minus,
-        aprime_plus_zero=ap_pz,
-        Aprime_plus_zero=App_pz,
-        aprime_zero_minus=ap_zm,
-        Aprime_zero_minus=App_zm,
-        curves={
-            "backward_expanding": up_back,
-            "forward_contracting": down_fwd,
-            "dominance_neutral_over_expanding": dom_pz,
-            "dominance_contracting_over_neutral": dom_zm,
-        },
-        fit_start_forward=int(start_f),
-        fit_start_backward=int(start_b),
-        norm_used=norm_matrix is not None,
-    )
+    def report(b):
+        a_plus, A_plus = rate(up_back[b], ts_b)
+        a_minus, A_minus = rate(down_fwd[b], ts_f)
+        ap_pz, App_pz = rate(dom_pz[b], ts_f)
+        ap_zm, App_zm = rate(dom_zm[b], ts_f)
+        return RateReport(
+            a_plus=a_plus,
+            A_plus=A_plus,
+            a_minus=a_minus,
+            A_minus=A_minus,
+            aprime_plus_zero=ap_pz,
+            Aprime_plus_zero=App_pz,
+            aprime_zero_minus=ap_zm,
+            Aprime_zero_minus=App_zm,
+            curves={
+                "backward_expanding": up_back[b],
+                "forward_contracting": down_fwd[b],
+                "dominance_neutral_over_expanding": dom_pz[b],
+                "dominance_contracting_over_neutral": dom_zm[b],
+            },
+            fit_start_forward=int(start_f),
+            fit_start_backward=int(start_b),
+            norm_used=norm_matrix is not None,
+        )
+
+    return _per_line(traj, [report(b) for b in range(traj.size)])

@@ -23,8 +23,9 @@ The singular subspaces and `subspace_distance` run on stacks.
 `singular_frames` decomposes an ``(N, n, n)`` stack in one call, checking
 each matrix as the one-matrix functions do and raising one aggregated
 :class:`~repdyn.errors.ConditionWarning`; `subspace_distance` also takes two
-``(N, n, p)`` stacks of bases.  The one-matrix functions are these kernels
-applied to a stack of one.
+``(N, n, p)`` stacks of bases, and `bottom_singular_subspace` an ``(N, n,
+n)`` stack of matrices.  The one-matrix functions are these kernels applied
+to a stack of one.
 """
 
 from __future__ import annotations
@@ -66,7 +67,8 @@ def _first_invalid(ms, what):
     finite = np.isfinite(ms).all(axis=(1, 2))
     stop = len(ms) if finite.all() else int(np.argmin(finite))
     head = ms[:stop]
-    zero = np.linalg.norm(head, axis=2).max(axis=1) == 0.0
+    # the largest entry, not a norm: squaring would underflow or overflow
+    zero = np.abs(head).max(axis=(1, 2)) == 0.0
     sign, logdet = np.linalg.slogdet(head)
     singular = (sign == 0.0) | ~np.isfinite(logdet)
     if singular.any():
@@ -273,15 +275,14 @@ def jordan_projection(m) -> SpectralVector:
     return SpectralVector(np.log(moduli), "jordan")
 
 
-def _one_matrix_frames(m, p, bottom):
-    """`singular_frames` of one matrix for its top or bottom p-dimensional
-    singular subspace; warnings point at the caller's caller."""
-    m = np.asarray(m, dtype=float)[None]
-    _require_square(m.shape[1:], "matrix")
-    n = m.shape[-1]
+def _subspace_frames(ms, p, bottom):
+    """`singular_frames` of an ``(N, n, n)`` stack for the top or bottom
+    p-dimensional singular subspaces; warnings point at the caller's caller."""
+    _require_square(ms.shape[1:], "matrix")
+    n = ms.shape[-1]
     if not 1 <= p < n:
         raise ValueError(f"subspace size must satisfy 1 <= p < {n}, got {p}")
-    return singular_frames(m, n - p if bottom else p, stacklevel=4)
+    return singular_frames(ms, n - p if bottom else p, stacklevel=4)
 
 
 def top_singular_subspace(m, p: int) -> Subspace:
@@ -300,7 +301,7 @@ def top_singular_subspace(m, p: int) -> Subspace:
         If the relative gap between singular values ``p`` and ``p + 1``
         falls below GAP_TOL, making the subspace ill defined.
     """
-    u, _, _ = _one_matrix_frames(m, p, bottom=False)
+    u, _, _ = _subspace_frames(np.asarray(m, dtype=float)[None], p, bottom=False)
     return Subspace(u[0, :, :p])
 
 
@@ -310,10 +311,15 @@ def bottom_singular_subspace(m, p: int) -> Subspace:
 
     This equals the span of the ``p`` leading left singular vectors of the
     inverse matrix, computed here without inverting.  The defining gap is the
-    one between singular values ``n - p`` and ``n - p + 1``.
+    one between singular values ``n - p`` and ``n - p + 1``.  An ``(N, n, n)``
+    stack gives a read-only ``(N, n, p)`` stack of bases from one
+    `singular_frames` call, checked matrix by matrix.
     """
-    _, _, vt = _one_matrix_frames(m, p, bottom=True)
-    return Subspace(vt[0, -p:, :].T)
+    m = np.asarray(m, dtype=float)
+    stack = m.ndim == 3
+    _, _, vt = _subspace_frames(m if stack else m[None], p, bottom=True)
+    bases = np.swapaxes(vt[:, -p:, :], 1, 2)
+    return require_orthonormal(bases) if stack else Subspace(bases[0])
 
 
 def opposition_involution(v: SpectralVector) -> SpectralVector:

@@ -399,6 +399,17 @@ class FlowLineWindow:
             raise WindowBoundsError(f"relative position {i} is outside the window")
         return self._letters[j + self._half_width]
 
+    def letters_between(self, start: int, stop: int) -> tuple:
+        """Edge letters at relative times ``start .. stop - 1``, as `letter`
+        reads them one at a time."""
+        lo = self._offset + start + self._half_width
+        hi = self._offset + stop + self._half_width
+        if not 0 <= lo <= hi <= 2 * self._half_width:
+            raise WindowBoundsError(
+                f"relative times {start}..{stop - 1} are outside the window"
+            )
+        return self._letters[lo:hi]
+
     def __eq__(self, other):
         return (
             isinstance(other, FlowLineWindow)

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, report files, and determinism."""
 
 import csv
+import importlib.util
 import io
 import json
 import os
@@ -534,6 +535,83 @@ class TestFlowmetricCsv:
             float(row.split(",")[2]) for row in expected[1:]
         ]
         assert len({g.half_width for g in geos}) > 3
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def hks_reference(products, s):
+    """The HKS statistic as plain float64 arithmetic, overflow and all."""
+    n = products.shape[-1]
+    return np.abs(np.linalg.det(products - np.eye(n))) / np.float_power(1.0 + s[:, 0], n)
+
+
+def hks_mpmath(m):
+    """``|det(m - I)| / (1 + smax)^n`` of a diagonal ``m`` in 60 digits."""
+    import mpmath
+
+    with mpmath.workdps(60):
+        d = [mpmath.mpf(float(x)) for x in np.diag(m)]
+        det = abs(mpmath.fprod(x - 1 for x in d))
+        return float(det / (1 + max(abs(x) for x in d)) ** len(d))
+
+
+class TestAffineExtremes:
+    def test_huge_linear_part_is_not_the_zero_matrix(self, tmp_path):
+        # the homomorphism spot check composes inverse words with entries
+        # near 1e-240, which a norm squares to 0
+        doc = write_doc(tmp_path / "aff.json", {
+            "n": 2, "generators": [{"name": "g", "rows": [[1e40, 0], [0, 1e35]]}],
+            "translations": [[1, 1]],
+        })
+        code = main(["affine", "--input", doc, "--max-length", "3",
+                     "--out-dir", str(tmp_path / "out")])
+        assert code in (EXIT_OK, EXIT_FAIL)
+
+    def test_hks_past_float_power_overflow(self, tmp_path):
+        g = np.diag([1e20, 1e18])
+        doc = write_doc(tmp_path / "aff.json", {
+            "n": 2, "generators": [{"name": "g", "rows": rows(g)}],
+            "translations": [[1, 1]],
+        })
+        out = tmp_path / "out"
+        src = Path(repdyn.__file__).resolve().parents[1]
+        run = subprocess.run(
+            [sys.executable, "-m", "repdyn.cli", "affine", "--input", doc,
+             "--max-length", "9", "--out-dir", str(out)],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+        )
+        assert run.stderr == ""
+        with open(out / "affine_hks.csv", encoding="utf-8", newline="") as fh:
+            table = list(csv.reader(fh))[1:]
+        powers = [np.linalg.matrix_power(g, 9), np.diag(1.0 / np.diag(g) ** 9)]
+        assert float(table[8][1]) == pytest.approx(max(map(hks_mpmath, powers)), rel=1e-15)
+        # the overflowing word g^9 itself, taken in logs
+        products = np.stack(powers)
+        s = np.linalg.svd(products, compute_uv=False)
+        values = affine._hks_values(products, s)
+        for value, m in zip(values, powers):
+            assert value == pytest.approx(hks_mpmath(m), rel=1e-12)
+
+    def test_benchmark_affine_csv_unchanged(self, tmp_path, monkeypatch):
+        # the SO(2,1) fixture never overflows, so it keeps the bits of plain
+        # float64 arithmetic
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+        workloads = importlib.util.module_from_spec(spec)
+        # its dataclasses look their module up by name
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        triple = workloads.AffineTriple(7)
+        triple.write_inputs(tmp_path / "in")
+        written = {}
+        for label in ("logs", "plain"):
+            if label == "plain":
+                monkeypatch.setattr(affine, "_hks_values", hks_reference)
+            out = tmp_path / label
+            (argv,) = triple.commands(str(tmp_path / "in"), str(out))
+            assert main(argv) == EXIT_OK
+            written[label] = (out / "affine_hks.csv").read_bytes()
+        assert written["logs"] == written["plain"]
 
 
 class TestImportCost:

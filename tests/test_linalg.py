@@ -188,6 +188,15 @@ class TestRequireMatrix:
         with pytest.raises(DegenerateInputError):
             require_matrix(np.zeros((2, 2)))
 
+    def test_tiny_entries_are_not_the_zero_matrix(self):
+        # a norm would square 1e-200 to 0
+        require_matrix(np.diag([1e-200, 1e-200]))
+
+    def test_huge_entries_raise_no_runtime_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            require_matrix(np.diag([1e200, 1e-100]))
+
     def test_accepts_large_norm_unimodular(self):
         # determinant-one with norm ~1e9; must not be mistaken for singular
         m = np.diag([1e9, 1e-9])

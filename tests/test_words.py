@@ -238,6 +238,16 @@ class TestFlowLineWindow:
         with pytest.raises(WindowBoundsError):
             line.letter(-4)
 
+    def test_letters_between_reads_as_letter_does(self):
+        line = FlowLineWindow([1, 2, -1, -1, 2, 1, 1, -2], 4, basepoint_offset=-1)
+        for start in range(-3, 6):
+            for stop in range(start, 6):
+                assert line.letters_between(start, stop) == tuple(
+                    line.letter(t) for t in range(start, stop))
+        for start, stop in ((-4, 0), (0, 6), (2, 1)):
+            with pytest.raises(WindowBoundsError):
+                line.letters_between(start, stop)
+
 
 class TestTreeGeodesic:
     def test_vertices_walk_the_rays(self):
