@@ -10,9 +10,10 @@ eigenvalue of modulus 1 up to tolerance; `bounded_singular_check` instead
 asks the per-sphere worst ``min_i |log a_i|`` to plateau rather than grow.
 
 `affine_checks` returns all three reports from one pass over the spheres:
-each sphere's products take one stacked SVD, which gives both the HKS
-``smax`` and the bounded-singular ``a_i``, plus one ``eigvals`` and one
-``det``.  The single checks run the same scan with their one statistic.
+each sphere's products take one call of the stacked singular-value kernel
+(`GeneratorSet.log_singular_values`), which gives both the HKS ``smax`` and
+the bounded-singular ``a_i``, plus one ``eigvals`` and one ``det``.  The
+single checks run the same scan with their one statistic.
 
 All scans accept either an :class:`AffineGeneratorSet` (linear part is
 projected out) or a bare linear :class:`~repdyn.domination.GeneratorSet`.
@@ -174,47 +175,48 @@ class SphereExtreme:
 
 
 # Each statistic maps a sphere's (N, n, n) product stack and its stacked
-# singular values (largest first) to one value per word.
+# log singular values (largest first) to one value per word.
 
 
-def _hks_values(products, s):
+def _hks_values(products, logs):
     n = products.shape[-1]
     shifted = products - np.eye(n)
     with np.errstate(over="ignore", invalid="ignore"):
         det = np.linalg.det(shifted)
         # float_power runs libm pow like scalar ``**``; array ``**`` rounds differently
-        scale = np.float_power(1.0 + s[:, 0], n)
+        scale = np.float_power(1.0 + np.exp(logs[:, 0]), n)
         values = np.abs(det) / scale
     # where the determinant or the scale overflows, take the quotient in logs
     far = ~(np.isfinite(det) & np.isfinite(scale)) | np.isnan(values)
     if far.any():
         _, logdet = np.linalg.slogdet(shifted[far])
-        values[far] = np.exp(logdet - n * np.log1p(s[far, 0]))
+        values[far] = np.exp(logdet - n * np.logaddexp(0.0, logs[far, 0]))
     return values
 
 
-def _eigenvalue_values(products, s):
+def _eigenvalue_values(products, logs):
     return np.abs(np.log(np.abs(np.linalg.eigvals(products)))).min(axis=1)
 
 
-def _bounded_values(products, s):
-    return np.abs(np.log(s)).min(axis=1)
+def _bounded_values(products, logs):
+    return np.abs(logs).min(axis=1)
 
 
 def _scan_extremes(gens, L_max, stats, policy):
     """Per-sphere maxima of each statistic in ``stats``, from one sphere pass.
 
-    Every sphere takes one stacked SVD that all the statistics share; ties
-    go to the shortlex-first word.  Returns one list of records per
-    statistic and whether the scan was truncated: it stops at the last
-    complete sphere when a product overflows.
+    Every sphere takes one `GeneratorSet.log_singular_values` call that
+    all the statistics share; ties go to the shortlex-first word.  Returns
+    one list of records per statistic and whether the scan was truncated: it
+    stops at the last complete sphere when a product overflows.
     """
+    linear = _linear_part(gens)
 
     def extremes(letters, products):
-        s = np.linalg.svd(products, compute_uv=False)
+        logs = linear.log_singular_values(letters, products)
         out = []
         for stat in stats:
-            values = stat(products, s)
+            values = stat(products, logs)
             i = words.shortlex_argmin(-values, letters)
             out.append(SphereExtreme(
                 length=letters.shape[1], count=len(values), value=float(values[i]),
@@ -222,7 +224,7 @@ def _scan_extremes(gens, L_max, stats, policy):
             ))
         return out
 
-    spheres = words.map_sphere_products(_linear_part(gens), L_max, extremes, policy)
+    spheres = words.map_sphere_products(linear, L_max, extremes, policy)
     if not spheres:
         raise NumericOverflowError("no complete sphere before overflow", prefix_length=1)
     return [list(records) for records in zip(*spheres)], len(spheres) < L_max
@@ -372,8 +374,8 @@ def affine_checks(gens, L_max: int, policy=words.Exhaustive(),
     from one sphere pass.
 
     Returns the three reports, equal to what the three calls return; each
-    sphere is enumerated once and its SVD feeds both the HKS ``smax`` and
-    the bounded-singular ``min_i |log a_i|``.  Needs ``L_max >= 2``.
+    sphere is enumerated once and its log singular values feed both the HKS
+    ``smax`` and the bounded-singular ``min_i |log a_i|``.  Needs ``L_max >= 2``.
     """
     _require_fit_length(L_max)
     (hks, eig, bounded), truncated = _scan_extremes(

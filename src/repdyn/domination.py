@@ -26,6 +26,7 @@ from . import words
 from .errors import DegenerateInputError, NumericOverflowError
 from .fitting import fit_line
 from .linalg import (
+    log_singular_values,
     principal_angle,
     require_matrix,
     subspace_distance,
@@ -76,6 +77,10 @@ class GeneratorSet:
         for m in self._images + self._inverses:
             m.flags.writeable = False
         self._names = names
+        # log |det| indexed by letter: entry i for letter i, and entry -i,
+        # the exact negative, for its inverse
+        logdets = np.array([np.linalg.slogdet(m)[1] for m in mats])
+        self._letter_log_dets = np.concatenate([[0.0], logdets, -logdets[::-1]])
 
     @property
     def rank(self) -> int:
@@ -95,6 +100,18 @@ class GeneratorSet:
         if letter > 0:
             return self._images[letter - 1]
         return self._inverses[-letter - 1]
+
+    def log_singular_values(self, letters, products) -> np.ndarray:
+        """`linalg.log_singular_values` of the images ``products`` of the
+        words in the ``(N, L)`` letter array ``letters``.  For n = 2 it
+        passes each word's exact ``log |det|``: the sum of its letters'
+        entries, added left to right."""
+        logdet = None
+        if self.dim == 2:
+            logdet = np.zeros(len(letters))
+            for column in np.asarray(letters).T:
+                logdet += self._letter_log_dets[column]
+        return log_singular_values(products, logdet)
 
     def word_matrix(self, word) -> np.ndarray:
         return words.evaluate(word, self)
@@ -158,9 +175,9 @@ class DominationReport:
     exhaustive: bool
 
 
-def _sphere_record(k, letters, products) -> SphereRecord:
+def _sphere_record(gens, k, letters, products) -> SphereRecord:
     n = products.shape[-1]
-    s = np.log(np.linalg.svd(products, compute_uv=False))
+    s = gens.log_singular_values(letters, products)
     gaps = np.minimum(s[:, k - 1] - s[:, k], s[:, n - k - 1] - s[:, n - k])
     i = words.shortlex_argmin(gaps, letters)
     return SphereRecord(
@@ -214,7 +231,7 @@ def domination_scan(gens: GeneratorSet, k: int, L_max: int,
     violating = None
     try:
         for letters, products in words.iter_sphere_products(gens, L_max, policy):
-            rec = _sphere_record(k, letters, products)
+            rec = _sphere_record(gens, k, letters, products)
             spheres.append(rec)
             if rec.gap_min <= gap_tol:
                 refuted_at, violating = rec.length, rec.argmin

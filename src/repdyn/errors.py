@@ -53,6 +53,10 @@ class NumericOverflowError(RepdynError):
         self.prefix_length = prefix_length
 
 
+class ConvergenceError(RepdynError):
+    """An iterative decomposition did not converge within its sweep bound."""
+
+
 class WindowBoundsError(RepdynError):
     """A flow shift or trajectory request exceeded the stored window."""
 

@@ -19,6 +19,13 @@ returning an arbitrary basis.  Angles between subspaces come in two flavors:
 `subspace_distance` (largest angle, measures how far apart two estimates of
 the same subspace are).
 
+`log_singular_values` is the one stacked singular-value kernel that every
+sphere scan reads: the sorted log singular values of an ``(N, n, n)`` stack,
+in closed form for n = 2 (the small one from an exact log-det when the
+caller has one), by stacked one-sided Jacobi for n = 3 and by LAPACK for
+larger n.  A row gets the same bits in a stack as alone, and
+`cartan_projection` is the kernel on a stack of one.
+
 The singular subspaces and `subspace_distance` run on stacks.
 `singular_frames` decomposes an ``(N, n, n)`` stack in one call, checking
 each matrix as the one-matrix functions do and raising one aggregated
@@ -30,13 +37,19 @@ to a stack of one.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .errors import ConditionWarning, DegenerateGapError, DegenerateInputError
+from .errors import (
+    ConditionWarning,
+    ConvergenceError,
+    DegenerateGapError,
+    DegenerateInputError,
+)
 
 MIN_DIM = 2
 MAX_DIM = 16
@@ -51,6 +64,23 @@ ORTHONORMAL_TOL = 1e-10
 
 # tolerance for the nonincreasing check on spectral vectors
 _SORT_TOL = 1e-9
+
+# rows `log_singular_values` takes at a time, which bounds its temporaries
+KERNEL_BLOCK = 8192
+
+# the 3x3 Jacobi kernel rotates two columns whose cosine exceeds this, and
+# gives up after this many sweeps; a few sweeps reach the tolerance
+_JACOBI_TOL = 4.0 * np.finfo(float).eps
+_JACOBI_SWEEPS = 30
+# it scales each matrix to a largest entry just below 2**_JACOBI_TOP, where
+# a Gram entry is at most 3 * 2**508 and the square of one stays finite, and
+# hands a matrix to LAPACK when a squared column norm ends below this
+_JACOBI_TOP = 254
+_JACOBI_FLOOR = 2.0**-960
+
+_LOG2 = np.log(2.0)
+_TINY = np.finfo(float).tiny
+
 
 def _require_square(shape, what):
     if len(shape) != 2 or shape[0] != shape[1]:
@@ -172,6 +202,153 @@ def singular_frames(ms, gap_index: int, stacklevel=2):
     return u, s, vt
 
 
+def _scale_to_unit(ms, top=0):
+    """``(scaled, e)`` with ``ms = scaled * 2**e`` row by row: each matrix of a
+    stack scaled exactly, by a power of two, so that its largest entry lies
+    in [2**(top - 1), 2**top)."""
+    # a chain of elementwise maxima: numpy reduces small axes slowly
+    entries = np.abs(ms.reshape(len(ms), -1)).T
+    _, e = np.frexp(functools.reduce(np.maximum, entries))
+    return np.ldexp(ms, (top - e)[:, None, None]), e - top
+
+
+def _log_scaled(x, e):
+    """``log(x * 2**e)`` for ``x >= 0``, with ``e`` broadcast along the last
+    axis; the log of the float ``x * 2**e`` itself wherever that is a normal
+    number, so the result is as exact as ``np.log``."""
+    y = np.ldexp(x, e)
+    out = np.log(y)
+    far = ~((y >= _TINY) & (y < np.inf))
+    if far.any():
+        out[far] = np.log(x[far]) + np.broadcast_to(e, x.shape)[far] * _LOG2
+    return out
+
+
+def _log_sv2(ms, logdet):
+    """Closed-form log singular values of a ``(B, 2, 2)`` stack."""
+    m, e = _scale_to_unit(ms)
+    a, b, c, d = m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]
+    if logdet is None:
+        logdet = _log_scaled(np.abs(a * d - b * c), 2 * e)
+    s1 = 0.5 * (np.hypot(a + d, b - c) + np.hypot(a - d, b + c))
+    # s1 * s2 = |det| and s1 >= s2, so s1 >= sqrt|det| whatever the rounding
+    log1 = np.maximum(_log_scaled(s1, e), 0.5 * logdet)
+    return np.stack([log1, logdet - log1], axis=1)
+
+
+def _log_sv3(ms):
+    """Log singular values of a ``(B, 3, 3)`` stack by one-sided (Hestenes)
+    Jacobi: rotate pairs of columns until every pair is orthogonal to within
+    _JACOBI_TOL, then read the singular values as the column norms.
+
+    The matrices are scaled to a largest entry near 2**_JACOBI_TOP, so that
+    no squared column norm, Gram entry or product of two of them leaves
+    float64 while the smallest singular value stays above about 1e-221 of
+    the largest entry.  A matrix whose final squared column norms go below
+    _JACOBI_FLOOR is taken by LAPACK instead.  A row whose cosine is already
+    small takes the rotation ``t = 0``, which keeps its bits, and a row that
+    rotated nowhere in a sweep is done; so every row sees the same
+    arithmetic in a stack as alone.
+    """
+    m, e = _scale_to_unit(ms, _JACOBI_TOP)
+    # cols[j, i] holds entry (i, j) of every matrix
+    cols = np.ascontiguousarray(m.transpose(2, 1, 0))
+    live, work = np.arange(len(ms)), cols
+    rotated = np.ones(len(ms), dtype=bool)
+    for _ in range(_JACOBI_SWEEPS):
+        # drop the finished rows once they are the majority; a finished row
+        # left in takes t = 0 and keeps its bits
+        if 2 * np.count_nonzero(rotated) < len(live):
+            if work is not cols:
+                cols[:, :, live] = work
+            live, work = live[rotated], work[:, :, rotated]
+        rotated = np.zeros(len(live), dtype=bool)
+        for p, q in ((0, 1), (0, 2), (1, 2)):
+            x, y = work[p], work[q]
+            alpha = x[0] * x[0] + x[1] * x[1] + x[2] * x[2]
+            beta = y[0] * y[0] + y[1] * y[1] + y[2] * y[2]
+            gamma = x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
+            turn = np.abs(gamma) > _JACOBI_TOL * np.sqrt(alpha) * np.sqrt(beta)
+            if not turn.any():
+                continue
+            rotated |= turn
+            # the smaller root of t^2 + 2 zeta t - 1 = 0; once zeta^2
+            # overflows that root is 1 / (2 zeta) to the last bit
+            zeta = (beta - alpha) / (2.0 * gamma)
+            root = np.sqrt(1.0 + zeta * zeta)
+            t = np.where(turn, 1.0 / (zeta + np.copysign(root, zeta)), 0.0)
+            huge = turn & (root == np.inf)
+            if huge.any():
+                t[huge] = 0.5 / zeta[huge]
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = c * t
+            # x, y <- c x - s y, s x + c y in place
+            sx = s * x
+            x *= c
+            x -= s * y
+            y *= c
+            y += sx
+        if not rotated.any():
+            break
+    if work is not cols:
+        cols[:, :, live] = work
+    x = cols.transpose(1, 0, 2)
+    squares = x[0] * x[0] + x[1] * x[1] + x[2] * x[2]
+    lapack = squares.min(axis=0) < _JACOBI_FLOOR
+    stuck = np.count_nonzero(~lapack[live[rotated]])
+    if stuck:
+        raise ConvergenceError(
+            f"3x3 Jacobi SVD left {stuck} of {len(ms)} matrices unconverged"
+            f" after {_JACOBI_SWEEPS} sweeps"
+        )
+    # the log of the (3, B) array, before the transpose: numpy's log rounds
+    # a strided view differently
+    logs = -np.sort(-_log_scaled(np.sqrt(squares), e).T, axis=1)
+    if lapack.any():
+        logs[lapack] = np.log(np.linalg.svd(ms[lapack], compute_uv=False))
+    return logs
+
+
+def log_singular_values(products, logdet=None):
+    """Log singular values of each matrix of an ``(N, n, n)`` stack.
+
+    Returns an ``(N, n)`` array, largest first, taken KERNEL_BLOCK rows at a
+    time.  Every row has the same bits as when its matrix comes alone.
+
+    - n = 2: the closed form ``s1 = (hypot(a + d, b - c) + hypot(a - d, b +
+      c)) / 2`` of the matrix scaled to unit largest entry, and ``log s2 =
+      logdet - log s1``.  ``logdet`` gives each row's ``log |det|``; a word
+      product should pass the sum over its letters (see
+      ``GeneratorSet.log_singular_values``), which keeps the small singular
+      value that the float product has lost.  Without it the product's own
+      ``log |ad - bc|`` is used.
+    - n = 3: stacked one-sided Jacobi (``logdet`` is not used), accurate to
+      a few units of roundoff times ``s1``.  Raises
+      :class:`~repdyn.errors.ConvergenceError` if a matrix needs more than
+      _JACOBI_SWEEPS sweeps.
+    - n >= 4: LAPACK.
+
+    A zero singular value reads ``-inf``; nothing warns.
+    """
+    products = np.asarray(products, dtype=float)
+    n = products.shape[-1]
+    if logdet is not None:
+        logdet = np.asarray(logdet, dtype=float)
+    out = np.empty(products.shape[:2])
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for start in range(0, len(products), KERNEL_BLOCK):
+            block = slice(start, start + KERNEL_BLOCK)
+            if n == 2:
+                out[block] = _log_sv2(
+                    products[block], None if logdet is None else logdet[block]
+                )
+            elif n == 3:
+                out[block] = _log_sv3(products[block])
+            else:
+                out[block] = np.log(np.linalg.svd(products[block], compute_uv=False))
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralVector:
     """A nonincreasing vector of logarithms with a declared origin.
@@ -249,17 +426,21 @@ class Subspace:
 
 
 def cartan_projection(m) -> SpectralVector:
-    """Log singular values of ``m``, nonincreasing.
+    """Log singular values of ``m``, nonincreasing: `log_singular_values`
+    of a stack of one.
 
-    Emits :class:`ConditionWarning` when the condition number exceeds
-    CONDITION_LIMIT.
+    Raises :class:`DegenerateInputError` when they span more than float64
+    allows and emits :class:`ConditionWarning` when the condition number
+    exceeds CONDITION_LIMIT.
     """
     m = require_matrix(m)
-    s = np.linalg.svd(m, compute_uv=False)
-    if s[-1] <= 0.0 or not np.isfinite(s[0] / s[-1]):
+    s = log_singular_values(m[None])[0]
+    with np.errstate(over="ignore"):
+        cond = np.exp(s[:1] - s[-1:])
+    if not np.isfinite(cond[0]):
         raise DegenerateInputError(_SPAN_MESSAGE)
-    _warn_ill_conditioned(np.array([s[0] / s[-1]]), 1, stacklevel=2)
-    return SpectralVector(np.log(s), "cartan")
+    _warn_ill_conditioned(cond, 1, stacklevel=2)
+    return SpectralVector(s, "cartan")
 
 
 def jordan_projection(m) -> SpectralVector:

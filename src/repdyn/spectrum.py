@@ -170,7 +170,7 @@ def sample_cone(gens, m_max: int, policy=words.Exhaustive(),
         if not np.isfinite(jordan).all():
             raise NumericOverflowError("eigenvalue modulus left float64 range",
                                        prefix_length=m)
-        cartan = np.log(np.linalg.svd(products, compute_uv=False)) / m
+        cartan = gens.log_singular_values(letters, products) / m
         tols = zero_tol_coeff * np.maximum(1.0, np.abs(jordan).max(axis=1))
         return ConeLevel(letters, jordan, cartan, tols, np.abs(jordan) <= tols[:, None])
 

@@ -2,7 +2,8 @@
 
 The reference enumerates words one by one (`enumerate_sphere`, or the rows
 of `sampled_words`), evaluates each with `evaluate`, applies per-matrix numpy
-calls and reduces with Python ``min`` over ``(value, shortlex key)``.  Every
+calls, or the singular-value kernel to a stack of one word with that word's
+log-det, and reduces with Python ``min`` over ``(value, shortlex key)``.  Every
 scan statistic must agree with it bit for bit.  The columnar cone checks are
 held to a per-sample loop over the same levels in the same way.
 """
@@ -61,6 +62,11 @@ def reference_rows(gens, length, policy, inversion_closed=False):
     return [(w, evaluate(w, gens)) for w in drawn]
 
 
+def word_log_singular_values(gens, w, p):
+    """The kernel's log singular values of the one word ``w`` with image ``p``."""
+    return gens.log_singular_values(np.array([w.letters]), p[None])[0]
+
+
 def shortlex_max(rows):
     """(value, word) with the largest value, ties to the shortlex-first word."""
     return min(rows, key=lambda r: (-r[0], r[1].shortlex_key()))
@@ -70,7 +76,7 @@ def reference_record(gens, k, length, policy):
     n = gens.dim
     rows = []
     for w, p in reference_rows(gens, length, policy):
-        s = np.log(np.linalg.svd(p, compute_uv=False))
+        s = word_log_singular_values(gens, w, p)
         rows.append((min(s[k - 1] - s[k], s[n - k - 1] - s[n - k]), s[k - 1], s[n - k], w))
     best = min(rows, key=lambda r: (r[0], r[3].shortlex_key()))
     return SphereRecord(
@@ -87,24 +93,24 @@ def reference_record(gens, k, length, policy):
 def reference_extremes(gens, L_max, policy, stat):
     out = []
     for length in range(1, L_max + 1):
-        rows = [(stat(p), w) for w, p in reference_rows(gens, length, policy)]
+        rows = [(stat(gens, w, p), w) for w, p in reference_rows(gens, length, policy)]
         value, word = shortlex_max(rows)
         out.append((length, len(rows), value, word))
     return out
 
 
-def hks_stat(p):
-    smax = np.linalg.svd(p, compute_uv=False)[0]
+def hks_stat(gens, w, p):
+    smax = np.exp(word_log_singular_values(gens, w, p)[0])
     n = p.shape[0]
     return float(np.abs(np.linalg.det(p - np.eye(n))) / (1.0 + smax) ** n)
 
 
-def eig_one_stat(p):
+def eig_one_stat(gens, w, p):
     return float(np.abs(np.log(np.abs(np.linalg.eigvals(p)))).min())
 
 
-def bounded_stat(p):
-    return float(np.abs(np.log(np.linalg.svd(p, compute_uv=False))).min())
+def bounded_stat(gens, w, p):
+    return float(np.abs(word_log_singular_values(gens, w, p)).min())
 
 
 @pytest.mark.parametrize("policy", POLICIES)
@@ -165,7 +171,7 @@ def test_cone_samples(request, fixture, policy):
         assert level.length == m and len(level) == len(rows)
         for r, (w, p) in enumerate(rows):
             jv = np.log(np.sort(np.abs(np.linalg.eigvals(p)))[::-1]) / m
-            cv = np.log(np.linalg.svd(p, compute_uv=False)) / m
+            cv = word_log_singular_values(gens, w, p) / m
             tol = cone.zero_tol_coeff * max(1.0, float(np.abs(jv).max()))
             assert level.word(r) == w
             assert np.array_equal(level.jordan[r], jv)
