@@ -11,9 +11,11 @@ asks the per-sphere worst ``min_i |log a_i|`` to plateau rather than grow.
 
 `affine_checks` returns all three reports from one pass over the spheres:
 each sphere's products take one call of the stacked singular-value kernel
-(`GeneratorSet.log_singular_values`), which gives both the HKS ``smax`` and
-the bounded-singular ``a_i``, plus one ``eigvals`` and one ``det``.  The
-single checks run the same scan with their one statistic.
+(`linalg.log_singular_values`), which gives both the HKS ``smax`` and the
+bounded-singular ``a_i``, one call of the stacked eigenvalue-modulus kernel
+(`linalg.log_eigenvalue_moduli`) with each word's exact log-det and sign,
+and one ``det``.  The single checks run the same scan with their one
+statistic.
 
 All scans accept either an :class:`AffineGeneratorSet` (linear part is
 projected out) or a bare linear :class:`~repdyn.domination.GeneratorSet`.
@@ -30,7 +32,7 @@ from . import words
 from .domination import GeneratorSet
 from .errors import DegenerateInputError, NumericOverflowError
 from .fitting import fit_line
-from .linalg import require_matrix
+from .linalg import log_eigenvalue_moduli, log_singular_values, require_matrix
 
 DEFAULT_HKS_THRESHOLD = 1e-8
 DEFAULT_EIGENVALUE_TOL = 1e-9
@@ -174,8 +176,8 @@ class SphereExtreme:
     word: words.Word
 
 
-# Each statistic maps a sphere's (N, n, n) product stack and its stacked
-# log singular values (largest first) to one value per word.
+# Each statistic maps a sphere and its stacked log singular values (largest
+# first) to one value per word.
 
 
 def _hks_values(products, logs):
@@ -194,29 +196,35 @@ def _hks_values(products, logs):
     return values
 
 
-def _eigenvalue_values(products, logs):
-    return np.abs(np.log(np.abs(np.linalg.eigvals(products)))).min(axis=1)
+def _hks_stat(sphere, logs):
+    return _hks_values(sphere.products, logs)
 
 
-def _bounded_values(products, logs):
+def _eigenvalue_values(sphere, logs):
+    moduli = log_eigenvalue_moduli(sphere.products, sphere.logdet, sphere.sign)
+    return np.abs(moduli).min(axis=1)
+
+
+def _bounded_values(sphere, logs):
     return np.abs(logs).min(axis=1)
 
 
 def _scan_extremes(gens, L_max, stats, policy):
     """Per-sphere maxima of each statistic in ``stats``, from one sphere pass.
 
-    Every sphere takes one `GeneratorSet.log_singular_values` call that
-    all the statistics share; ties go to the shortlex-first word.  Returns
-    one list of records per statistic and whether the scan was truncated: it
-    stops at the last complete sphere when a product overflows.
+    Every sphere takes one `log_singular_values` call that all the
+    statistics share; ties go to the shortlex-first word.  Returns one list
+    of records per statistic and whether the scan was truncated: it stops at
+    the last complete sphere when a product overflows.
     """
     linear = _linear_part(gens)
 
-    def extremes(letters, products):
-        logs = linear.log_singular_values(letters, products)
+    def extremes(sphere):
+        letters = sphere.letters
+        logs = log_singular_values(sphere.products, sphere.logdet)
         out = []
         for stat in stats:
-            values = stat(products, logs)
+            values = stat(sphere, logs)
             i = words.shortlex_argmin(-values, letters)
             out.append(SphereExtreme(
                 length=letters.shape[1], count=len(values), value=float(values[i]),
@@ -274,7 +282,7 @@ def hks_test(gens, L_max: int, policy=words.Exhaustive(),
     free, so one threshold works across growth rates.  Passing means every
     scanned product is consistent with having eigenvalue 1.
     """
-    (records,), truncated = _scan_extremes(gens, L_max, (_hks_values,), policy)
+    (records,), truncated = _scan_extremes(gens, L_max, (_hks_stat,), policy)
     return _hks_report(records, L_max, truncated, threshold)
 
 
@@ -379,7 +387,7 @@ def affine_checks(gens, L_max: int, policy=words.Exhaustive(),
     """
     _require_fit_length(L_max)
     (hks, eig, bounded), truncated = _scan_extremes(
-        gens, L_max, (_hks_values, _eigenvalue_values, _bounded_values), policy
+        gens, L_max, (_hks_stat, _eigenvalue_values, _bounded_values), policy
     )
     return (
         _hks_report(hks, L_max, truncated, threshold),

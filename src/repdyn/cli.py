@@ -27,7 +27,7 @@ import os
 import sys
 import warnings
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain, groupby, islice
 from pathlib import Path
 
 import numpy as np
@@ -288,23 +288,29 @@ def _format_cell(cell) -> str:
 
 
 def _chunk_text(chunk, width):
-    """The rows of ``chunk`` formatted by one ``%`` call, or None when csv
-    quoting could touch one of their cells."""
-    specs, columns = [], []
-    for column in zip(*chunk):
-        kinds = set(map(type, column))
-        if kinds == {float}:
+    """The rows of ``chunk`` formatted by one ``%`` call per run of rows
+    whose cells have the same types, or None when csv quoting could touch
+    one of their cells."""
+    columns = list(zip(*chunk))
+    kinds = [set(map(type, column)) for column in columns]
+    if any(len(kind) > 1 for kind in kinds):
+        # a column of floats with "" gaps, say: each run has one type per column
+        parts = [_chunk_text(list(rows), width)
+                 for _, rows in groupby(chunk, key=lambda row: tuple(map(type, row)))]
+        return None if None in parts else "".join(parts)
+    specs = []
+    for i, (kind,) in enumerate(kinds):
+        if kind is float:
             specs.append("%.17g")
-        elif kinds == {int}:
+        elif kind is int:
             specs.append("%d")
         else:
-            if kinds != {str}:
-                column = [_format_cell(cell) for cell in column]
-            text = "".join(column)
-            if any(c in text for c in ',"\r\n') or (width == 1 and "" in column):
+            if kind is not str:
+                columns[i] = [_format_cell(cell) for cell in columns[i]]
+            text = "".join(columns[i])
+            if any(c in text for c in ',"\r\n') or (width == 1 and "" in columns[i]):
                 return None
             specs.append("%s")
-        columns.append(column)
     template = ",".join(specs) + "\n"
     return (template * len(chunk)) % tuple(chain.from_iterable(zip(*columns)))
 
@@ -312,14 +318,16 @@ def _chunk_text(chunk, width):
 def write_csv(path, header, rows):
     """Write a CSV with LF endings, a header row and 17-significant-digit floats.
 
-    Rows are read ``CSV_CHUNK_ROWS`` at a time, and each chunk is formatted
-    by one ``%`` call: a column of Python floats as ``%.17g``, a column of
-    Python ints as ``%d`` and any other column a cell at a time by
-    `_format_cell`.  A chunk holding a string that csv quoting could touch
-    (one with ``,``, ``"``, CR or LF, or the empty string of a one-column
-    row) is written by ``csv.writer`` instead, and so is the header, so
-    quoting follows the running interpreter's csv module.  Every row must
-    be as wide as the header; a ragged row raises ``ValueError``.
+    Rows are read ``CSV_CHUNK_ROWS`` at a time, and each run of rows whose
+    cells have the same types is formatted by one ``%`` call: a column of
+    Python floats as ``%.17g``, a column of Python ints as ``%d`` and any
+    other column a cell at a time by `_format_cell`.  A chunk whose columns
+    each hold one type is one run; a column of floats with ``""`` gaps
+    splits its chunk into runs.  A chunk holding a string that csv quoting
+    could touch (one with ``,``, ``"``, CR or LF, or the empty string of a
+    one-column row) is written by ``csv.writer`` instead, and so is the
+    header, so quoting follows the running interpreter's csv module.  Every
+    row must be as wide as the header; a ragged row raises ``ValueError``.
     """
     width = len(header)
     rows = iter(rows)

@@ -26,6 +26,7 @@ from . import words
 from .errors import DegenerateInputError, NumericOverflowError
 from .fitting import fit_line
 from .linalg import (
+    log_eigenvalue_moduli,
     log_singular_values,
     principal_angle,
     require_matrix,
@@ -77,10 +78,12 @@ class GeneratorSet:
         for m in self._images + self._inverses:
             m.flags.writeable = False
         self._names = names
-        # log |det| indexed by letter: entry i for letter i, and entry -i,
-        # the exact negative, for its inverse
-        logdets = np.array([np.linalg.slogdet(m)[1] for m in mats])
+        # log |det| and the determinant sign indexed by letter: entry i for
+        # letter i, and entry -i, the exact negative and the same sign, for
+        # its inverse
+        signs, logdets = np.linalg.slogdet(np.stack(mats))
         self._letter_log_dets = np.concatenate([[0.0], logdets, -logdets[::-1]])
+        self._letter_signs = np.concatenate([[1], signs, signs[::-1]]).astype(np.int8)
 
     @property
     def rank(self) -> int:
@@ -101,17 +104,31 @@ class GeneratorSet:
             return self._images[letter - 1]
         return self._inverses[-letter - 1]
 
+    def log_dets(self, letters):
+        """``(logdet, sign)``: the exact ``log |det|`` and the determinant
+        sign of each word of an ``(N, L)`` letter array, its letters'
+        entries added and multiplied left to right.  An inverse letter has
+        the exact negative log-det of its letter, so a word and its inverse
+        read exact negatives up to the order of the adds."""
+        letters = np.asarray(letters)
+        logdet = np.zeros(len(letters))
+        sign = np.ones(len(letters), dtype=np.int8)
+        for column in letters.T:
+            logdet += self._letter_log_dets[column]
+            sign *= self._letter_signs[column]
+        return logdet, sign
+
     def log_singular_values(self, letters, products) -> np.ndarray:
         """`linalg.log_singular_values` of the images ``products`` of the
-        words in the ``(N, L)`` letter array ``letters``.  For n = 2 it
-        passes each word's exact ``log |det|``: the sum of its letters'
-        entries, added left to right."""
-        logdet = None
-        if self.dim == 2:
-            logdet = np.zeros(len(letters))
-            for column in np.asarray(letters).T:
-                logdet += self._letter_log_dets[column]
-        return log_singular_values(products, logdet)
+        words in the ``(N, L)`` letter array ``letters``, with each word's
+        exact ``log |det|`` from `log_dets`."""
+        return log_singular_values(products, self.log_dets(letters)[0])
+
+    def log_eigenvalue_moduli(self, letters, products) -> np.ndarray:
+        """`linalg.log_eigenvalue_moduli` of the images ``products`` of the
+        words in the ``(N, L)`` letter array ``letters``, with each word's
+        exact ``log |det|`` and sign from `log_dets`."""
+        return log_eigenvalue_moduli(products, *self.log_dets(letters))
 
     def word_matrix(self, word) -> np.ndarray:
         return words.evaluate(word, self)
@@ -175,9 +192,10 @@ class DominationReport:
     exhaustive: bool
 
 
-def _sphere_record(gens, k, letters, products) -> SphereRecord:
-    n = products.shape[-1]
-    s = gens.log_singular_values(letters, products)
+def _sphere_record(k, sphere) -> SphereRecord:
+    letters = sphere.letters
+    n = sphere.products.shape[-1]
+    s = log_singular_values(sphere.products, sphere.logdet)
     gaps = np.minimum(s[:, k - 1] - s[:, k], s[:, n - k - 1] - s[:, n - k])
     i = words.shortlex_argmin(gaps, letters)
     return SphereRecord(
@@ -230,8 +248,8 @@ def domination_scan(gens: GeneratorSet, k: int, L_max: int,
     refuted_at = None
     violating = None
     try:
-        for letters, products in words.iter_sphere_products(gens, L_max, policy):
-            rec = _sphere_record(gens, k, letters, products)
+        for sphere in words.iter_sphere_products(gens, L_max, policy):
+            rec = _sphere_record(k, sphere)
             spheres.append(rec)
             if rec.gap_min <= gap_tol:
                 refuted_at, violating = rec.length, rec.argmin

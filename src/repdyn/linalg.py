@@ -10,6 +10,11 @@ nonincreasing order so the first entry is the fastest growth direction:
     >>> v = linalg.cartan_projection(np.diag([3.0, 2.0, 1.0]))
     >>> np.round(v.values, 4)
     array([1.0986, 0.6931, 0.    ])
+    >>> w = linalg.jordan_projection(np.array([[2.0, 1.0], [1.0, 1.0]]))
+    >>> np.round(w.values, 4)
+    array([ 0.9624, -0.9624])
+    >>> linalg.jordan_projection(np.array([[0.0, -2.0], [2.0, 0.0]])).values
+    array([0.69314718, 0.69314718])
 
 Subspace extraction (`top_singular_subspace`, `bottom_singular_subspace`)
 refuses to answer when the defining singular value gap is numerically
@@ -22,9 +27,15 @@ the same subspace are).
 `log_singular_values` is the one stacked singular-value kernel that every
 sphere scan reads: the sorted log singular values of an ``(N, n, n)`` stack,
 in closed form for n = 2 (the small one from an exact log-det when the
-caller has one), by stacked one-sided Jacobi for n = 3 and by LAPACK for
-larger n.  A row gets the same bits in a stack as alone, and
-`cartan_projection` is the kernel on a stack of one.
+caller has one), by stacked one-sided Jacobi for n = 3 (a block-diagonal
+matrix deflates to the n = 2 closed form) and by LAPACK for larger n.
+`log_eigenvalue_moduli` is its eigenvalue twin: the sorted log eigenvalue
+moduli, read exactly off an isolated diagonal entry, in closed form for n =
+2 and from the characteristic cubic for n = 3, the smallest real one from
+the exact log-det, and by LAPACK near a multiple eigenvalue and for larger
+n.  In both a row gets the same bits in a stack as alone, and
+`cartan_projection` and `jordan_projection` are the kernels on a stack of
+one.
 
 The singular subspaces and `subspace_distance` run on stacks.
 `singular_frames` decomposes an ``(N, n, n)`` stack in one call, checking
@@ -77,6 +88,10 @@ _JACOBI_SWEEPS = 30
 # hands a matrix to LAPACK when a squared column norm ends below this
 _JACOBI_TOP = 254
 _JACOBI_FLOOR = 2.0**-960
+
+# a 2x2 or 3x3 eigenvalue closed form hands a matrix to LAPACK when the
+# squared relative distance of two of its roots is below this
+_MULTIPLE_ROOT_TOL = 1e-8
 
 _LOG2 = np.log(2.0)
 _TINY = np.finfo(float).tiny
@@ -309,6 +324,66 @@ def _log_sv3(ms):
     return logs
 
 
+def _descending(logs):
+    return -np.sort(-logs, axis=1)
+
+
+# for each index i of a 3x3 matrix flattened row by row: entry (i, i), then
+# the 2x2 block left when row and column i go
+_DEFLATION = np.array([[0, 4, 5, 7, 8], [4, 0, 2, 6, 8], [8, 0, 1, 3, 4]])
+
+
+def _isolated_index(ms, both):
+    """The index ``i`` of each matrix of a ``(B, 3, 3)`` stack whose
+    diagonal entry is nonzero and whose off-diagonal row or column (row
+    and column when ``both``) is exactly zero, the last such index, or -1
+    for a matrix with none."""
+    index = np.full(len(ms), -1)
+    for i, j, k in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
+        row = (ms[:, i, j] == 0.0) & (ms[:, i, k] == 0.0)
+        column = (ms[:, j, i] == 0.0) & (ms[:, k, i] == 0.0)
+        hit = (row & column) if both else (row | column)
+        index[hit & (ms[:, i, i] != 0.0)] = i
+    return index
+
+
+def _deflate(ms, index):
+    """Entry ``(i, i)`` of each matrix of a ``(B, 3, 3)`` stack and the
+    ``(B, 2, 2)`` blocks left when row and column ``i`` go, for the
+    per-matrix indices ``index``."""
+    picked = np.take_along_axis(ms.reshape(len(ms), 9), _DEFLATION[index], axis=1)
+    return picked[:, 0], picked[:, 1:].reshape(-1, 2, 2)
+
+
+def _split_isolated(ms, both):
+    """``(rows, pivots, blocks, dense)``: the rows of a ``(B, 3, 3)`` stack
+    with an isolated index (see `_isolated_index`), their diagonal entries
+    there and their remaining 2x2 blocks, and the mask of the other rows."""
+    index = _isolated_index(ms, both)
+    dense = index < 0
+    rows = np.flatnonzero(~dense)
+    pivots, blocks = _deflate(ms[rows], index[rows])
+    return rows, pivots, blocks, dense
+
+
+def _log_sv3_deflated(ms, logdet):
+    """`_log_sv3`, except that with ``logdet`` a matrix with an index whose
+    off-diagonal row and column are exactly zero reads ``|P_ii|`` and the
+    `_log_sv2` of the rest with ``logdet - log |P_ii|``."""
+    if logdet is None:
+        return _log_sv3(ms)
+    rows, pivots, blocks, dense = _split_isolated(ms, both=True)
+    if not rows.size:
+        return _log_sv3(ms)
+    logs = np.empty((len(ms), 3))
+    logs[rows, 0] = np.log(np.abs(pivots))
+    logs[rows, 1:] = _log_sv2(blocks, logdet[rows] - logs[rows, 0])
+    logs[rows] = _descending(logs[rows])
+    if dense.any():
+        logs[dense] = _log_sv3(ms[dense])
+    return logs
+
+
 def log_singular_values(products, logdet=None):
     """Log singular values of each matrix of an ``(N, n, n)`` stack.
 
@@ -319,11 +394,14 @@ def log_singular_values(products, logdet=None):
       c)) / 2`` of the matrix scaled to unit largest entry, and ``log s2 =
       logdet - log s1``.  ``logdet`` gives each row's ``log |det|``; a word
       product should pass the sum over its letters (see
-      ``GeneratorSet.log_singular_values``), which keeps the small singular
-      value that the float product has lost.  Without it the product's own
-      ``log |ad - bc|`` is used.
-    - n = 3: stacked one-sided Jacobi (``logdet`` is not used), accurate to
-      a few units of roundoff times ``s1``.  Raises
+      ``GeneratorSet.log_dets``), which keeps the small singular value that
+      the float product has lost.  Without it the product's own ``log |ad -
+      bc|`` is used.
+    - n = 3: given ``logdet``, a matrix with an index whose off-diagonal row
+      and column are exactly zero reads ``|P_ii|`` and the n = 2 closed
+      form of the rest with ``logdet - log |P_ii|``.  Every other matrix
+      goes through stacked one-sided Jacobi, accurate to a few units of
+      roundoff times ``s1``, which raises
       :class:`~repdyn.errors.ConvergenceError` if a matrix needs more than
       _JACOBI_SWEEPS sweeps.
     - n >= 4: LAPACK.
@@ -338,14 +416,219 @@ def log_singular_values(products, logdet=None):
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for start in range(0, len(products), KERNEL_BLOCK):
             block = slice(start, start + KERNEL_BLOCK)
+            ms = products[block]
+            ld = None if logdet is None else logdet[block]
             if n == 2:
-                out[block] = _log_sv2(
-                    products[block], None if logdet is None else logdet[block]
-                )
+                out[block] = _log_sv2(ms, ld)
             elif n == 3:
-                out[block] = _log_sv3(products[block])
+                out[block] = _log_sv3_deflated(ms, ld)
             else:
-                out[block] = np.log(np.linalg.svd(products[block], compute_uv=False))
+                out[block] = np.log(np.linalg.svd(ms, compute_uv=False))
+    return out
+
+
+def _quadratic_moduli(t, det, logdet, e):
+    """Log moduli of the roots of ``x^2 - t x + det``, scaled by ``2**e``,
+    where ``logdet`` is ``log (|det| * 4**e)``; and the mask of the rows
+    too near a double root for this closed form.
+
+    Real roots give the larger modulus ``(|t| + sqrt(t^2 - 4 det)) / 2``,
+    which cancels nothing, and the smaller one from ``logdet``; a complex
+    pair gives ``logdet / 2`` to both.  A row is near a double root when
+    its relative discriminant ``|t^2 - 4 det| / max(t^2, 4 |det|)``, the
+    squared relative distance of its roots, is below _MULTIPLE_ROOT_TOL.
+    """
+    disc = t * t - 4.0 * det
+    big = _log_scaled(0.5 * (np.abs(t) + np.sqrt(np.abs(disc))), e)
+    log1 = np.where(disc >= 0.0, big, 0.5 * logdet)
+    near = ~(np.abs(disc) > _MULTIPLE_ROOT_TOL * np.maximum(t * t, 4.0 * np.abs(det)))
+    return np.stack([log1, logdet - log1], axis=1), near
+
+
+def _log_eig2(ms, logdet, sign):
+    """Log eigenvalue moduli of a ``(B, 2, 2)`` stack, in no order, and the
+    mask of the rows left to LAPACK."""
+    m, e = _scale_to_unit(ms)
+    a, b, c, d = m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]
+    if logdet is None:
+        det = a * d - b * c
+        logdet = _log_scaled(np.abs(det), 2 * e)
+    else:
+        det = sign * np.exp(logdet - 2 * e * _LOG2)
+    logs, near = _quadratic_moduli(a + d, det, logdet, e)
+    # a triangular matrix reads its diagonal
+    triangular = (b == 0.0) | (c == 0.0)
+    if triangular.any():
+        diagonal = np.abs(np.stack([a[triangular], d[triangular]], axis=1))
+        logs[triangular] = _log_scaled(diagonal, e[triangular, None])
+        near &= ~triangular
+    return logs, near
+
+
+def _rayleigh_step(m, r):
+    """One two-sided Rayleigh quotient step ``r + y (m - r) x / (y x)`` for
+    a real eigenvalue estimate ``r`` of each matrix of a ``(B, 3, 3)``
+    stack.
+
+    Near a simple eigenvalue ``adj(m - r)`` is close to rank one, the
+    product of its right and left eigenvectors; ``x`` and ``y`` are the
+    column and the row of the adjugate through its largest diagonal entry.
+    """
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = (
+        (m[:, i, 0], m[:, i, 1], m[:, i, 2]) for i in range(3)
+    )
+    a0, b1, c2 = a0 - r, b1 - r, c2 - r
+    adj = (
+        (b1 * c2 - b2 * c1, a2 * c1 - a1 * c2, a1 * b2 - a2 * b1),
+        (b2 * c0 - b0 * c2, a0 * c2 - a2 * c0, a2 * b0 - a0 * b2),
+        (b0 * c1 - b1 * c0, a1 * c0 - a0 * c1, a0 * b1 - a1 * b0),
+    )
+    d0, d1, d2 = (np.abs(adj[i][i]) for i in range(3))
+    first = (d0 >= d1) & (d0 >= d2)
+    second = ~first & (d1 >= d2)
+
+    def pick(v0, v1, v2):
+        return np.where(first, v0, np.where(second, v1, v2))
+
+    x = [pick(*row) for row in adj]
+    y = [pick(*column) for column in zip(*adj)]
+    residual = (
+        y[0] * (a0 * x[0] + a1 * x[1] + a2 * x[2])
+        + y[1] * (b0 * x[0] + b1 * x[1] + b2 * x[2])
+        + y[2] * (c0 * x[0] + c1 * x[1] + c2 * x[2])
+    )
+    return r + residual / (y[0] * x[0] + y[1] * x[1] + y[2] * x[2])
+
+
+def _cubic_moduli(ms, logdet, sign):
+    """Log eigenvalue moduli of a ``(B, 3, 3)`` stack, in no order, and the
+    mask of the rows left to LAPACK.
+
+    The characteristic cubic ``x^3 - c2 x^2 + c1 x - c0`` of the matrix
+    scaled to unit largest entry comes from cofactors, with ``c0`` from
+    ``logdet``.  A real root ``r`` comes from Cardano's formula when the
+    cubic has one, and from the trigonometric form, the one of largest
+    modulus, when it has three; `_rayleigh_step` polishes it on the matrix
+    itself.  The quotient ``x^2 - (c2 - r) x + c0 / r`` goes to
+    `_quadratic_moduli` with ``logdet - log |r|``, so the smallest of three
+    real roots comes from the exact log-det.  A row is also near a multiple
+    root when ``|f'(r)| = |r - x_2| |r - x_3|`` is below _MULTIPLE_ROOT_TOL
+    times ``max(r^2, |c0 / r|)``.
+    """
+    m, e = _scale_to_unit(ms)
+    (a, b, c), (d, f, g), (h, k, l) = (
+        (m[:, i, 0], m[:, i, 1], m[:, i, 2]) for i in range(3)
+    )
+    c2 = a + f + l
+    c1 = (a * f - b * d) + (a * l - c * h) + (f * l - g * k)
+    if logdet is None:
+        c0 = a * (f * l - g * k) - b * (d * l - g * h) + c * (d * k - f * h)
+        logdet = _log_scaled(np.abs(c0), 3 * e)
+    else:
+        c0 = sign * np.exp(logdet - 3 * e * _LOG2)
+    # x = y + s turns the cubic into y^3 + p y + q
+    s = c2 / 3.0
+    p = c1 - c2 * s
+    q = s * (c1 - 2.0 * s * s) - c0
+    half_q, third_p = 0.5 * q, p / 3.0
+    disc = half_q * half_q + third_p * third_p * third_p
+    one = disc > 0.0
+    r = np.empty(len(ms))
+    # one real root: Cardano, with the cube root that cancels nothing
+    u = -np.copysign(np.cbrt(np.abs(half_q[one]) + np.sqrt(disc[one])), q[one])
+    r[one] = u - third_p[one] / u + s[one]
+    # three: the largest and the smallest y sit at the angles theta / 3 and
+    # (theta + 2 pi) / 3, and one of them has the largest |x|
+    three = ~one
+    radius = 2.0 * np.sqrt(np.maximum(-third_p[three], 0.0))
+    theta = np.arccos(np.clip(3.0 * q[three] / (p[three] * radius), -1.0, 1.0))
+    top = radius * np.cos(theta / 3.0) + s[three]
+    bottom = radius * np.cos((theta + 2.0 * np.pi) / 3.0) + s[three]
+    r[three] = np.where(np.abs(top) >= np.abs(bottom), top, bottom)
+    slope = (3.0 * r - 2.0 * c2) * r + c1
+    r = _rayleigh_step(m, r)
+    quotient = c0 / r
+    log_r = _log_scaled(np.abs(r), e)
+    logs, near = _quadratic_moduli(c2 - r, quotient, logdet - log_r, e)
+    near |= ~(np.abs(slope) > _MULTIPLE_ROOT_TOL * np.maximum(r * r, np.abs(quotient)))
+    return np.column_stack([log_r, logs]), near
+
+
+def _log_eig3(ms, logdet, sign):
+    """Log eigenvalue moduli of a ``(B, 3, 3)`` stack, in no order, and the
+    mask of the rows left to LAPACK: an isolated index reads its diagonal
+    entry and deflates the rest to `_log_eig2`, and every other matrix goes
+    to `_cubic_moduli`."""
+    rows, pivots, blocks, dense = _split_isolated(ms, both=False)
+    if not rows.size:
+        return _cubic_moduli(ms, logdet, sign)
+    logs = np.empty((len(ms), 3))
+    lapack = np.zeros(len(ms), dtype=bool)
+    logs[rows, 0] = np.log(np.abs(pivots))
+    block_ld = block_sg = None
+    if logdet is not None:
+        block_ld = logdet[rows] - logs[rows, 0]
+        block_sg = sign[rows] * np.sign(pivots)
+    logs[rows, 1:], lapack[rows] = _log_eig2(blocks, block_ld, block_sg)
+    if dense.any():
+        logs[dense], lapack[dense] = _cubic_moduli(
+            ms[dense],
+            None if logdet is None else logdet[dense],
+            None if sign is None else sign[dense],
+        )
+    return logs, lapack
+
+
+def log_eigenvalue_moduli(products, logdet=None, sign=None):
+    """Log eigenvalue moduli of each matrix of an ``(N, n, n)`` stack.
+
+    Returns an ``(N, n)`` array, largest first, taken KERNEL_BLOCK rows at a
+    time.  Every row has the same bits as when its matrix comes alone.
+    ``logdet`` and ``sign`` give each row's ``log |det|`` and the sign of
+    its determinant; a word product should pass the sums over its letters
+    (see ``GeneratorSet.log_dets``).  Without them the matrix's own
+    determinant is used.
+
+    - An index whose off-diagonal row or column is exactly zero gives the
+      eigenvalue ``P_ii`` exactly, as LAPACK's balancing does, and in n = 3
+      the rest deflates to 2x2 with ``logdet - log |P_ii|``.  A triangular
+      2x2 matrix reads its diagonal.
+    - n = 2: the closed form of the matrix scaled by a power of two: real
+      eigenvalues give ``log |l1|`` from ``(|t| + sqrt(t^2 - 4 det)) / 2``
+      and ``log |l2| = logdet - log |l1|``, and a complex pair reads
+      ``logdet / 2`` for both.
+    - n = 3: the characteristic cubic from cofactors, with its largest real
+      root polished on the matrix, and the rest as in n = 2 (see
+      `_cubic_moduli`).
+    - A matrix near a multiple eigenvalue, and every matrix for n >= 4,
+      goes to LAPACK.
+
+    A zero determinant reads ``-inf``; nothing warns.
+    """
+    products = np.asarray(products, dtype=float)
+    n = products.shape[-1]
+    if (logdet is None) != (sign is None):
+        raise ValueError("logdet and sign go together")
+    if logdet is not None:
+        logdet = np.asarray(logdet, dtype=float)
+        sign = np.asarray(sign, dtype=float)
+    out = np.empty(products.shape[:2])
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for start in range(0, len(products), KERNEL_BLOCK):
+            block = slice(start, start + KERNEL_BLOCK)
+            ms = products[block]
+            ld = sg = None
+            if logdet is not None:
+                ld, sg = logdet[block], sign[block]
+            if n == 2:
+                logs, lapack = _log_eig2(ms, ld, sg)
+            elif n == 3:
+                logs, lapack = _log_eig3(ms, ld, sg)
+            else:
+                logs, lapack = np.empty((len(ms), n)), np.ones(len(ms), dtype=bool)
+            if lapack.any():
+                logs[lapack] = np.log(np.abs(np.linalg.eigvals(ms[lapack])))
+            out[block] = _descending(logs)
     return out
 
 
@@ -444,16 +727,19 @@ def cartan_projection(m) -> SpectralVector:
 
 
 def jordan_projection(m) -> SpectralVector:
-    """Log moduli of the eigenvalues of ``m``, nonincreasing.
+    """Log moduli of the eigenvalues of ``m``, nonincreasing:
+    `log_eigenvalue_moduli` of a stack of one.
 
     Invariant under conjugation, and equals the limit of
-    ``cartan_projection(m^k).values / k``.
+    ``cartan_projection(m^k).values / k``.  Raises
+    :class:`DegenerateInputError` when an eigenvalue modulus underflows to
+    zero.
     """
     m = require_matrix(m)
-    moduli = np.sort(np.abs(np.linalg.eigvals(m)))[::-1]
-    if moduli[-1] <= 0.0:
+    v = log_eigenvalue_moduli(m[None])[0]
+    if not np.isfinite(v[-1]):
         raise DegenerateInputError("eigenvalue modulus underflowed to zero")
-    return SpectralVector(np.log(moduli), "jordan")
+    return SpectralVector(v, "jordan")
 
 
 def _subspace_frames(ms, p, bottom):

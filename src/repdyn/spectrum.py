@@ -30,7 +30,7 @@ import numpy as np
 
 from . import words
 from .errors import NumericOverflowError
-from .linalg import SpectralVector
+from .linalg import SpectralVector, log_eigenvalue_moduli, log_singular_values
 
 # default zero tolerance is this times max(1, sup-norm of the sample)
 DEFAULT_ZERO_TOL_COEFF = 1e-6
@@ -162,17 +162,16 @@ def sample_cone(gens, m_max: int, policy=words.Exhaustive(),
     if m_max < 2:
         raise ValueError("m_max must be at least 2")
 
-    def level(letters, products):
-        m = letters.shape[1]
-        moduli = np.sort(np.abs(np.linalg.eigvals(products)), axis=1)
-        # np.log runs libm on a reversed 1-D view; its 2-D SIMD loop rounds differently
-        jordan = np.log(moduli.ravel()[::-1]).reshape(moduli.shape)[::-1] / m
+    def level(sphere):
+        m = sphere.letters.shape[1]
+        jordan = log_eigenvalue_moduli(sphere.products, sphere.logdet, sphere.sign) / m
         if not np.isfinite(jordan).all():
             raise NumericOverflowError("eigenvalue modulus left float64 range",
                                        prefix_length=m)
-        cartan = gens.log_singular_values(letters, products) / m
+        cartan = log_singular_values(sphere.products, sphere.logdet) / m
         tols = zero_tol_coeff * np.maximum(1.0, np.abs(jordan).max(axis=1))
-        return ConeLevel(letters, jordan, cartan, tols, np.abs(jordan) <= tols[:, None])
+        return ConeLevel(sphere.letters, jordan, cartan, tols,
+                         np.abs(jordan) <= tols[:, None])
 
     levels = words.map_sphere_products(gens, m_max, level, policy, inversion_closed=True)
     if not levels:

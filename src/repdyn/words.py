@@ -15,14 +15,16 @@ all times at once.
 Scan policies select between exhaustive sphere enumeration
 (:class:`Exhaustive`) and seeded random sampling (:class:`Sampled`).
 `iter_sphere_products` is the one sphere engine behind every scan: it yields
-each sphere as stacked letter and product arrays, building an exhaustive
-sphere from the previous one with a single stacked multiply.
+each sphere as stacked letter and product arrays, together with each word's
+exact log-det and determinant sign, building an exhaustive sphere from the
+previous one with a single stacked multiply and a single add.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import total_ordering
+from typing import NamedTuple
 
 import numpy as np
 
@@ -270,22 +272,38 @@ def sampled_words(rank: int, length: int, policy: Sampled, inversion_closed=Fals
     return letters
 
 
+class Sphere(NamedTuple):
+    """One sphere of a scan, one word per row; no array may be mutated.
+
+    ``letters`` is ``(N, L)``, ``products`` the ``(N, n, n)`` stack of the
+    words' images, and ``logdet`` and ``sign`` hold each word's exact
+    ``log |det|`` and determinant sign: its letters' entries of
+    ``gens.log_dets``, added and multiplied left to right.
+    """
+
+    letters: np.ndarray
+    products: np.ndarray
+    logdet: np.ndarray
+    sign: np.ndarray
+
+
 def iter_sphere_products(gens, L_max: int, policy=Exhaustive(),
                          inversion_closed=False):
-    """Yield ``(letters, products)`` for the spheres of length 1 .. L_max.
+    """Yield a :class:`Sphere` for each length 1 .. L_max.
 
-    ``letters`` is an ``(N, L)`` integer array holding one word per row and
-    ``products`` the ``(N, n, n)`` stack of their images; neither may be
-    mutated.  Exhaustive spheres come in shortlex order, each built from the
-    previous one by one stacked multiply with the allowed next letters.
-    Sampled spheres are the `sampled_words` draws in draw order, evaluated
-    with one stacked multiply per letter.  Raises
+    Exhaustive spheres come in shortlex order, each built from the previous
+    one by one stacked multiply with the allowed next letters and one add
+    of their log-dets.  Sampled spheres are the `sampled_words` draws in
+    draw order, evaluated with one stacked multiply and one add per letter.
+    ``gens`` provides ``rank``, ``dim``, ``image`` and ``log_dets`` (see
+    :class:`~repdyn.domination.GeneratorSet`).  Raises
     :class:`NumericOverflowError` at the first sphere holding a product
     outside float64 range, and :class:`EnumerationSizeError` before an
     exhaustive sphere larger than ENUMERATION_CAP.
     """
     letter_set = np.array(alphabet(gens.rank), dtype=_letter_dtype(gens.rank))
     images = np.stack([gens.image(l) for l in letter_set])
+    letter_logdets, letter_signs = gens.log_dets(letter_set[:, None])
     children = _next_positions(gens.rank)
     for L in range(1, L_max + 1):
         # scoped per sphere: the state must not leak to the caller across the yield
@@ -293,16 +311,20 @@ def iter_sphere_products(gens, L_max: int, policy=Exhaustive(),
             if isinstance(policy, Sampled):
                 letters = sampled_words(gens.rank, L, policy, inversion_closed)
                 products = np.eye(gens.dim)  # broadcast against the stack below
+                logdet = np.zeros(len(letters))
+                sign = np.ones(len(letters), dtype=letter_signs.dtype)
                 for i in range(L):
-                    products = _checked(
-                        products @ images[letter_rank(letters[:, i])], i + 1
-                    )
+                    rank = letter_rank(letters[:, i])
+                    products = _checked(products @ images[rank], i + 1)
+                    logdet = logdet + letter_logdets[rank]
+                    sign = sign * letter_signs[rank]
             elif count_sphere(gens.rank, L) > ENUMERATION_CAP:
                 raise EnumerationSizeError(
                     f"sphere of length {L} in rank {gens.rank} exceeds the enumeration cap"
                 )
             elif L == 1:
                 letters, products = letter_set[:, None], _checked(images, 1)
+                logdet, sign = letter_logdets, letter_signs
             else:
                 nxt = children[letter_rank(letters[:, -1])].ravel()
                 fan = children.shape[1]
@@ -310,12 +332,14 @@ def iter_sphere_products(gens, L_max: int, policy=Exhaustive(),
                     [np.repeat(letters, fan, axis=0), letter_set[nxt, None]], axis=1
                 )
                 products = _checked(np.repeat(products, fan, axis=0) @ images[nxt], L)
-        yield letters, products
+                logdet = np.repeat(logdet, fan) + letter_logdets[nxt]
+                sign = np.repeat(sign, fan) * letter_signs[nxt]
+        yield Sphere(letters, products, logdet, sign)
 
 
 def map_sphere_products(gens, L_max: int, stat, policy=Exhaustive(),
                         inversion_closed=False) -> list:
-    """``stat(letters, products)`` of each complete sphere 1 .. L_max, in order.
+    """``stat(sphere)`` of each complete :class:`Sphere` 1 .. L_max, in order.
 
     The list stops before the first sphere whose products, or whose
     statistic, raise :class:`NumericOverflowError`; a list shorter than
@@ -323,10 +347,8 @@ def map_sphere_products(gens, L_max: int, stat, policy=Exhaustive(),
     """
     out = []
     try:
-        for letters, products in iter_sphere_products(
-            gens, L_max, policy, inversion_closed
-        ):
-            out.append(stat(letters, products))
+        for sphere in iter_sphere_products(gens, L_max, policy, inversion_closed):
+            out.append(stat(sphere))
     except NumericOverflowError:
         pass
     return out

@@ -337,6 +337,8 @@ FLOATS = st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS))
 TEXT = st.text(alphabet=' ab,"\r\n;%é', max_size=6)
 CELLS = {
     "float": FLOATS,
+    # a float column with empty gaps, as in the split tables
+    "gapped": st.one_of(FLOATS, st.just("")),
     "int": st.integers(),
     "text": TEXT,
     "mixed": st.one_of(
@@ -394,6 +396,20 @@ class TestWriteCsv:
         path = tmp_path / "t.csv"
         write_csv(path, ["only"], table)
         assert path.read_bytes() == reference_csv(["only"], table)
+
+    @pytest.mark.parametrize("count", [5, 49, CSV_CHUNK_ROWS + 3])
+    def test_float_columns_with_gaps(self, tmp_path, count):
+        # the split tables: a residual column that starts at t = 3 and rate
+        # curves that end at different rows
+        table = [
+            (t, t / 9.0 if 3 <= t < count - 1 else "",
+             *(float(np.sin(t + j)) if t < count - j else "" for j in range(4)))
+            for t in range(count)
+        ]
+        path = tmp_path / "t.csv"
+        header = ["t", "residual", "a", "b", "c", "d"]
+        write_csv(path, header, table)
+        assert path.read_bytes() == reference_csv(header, table)
 
     def test_header_with_special_characters(self, tmp_path):
         header = ["a,b", 'q"', "l\nm", "r\rs", ""]

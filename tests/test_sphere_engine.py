@@ -2,8 +2,9 @@
 
 The reference enumerates words one by one (`enumerate_sphere`, or the rows
 of `sampled_words`), evaluates each with `evaluate`, applies per-matrix numpy
-calls, or the singular-value kernel to a stack of one word with that word's
-log-det, and reduces with Python ``min`` over ``(value, shortlex key)``.  Every
+calls, or the singular-value and eigenvalue-modulus kernels to a stack of
+one word with that word's log-det and sign, and reduces with Python ``min``
+over ``(value, shortlex key)``.  Every
 scan statistic must agree with it bit for bit.  The columnar cone checks are
 held to a per-sample loop over the same levels in the same way.
 """
@@ -67,6 +68,11 @@ def word_log_singular_values(gens, w, p):
     return gens.log_singular_values(np.array([w.letters]), p[None])[0]
 
 
+def word_log_eigenvalue_moduli(gens, w, p):
+    """The kernel's log eigenvalue moduli of the one word ``w`` with image ``p``."""
+    return gens.log_eigenvalue_moduli(np.array([w.letters]), p[None])[0]
+
+
 def shortlex_max(rows):
     """(value, word) with the largest value, ties to the shortlex-first word."""
     return min(rows, key=lambda r: (-r[0], r[1].shortlex_key()))
@@ -106,7 +112,7 @@ def hks_stat(gens, w, p):
 
 
 def eig_one_stat(gens, w, p):
-    return float(np.abs(np.log(np.abs(np.linalg.eigvals(p)))).min())
+    return float(np.abs(word_log_eigenvalue_moduli(gens, w, p)).min())
 
 
 def bounded_stat(gens, w, p):
@@ -115,13 +121,15 @@ def bounded_stat(gens, w, p):
 
 @pytest.mark.parametrize("policy", POLICIES)
 def test_products_match_evaluate(gens, policy):
-    for length, (letters, products) in enumerate(
-        iter_sphere_products(gens, 4, policy), start=1
-    ):
+    for length, sphere in enumerate(iter_sphere_products(gens, 4, policy), start=1):
         rows = reference_rows(gens, length, policy)
-        assert [tuple(w) for w in letters] == [w.letters for w, _ in rows]
-        for product, (_, expected) in zip(products, rows):
+        assert [tuple(w) for w in sphere.letters] == [w.letters for w, _ in rows]
+        for product, (_, expected) in zip(sphere.products, rows):
             assert np.array_equal(product, expected)
+        # the carried log-dets have the bits of a left-to-right walk per word
+        for i, (w, _) in enumerate(rows):
+            logdet, sign = gens.log_dets(np.array([w.letters]))
+            assert sphere.logdet[i] == logdet[0] and sphere.sign[i] == sign[0]
 
 
 @pytest.mark.parametrize("policy", POLICIES)
@@ -170,7 +178,7 @@ def test_cone_samples(request, fixture, policy):
         rows = reference_rows(gens, m, policy, inversion_closed=True)
         assert level.length == m and len(level) == len(rows)
         for r, (w, p) in enumerate(rows):
-            jv = np.log(np.sort(np.abs(np.linalg.eigvals(p)))[::-1]) / m
+            jv = word_log_eigenvalue_moduli(gens, w, p) / m
             cv = word_log_singular_values(gens, w, p) / m
             tol = cone.zero_tol_coeff * max(1.0, float(np.abs(jv).max()))
             assert level.word(r) == w

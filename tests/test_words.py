@@ -212,8 +212,8 @@ class TestEvaluate:
 
     def test_iter_sphere_products_consistent(self, ping_pong):
         spheres = list(iter_sphere_products(ping_pong, 3))
-        assert [len(letters) for letters, _ in spheres] == [4, 12, 36]
-        for length, (letters, products) in enumerate(spheres, start=1):
+        assert [len(sphere.letters) for sphere in spheres] == [4, 12, 36]
+        for length, (letters, products, _, _) in enumerate(spheres, start=1):
             assert [Word(w) for w in letters] == list(enumerate_sphere(2, length))
             for w, product in zip(letters, products):
                 assert np.array_equal(product, evaluate(Word(w), ping_pong))
