@@ -32,7 +32,7 @@ from . import words
 from .domination import GeneratorSet
 from .errors import DegenerateInputError, NumericOverflowError
 from .fitting import fit_line
-from .linalg import log_eigenvalue_moduli, log_singular_values, require_matrix
+from .linalg import log_eigenvalue_moduli, require_matrix
 
 DEFAULT_HKS_THRESHOLD = 1e-8
 DEFAULT_EIGENVALUE_TOL = 1e-9
@@ -221,7 +221,7 @@ def _scan_extremes(gens, L_max, stats, policy):
 
     def extremes(sphere):
         letters = sphere.letters
-        logs = log_singular_values(sphere.products, sphere.logdet)
+        logs = sphere.log_singular_values()
         out = []
         for stat in stats:
             values = stat(sphere, logs)

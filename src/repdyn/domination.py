@@ -118,11 +118,12 @@ class GeneratorSet:
             sign *= self._letter_signs[column]
         return logdet, sign
 
-    def log_singular_values(self, letters, products) -> np.ndarray:
+    def log_singular_values(self, letters, products, inverse=None) -> np.ndarray:
         """`linalg.log_singular_values` of the images ``products`` of the
         words in the ``(N, L)`` letter array ``letters``, with each word's
-        exact ``log |det|`` from `log_dets`."""
-        return log_singular_values(products, self.log_dets(letters)[0])
+        exact ``log |det|`` from `log_dets` and the rows ``inverse`` of the
+        words' inverses, if given."""
+        return log_singular_values(products, self.log_dets(letters)[0], inverse)
 
     def log_eigenvalue_moduli(self, letters, products) -> np.ndarray:
         """`linalg.log_eigenvalue_moduli` of the images ``products`` of the
@@ -195,7 +196,7 @@ class DominationReport:
 def _sphere_record(k, sphere) -> SphereRecord:
     letters = sphere.letters
     n = sphere.products.shape[-1]
-    s = log_singular_values(sphere.products, sphere.logdet)
+    s = sphere.log_singular_values()
     gaps = np.minimum(s[:, k - 1] - s[:, k], s[:, n - k - 1] - s[:, n - k])
     i = words.shortlex_argmin(gaps, letters)
     return SphereRecord(

@@ -2,7 +2,8 @@
 
 Everything raised on purpose derives from :class:`RepdynError` so callers can
 catch numerical-analysis failures without masking programming errors
-(``ValueError``/``TypeError`` still signal misuse of an API).
+(``ValueError``/``TypeError`` still signal misuse of an API).  The command
+line exits 64 for the input errors and 70 for the rest and for LAPACK's.
 """
 
 from __future__ import annotations
@@ -51,10 +52,6 @@ class NumericOverflowError(RepdynError):
     def __init__(self, message, prefix_length):
         super().__init__(message)
         self.prefix_length = prefix_length
-
-
-class ConvergenceError(RepdynError):
-    """An iterative decomposition did not converge within its sweep bound."""
 
 
 class WindowBoundsError(RepdynError):

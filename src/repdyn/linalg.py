@@ -27,15 +27,16 @@ the same subspace are).
 `log_singular_values` is the one stacked singular-value kernel that every
 sphere scan reads: the sorted log singular values of an ``(N, n, n)`` stack,
 in closed form for n = 2 (the small one from an exact log-det when the
-caller has one), by stacked one-sided Jacobi for n = 3 (a block-diagonal
-matrix deflates to the n = 2 closed form) and by LAPACK for larger n.
+caller has one), for n = 3 from top singular values only (``s3(w) = 1 /
+s1(w^-1)`` read off the inverse word's row, ``s2`` from the exact log-det)
+and by LAPACK for a row with no inverse row and for larger n.
 `log_eigenvalue_moduli` is its eigenvalue twin: the sorted log eigenvalue
 moduli, read exactly off an isolated diagonal entry, in closed form for n =
 2 and from the characteristic cubic for n = 3, the smallest real one from
 the exact log-det, and by LAPACK near a multiple eigenvalue and for larger
-n.  In both a row gets the same bits in a stack as alone, and
-`cartan_projection` and `jordan_projection` are the kernels on a stack of
-one.
+n.  In both a row gets the same bits in a stack as alone (with its inverse
+row), and `cartan_projection` and `jordan_projection` are the kernels on a
+stack of one.
 
 The singular subspaces and `subspace_distance` run on stacks.
 `singular_frames` decomposes an ``(N, n, n)`` stack in one call, checking
@@ -53,14 +54,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .errors import (
-    ConditionWarning,
-    ConvergenceError,
-    DegenerateGapError,
-    DegenerateInputError,
-)
+from .errors import ConditionWarning, DegenerateGapError, DegenerateInputError
 
 MIN_DIM = 2
 MAX_DIM = 16
@@ -79,15 +74,9 @@ _SORT_TOL = 1e-9
 # rows `log_singular_values` takes at a time, which bounds its temporaries
 KERNEL_BLOCK = 8192
 
-# the 3x3 Jacobi kernel rotates two columns whose cosine exceeds this, and
-# gives up after this many sweeps; a few sweeps reach the tolerance
-_JACOBI_TOL = 4.0 * np.finfo(float).eps
-_JACOBI_SWEEPS = 30
-# it scales each matrix to a largest entry just below 2**_JACOBI_TOP, where
-# a Gram entry is at most 3 * 2**508 and the square of one stays finite, and
-# hands a matrix to LAPACK when a squared column norm ends below this
-_JACOBI_TOP = 254
-_JACOBI_FLOOR = 2.0**-960
+# the n = 3 closed form hands a matrix to LAPACK when 1 + r is below this,
+# r = -1 marking a double largest singular value (see `_log_top3`)
+_DOUBLE_TOP_TOL = 1e-4
 
 # a 2x2 or 3x3 eigenvalue closed form hands a matrix to LAPACK when the
 # squared relative distance of two of its roots is below this
@@ -251,77 +240,100 @@ def _log_sv2(ms, logdet):
     return np.stack([log1, logdet - log1], axis=1)
 
 
-def _log_sv3(ms):
-    """Log singular values of a ``(B, 3, 3)`` stack by one-sided (Hestenes)
-    Jacobi: rotate pairs of columns until every pair is orthogonal to within
-    _JACOBI_TOL, then read the singular values as the column norms.
+def _log_top3(ms):
+    """``(log s1, near)`` of a ``(B, 3, 3)`` stack, ``near`` masking the
+    rows whose top two singular values are too close for this closed form.
 
-    The matrices are scaled to a largest entry near 2**_JACOBI_TOP, so that
-    no squared column norm, Gram entry or product of two of them leaves
-    float64 while the smallest singular value stays above about 1e-221 of
-    the largest entry.  A matrix whose final squared column norms go below
-    _JACOBI_FLOOR is taken by LAPACK instead.  A row whose cosine is already
-    small takes the rotation ``t = 0``, which keeps its bits, and a row that
-    rotated nowhere in a sweep is done; so every row sees the same
-    arithmetic in a stack as alone.
+    ``s1**2`` is the largest eigenvalue of the Gram matrix ``G`` of the
+    matrix scaled to unit largest entry: with ``q`` the mean of the
+    eigenvalues, ``p`` their root mean square distance from it and ``r =
+    det((G - q I) / p) / 2``, ``q + 2 p cos(arccos(r) / 3)``, or ``q`` when
+    ``p = 0``.  Rounding ``r`` costs about ``eps / sqrt(1 + r)`` relative to
+    ``s1``, large where the top two meet at ``r = -1``."""
+    m, e = _scale_to_unit(ms)
+    # x[i] holds entry i of every matrix, flattened row by row
+    x = np.ascontiguousarray(m.reshape(len(ms), 9).T)
+
+    def gram(j, k):
+        return x[j] * x[k] + x[3 + j] * x[3 + k] + x[6 + j] * x[6 + k]
+
+    g00, g11, g22 = gram(0, 0), gram(1, 1), gram(2, 2)
+    g01, g02, g12 = gram(0, 1), gram(0, 2), gram(1, 2)
+    q = (g00 + g11 + g22) / 3.0
+    d0, d1, d2 = g00 - q, g11 - q, g22 - q
+    p = np.sqrt((d0 * d0 + d1 * d1 + d2 * d2
+                 + 2.0 * (g01 * g01 + g02 * g02 + g12 * g12)) / 6.0)
+    unit = np.where(p > 0.0, p, 1.0)
+    d0, d1, d2, b01, b02, b12 = (v / unit for v in (d0, d1, d2, g01, g02, g12))
+    r = 0.5 * (d0 * (d1 * d2 - b12 * b12) - b01 * (b01 * d2 - b12 * b02)
+               + b02 * (b01 * b12 - d1 * b02))
+    r = np.clip(r, -1.0, 1.0)
+    top = q + 2.0 * p * np.cos(np.arccos(r) / 3.0)
+    return _log_scaled(np.sqrt(top), e), ~(1.0 + r >= _DOUBLE_TOP_TOL)
+
+
+def _log_sv3(products, logdet, inverse):
+    """Log singular values of an ``(N, 3, 3)`` stack of word products and
+    the mask of the rows with no inverse row (-1), left to LAPACK.
+
+    ``log s1`` is `_log_top3`, or LAPACK's near a double top singular
+    value, ``log s3 = -log s1[inverse]``, and ``log s2 = logdet - log s1 -
+    log s3`` clamped between them; so a row and its inverse row mirror each
+    other exactly in s1 and s3."""
+    top = np.empty(len(products))
+    near = np.empty(len(products), dtype=bool)
+    for start in range(0, len(products), KERNEL_BLOCK):
+        block = slice(start, start + KERNEL_BLOCK)
+        top[block], near[block] = _log_top3(products[block])
+    if near.any():
+        top[near] = np.log(np.linalg.svd(products[near], compute_uv=False)[:, 0])
+    partner = -top[inverse]
+    # s1 >= s3 whatever the rounding, and alike for a row and its inverse row
+    log1, log3 = np.maximum(top, partner), np.minimum(partner, top)
+    log2 = np.minimum(np.maximum(logdet - log1 - log3, log3), log1)
+    return np.stack([log1, log2, log3], axis=1), inverse < 0
+
+
+def log_singular_values(products, logdet=None, inverse=None):
+    """Log singular values of each matrix of an ``(N, n, n)`` stack.
+
+    Returns an ``(N, n)`` array, largest first.  ``logdet`` gives each
+    row's ``log |det|``: a word product should pass the sum over its letters
+    (``GeneratorSet.log_dets``), which keeps the small singular values the
+    float product has lost.  ``inverse`` gives the row of each row's
+    inverse word, -1 for none (``words.Sphere.inverse``).
+
+    - n = 2: ``s1 = (hypot(a + d, b - c) + hypot(a - d, b + c)) / 2`` of
+      the matrix scaled to unit largest entry and ``log s2 = logdet - log
+      s1``, without ``logdet`` from the product's own ``ad - bc``.
+    - n = 3, given ``logdet`` and an inverse row: ``s3(w) = 1 / s1(w^-1)``,
+      and each top singular value is accurate to rounding relative to
+      itself; ``s2`` comes from ``logdet`` (see `_log_sv3`).
+    - Every other row, n >= 4 included: LAPACK.
+
+    A row has the same bits as alone with its inverse row, in any order
+    and KERNEL_BLOCK rows at a time.  A zero singular value reads ``-inf``;
+    nothing warns.
     """
-    m, e = _scale_to_unit(ms, _JACOBI_TOP)
-    # cols[j, i] holds entry (i, j) of every matrix
-    cols = np.ascontiguousarray(m.transpose(2, 1, 0))
-    live, work = np.arange(len(ms)), cols
-    rotated = np.ones(len(ms), dtype=bool)
-    for _ in range(_JACOBI_SWEEPS):
-        # drop the finished rows once they are the majority; a finished row
-        # left in takes t = 0 and keeps its bits
-        if 2 * np.count_nonzero(rotated) < len(live):
-            if work is not cols:
-                cols[:, :, live] = work
-            live, work = live[rotated], work[:, :, rotated]
-        rotated = np.zeros(len(live), dtype=bool)
-        for p, q in ((0, 1), (0, 2), (1, 2)):
-            x, y = work[p], work[q]
-            alpha = x[0] * x[0] + x[1] * x[1] + x[2] * x[2]
-            beta = y[0] * y[0] + y[1] * y[1] + y[2] * y[2]
-            gamma = x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
-            turn = np.abs(gamma) > _JACOBI_TOL * np.sqrt(alpha) * np.sqrt(beta)
-            if not turn.any():
-                continue
-            rotated |= turn
-            # the smaller root of t^2 + 2 zeta t - 1 = 0; once zeta^2
-            # overflows that root is 1 / (2 zeta) to the last bit
-            zeta = (beta - alpha) / (2.0 * gamma)
-            root = np.sqrt(1.0 + zeta * zeta)
-            t = np.where(turn, 1.0 / (zeta + np.copysign(root, zeta)), 0.0)
-            huge = turn & (root == np.inf)
-            if huge.any():
-                t[huge] = 0.5 / zeta[huge]
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = c * t
-            # x, y <- c x - s y, s x + c y in place
-            sx = s * x
-            x *= c
-            x -= s * y
-            y *= c
-            y += sx
-        if not rotated.any():
-            break
-    if work is not cols:
-        cols[:, :, live] = work
-    x = cols.transpose(1, 0, 2)
-    squares = x[0] * x[0] + x[1] * x[1] + x[2] * x[2]
-    lapack = squares.min(axis=0) < _JACOBI_FLOOR
-    stuck = np.count_nonzero(~lapack[live[rotated]])
-    if stuck:
-        raise ConvergenceError(
-            f"3x3 Jacobi SVD left {stuck} of {len(ms)} matrices unconverged"
-            f" after {_JACOBI_SWEEPS} sweeps"
-        )
-    # the log of the (3, B) array, before the transpose: numpy's log rounds
-    # a strided view differently
-    logs = -np.sort(-_log_scaled(np.sqrt(squares), e).T, axis=1)
-    if lapack.any():
-        logs[lapack] = np.log(np.linalg.svd(ms[lapack], compute_uv=False))
-    return logs
+    products = np.asarray(products, dtype=float)
+    n = products.shape[-1]
+    if logdet is not None:
+        logdet = np.asarray(logdet, dtype=float)
+    out = np.empty(products.shape[:2])
+    lapack = np.full(len(products), n > 2)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if n == 3 and logdet is not None and inverse is not None:
+            out, lapack = _log_sv3(products, logdet, np.asarray(inverse))
+        for start in range(0, len(products), KERNEL_BLOCK):
+            block = slice(start, start + KERNEL_BLOCK)
+            rows = lapack[block]
+            if n == 2:
+                out[block] = _log_sv2(products[block],
+                                      None if logdet is None else logdet[block])
+            elif rows.any():
+                s = np.linalg.svd(products[block][rows], compute_uv=False)
+                out[block][rows] = np.log(s)
+    return out
 
 
 def _descending(logs):
@@ -333,17 +345,15 @@ def _descending(logs):
 _DEFLATION = np.array([[0, 4, 5, 7, 8], [4, 0, 2, 6, 8], [8, 0, 1, 3, 4]])
 
 
-def _isolated_index(ms, both):
+def _isolated_index(ms):
     """The index ``i`` of each matrix of a ``(B, 3, 3)`` stack whose
-    diagonal entry is nonzero and whose off-diagonal row or column (row
-    and column when ``both``) is exactly zero, the last such index, or -1
-    for a matrix with none."""
+    diagonal entry is nonzero and whose off-diagonal row or column is
+    exactly zero, the last such index, or -1 for a matrix with none."""
     index = np.full(len(ms), -1)
     for i, j, k in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
         row = (ms[:, i, j] == 0.0) & (ms[:, i, k] == 0.0)
         column = (ms[:, j, i] == 0.0) & (ms[:, k, i] == 0.0)
-        hit = (row & column) if both else (row | column)
-        index[hit & (ms[:, i, i] != 0.0)] = i
+        index[(row | column) & (ms[:, i, i] != 0.0)] = i
     return index
 
 
@@ -355,76 +365,15 @@ def _deflate(ms, index):
     return picked[:, 0], picked[:, 1:].reshape(-1, 2, 2)
 
 
-def _split_isolated(ms, both):
+def _split_isolated(ms):
     """``(rows, pivots, blocks, dense)``: the rows of a ``(B, 3, 3)`` stack
     with an isolated index (see `_isolated_index`), their diagonal entries
     there and their remaining 2x2 blocks, and the mask of the other rows."""
-    index = _isolated_index(ms, both)
+    index = _isolated_index(ms)
     dense = index < 0
     rows = np.flatnonzero(~dense)
     pivots, blocks = _deflate(ms[rows], index[rows])
     return rows, pivots, blocks, dense
-
-
-def _log_sv3_deflated(ms, logdet):
-    """`_log_sv3`, except that with ``logdet`` a matrix with an index whose
-    off-diagonal row and column are exactly zero reads ``|P_ii|`` and the
-    `_log_sv2` of the rest with ``logdet - log |P_ii|``."""
-    if logdet is None:
-        return _log_sv3(ms)
-    rows, pivots, blocks, dense = _split_isolated(ms, both=True)
-    if not rows.size:
-        return _log_sv3(ms)
-    logs = np.empty((len(ms), 3))
-    logs[rows, 0] = np.log(np.abs(pivots))
-    logs[rows, 1:] = _log_sv2(blocks, logdet[rows] - logs[rows, 0])
-    logs[rows] = _descending(logs[rows])
-    if dense.any():
-        logs[dense] = _log_sv3(ms[dense])
-    return logs
-
-
-def log_singular_values(products, logdet=None):
-    """Log singular values of each matrix of an ``(N, n, n)`` stack.
-
-    Returns an ``(N, n)`` array, largest first, taken KERNEL_BLOCK rows at a
-    time.  Every row has the same bits as when its matrix comes alone.
-
-    - n = 2: the closed form ``s1 = (hypot(a + d, b - c) + hypot(a - d, b +
-      c)) / 2`` of the matrix scaled to unit largest entry, and ``log s2 =
-      logdet - log s1``.  ``logdet`` gives each row's ``log |det|``; a word
-      product should pass the sum over its letters (see
-      ``GeneratorSet.log_dets``), which keeps the small singular value that
-      the float product has lost.  Without it the product's own ``log |ad -
-      bc|`` is used.
-    - n = 3: given ``logdet``, a matrix with an index whose off-diagonal row
-      and column are exactly zero reads ``|P_ii|`` and the n = 2 closed
-      form of the rest with ``logdet - log |P_ii|``.  Every other matrix
-      goes through stacked one-sided Jacobi, accurate to a few units of
-      roundoff times ``s1``, which raises
-      :class:`~repdyn.errors.ConvergenceError` if a matrix needs more than
-      _JACOBI_SWEEPS sweeps.
-    - n >= 4: LAPACK.
-
-    A zero singular value reads ``-inf``; nothing warns.
-    """
-    products = np.asarray(products, dtype=float)
-    n = products.shape[-1]
-    if logdet is not None:
-        logdet = np.asarray(logdet, dtype=float)
-    out = np.empty(products.shape[:2])
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for start in range(0, len(products), KERNEL_BLOCK):
-            block = slice(start, start + KERNEL_BLOCK)
-            ms = products[block]
-            ld = None if logdet is None else logdet[block]
-            if n == 2:
-                out[block] = _log_sv2(ms, ld)
-            elif n == 3:
-                out[block] = _log_sv3_deflated(ms, ld)
-            else:
-                out[block] = np.log(np.linalg.svd(ms, compute_uv=False))
-    return out
 
 
 def _quadratic_moduli(t, det, logdet, e):
@@ -559,7 +508,7 @@ def _log_eig3(ms, logdet, sign):
     mask of the rows left to LAPACK: an isolated index reads its diagonal
     entry and deflates the rest to `_log_eig2`, and every other matrix goes
     to `_cubic_moduli`."""
-    rows, pivots, blocks, dense = _split_isolated(ms, both=False)
+    rows, pivots, blocks, dense = _split_isolated(ms)
     if not rows.size:
         return _cubic_moduli(ms, logdet, sign)
     logs = np.empty((len(ms), 3))
@@ -710,7 +659,8 @@ class Subspace:
 
 def cartan_projection(m) -> SpectralVector:
     """Log singular values of ``m``, nonincreasing: `log_singular_values`
-    of a stack of one.
+    of a stack of one, which has no log-det and no inverse row, so n >= 3
+    is LAPACK.
 
     Raises :class:`DegenerateInputError` when they span more than float64
     allows and emits :class:`ConditionWarning` when the condition number
@@ -810,6 +760,9 @@ def principal_angle(u: Subspace, w: Subspace) -> float:
         raise ValueError(
             "dimensions force an intersection; smallest angle would always be 0"
         )
+    # imported here: scipy.linalg is slow to import and only this needs it
+    import scipy.linalg
+
     return float(scipy.linalg.subspace_angles(u.basis, w.basis).min())
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import words
 from .errors import NumericOverflowError
-from .linalg import SpectralVector, log_eigenvalue_moduli, log_singular_values
+from .linalg import SpectralVector, log_eigenvalue_moduli
 
 # default zero tolerance is this times max(1, sup-norm of the sample)
 DEFAULT_ZERO_TOL_COEFF = 1e-6
@@ -75,8 +75,9 @@ class ConeLevel:
     """The normalized spectral samples of all length-m words, one row each.
 
     ``letters`` is ``(N, m)``, ``jordan`` and ``cartan`` are ``(N, n)``,
-    ``zero_tol`` is ``(N,)`` and ``zero`` is the ``(N, n)`` mask
-    ``|jordan| <= zero_tol``.  The arrays are read-only.
+    ``zero_tol`` is ``(N,)``, ``zero`` is the ``(N, n)`` mask ``|jordan| <=
+    zero_tol`` and ``inverse`` the ``(N,)`` row of each word's inverse, -1
+    where the level lacks it.  The arrays are read-only.
     """
 
     letters: np.ndarray
@@ -84,9 +85,10 @@ class ConeLevel:
     cartan: np.ndarray
     zero_tol: np.ndarray
     zero: np.ndarray
+    inverse: np.ndarray
 
     def __post_init__(self):
-        for field in ("letters", "jordan", "cartan", "zero_tol", "zero"):
+        for field in ("letters", "jordan", "cartan", "zero_tol", "zero", "inverse"):
             getattr(self, field).flags.writeable = False
 
     @property
@@ -168,10 +170,10 @@ def sample_cone(gens, m_max: int, policy=words.Exhaustive(),
         if not np.isfinite(jordan).all():
             raise NumericOverflowError("eigenvalue modulus left float64 range",
                                        prefix_length=m)
-        cartan = log_singular_values(sphere.products, sphere.logdet) / m
+        cartan = sphere.log_singular_values() / m
         tols = zero_tol_coeff * np.maximum(1.0, np.abs(jordan).max(axis=1))
         return ConeLevel(sphere.letters, jordan, cartan, tols,
-                         np.abs(jordan) <= tols[:, None])
+                         np.abs(jordan) <= tols[:, None], sphere.inverse)
 
     levels = words.map_sphere_products(gens, m_max, level, policy, inversion_closed=True)
     if not levels:
@@ -313,28 +315,20 @@ class InvolutionReport:
     tol: float
 
 
-def _row_keys(letters):
-    """One hashable bytes key per row of a letter array."""
-    letters = np.ascontiguousarray(letters)
-    raw, width = letters.tobytes(), letters.itemsize * letters.shape[1]
-    return [raw[i : i + width] for i in range(0, len(raw), width)]
-
-
 def involution_symmetry_check(cone: ConeEstimate,
                               tol=_INVOLUTION_TOL) -> InvolutionReport:
     """Check each sample against its inverse word's sample.
 
     The sample of ``w^-1`` must equal the negated reversal of the sample of
-    ``w`` (both Jordan and Cartan parts).  Unpaired words are reported as
-    mismatches too; exhaustive and inversion-closed sampled sweeps pair
-    completely by construction.
+    ``w`` (both Jordan and Cartan parts); each level pairs its rows through
+    ``ConeLevel.inverse``.  Unpaired words are reported as mismatches too;
+    exhaustive and inversion-closed sampled sweeps pair completely by
+    construction.
     """
     mismatches = []
     worst = 0.0
     for m, level in sorted(cone.levels.items()):
-        row_of = {key: r for r, key in enumerate(_row_keys(level.letters))}
-        inverses = _row_keys(-level.letters[:, ::-1])
-        partner = np.array([row_of.get(key, -1) for key in inverses], dtype=np.intp)
+        partner = level.inverse
         paired = partner >= 0
         jordan = np.abs(-level.jordan[:, ::-1] - level.jordan[partner]).max(axis=1)
         cartan = np.abs(-level.cartan[:, ::-1] - level.cartan[partner]).max(axis=1)

@@ -17,18 +17,20 @@ Scan policies select between exhaustive sphere enumeration
 `iter_sphere_products` is the one sphere engine behind every scan: it yields
 each sphere as stacked letter and product arrays, together with each word's
 exact log-det and determinant sign, building an exhaustive sphere from the
-previous one with a single stacked multiply and a single add.
+previous one with a single stacked multiply and a single add.  A sphere
+finds the row of each word's inverse on first use (`Sphere.inverse`), which
+the n = 3 singular-value kernel and the cone's involution check read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import total_ordering
-from typing import NamedTuple
+from functools import cached_property, total_ordering
 
 import numpy as np
 
 from .errors import EnumerationSizeError, NumericOverflowError, WindowBoundsError
+from .linalg import log_singular_values
 
 # exhaustive enumeration refuses spheres larger than this
 ENUMERATION_CAP = 2**63
@@ -251,7 +253,9 @@ def sampled_words(rank: int, length: int, policy: Sampled, inversion_closed=Fals
     `random_word` on the same generator would draw: one array draw takes
     the same random integers in the same order.  With ``inversion_closed``
     each word is followed by its inverse and repeated rows are dropped,
-    keeping the first of each.
+    keeping the first of each.  A word repeats exactly when its inverse
+    does, so the pairs are kept or dropped together: row ``2i + 1`` is the
+    inverse of row ``2i``.
     """
     rng = np.random.default_rng([policy.seed, length])
     size = 2 * rank
@@ -272,19 +276,58 @@ def sampled_words(rank: int, length: int, policy: Sampled, inversion_closed=Fals
     return letters
 
 
-class Sphere(NamedTuple):
+def shortlex_rank(letters, rank: int) -> np.ndarray:
+    """Row of each word of an ``(N, L)`` letter array in the shortlex
+    ordered exhaustive sphere.  Digit j counts the letters allowed before
+    letter j, and weighs ``(2 rank - 1)**(L - 1 - j)``."""
+    positions = letter_rank(np.asarray(letters))
+    digits = positions.astype(np.int64)
+    digits[:, 1:] -= positions[:, 1:] > (positions[:, :-1] ^ 1)
+    weights = (2 * rank - 1) ** np.arange(positions.shape[1] - 1, -1, -1, dtype=np.int64)
+    return digits @ weights
+
+
+@dataclass(frozen=True, eq=False)
+class Sphere:
     """One sphere of a scan, one word per row; no array may be mutated.
 
     ``letters`` is ``(N, L)``, ``products`` the ``(N, n, n)`` stack of the
     words' images, and ``logdet`` and ``sign`` hold each word's exact
     ``log |det|`` and determinant sign: its letters' entries of
-    ``gens.log_dets``, added and multiplied left to right.
+    ``gens.log_dets``, added and multiplied left to right.  ``rank`` is the
+    free group's rank; ``exhaustive`` marks a whole sphere in shortlex
+    order and ``inversion_closed`` a sampled draw closed under inversion.
     """
 
     letters: np.ndarray
     products: np.ndarray
     logdet: np.ndarray
     sign: np.ndarray
+    rank: int
+    exhaustive: bool
+    inversion_closed: bool = False
+
+    @cached_property
+    def inverse(self):
+        """The ``(N,)`` row of each word's inverse, computed on first use:
+        the `shortlex_rank` of the reversed, negated letters, the next row
+        over in an inversion-closed draw (`sampled_words`), else None."""
+        if self.exhaustive:
+            rows = shortlex_rank(-self.letters[:, ::-1], self.rank)
+        elif self.inversion_closed:
+            rows = np.arange(len(self.letters)) ^ 1
+        else:
+            return None
+        rows.flags.writeable = False
+        return rows
+
+    def log_singular_values(self) -> np.ndarray:
+        """`linalg.log_singular_values` of the products with the exact
+        log-dets, and with the inverse rows for n = 3, the one size that
+        reads them."""
+        n = self.products.shape[-1]
+        return log_singular_values(self.products, self.logdet,
+                                   self.inverse if n == 3 else None)
 
 
 def iter_sphere_products(gens, L_max: int, policy=Exhaustive(),
@@ -334,7 +377,8 @@ def iter_sphere_products(gens, L_max: int, policy=Exhaustive(),
                 products = _checked(np.repeat(products, fan, axis=0) @ images[nxt], L)
                 logdet = np.repeat(logdet, fan) + letter_logdets[nxt]
                 sign = np.repeat(sign, fan) * letter_signs[nxt]
-        yield Sphere(letters, products, logdet, sign)
+        yield Sphere(letters, products, logdet, sign, gens.rank,
+                     not isinstance(policy, Sampled), inversion_closed)
 
 
 def map_sphere_products(gens, L_max: int, stat, policy=Exhaustive(),

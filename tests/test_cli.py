@@ -631,13 +631,21 @@ class TestAffineExtremes:
 
 
 class TestImportCost:
-    def test_cli_import_leaves_scipy_spatial_out(self):
+    @staticmethod
+    def imported_after_cli(module):
         src = Path(repdyn.__file__).resolve().parents[1]
-        code = "import sys, repdyn.cli; print('scipy.spatial' in sys.modules)"
+        code = f"import sys, repdyn.cli; print({module!r} in sys.modules)"
         env = dict(os.environ, PYTHONPATH=str(src))
         run = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
-        assert run.stdout.strip() == "False"
+        return run.stdout.strip()
+
+    def test_cli_import_leaves_scipy_spatial_out(self):
+        assert self.imported_after_cli("scipy.spatial") == "False"
+
+    def test_cli_import_leaves_scipy_linalg_out(self):
+        # only linalg.principal_angle needs it, and imports it when called
+        assert self.imported_after_cli("scipy.linalg") == "False"
 
 
 class TestReportValidation:

@@ -19,7 +19,7 @@ from scipy.linalg import expm
 from repdyn import linalg, spectrum
 from repdyn.domination import GeneratorSet
 from repdyn.errors import DegenerateInputError
-from repdyn.words import evaluate, iter_sphere_products
+from repdyn.words import Word, evaluate, iter_sphere_products
 
 from conftest import (
     form_preserving_matrix,
@@ -280,20 +280,21 @@ def test_jordan_projection_is_the_kernel_on_one_matrix():
 
 
 def test_block_diagonal_singular_values_read_the_exact_log_det():
-    # padded (ab)^12: the trivial block's singular value 1 exactly, and the
-    # 2x2 block in closed form with the word's log-det
+    # padded (ab)^12 next to its inverse word: the smallest singular value
+    # from the inverse row, and the trivial block's 1 from the word's log-det
     gens = GeneratorSet(padded(ping_pong_matrices()))
-    letters = (1, 2) * 12
-    product = evaluate(letters, gens)
-    got = gens.log_singular_values(np.array([letters]), product[None])[0]
+    word = Word((1, 2) * 12)
+    letters = np.array([word.letters, word.inverse().letters])
+    products = np.stack([evaluate(w, gens) for w in letters])
+    got = gens.log_singular_values(letters, products, [1, 0])[0]
     with mpmath.workdps(50):
-        s = mpmath.svd_r(exact_product(gens, letters), compute_uv=False)
+        s = mpmath.svd_r(exact_product(gens, word.letters), compute_uv=False)
     exact = np.array(sorted((float(mpmath.log(x)) for x in s), reverse=True))
-    assert got[1] == 0.0
+    assert abs(got[1]) <= 1e-13
     assert np.abs(got - exact).max() <= 1e-13
-    # without a log-det the float product goes through Jacobi
-    jacobi = linalg.log_singular_values(product[None])[0]
-    assert abs(jacobi[2] - exact[2]) > 1.0
+    # without its inverse row the float product goes through LAPACK
+    lapack = gens.log_singular_values(letters[:1], products[:1])[0]
+    assert abs(lapack[2] - exact[2]) > 1.0
 
 
 @st.composite

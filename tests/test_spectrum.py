@@ -169,10 +169,11 @@ class TestInvolutionSymmetry:
         cone = sample_cone(ping_pong_padded, m_max=2)
         level = cone.levels[2]
         keep = np.arange(1, len(level))
+        inverse = level.inverse[keep] - 1  # the dropped word's inverse reads -1
         levels = dict(cone.levels)
         levels[2] = ConeLevel(
             level.letters[keep], level.jordan[keep], level.cartan[keep],
-            level.zero_tol[keep], level.zero[keep],
+            level.zero_tol[keep], level.zero[keep], inverse,
         )
         rep = involution_symmetry_check(dataclasses.replace(cone, levels=levels))
         assert not rep.passed

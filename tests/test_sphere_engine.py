@@ -4,8 +4,11 @@ The reference enumerates words one by one (`enumerate_sphere`, or the rows
 of `sampled_words`), evaluates each with `evaluate`, applies per-matrix numpy
 calls, or the singular-value and eigenvalue-modulus kernels to a stack of
 one word with that word's log-det and sign, and reduces with Python ``min``
-over ``(value, shortlex key)``.  Every
-scan statistic must agree with it bit for bit.  The columnar cone checks are
+over ``(value, shortlex key)``.  Where the sphere holds each word's inverse
+(exhaustive or inversion-closed), the singular-value kernel gets the word
+next to its inverse word, evaluated on its own, so for n = 3 its smallest
+singular value comes from that.  Every scan statistic must agree with it
+bit for bit.  The columnar cone checks are
 held to a per-sample loop over the same levels in the same way.
 """
 
@@ -63,9 +66,15 @@ def reference_rows(gens, length, policy, inversion_closed=False):
     return [(w, evaluate(w, gens)) for w in drawn]
 
 
-def word_log_singular_values(gens, w, p):
-    """The kernel's log singular values of the one word ``w`` with image ``p``."""
-    return gens.log_singular_values(np.array([w.letters]), p[None])[0]
+def word_log_singular_values(gens, w, p, paired):
+    """The kernel's log singular values of the one word ``w`` with image
+    ``p``, next to its inverse word when the sphere holds it (``paired``)."""
+    if not paired:
+        return gens.log_singular_values(np.array([w.letters]), p[None])[0]
+    inv = w.inverse()
+    letters = np.array([w.letters, inv.letters])
+    products = np.stack([p, evaluate(inv, gens)])
+    return gens.log_singular_values(letters, products, [1, 0])[0]
 
 
 def word_log_eigenvalue_moduli(gens, w, p):
@@ -81,8 +90,9 @@ def shortlex_max(rows):
 def reference_record(gens, k, length, policy):
     n = gens.dim
     rows = []
+    paired = isinstance(policy, Exhaustive)
     for w, p in reference_rows(gens, length, policy):
-        s = word_log_singular_values(gens, w, p)
+        s = word_log_singular_values(gens, w, p, paired)
         rows.append((min(s[k - 1] - s[k], s[n - k - 1] - s[n - k]), s[k - 1], s[n - k], w))
     best = min(rows, key=lambda r: (r[0], r[3].shortlex_key()))
     return SphereRecord(
@@ -98,25 +108,27 @@ def reference_record(gens, k, length, policy):
 
 def reference_extremes(gens, L_max, policy, stat):
     out = []
+    paired = isinstance(policy, Exhaustive)
     for length in range(1, L_max + 1):
-        rows = [(stat(gens, w, p), w) for w, p in reference_rows(gens, length, policy)]
+        rows = [(stat(gens, w, p, paired), w)
+                for w, p in reference_rows(gens, length, policy)]
         value, word = shortlex_max(rows)
         out.append((length, len(rows), value, word))
     return out
 
 
-def hks_stat(gens, w, p):
-    smax = np.exp(word_log_singular_values(gens, w, p)[0])
+def hks_stat(gens, w, p, paired):
+    smax = np.exp(word_log_singular_values(gens, w, p, paired)[0])
     n = p.shape[0]
     return float(np.abs(np.linalg.det(p - np.eye(n))) / (1.0 + smax) ** n)
 
 
-def eig_one_stat(gens, w, p):
+def eig_one_stat(gens, w, p, paired):
     return float(np.abs(word_log_eigenvalue_moduli(gens, w, p)).min())
 
 
-def bounded_stat(gens, w, p):
-    return float(np.abs(word_log_singular_values(gens, w, p)).min())
+def bounded_stat(gens, w, p, paired):
+    return float(np.abs(word_log_singular_values(gens, w, p, paired)).min())
 
 
 @pytest.mark.parametrize("policy", POLICIES)
@@ -179,7 +191,7 @@ def test_cone_samples(request, fixture, policy):
         assert level.length == m and len(level) == len(rows)
         for r, (w, p) in enumerate(rows):
             jv = word_log_eigenvalue_moduli(gens, w, p) / m
-            cv = word_log_singular_values(gens, w, p) / m
+            cv = word_log_singular_values(gens, w, p, paired=True) / m
             tol = cone.zero_tol_coeff * max(1.0, float(np.abs(jv).max()))
             assert level.word(r) == w
             assert np.array_equal(level.jordan[r], jv)
@@ -234,6 +246,13 @@ def reference_involution(cone, tol):
     return worst, mismatches
 
 
+def drop_first_row(level):
+    """``level`` without its first word; the inverse rows move up one, and
+    the dropped word's inverse is left with none (-1)."""
+    return ConeLevel(level.letters[1:], level.jordan[1:], level.cartan[1:],
+                     level.zero_tol[1:], level.zero[1:], level.inverse[1:] - 1)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 8])
 def test_row_norms_match_per_row_norm(n):
     rows = np.random.default_rng(n).standard_normal((2000, n))
@@ -270,11 +289,8 @@ def test_containment_matches_per_sample_reference(cone_gens, policy):
 def test_involution_matches_per_sample_reference(cone_gens, policy):
     cone = sample_cone(cone_gens, 4, policy)
     # drop one word of the last level so its inverse is left unpaired
-    last = cone.levels[4]
-    keep = np.arange(1, len(last))
     clipped = dict(cone.levels)
-    clipped[4] = ConeLevel(last.letters[keep], last.jordan[keep], last.cartan[keep],
-                           last.zero_tol[keep], last.zero[keep])
+    clipped[4] = drop_first_row(cone.levels[4])
     for c in (cone, dataclasses.replace(cone, levels=clipped)):
         for tol in (1e-8, 1e-14, 0.0):
             rep = involution_symmetry_check(c, tol)

@@ -24,6 +24,7 @@ from repdyn.words import (
     letter_rank,
     random_word,
     sampled_words,
+    shortlex_rank,
     tree_distance,
 )
 from repdyn.words import _window_distances
@@ -185,6 +186,51 @@ class TestSphere:
                     assert [tuple(r) for r in got.tolist()] == reference(length, policy)
 
 
+def rank_gens(rank):
+    """``rank`` invertible 2x2 generators; the inverse rows read only letters."""
+    return GeneratorSet([np.array([[1.0, float(i)], [0.0, 1.0]]) + np.eye(2) * i
+                         for i in range(1, rank + 1)])
+
+
+def assert_inverse_rows(sphere):
+    letters, inverse = sphere.letters, sphere.inverse
+    n = len(letters)
+    assert inverse.shape == (n,) and not inverse.flags.writeable
+    assert np.array_equal(letters[inverse], -letters[:, ::-1])
+    assert np.array_equal(inverse[inverse], np.arange(n))
+    assert (inverse != np.arange(n)).all()
+
+
+class TestInverseRows:
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_exhaustive(self, rank):
+        for length, sphere in enumerate(iter_sphere_products(rank_gens(rank), 5),
+                                        start=1):
+            assert np.array_equal(shortlex_rank(sphere.letters, rank),
+                                  np.arange(count_sphere(rank, length)))
+            assert_inverse_rows(sphere)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_inversion_closed_draws(self, rank):
+        duplicates = mutual = 0
+        for count, seed in ((1, 0), (7, 3), (40, 5), (300, 11)):
+            policy = Sampled(count=count, seed=seed)
+            spheres = iter_sphere_products(rank_gens(rank), 4, policy,
+                                           inversion_closed=True)
+            for length, sphere in enumerate(spheres, start=1):
+                assert_inverse_rows(sphere)
+                assert np.array_equal(sphere.inverse, np.arange(len(sphere.letters)) ^ 1)
+                drawn = {tuple(w) for w in sampled_words(rank, length, policy).tolist()}
+                duplicates += len(drawn) < count
+                mutual += any(tuple(-l for l in reversed(w)) in drawn for w in drawn)
+        # the draws did hold repeated words and words next to their inverses
+        assert duplicates and mutual
+
+    def test_open_draw_has_none(self):
+        spheres = iter_sphere_products(rank_gens(2), 3, Sampled(count=5, seed=0))
+        assert all(sphere.inverse is None for sphere in spheres)
+
+
 class TestEvaluate:
     def test_matches_direct_product(self, ping_pong):
         w = Word([1, 2, -1])
@@ -213,9 +259,9 @@ class TestEvaluate:
     def test_iter_sphere_products_consistent(self, ping_pong):
         spheres = list(iter_sphere_products(ping_pong, 3))
         assert [len(sphere.letters) for sphere in spheres] == [4, 12, 36]
-        for length, (letters, products, _, _) in enumerate(spheres, start=1):
-            assert [Word(w) for w in letters] == list(enumerate_sphere(2, length))
-            for w, product in zip(letters, products):
+        for length, sphere in enumerate(spheres, start=1):
+            assert [Word(w) for w in sphere.letters] == list(enumerate_sphere(2, length))
+            for w, product in zip(sphere.letters, sphere.products):
                 assert np.array_equal(product, evaluate(Word(w), ping_pong))
 
 
