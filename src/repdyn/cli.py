@@ -287,15 +287,45 @@ def _format_cell(cell) -> str:
     return str(cell)
 
 
+def format_floats(values) -> np.ndarray:
+    """``'%.17g' % v`` of each float of a 1-D array, as an object array.
+
+    Each distinct value is formatted once.  Values are told apart by their
+    bits, so ``-0.0`` and ``0.0`` stay apart, and the strings are gathered
+    back through the inverse index of `np.unique`.
+    """
+    bits, where = np.unique(np.ascontiguousarray(values, dtype=float).view(np.int64),
+                            return_inverse=True)
+    text = np.array(["%.17g" % v for v in bits.view(float).tolist()], dtype=object)
+    return text[where]
+
+
 def _chunk_text(chunk, width):
-    """The rows of ``chunk`` formatted by one ``%`` call per run of rows
-    whose cells have the same types, or None when csv quoting could touch
-    one of their cells."""
+    """The rows of ``chunk`` as CSV text, or None when csv quoting could
+    touch one of their cells.
+
+    A chunk of string cells is joined as it stands; any other is formatted
+    by one ``%`` call per run of rows whose cells have the same types."""
+    try:
+        text = "\n".join(map(",".join, chunk)) + "\n"
+    except TypeError:  # a cell that is not a string
+        return _typed_chunk_text(chunk, width)
+    # a separator in a cell shows as one comma or LF more than the rows
+    # account for, and a one-column row holding "" is written as '""'
+    plain = ('"' not in text and "\r" not in text
+             and text.count(",") == (width - 1) * len(chunk)
+             and text.count("\n") == len(chunk)
+             and not (width == 1 and any(row[0] == "" for row in chunk)))
+    return text if plain else None
+
+
+def _typed_chunk_text(chunk, width):
+    """`_chunk_text` of a chunk holding cells other than strings."""
     columns = list(zip(*chunk))
     kinds = [set(map(type, column)) for column in columns]
     if any(len(kind) > 1 for kind in kinds):
         # a column of floats with "" gaps, say: each run has one type per column
-        parts = [_chunk_text(list(rows), width)
+        parts = [_typed_chunk_text(list(rows), width)
                  for _, rows in groupby(chunk, key=lambda row: tuple(map(type, row)))]
         return None if None in parts else "".join(parts)
     specs = []
@@ -318,16 +348,20 @@ def _chunk_text(chunk, width):
 def write_csv(path, header, rows):
     """Write a CSV with LF endings, a header row and 17-significant-digit floats.
 
-    Rows are read ``CSV_CHUNK_ROWS`` at a time, and each run of rows whose
-    cells have the same types is formatted by one ``%`` call: a column of
-    Python floats as ``%.17g``, a column of Python ints as ``%d`` and any
-    other column a cell at a time by `_format_cell`.  A chunk whose columns
-    each hold one type is one run; a column of floats with ``""`` gaps
-    splits its chunk into runs.  A chunk holding a string that csv quoting
-    could touch (one with ``,``, ``"``, CR or LF, or the empty string of a
-    one-column row) is written by ``csv.writer`` instead, and so is the
-    header, so quoting follows the running interpreter's csv module.  Every
-    row must be as wide as the header; a ragged row raises ``ValueError``.
+    Rows are read ``CSV_CHUNK_ROWS`` at a time.  A chunk whose cells are
+    all strings, already formatted as `_cone_rows` yields them, is joined
+    with ``,`` and LF as it stands and checked once: no ``"`` and no CR in
+    the text, one comma fewer than the width per row and one LF per row.
+    In any other chunk each run of rows whose cells have the same types is
+    formatted by one ``%`` call: a column of Python floats as ``%.17g``, a
+    column of Python ints as ``%d`` and any other column a cell at a time
+    by `_format_cell`.  A chunk whose columns each hold one type is one
+    run; a column of floats with ``""`` gaps splits its chunk into runs.
+    A chunk holding a string that csv quoting could touch (one with ``,``,
+    ``"``, CR or LF, or the empty string of a one-column row) is written by
+    ``csv.writer`` instead, and so is the header, so quoting follows the
+    running interpreter's csv module.  Every row must be as wide as the
+    header; a ragged row raises ``ValueError``.
     """
     width = len(header)
     rows = iter(rows)
@@ -514,20 +548,38 @@ def cmd_dominate(args) -> int:
 
 
 def _cone_rows(gens, cone):
-    """CSV rows of every cone sample, as raw values for `write_csv`."""
+    """CSV rows of every cone sample, as tuples of formatted strings.
+
+    Each level is built a column at a time: the Jordan columns by
+    `format_floats`, the zero-index column gathered from one name per
+    distinct mask, and the word names.  An exhaustive level lists its words
+    in shortlex order, so the parent of row i is row ``i // (2 rank - 1)``
+    of the level before, and its name is the parent's plus one letter; a
+    sampled level joins each word's letter names.
+    """
     letter_names = np.empty(2 * gens.rank + 1, dtype=object)
+    spaced = letter_names.copy()
     for l in words.alphabet(gens.rank):
         letter_names[l] = gens.word_name((l,))  # a negative letter indexes from the end
+        spaced[l] = " " + letter_names[l]
+    fan = 2 * gens.rank - 1
+    names = None
     for m, level in sorted(cone.levels.items()):
         # a bool is one byte, so a void view makes each mask row one sortable key
         keys = np.ascontiguousarray(level.zero).view(f"V{cone.n}").ravel()
         _, first, mask_of_row = np.unique(keys, return_index=True, return_inverse=True)
-        zero_names = [
+        zero_names = np.array([
             ";".join(str(i + 1) for i in np.flatnonzero(level.zero[r])) for r in first
-        ]
-        names = [" ".join(w) for w in letter_names[level.letters].tolist()]
-        zeros = [zero_names[i] for i in mask_of_row.ravel().tolist()]
-        yield from zip([m] * len(level), *level.jordan.T.tolist(), zeros, names)
+        ], dtype=object)
+        if cone.exhaustive and names is not None:
+            names = (names[np.arange(len(level)) // fan]
+                     + spaced[level.letters[:, -1]])
+        else:
+            names = np.array([" ".join(w) for w in letter_names[level.letters].tolist()],
+                             dtype=object)
+        columns = [format_floats(column).tolist() for column in level.jordan.T]
+        zeros = zero_names[mask_of_row.ravel()].tolist()
+        yield from zip([str(m)] * len(level), *columns, zeros, names.tolist())
 
 
 def cmd_spectrum(args) -> int:

@@ -277,9 +277,10 @@ def _log_sv3(products, logdet, inverse):
     the mask of the rows with no inverse row (-1), left to LAPACK.
 
     ``log s1`` is `_log_top3`, or LAPACK's near a double top singular
-    value, ``log s3 = -log s1[inverse]``, and ``log s2 = logdet - log s1 -
-    log s3`` clamped between them; so a row and its inverse row mirror each
-    other exactly in s1 and s3."""
+    value, ``log s3 = -log s1[inverse]``, and ``log s2 = (logdet -
+    logdet[inverse]) / 2 - (log s1 + log s3)`` clamped between them; so a
+    row and its inverse row mirror each other exactly in all three, and a
+    statistic that ties across the pair in exact arithmetic ties in float."""
     top = np.empty(len(products))
     near = np.empty(len(products), dtype=bool)
     for start in range(0, len(products), KERNEL_BLOCK):
@@ -290,7 +291,10 @@ def _log_sv3(products, logdet, inverse):
     partner = -top[inverse]
     # s1 >= s3 whatever the rounding, and alike for a row and its inverse row
     log1, log3 = np.maximum(top, partner), np.minimum(partner, top)
-    log2 = np.minimum(np.maximum(logdet - log1 - log3, log3), log1)
+    # the two log-dets add the same letters in opposite orders, and the
+    # half difference is antisymmetric across the pair to the bit
+    log2 = (logdet - logdet[inverse]) / 2 - (log1 + log3)
+    log2 = np.minimum(np.maximum(log2, log3), log1)
     return np.stack([log1, log2, log3], axis=1), inverse < 0
 
 

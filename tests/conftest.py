@@ -3,6 +3,7 @@ and the per-vertex flow metric reference."""
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from scipy.linalg import expm
 
 from repdyn.affine import AffineGeneratorSet, AffineMap
@@ -10,6 +11,10 @@ from repdyn.domination import GeneratorSet
 from repdyn.words import tree_distance
 
 LOG2 = np.log(2.0)
+
+# `--hypothesis-profile=ci` draws the same examples on every run and prints
+# the blob that replays a failure, so a CI failure reproduces locally
+settings.register_profile("ci", derandomize=True, deadline=None, print_blob=True)
 
 
 def rotation2(theta: float) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, report files, and determinism."""
 
 import csv
+import dataclasses
 import importlib.util
 import io
 import json
@@ -22,6 +23,7 @@ from repdyn.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_OK,
     EXIT_USAGE,
+    format_floats,
     format_number,
     main,
     validate_report,
@@ -370,6 +372,13 @@ class TestWriteCsv:
     @example((["h", "x"], [("a,b", -0.0)]))
     @example((["h"], [("",)]))
     @example((["h"], [(True,), (np.int64(3),), (np.float32(0.1),)]))
+    # chunks of string cells take the joined path, unless quoting is due
+    @example((["h", "x"], [("a", "b"), ("c", "")]))
+    @example((["h", "x"], [("a", "b,c")]))
+    @example((["h", "x"], [("x\ny", "z")]))
+    @example((["h", "x"], [('q"', "r")]))
+    @example((["h", "x"], [("a\rb", "c")]))
+    @example((["h"], [("x",), ("",)]))
     def test_bytes_match_reference(self, tmp_path_factory, case):
         header, table = case
         path = tmp_path_factory.mktemp("csv") / "t.csv"
@@ -425,6 +434,29 @@ class TestWriteCsv:
             write_csv(tmp_path / "t.csv", ["a", "b"], table)
 
 
+def nan_with_payload(payload):
+    return float(np.array([0x7FF8000000000000 | payload], dtype=np.int64).view(float)[0])
+
+
+# two NaN payloads, both zeros, the infinities, subnormals and the range ends
+FLOAT_POOL = st.lists(
+    st.one_of(FLOATS, st.sampled_from([nan_with_payload(1), -nan_with_payload(2)])),
+    min_size=1, max_size=8)
+
+
+class TestFormatFloats:
+    @settings(max_examples=300, deadline=None)
+    @given(FLOAT_POOL.flatmap(lambda pool: st.lists(st.sampled_from(pool), max_size=40)))
+    @example([])
+    @example([-0.0, 0.0, -0.0, 0.0])
+    @example([float("nan"), nan_with_payload(1), -nan_with_payload(2), float("nan")])
+    @example([float("inf"), float("-inf"), 5e-324, -5e-324, 1e-310, 1e308, -1e308] * 3)
+    def test_each_value_reads_as_percent_17g(self, values):
+        got = format_floats(np.array(values, dtype=float))
+        assert got.dtype == object
+        assert got.tolist() == ["%.17g" % v for v in values]
+
+
 HOSTILE_NAMES = ["a,b", 'q"', "l\nm"]
 
 
@@ -468,6 +500,46 @@ class TestSpectrumCsv:
         }
         assert len(masks) > 1
         text = (out / "spectrum_cone_samples.csv").read_bytes()
+        assert text == self.cone_reference(gens, cone)
+
+    @pytest.mark.parametrize("mats, policy", [
+        # an inversion-closed draw: its rows are not in shortlex order
+        (list(partial_hyperbolic_matrices()), ["--policy", "sampled", "--samples", "7"]),
+        # rank 3, five children per word
+        (hostile_generators(), []),
+        # rank 1, one child per word
+        ([np.diag([2.0, 1.0, 0.5])], []),
+    ], ids=["sampled", "rank-3", "rank-1"])
+    def test_policies_and_ranks_match_per_sample_formatting(self, mats, policy, tmp_path):
+        names = [f"g{i}" for i in range(len(mats))]
+        doc = {"n": 3, "generators": [
+            {"name": name, "rows": rows(m)} for name, m in zip(names, mats)
+        ]}
+        out = tmp_path / "out"
+        main(["spectrum", "--input", write_doc(tmp_path / "g.json", doc),
+              "--m-max", "4", "--seed", "5", "--out-dir", str(out), *policy])
+        gens = GeneratorSet(mats, names=names)
+        cone = spectrum.sample_cone(
+            gens, 4, words.Sampled(7, 5) if policy else words.Exhaustive())
+        assert cone.exhaustive != bool(policy)
+        text = (out / "spectrum_cone_samples.csv").read_bytes()
+        assert text == self.cone_reference(gens, cone)
+
+    def test_signed_zeros_stay_apart(self, padded_doc, tmp_path, monkeypatch):
+        # no fixture's Jordan projection reads -0.0, so plant some next to 0.0
+        gens = GeneratorSet([np.pad(m, (0, 1)) + np.diag([0.0, 0.0, 1.0])
+                             for m in ping_pong_matrices()], names=["a", "b"])
+        cone = spectrum.sample_cone(gens, 3)
+        level = cone.levels[2]
+        jordan = level.jordan.copy()
+        jordan[::2, 1] = -0.0
+        jordan[1::2, 1] = 0.0
+        cone.levels[2] = dataclasses.replace(level, jordan=jordan)
+        monkeypatch.setattr(spectrum, "sample_cone", lambda *args, **kwargs: cone)
+        out = tmp_path / "out"
+        main(["spectrum", "--input", padded_doc, "--m-max", "3", "--out-dir", str(out)])
+        text = (out / "spectrum_cone_samples.csv").read_bytes()
+        assert b",-0," in text and b",0," in text
         assert text == self.cone_reference(gens, cone)
 
     @pytest.mark.parametrize("command", ["spectrum", "dominate", "affine"])

@@ -169,6 +169,18 @@ def test_dense_spheres_match_mpmath():
         assert np.abs(lapack - got[rows]).max() > 1e-7
 
 
+def test_dense_pairs_mirror_and_tie_to_the_shortlex_first_word():
+    # a word and its inverse have mirrored spectra, so dominate's k-gap ties
+    # across the pair in exact arithmetic; the float kernel must tie too, or
+    # the shortlex tie-break never acts and the argmin word follows rounding
+    gens = GeneratorSet(dense_pair())
+    for sphere in iter_sphere_products(gens, 10):
+        got = sphere.log_singular_values()
+        assert np.array_equal(got, -got[sphere.inverse, ::-1])
+    for rec in domination_scan(gens, k=1, L_max=10).spheres:
+        assert rec.argmin <= rec.argmin.inverse(), rec.length
+
+
 def test_sl2_identity_on_every_sphere(ping_pong):
     rep = domination_scan(ping_pong, k=1, L_max=13)
     assert rep.L_used == 13
