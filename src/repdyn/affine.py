@@ -111,8 +111,9 @@ class AffineGeneratorSet:
             if not isinstance(f, AffineMap):
                 raise TypeError(f"generator {i + 1} is not an AffineMap")
         self._maps = tuple(maps)
-        self._inverses = tuple(f.inverse() for f in maps)
+        # refuses a singular linear part before it is inverted
         self._linear = GeneratorSet([f.linear for f in maps], names)
+        self._inverses = tuple(f.inverse() for f in maps)
         self._spot_check_homomorphism()
 
     def _spot_check_homomorphism(self):

@@ -135,6 +135,8 @@ def parse_generator_doc(doc, path=""):
         name = entry.get("name")
         if not isinstance(name, str) or not name:
             raise InputFileError(f"{where}.name: expected a nonempty string")
+        if name in names:
+            raise InputFileError(f"{where}.name: {name!r} names an earlier generator")
         names.append(name)
         matrices.append(_matrix(entry.get("rows"), n, f"{where}.rows"))
     translations = None
@@ -378,11 +380,49 @@ def write_csv(path, header, rows):
                 fh.write(text)
 
 
-def _jsonable(value):
+# The summary keys of each report type, in the style of a namedtuple's
+# field names.  An entry ``key=field`` writes the field under another name;
+# fields not listed stay out of the summaries.
+_SUMMARY_KEYS = {
+    domination.DominationReport: "verdict k n L_max L_used truncated A_hat C_hat A_ci"
+        " A_lower C_lower top_slope bottom_slope L0 refuted_at violating_word gap_tol"
+        " spheres",
+    domination.SphereRecord: "L=length count gap_min gap_mean logak_min lognk1_max"
+        " argmin_word=argmin",
+    spectrum.ConeEstimate: "m_max m_used truncated hull_affine_dim hausdorff",
+    spectrum.ContainmentReport: "passed reason k window C_hat n_samples n_zero n_empty",
+    spectrum.InvolutionReport: "passed max_deviation tol",
+    affine.HksReport: "passed threshold max_normalized worst_word worst_length"
+        " first_fail_length truncated",
+    affine.EigenvalueOneReport: "passed criterion tol worst_deviation worst_word"
+        " worst_length truncated",
+    affine.BoundedSingularReport: "passed criterion C_hat slope slope_ci truncated",
+    flowbundle.SplittingEstimate: "k residual independence",
+    flowbundle.RateReport: "a_plus A_plus a_minus A_minus aprime_plus_zero"
+        " Aprime_plus_zero aprime_zero_minus Aprime_zero_minus",
+}
+
+
+def _summary_keys(cls) -> tuple:
+    return tuple(entry.partition("=")[0] for entry in _SUMMARY_KEYS[cls].split())
+
+
+def _fields(report) -> dict:
+    """The summary keys of a report object, each with its field's value."""
+    pairs = (entry.partition("=")[::2] for entry in _SUMMARY_KEYS[type(report)].split())
+    return {key: getattr(report, field or key) for key, field in pairs}
+
+
+def _jsonable(value, gens):
+    """``value`` as plain JSON data: a report object as the dict of its summary
+    keys, a word as its name under ``gens`` and its letters, a non-finite
+    float as None."""
+    if type(value) in _SUMMARY_KEYS:
+        value = _fields(value)
     if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
+        return {str(k): _jsonable(v, gens) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+        return [_jsonable(v, gens) for v in value]
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
     if isinstance(value, (int, np.integer)):
@@ -391,26 +431,21 @@ def _jsonable(value):
         value = float(value)
         return value if np.isfinite(value) else None
     if isinstance(value, np.ndarray):
-        return _jsonable(value.tolist())
+        return _jsonable(value.tolist(), gens)
     if isinstance(value, words.Word):
-        return list(value.letters)
+        return {"name": gens.word_name(value), "letters": list(value.letters)}
     return value
 
 
-def _word_entry(gens, word):
-    if word is None:
-        return None
-    return {"name": gens.word_name(word), "letters": list(word.letters)}
-
-
-def write_summary(out_dir, command, config, results, csv_files):
-    """Write the JSON summary, then re-read and revalidate it."""
+def write_summary(out_dir, command, config, results, csv_files, gens=None):
+    """Write the JSON summary, then re-read and revalidate it.  ``results``
+    goes through `_jsonable`, which names its words under ``gens``."""
     report = {
         "command": command,
         "version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "config": _jsonable(config),
-        "results": _jsonable(results),
+        "config": _jsonable(config, None),
+        "results": _jsonable(results, gens),
         "csv_files": [os.path.basename(p) for p in csv_files],
     }
     path = os.path.join(out_dir, f"{command}_summary.json")
@@ -424,15 +459,11 @@ def write_summary(out_dir, command, config, results, csv_files):
     return path
 
 
+# every top-level key of each command's results
 _REQUIRED_RESULT_KEYS = {
-    "dominate": (
-        "verdict", "k", "n", "L_max", "L_used", "truncated", "A_hat", "C_hat",
-        "A_lower", "C_lower", "refuted_at", "violating_word", "spheres",
-    ),
-    "spectrum": (
-        "m_max", "m_used", "truncated", "hull_affine_dim", "hausdorff",
-        "containment", "involution",
-    ),
+    "dominate": _summary_keys(domination.DominationReport),
+    "spectrum": (*_summary_keys(spectrum.ConeEstimate), "hull_vertex_count",
+                 "containment", "involution"),
     "split": ("window", "k", "lines", "any_degenerate"),
     "affine": ("hks", "eigenvalue_norm_one", "bounded_singular", "overall_pass"),
     "flowmetric": ("window", "count", "pairs"),
@@ -504,41 +535,10 @@ def cmd_dominate(args) -> int:
             for r in rep.spheres
         ],
     )
-    results = {
-        "verdict": rep.verdict,
-        "k": rep.k,
-        "n": rep.n,
-        "L_max": rep.L_max,
-        "L_used": rep.L_used,
-        "truncated": rep.truncated,
-        "A_hat": rep.A_hat,
-        "C_hat": rep.C_hat,
-        "A_ci": rep.A_ci,
-        "A_lower": rep.A_lower,
-        "C_lower": rep.C_lower,
-        "top_slope": rep.top_slope,
-        "bottom_slope": rep.bottom_slope,
-        "L0": rep.L0,
-        "refuted_at": rep.refuted_at,
-        "violating_word": _word_entry(gens, rep.violating_word),
-        "gap_tol": rep.gap_tol,
-        "spheres": [
-            {
-                "L": r.length,
-                "count": r.count,
-                "gap_min": r.gap_min,
-                "gap_mean": r.gap_mean,
-                "logak_min": r.logak_min,
-                "lognk1_max": r.lognk1_max,
-                "argmin_word": _word_entry(gens, r.argmin),
-            }
-            for r in rep.spheres
-        ],
-    }
     write_summary(
         args.out_dir, "dominate",
         _config(args, k=args.k, max_length=args.max_length),
-        results, [csv_path],
+        rep, [csv_path], gens,
     )
     if rep.verdict in ("dominated", "partially-hyperbolic"):
         return EXIT_OK
@@ -601,37 +601,19 @@ def cmd_spectrum(args) -> int:
     write_csv(hull_path, coord_names, cone.hull_vertices.tolist())
 
     results = {
-        "m_max": cone.m_max,
-        "m_used": cone.m_used,
-        "truncated": cone.truncated,
-        "hull_affine_dim": cone.hull_affine_dim,
-        "hull_vertex_count": int(cone.hull_vertices.shape[0]),
-        "hausdorff": cone.hausdorff,
+        **_fields(cone),
+        "hull_vertex_count": cone.hull_vertices.shape[0],
         "containment": {
-            "passed": contain.passed,
-            "reason": contain.reason,
-            "k": contain.k,
-            "window": list(contain.window),
-            "C_hat": contain.C_hat,
-            "n_samples": contain.n_samples,
-            "n_zero": contain.n_zero,
-            "n_empty": contain.n_empty,
-            "violations": [
-                {"m": m, "word": _word_entry(gens, w), "zero_indices": list(idx)}
-                for m, w, idx in contain.violations[:50]
-            ],
+            **_fields(contain),
+            "violations": [{"m": m, "word": w, "zero_indices": idx}
+                           for m, w, idx in contain.violations[:50]],
         },
-        "involution": {
-            "passed": invol.passed,
-            "max_deviation": invol.max_deviation,
-            "tol": invol.tol,
-            "mismatch_count": len(invol.mismatches),
-        },
+        "involution": {**_fields(invol), "mismatch_count": len(invol.mismatches)},
     }
     write_summary(
         args.out_dir, "spectrum",
         _config(args, k=args.k, m_max=args.m_max, tol=args.tol),
-        results, [samples_path, hull_path],
+        results, [samples_path, hull_path], gens,
     )
     return EXIT_OK if (contain.passed and invol.passed) else EXIT_FAIL
 
@@ -729,24 +711,13 @@ def cmd_split(args) -> int:
             continue
         split, rates, residual = outcome
         entry.update(
-            k=split.k,
-            residual=split.residual,
-            independence=split.independence,
+            _fields(split),
             bases={
                 "expanding": split.v_plus.basis,
                 "neutral": split.v_zero.basis,
                 "contracting": split.v_minus.basis,
             },
-            rates={
-                "a_plus": rates.a_plus,
-                "A_plus": rates.A_plus,
-                "a_minus": rates.a_minus,
-                "A_minus": rates.A_minus,
-                "aprime_plus_zero": rates.aprime_plus_zero,
-                "Aprime_plus_zero": rates.Aprime_plus_zero,
-                "aprime_zero_minus": rates.aprime_zero_minus,
-                "Aprime_zero_minus": rates.Aprime_zero_minus,
-            },
+            rates=rates,
         )
 
         tt = min(traj.t_forward, traj.t_backward)
@@ -790,39 +761,12 @@ def cmd_affine(args) -> int:
         [(r.length, r.value, gens.word_name(r.word)) for r in hks.spheres],
     )
     overall = hks.passed and (eig.passed or bounded.passed)
-    results = {
-        "overall_pass": overall,
-        "hks": {
-            "passed": hks.passed,
-            "threshold": hks.threshold,
-            "max_normalized": hks.max_normalized,
-            "worst_word": _word_entry(gens, hks.worst_word),
-            "worst_length": hks.worst_length,
-            "first_fail_length": hks.first_fail_length,
-            "truncated": hks.truncated,
-        },
-        "eigenvalue_norm_one": {
-            "passed": eig.passed,
-            "criterion": eig.criterion,
-            "tol": eig.tol,
-            "worst_deviation": eig.worst_deviation,
-            "worst_word": _word_entry(gens, eig.worst_word),
-            "worst_length": eig.worst_length,
-            "truncated": eig.truncated,
-        },
-        "bounded_singular": {
-            "passed": bounded.passed,
-            "criterion": bounded.criterion,
-            "C_hat": bounded.C_hat,
-            "slope": bounded.slope,
-            "slope_ci": bounded.slope_ci,
-            "truncated": bounded.truncated,
-        },
-    }
+    results = {"overall_pass": overall, "hks": hks, "eigenvalue_norm_one": eig,
+               "bounded_singular": bounded}
     write_summary(
         args.out_dir, "affine",
         _config(args, max_length=args.max_length, tol=args.tol),
-        results, [csv_path],
+        results, [csv_path], gens,
     )
     return EXIT_OK if overall else EXIT_FAIL
 
@@ -900,7 +844,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--samples", type=_int_at_least(1), default=DEFAULT_SAMPLES,
         help="words per sphere under the sampled policy",
     )
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED,
+    common.add_argument("--seed", type=_int_at_least(0), default=DEFAULT_SEED,
                         help="seed for sampled scans")
     common.add_argument(
         "--threads", type=int, default=1,
@@ -948,6 +892,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _make_out_dir(path):
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as e:  # a file in the way, or a path under one
+        raise InputFileError(
+            f"cannot create output directory {path}: {e.strerror or e}") from e
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -955,15 +907,10 @@ def main(argv=None) -> int:
         # argparse exits 2 after printing a usage error and 0 after --help
         return EXIT_USAGE if e.code else EXIT_OK
     try:
-        os.makedirs(args.out_dir, exist_ok=True)
+        _make_out_dir(args.out_dir)
         return args.handler(args)
-    except InputFileError as e:
-        print(f"repdyn: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (WindowBoundsError, EnumerationSizeError, DegenerateInputError) as e:
-        print(f"repdyn: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as e:
+    except (InputFileError, WindowBoundsError, EnumerationSizeError,
+            DegenerateInputError, ValueError) as e:
         print(f"repdyn: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (RepdynError, np.linalg.LinAlgError) as e:

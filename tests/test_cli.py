@@ -142,6 +142,24 @@ class TestInputHandling:
         assert rc == EXIT_USAGE
         assert "boolean" in capsys.readouterr().err
 
+    def test_duplicate_name_reports_path(self, tmp_path, capsys):
+        doc = {"n": 2, "generators": [{"name": "a", "rows": [[2, 0], [0, 1]]},
+                                      {"name": "a", "rows": [[1, 0], [0, 2]]}]}
+        rc = main(["dominate", "--input", write_doc(tmp_path / "g.json", doc),
+                   "--out-dir", str(tmp_path)])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "generators[1].name: 'a' names an earlier generator" in err
+
+    def test_singular_affine_linear_part_names_the_generator(self, tmp_path, capsys):
+        doc = {"n": 2, "generators": [{"name": "a", "rows": [[1, 2], [2, 4]]}],
+               "translations": [[0, 1]]}
+        path = write_doc(tmp_path / "g.json", doc)
+        rc = main(["affine", "--input", path, "--out-dir", str(tmp_path)])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"repdyn: {path}: generator 1 is numerically singular\n")
+
     def test_nonfinite_constant_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(
@@ -157,6 +175,7 @@ class TestInputHandling:
             ["dominate", "--k", "2"],
             ["dominate", "--policy", "sampled", "--samples", "0"],
             ["dominate", "--policy", "sampled", "--samples", "-3"],
+            ["dominate", "--policy", "sampled", "--seed", "-1"],
             ["spectrum", "--policy", "sampled", "--samples", "0"],
             ["spectrum", "--tol", "-1"],
             ["spectrum", "--tol", "nan"],
@@ -174,6 +193,18 @@ class TestInputHandling:
             assert "must" in err and "Traceback" not in err, argv
             if "--window" in argv:
                 assert "must be at least 1" in err, argv
+
+
+    @pytest.mark.parametrize("under", [False, True])
+    def test_out_dir_in_a_file_is_usage_error(self, ping_pong_doc, capsys, under):
+        # an existing file, or a path under one
+        out = os.path.join(ping_pong_doc, "out") if under else ping_pong_doc
+        rc = main(["dominate", "--input", ping_pong_doc, "--max-length", "3",
+                   "--out-dir", out])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"repdyn: cannot create output directory {out}: ")
+        assert "Traceback" not in err
 
 
 class TestVerdictExitCodes:
