@@ -27,7 +27,7 @@ import os
 import sys
 import warnings
 from fractions import Fraction
-from itertools import chain, groupby, islice
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -303,15 +303,14 @@ def format_floats(values) -> np.ndarray:
 
 
 def _chunk_text(chunk, width):
-    """The rows of ``chunk`` as CSV text, or None when csv quoting could
-    touch one of their cells.
+    """The rows of ``chunk``, each a sequence of string cells, as CSV text,
+    or None when csv quoting could touch one of their cells.
 
-    A chunk of string cells is joined as it stands; any other is formatted
-    by one ``%`` call per run of rows whose cells have the same types."""
-    try:
-        text = "\n".join(map(",".join, chunk)) + "\n"
-    except TypeError:  # a cell that is not a string
-        return _typed_chunk_text(chunk, width)
+    The rows are joined with ``,`` and LF and checked once: no ``"`` and no
+    CR in the text, one comma fewer than the width per row, one LF per row,
+    and no one-column row holding the empty string.  A cell that is not a
+    string raises ``TypeError``."""
+    text = "\n".join(map(",".join, chunk)) + "\n"
     # a separator in a cell shows as one comma or LF more than the rows
     # account for, and a one-column row holding "" is written as '""'
     plain = ('"' not in text and "\r" not in text
@@ -321,45 +320,14 @@ def _chunk_text(chunk, width):
     return text if plain else None
 
 
-def _typed_chunk_text(chunk, width):
-    """`_chunk_text` of a chunk holding cells other than strings."""
-    columns = list(zip(*chunk))
-    kinds = [set(map(type, column)) for column in columns]
-    if any(len(kind) > 1 for kind in kinds):
-        # a column of floats with "" gaps, say: each run has one type per column
-        parts = [_typed_chunk_text(list(rows), width)
-                 for _, rows in groupby(chunk, key=lambda row: tuple(map(type, row)))]
-        return None if None in parts else "".join(parts)
-    specs = []
-    for i, (kind,) in enumerate(kinds):
-        if kind is float:
-            specs.append("%.17g")
-        elif kind is int:
-            specs.append("%d")
-        else:
-            if kind is not str:
-                columns[i] = [_format_cell(cell) for cell in columns[i]]
-            text = "".join(columns[i])
-            if any(c in text for c in ',"\r\n') or (width == 1 and "" in columns[i]):
-                return None
-            specs.append("%s")
-    template = ",".join(specs) + "\n"
-    return (template * len(chunk)) % tuple(chain.from_iterable(zip(*columns)))
-
-
 def write_csv(path, header, rows):
     """Write a CSV with LF endings, a header row and 17-significant-digit floats.
 
-    Rows are read ``CSV_CHUNK_ROWS`` at a time.  A chunk whose cells are
-    all strings, already formatted as `_cone_rows` yields them, is joined
-    with ``,`` and LF as it stands and checked once: no ``"`` and no CR in
-    the text, one comma fewer than the width per row and one LF per row.
-    In any other chunk each run of rows whose cells have the same types is
-    formatted by one ``%`` call: a column of Python floats as ``%.17g``, a
-    column of Python ints as ``%d`` and any other column a cell at a time
-    by `_format_cell`.  A chunk whose columns each hold one type is one
-    run; a column of floats with ``""`` gaps splits its chunk into runs.
-    A chunk holding a string that csv quoting could touch (one with ``,``,
+    Rows are read ``CSV_CHUNK_ROWS`` at a time, and a row may hold any
+    cells.  A chunk whose cells are all strings, already formatted as the
+    command tables yield them, is joined by `_chunk_text` as it stands; in
+    any other chunk each cell is first formatted by `_format_cell`.  A
+    chunk holding a string that csv quoting could touch (one with ``,``,
     ``"``, CR or LF, or the empty string of a one-column row) is written by
     ``csv.writer`` instead, and so is the header, so quoting follows the
     running interpreter's csv module.  Every row must be as wide as the
@@ -373,9 +341,13 @@ def write_csv(path, header, rows):
         while chunk := list(islice(rows, CSV_CHUNK_ROWS)):
             if set(map(len, chunk)) != {width}:
                 raise ValueError(f"{path}: a row is not {width} cells wide")
-            text = _chunk_text(chunk, width)
+            try:
+                text = _chunk_text(chunk, width)
+            except TypeError:  # a cell that is not a string
+                chunk = [[_format_cell(cell) for cell in row] for row in chunk]
+                text = _chunk_text(chunk, width)
             if text is None:
-                writer.writerows([_format_cell(cell) for cell in row] for row in chunk)
+                writer.writerows(chunk)
             else:
                 fh.write(text)
 
@@ -720,16 +692,16 @@ def cmd_split(args) -> int:
             rates=rates,
         )
 
+        # the residual column ends at t = min(t_forward, t_backward), and a
+        # column shorter than the table is padded with ""
         tt = min(traj.t_forward, traj.t_backward)
-        curves = [rates.curves[c] for c in _SPLIT_CURVES]
-        t_max = max(tt, *(len(c) - 1 for c in curves))
-        rows = []
-        for t in range(t_max + 1):
-            res_cell = float(residual[t - 3]) if 3 <= t <= tt else ""
-            cells = [float(c[t]) if t < len(c) else "" for c in curves]
-            rows.append((t, res_cell, *cells))
+        columns = [[""] * (tt + 1 - len(residual)) + format_floats(residual).tolist()]
+        columns += [format_floats(rates.curves[c]).tolist() for c in _SPLIT_CURVES]
+        count = max(map(len, columns))
+        columns = [column + [""] * (count - len(column)) for column in columns]
         path = os.path.join(args.out_dir, f"split_line{j}.csv")
-        write_csv(path, ["t", "residual", *_SPLIT_CURVES], rows)
+        write_csv(path, ["t", "residual", *_SPLIT_CURVES],
+                  zip(map(str, range(count)), *columns))
         csv_files.append(path)
 
     any_degenerate = any(e["status"] == "degenerate" for e in line_results)
@@ -791,7 +763,9 @@ def cmd_flowmetric(args) -> int:
     write_csv(
         csv_path,
         ["i", "j", "value", "tail_bound"],
-        [(p["i"], p["j"], p["value"], p["tail_bound"]) for p in pairs],
+        zip([str(p["i"]) for p in pairs], [str(p["j"]) for p in pairs],
+            format_floats([p["value"] for p in pairs]).tolist(),
+            format_floats([p["tail_bound"] for p in pairs]).tolist()),
     )
     results = {"window": args.window, "count": len(geos), "pairs": pairs}
     write_summary(
@@ -909,11 +883,14 @@ def main(argv=None) -> int:
     try:
         _make_out_dir(args.out_dir)
         return args.handler(args)
+    except np.linalg.LinAlgError as e:  # a ValueError subclass, so caught first
+        print(f"repdyn: numeric failure: {e}", file=sys.stderr)
+        return EXIT_NUMERIC
     except (InputFileError, WindowBoundsError, EnumerationSizeError,
             DegenerateInputError, ValueError) as e:
         print(f"repdyn: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (RepdynError, np.linalg.LinAlgError) as e:
+    except RepdynError as e:
         print(f"repdyn: numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
 

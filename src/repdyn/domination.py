@@ -131,9 +131,6 @@ class GeneratorSet:
         exact ``log |det|`` and sign from `log_dets`."""
         return log_eigenvalue_moduli(products, *self.log_dets(letters))
 
-    def word_matrix(self, word) -> np.ndarray:
-        return words.evaluate(word, self)
-
     def word_name(self, word) -> str:
         """Human-readable name of a word, e.g. ``"a b^-1"``."""
         letters = word.letters if isinstance(word, words.Word) else tuple(word)

@@ -21,6 +21,7 @@ from repdyn.cli import (
     CSV_CHUNK_ROWS,
     EXIT_FAIL,
     EXIT_INCONCLUSIVE,
+    EXIT_NUMERIC,
     EXIT_OK,
     EXIT_USAGE,
     format_floats,
@@ -243,6 +244,23 @@ class TestVerdictExitCodes:
         assert rc == EXIT_USAGE
         assert "must" in capsys.readouterr().err
         assert not (out / "spectrum_cone_samples.csv").exists()
+
+    @pytest.mark.parametrize("error, code, prefix", [
+        (np.linalg.LinAlgError("SVD did not converge"), EXIT_NUMERIC,
+         "repdyn: numeric failure: SVD did not converge"),
+        (ValueError("bad value"), EXIT_USAGE, "repdyn: bad value"),
+    ], ids=["LinAlgError", "ValueError"])
+    def test_linalg_error_is_numeric_failure(self, ping_pong_doc, tmp_path, capsys,
+                                             monkeypatch, error, code, prefix):
+        # LinAlgError subclasses ValueError, which otherwise marks a usage error
+        def domination_scan(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(domination, "domination_scan", domination_scan)
+        rc = main(["dominate", "--input", ping_pong_doc, "--out-dir", str(tmp_path)])
+        assert rc == code
+        err = capsys.readouterr().err
+        assert err == prefix + "\n"
 
     def test_spectrum_empty_window_fails(self, ping_pong_doc, tmp_path):
         rc = main(["spectrum", "--input", ping_pong_doc, "--k", "1",

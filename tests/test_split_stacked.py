@@ -260,6 +260,12 @@ def split_case(name):
         return mats, [{"pattern": [1, 2]}] + random_lines(3, 20, 6), 1, 20
     if name == "n5-k2":
         return conjugated_pair(5, 11), [{"pattern": [1]}] + random_lines(2, 16, 7), 2, 16
+    if name == "window-2":
+        # no residual row: the residual column is "" throughout
+        return list(partial_hyperbolic_matrices()), [{"pattern": [1]}, {"pattern": [1, 2]}], 1, 2
+    if name == "window-3":
+        # one residual row, at t = 3
+        return list(partial_hyperbolic_matrices()), [{"pattern": [1]}, {"pattern": [1, 2]}], 1, 3
     if name == "degenerate":
         # P(2) = diag(1, 1, 1/2) on the periodic line; on the explicit line
         # the forward products are fine and P(-2) = diag(1, 1, 2)
@@ -287,7 +293,8 @@ def make_line(spec, window):
 
 @pytest.mark.parametrize(
     "case",
-    ["periodic", "random-n3", "near-identity-n3", "n5-k2", "degenerate", "degenerate-rates"],
+    ["periodic", "random-n3", "near-identity-n3", "n5-k2", "window-2", "window-3",
+     "degenerate", "degenerate-rates"],
 )
 def test_split_command_matches_reference(case, tmp_path):
     mats, specs, k, window = split_case(case)

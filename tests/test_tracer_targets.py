@@ -57,6 +57,11 @@ def test_split_calls_the_traced_flow_names(tracing, tmp_path):
     # leaving the block restored every original
     assert cli.subspace_distance is linalg.subspace_distance
     assert np.isfinite(tracer.layer_metrics()["linalg.subspace_distance_s"])
+    # every data row of the split tables reaches write_csv as one row
+    tables = sorted((tmp_path / "out").glob("split_line*.csv"))
+    assert tables
+    data_rows = sum(len(t.read_text(encoding="utf-8").splitlines()) - 1 for t in tables)
+    assert tracer.layer_metrics()["cli.csv_rows"] == data_rows
 
 
 def test_flowmetric_reaches_the_distance_work_through_flow_metric(tracing, tmp_path):
