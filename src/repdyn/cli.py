@@ -23,11 +23,13 @@ import argparse
 import csv
 import datetime
 import json
+import math
 import os
 import sys
 import warnings
 from fractions import Fraction
 from itertools import islice
+from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 
 import numpy as np
@@ -385,44 +387,100 @@ def _fields(report) -> dict:
     return {key: getattr(report, field or key) for key, field in pairs}
 
 
-def _jsonable(value, gens):
-    """``value`` as plain JSON data: a report object as the dict of its summary
-    keys, a word as its name under ``gens`` and its letters, a non-finite
-    float as None."""
+def _json_float(value) -> str:
+    value = float(value)
+    return float.__repr__(value) if math.isfinite(value) else "null"
+
+
+def _json_scalar(value) -> str:
+    """The JSON text of a numpy scalar or a subclassed Python scalar, as
+    `json.dumps` writes the Python value it stands for."""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return int.__repr__(int(value))
+    if isinstance(value, (float, np.floating)):
+        return _json_float(value)
+    if isinstance(value, str):
+        return _json_string(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+# the JSON text of a value of each plain type, looked up by exact type
+_JSON_LEAVES = {
+    str: _json_string,
+    float: _json_float,
+    int: int.__repr__,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
+def _emit_json(value, gens, out, indent=""):
+    """Append to the list ``out`` the text that ``json.dumps(value,
+    indent=2, sort_keys=True)`` gives for ``value`` as plain JSON data,
+    nested ``indent`` (a string of spaces) deep.
+
+    A report object is written as the dict of its summary keys, a word as
+    its name under ``gens`` and its letters, a numpy scalar or array as the
+    Python value, and a non-finite float as ``null``.  Each key is written
+    as ``str`` of the key, sorted by that string alone; a later key of the
+    same string overwrites an earlier one.
+    """
+    leaf = _JSON_LEAVES.get(type(value))
+    if leaf is not None:
+        out.append(leaf(value))
+        return
     if type(value) in _SUMMARY_KEYS:
         value = _fields(value)
+    elif isinstance(value, words.Word):
+        value = {"name": gens.word_name(value), "letters": list(value.letters)}
+    elif isinstance(value, np.ndarray):
+        value = value.tolist()
     if isinstance(value, dict):
-        return {str(k): _jsonable(v, gens) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v, gens) for v in value]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        value = float(value)
-        return value if np.isfinite(value) else None
-    if isinstance(value, np.ndarray):
-        return _jsonable(value.tolist(), gens)
-    if isinstance(value, words.Word):
-        return {"name": gens.word_name(value), "letters": list(value.letters)}
-    return value
+        value = {str(k): v for k, v in value.items()}
+        items = [(_json_string(k) + ": ", value[k]) for k in sorted(value)]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        items = [("", v) for v in value]
+        brackets = "[]"
+    else:
+        out.append(_json_scalar(value))
+        return
+    if not items:
+        out.append(brackets)
+        return
+    inner = indent + "  "
+    separator = brackets[0] + "\n" + inner
+    for prefix, item in items:
+        out.append(separator + prefix)
+        separator = ",\n" + inner
+        leaf = _JSON_LEAVES.get(type(item))
+        if leaf is None:
+            _emit_json(item, gens, out, inner)
+        else:
+            out.append(leaf(item))
+    out.append("\n" + indent + brackets[1])
 
 
 def write_summary(out_dir, command, config, results, csv_files, gens=None):
-    """Write the JSON summary, then re-read and revalidate it.  ``results``
-    goes through `_jsonable`, which names its words under ``gens``."""
+    """Write the JSON summary, then re-read and revalidate it.  The text
+    comes from one `_emit_json` walk, which names the words of ``results``
+    under ``gens``."""
     report = {
         "command": command,
         "version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "config": _jsonable(config, None),
-        "results": _jsonable(results, gens),
+        "config": config,
+        "results": results,
         "csv_files": [os.path.basename(p) for p in csv_files],
     }
+    out = []
+    _emit_json(report, gens, out)
+    out.append("\n")
     path = os.path.join(out_dir, f"{command}_summary.json")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        fh.write("".join(out))
     with open(path, "r", encoding="utf-8") as fh:
         reread = json.load(fh)
     problems = validate_report(reread)
@@ -692,11 +750,15 @@ def cmd_split(args) -> int:
             rates=rates,
         )
 
-        # the residual column ends at t = min(t_forward, t_backward), and a
-        # column shorter than the table is padded with ""
+        # the five float columns are formatted in one call; the residual
+        # column ends at t = min(t_forward, t_backward), and a column
+        # shorter than the table is padded with ""
+        floats = [residual, *(rates.curves[c] for c in _SPLIT_CURVES)]
+        text = format_floats(np.concatenate(floats)).tolist()
+        ends = np.cumsum([len(column) for column in floats]).tolist()
+        columns = [text[end - len(column):end] for column, end in zip(floats, ends)]
         tt = min(traj.t_forward, traj.t_backward)
-        columns = [[""] * (tt + 1 - len(residual)) + format_floats(residual).tolist()]
-        columns += [format_floats(rates.curves[c]).tolist() for c in _SPLIT_CURVES]
+        columns[0] = [""] * (tt + 1 - len(residual)) + columns[0]
         count = max(map(len, columns))
         columns = [column + [""] * (count - len(column)) for column in columns]
         path = os.path.join(args.out_dir, f"split_line{j}.csv")

@@ -50,6 +50,7 @@ to a stack of one.
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -131,9 +132,14 @@ def require_matrix(m, what="matrix"):
     """
     m = np.asarray(m, dtype=float)
     _require_square(m.shape, what)
-    _, error = _first_invalid(m[None], what)
-    if error is not None:
-        raise error
+    if not np.isfinite(m).all():
+        raise DegenerateInputError(f"{what} has non-finite entries")
+    # the zero matrix has no pivot, so only a failed LU needs the full verdict
+    sign, logdet = np.linalg.slogdet(m)
+    if sign == 0.0 or not np.isfinite(logdet):
+        _, error = _first_invalid(m[None], what)
+        if error is not None:
+            raise error
     return m
 
 
@@ -597,17 +603,18 @@ class SpectralVector:
     kind: str
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = np.array(self.values, dtype=float)
         if values.ndim != 1 or values.size < 1:
             raise ValueError("spectral vector must be a nonempty 1-d array")
-        if not np.isfinite(values).all():
+        # a few entries: Python floats check them faster than numpy calls
+        entries = values.tolist()
+        if not all(map(math.isfinite, entries)):
             raise ValueError("spectral vector entries must be finite")
         if self.kind not in ("cartan", "jordan"):
             raise ValueError(f"unknown spectral vector kind {self.kind!r}")
-        slack = _SORT_TOL * (1.0 + np.abs(values).max())
-        if np.any(np.diff(values) > slack):
+        slack = _SORT_TOL * (1.0 + max(map(abs, entries)))
+        if any(b - a > slack for a, b in zip(entries, entries[1:])):
             raise ValueError("spectral vector must be nonincreasing")
-        values = values.copy()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 

@@ -17,9 +17,15 @@ Scan policies select between exhaustive sphere enumeration
 `iter_sphere_products` is the one sphere engine behind every scan: it yields
 each sphere as stacked letter and product arrays, together with each word's
 exact log-det and determinant sign, building an exhaustive sphere from the
-previous one with a single stacked multiply and a single add.  A sphere
-finds the row of each word's inverse on first use (`Sphere.inverse`), which
-the n = 3 singular-value kernel and the cone's involution check read.
+previous one with a single stacked multiply and a single add.  Sampled
+spheres of consecutive lengths are walked as one stack, longest word
+first, with one stacked multiply per letter for the whole group; a group
+holds at most twice the rows of the one before it and at most
+``linalg.KERNEL_BLOCK`` rows.  Each sphere is then a row slice with the
+bits of a walk of its own, and an overflow stops the scan at the same
+sphere and prefix.  A sphere finds the row of each word's inverse on first use
+(`Sphere.inverse`), which the n = 3 singular-value kernel and the cone's
+involution check read.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from functools import cached_property, total_ordering
 
 import numpy as np
 
+from . import linalg
 from .errors import EnumerationSizeError, NumericOverflowError, WindowBoundsError
 from .linalg import log_singular_values
 
@@ -170,18 +177,28 @@ def enumerate_sphere(rank: int, length: int):
 def random_word(rank: int, length: int, rng) -> Word:
     """Draw a uniformly random reduced word of the given length.
 
-    ``rng`` is a :func:`numpy.random.default_rng` instance or a seed.
+    ``rng`` is a :func:`numpy.random.default_rng` instance or a seed.  The
+    word takes one array draw, as a row of `sampled_words` does: letter i
+    picks from the alphabet without the inverse of letter i - 1.
     """
     rng = np.random.default_rng(rng)
     letters = alphabet(rank)
-    out = []
-    for _ in range(length):
-        if out:
-            choices = [l for l in letters if l != -out[-1]]
-        else:
-            choices = letters
-        out.append(choices[rng.integers(len(choices))])
+    out, position = [], None
+    for d in rng.integers(0, _draw_highs(rank, length)).tolist():
+        if position is not None:
+            d += d >= position ^ 1  # skip the inverse of the letter before
+        position = d
+        out.append(letters[d])
     return Word(out)
+
+
+def _product(letters, gens, checked=False):
+    product = np.eye(gens.dim)
+    for i, l in enumerate(letters):
+        product = product @ gens.image(l)
+        if checked:
+            _checked(product, i + 1)
+    return product
 
 
 def evaluate(word, gens) -> np.ndarray:
@@ -189,13 +206,15 @@ def evaluate(word, gens) -> np.ndarray:
 
     ``gens`` must provide ``image(letter)`` and ``dim``.  Raises
     :class:`NumericOverflowError` naming the prefix length at which the
-    product left float64 range.
+    product left float64 range.  A non-finite product stays non-finite, so
+    the product is checked once; only one that fails is multiplied again,
+    with a check after each letter, to name that prefix.
     """
     letters = word.letters if isinstance(word, Word) else tuple(word)
-    product = np.eye(gens.dim)
     with _overflow_raises():
-        for i, l in enumerate(letters):
-            product = _checked(product @ gens.image(l), i + 1)
+        product = _product(letters, gens)
+        if not np.isfinite(product).all():
+            _product(letters, gens, checked=True)
     return product
 
 
@@ -233,6 +252,8 @@ class Sampled:
 
 
 def _letter_dtype(rank: int):
+    """The smallest signed integer type that holds every letter of rank
+    ``rank`` and every alphabet position, ``-2 * rank .. 2 * rank``."""
     return np.min_scalar_type(-2 * rank)
 
 
@@ -243,6 +264,16 @@ def _next_positions(rank: int) -> np.ndarray:
     """
     size = 2 * rank
     return np.array([[c for c in range(size) if c != r ^ 1] for r in range(size)])
+
+
+def _draw_highs(rank: int, length: int) -> np.ndarray:
+    """Bounds of the draws of one word: the first picks an alphabet position,
+    each later one picks from the alphabet without the inverse of the
+    letter before it.  An array of bounds draws each integer as its own
+    call of ``rng.integers`` would."""
+    highs = np.full(length, 2 * rank - 1)
+    highs[:1] = 2 * rank
+    return highs
 
 
 def sampled_words(rank: int, length: int, policy: Sampled, inversion_closed=False):
@@ -258,13 +289,9 @@ def sampled_words(rank: int, length: int, policy: Sampled, inversion_closed=Fals
     inverse of row ``2i``.
     """
     rng = np.random.default_rng([policy.seed, length])
-    size = 2 * rank
-    highs = np.full(length, size - 1)
-    highs[:1] = size
-    # the first draw picks an alphabet position, each later one picks from
-    # the alphabet without the inverse of the letter before it; turn each
-    # column into positions once the one before it has been turned
-    positions = rng.integers(0, highs, size=(policy.count, length))
+    # turn each column of draws into alphabet positions once the one before
+    # it has been turned
+    positions = rng.integers(0, _draw_highs(rank, length), size=(policy.count, length))
     allowed = _next_positions(rank)
     for i in range(1, length):
         positions[:, i] = allowed[positions[:, i - 1], positions[:, i]]
@@ -330,6 +357,61 @@ class Sphere:
                                    self.inverse if n == 3 else None)
 
 
+def _walk(positions, walking, images, letter_logdets, letter_signs, checked=False):
+    """Products, log-dets and signs of the words in the rows of an ``(R, L)``
+    array of alphabet positions, longest word first.
+
+    At letter i the first ``walking[i]`` rows take one stacked multiply, one
+    log-det add and one sign multiply, so every row reads its own letters
+    left to right, as a walk of its sphere alone would.  With ``checked``
+    the walk raises :class:`NumericOverflowError` after the first letter
+    that leaves a product outside float64 range.
+    """
+    rows, n = len(positions), images.shape[-1]
+    products = np.tile(np.eye(n), (rows, 1, 1))
+    logdet = np.zeros(rows)
+    sign = np.ones(rows, dtype=letter_signs.dtype)
+    for i, m in enumerate(walking):
+        step = positions[:m, i]
+        np.matmul(products[:m], images.take(step, axis=0), out=products[:m])
+        logdet[:m] += letter_logdets.take(step)
+        sign[:m] *= letter_signs.take(step)
+        if checked:
+            _checked(products[:m], i + 1)
+    return products, logdet, sign
+
+
+def _sampled_group(draws, rank, tables, inversion_closed):
+    """The spheres of consecutive lengths' ``sampled_words`` draws, shortest
+    first, from one `_walk` of all their rows stacked longest word first.
+    ``tables`` holds the generator images, log-dets and signs by alphabet
+    position.
+
+    A non-finite product stays non-finite, so one check at the end finds the
+    spheres that overflowed; the first of them is walked again alone, with a
+    check after every letter, to raise at the prefix where it overflowed.
+    """
+    longest = draws[-1].shape[1]
+    positions = np.zeros((sum(map(len, draws)), longest), dtype=draws[0].dtype)
+    starts, end = [], 0
+    for letters in reversed(draws):
+        positions[end:end + len(letters), :letters.shape[1]] = letter_rank(letters)
+        starts.append(end)
+        end += len(letters)
+    walking = [sum(len(d) for d in draws if d.shape[1] > i) for i in range(longest)]
+    with _overflow_raises():
+        products, logdet, sign = _walk(positions, walking, *tables)
+    finite = np.isfinite(products).all(axis=(1, 2))
+    for letters, start in zip(draws, reversed(starts)):
+        rows = slice(start, start + len(letters))
+        if not finite[rows].all():
+            L = letters.shape[1]
+            with _overflow_raises():
+                _walk(positions[rows, :L], [len(letters)] * L, *tables, checked=True)
+        yield Sphere(letters, products[rows], logdet[rows], sign[rows], rank,
+                     False, inversion_closed)
+
+
 def iter_sphere_products(gens, L_max: int, policy=Exhaustive(),
                          inversion_closed=False):
     """Yield a :class:`Sphere` for each length 1 .. L_max.
@@ -337,35 +419,50 @@ def iter_sphere_products(gens, L_max: int, policy=Exhaustive(),
     Exhaustive spheres come in shortlex order, each built from the previous
     one by one stacked multiply with the allowed next letters and one add
     of their log-dets.  Sampled spheres are the `sampled_words` draws in
-    draw order, evaluated with one stacked multiply and one add per letter.
+    draw order, one draw per length.  Consecutive lengths are walked as
+    one group (`_sampled_group`): their rows are stacked longest word
+    first, so the rows still walking at each letter are a prefix, and each
+    letter takes one stacked multiply, one log-det add and one sign
+    multiply for the whole group.  The first group is the first draw; each
+    later one holds at most twice the rows of the group before it, and at
+    most ``linalg.KERNEL_BLOCK`` rows, so a scan that stops early has
+    walked at most three times the rows it read, and memory stays bounded.
+    A draw larger than its group's cap walks alone.  Every sphere reads the
+    bits of a walk of its own.
+
     ``gens`` provides ``rank``, ``dim``, ``image`` and ``log_dets`` (see
     :class:`~repdyn.domination.GeneratorSet`).  Raises
     :class:`NumericOverflowError` at the first sphere holding a product
-    outside float64 range, and :class:`EnumerationSizeError` before an
+    outside float64 range, after yielding the spheres before it, with the
+    ``prefix_length`` of the first letter after which one of its products
+    left that range.  Raises :class:`EnumerationSizeError` before an
     exhaustive sphere larger than ENUMERATION_CAP.
     """
     letter_set = np.array(alphabet(gens.rank), dtype=_letter_dtype(gens.rank))
     images = np.stack([gens.image(l) for l in letter_set])
     letter_logdets, letter_signs = gens.log_dets(letter_set[:, None])
+    if isinstance(policy, Sampled):
+        tables = images, letter_logdets, letter_signs
+        group, cap = [], 0
+        for L in range(1, L_max + 1):
+            letters = sampled_words(gens.rank, L, policy, inversion_closed)
+            rows = sum(map(len, group))
+            if group and rows + len(letters) > cap:
+                yield from _sampled_group(group, gens.rank, tables, inversion_closed)
+                group, cap = [], min(2 * rows, linalg.KERNEL_BLOCK)
+            group.append(letters)
+        if group:
+            yield from _sampled_group(group, gens.rank, tables, inversion_closed)
+        return
     children = _next_positions(gens.rank)
     for L in range(1, L_max + 1):
         # scoped per sphere: the state must not leak to the caller across the yield
         with _overflow_raises():
-            if isinstance(policy, Sampled):
-                letters = sampled_words(gens.rank, L, policy, inversion_closed)
-                products = np.eye(gens.dim)  # broadcast against the stack below
-                logdet = np.zeros(len(letters))
-                sign = np.ones(len(letters), dtype=letter_signs.dtype)
-                for i in range(L):
-                    rank = letter_rank(letters[:, i])
-                    products = _checked(products @ images[rank], i + 1)
-                    logdet = logdet + letter_logdets[rank]
-                    sign = sign * letter_signs[rank]
-            elif count_sphere(gens.rank, L) > ENUMERATION_CAP:
+            if count_sphere(gens.rank, L) > ENUMERATION_CAP:
                 raise EnumerationSizeError(
                     f"sphere of length {L} in rank {gens.rank} exceeds the enumeration cap"
                 )
-            elif L == 1:
+            if L == 1:
                 letters, products = letter_set[:, None], _checked(images, 1)
                 logdet, sign = letter_logdets, letter_signs
             else:
@@ -377,8 +474,7 @@ def iter_sphere_products(gens, L_max: int, policy=Exhaustive(),
                 products = _checked(np.repeat(products, fan, axis=0) @ images[nxt], L)
                 logdet = np.repeat(logdet, fan) + letter_logdets[nxt]
                 sign = np.repeat(sign, fan) * letter_signs[nxt]
-        yield Sphere(letters, products, logdet, sign, gens.rank,
-                     not isinstance(policy, Sampled), inversion_closed)
+        yield Sphere(letters, products, logdet, sign, gens.rank, True, inversion_closed)
 
 
 def map_sphere_products(gens, L_max: int, stat, policy=Exhaustive(),
@@ -513,7 +609,9 @@ class TreeGeodesic:
     positions ``-T .. T-1`` exactly as in :class:`FlowLineWindow`, so
     ``vertex(t + 1) = vertex(t) * letter``.  The vertices at times
     ``-T .. T`` are kept as the rows of one letter array padded with zeros,
-    together with their lengths; `vertex` builds a :class:`Word` from a row.
+    in the smallest signed integer type that holds twice the largest letter
+    (`_letter_dtype`), together with their lengths; `vertex` builds a
+    :class:`Word` from a row.
     """
 
     __slots__ = ("_anchor", "_half_width", "_letters", "_lengths")
@@ -535,8 +633,9 @@ class TreeGeodesic:
                 raise ValueError("edge letter stream is not reduced")
         forward = stream[half_width:]
         backward = tuple(-l for l in reversed(stream[:half_width]))
-        back_letters, back_lengths = _ray_vertices(anchor.letters, backward)
-        letters, lengths = _ray_vertices(anchor.letters, forward)
+        dtype = _letter_dtype(max(map(abs, anchor.letters + stream)))
+        back_letters, back_lengths = _ray_vertices(anchor.letters, backward, dtype)
+        letters, lengths = _ray_vertices(anchor.letters, forward, dtype)
         self._anchor = anchor
         self._half_width = half_width
         self._letters = np.concatenate([back_letters[::-1], letters[1:]])
@@ -588,8 +687,9 @@ class TreeGeodesic:
         return cls(anchor, stream, half_width)
 
 
-def _ray_vertices(anchor, ray):
-    """Rows ``anchor * ray[:t]`` for t = 0 .. len(ray), zero padded, and their lengths.
+def _ray_vertices(anchor, ray, dtype):
+    """Rows ``anchor * ray[:t]`` for t = 0 .. len(ray), zero padded, of type
+    ``dtype``, and their lengths.
 
     The ray is reduced, so it can only cancel a tail of the anchor, and only
     with its first letters: after ``c`` cancelling letters the vertex at time
@@ -605,7 +705,7 @@ def _ray_vertices(anchor, ray):
     # column j reads the anchor before n - s and the ray after it, where
     # ray[j - (n - s) + s] sits at j + 2s of anchor + ray
     j = np.arange(n + T)
-    source = np.array((0,) + anchor + ray, dtype=np.int64)
+    source = np.array((0,) + anchor + ray, dtype=dtype)
     index = np.where(j < n - s, j, j + 2 * s) + 1
     rows = source[np.where(j < lengths, index, 0)]
     return rows, lengths[:, 0]
@@ -680,11 +780,13 @@ def _window_distances(g: TreeGeodesic, others, half_width: int) -> np.ndarray:
 
     The common prefix of two vertices ends at the first letter where their
     zero-padded rows differ, capped by the shorter length; a sentinel
-    column of mismatches stops rows that agree throughout.
+    column of mismatches stops rows that agree throughout.  The letters
+    keep the narrowest type of the geodesics' rows.
     """
     windows = [geo.window(half_width) for geo in [g, *others]]
     width = max(int(n.max()) for _, n in windows)
-    letters = np.zeros((len(windows), 2 * half_width + 1, width), dtype=np.int64)
+    dtype = np.result_type(*(rows.dtype for rows, _ in windows))
+    letters = np.zeros((len(windows), 2 * half_width + 1, width), dtype=dtype)
     for k, (rows, _) in enumerate(windows):
         rows = rows[:, :width]
         letters[k, :, : rows.shape[1]] = rows

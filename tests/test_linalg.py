@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repdyn.errors import ConditionWarning, DegenerateGapError, DegenerateInputError
+from repdyn.linalg import _first_invalid
 from repdyn.linalg import (
     SpectralVector,
     Subspace,
@@ -95,6 +96,29 @@ class TestSpectralVector:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             SpectralVector(np.array([1.0, 0.0]), "spooky")
+
+    @pytest.mark.parametrize("values", [
+        [1.0, np.nan], [np.inf, 0.0], [0.0, -np.inf], [np.nan], [0.0, 1e-8],
+        [1.0, 1.0 + 3e-9], [5.0, 3.0, 3.0 + 1e-7, 0.0],
+    ])
+    def test_rejects_non_finite_and_increasing(self, values):
+        with pytest.raises(ValueError):
+            SpectralVector(np.array(values), "cartan")
+
+    @pytest.mark.parametrize("values", [
+        [0.0, 5e-10], [1.0, 1.0 + 1e-9], [-0.0, 0.0], [3.0], [1e300, -1e300],
+        [5.0, 3.0, 3.0 + 1e-9, 0.0],
+    ])
+    def test_accepts_increase_within_the_slack(self, values):
+        v = SpectralVector(values, "jordan")
+        assert v.values.tobytes() == np.array(values, dtype=float).tobytes()
+        assert not v.values.flags.writeable
+
+    def test_keeps_a_copy(self):
+        source = np.array([2.0, 1.0])
+        v = SpectralVector(source, "cartan")
+        source[0] = 0.0
+        assert tuple(v.values) == (2.0, 1.0)
 
     def test_involution_is_exact_and_involutive(self):
         v = SpectralVector(np.array([2.0, 0.5, -1.0]), "jordan")
@@ -196,6 +220,26 @@ class TestRequireMatrix:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             require_matrix(np.diag([1e200, 1e-100]))
+
+    @pytest.mark.parametrize("m", [
+        np.zeros((2, 2)), np.ones((2, 2)), np.diag([1.0, 0.0, 2.0]),
+        np.diag([1e-200, 1e-200]), np.diag([1e200, 1e-200]), np.diag([1e300, 1e300]),
+        np.diag([1e-300, 1e-300]), np.array([[1.0, np.inf], [0.0, 1.0]]),
+        np.array([[0.0, np.nan], [0.0, 0.0]]), np.full((3, 3), -0.0),
+        np.array([[1.0, 1.0], [1.0, 1.0 + 1e-16]]), np.eye(3),
+    ])
+    def test_same_verdict_as_the_stacked_check(self, m):
+        """One matrix gets the verdict of `_first_invalid` on a stack of one,
+        and no warning on the way."""
+        _, expected = _first_invalid(m[None], "matrix")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if expected is None:
+                assert require_matrix(m) is not None
+            else:
+                with pytest.raises(DegenerateInputError) as info:
+                    require_matrix(m)
+                assert str(info.value) == str(expected)
 
     def test_accepts_large_norm_unimodular(self):
         # determinant-one with norm ~1e9; must not be mistaken for singular

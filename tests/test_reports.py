@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, event, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from repdyn import affine, cli, domination, flowbundle, spectrum, words
@@ -494,3 +494,90 @@ class TestEdgeCaseSummaries:
             broken = json.loads(json.dumps(summary))
             del broken["results"][key]
             assert validate_report(broken) == [f"results missing key {key}"]
+
+
+# ---------------------------------------------------------------------------
+# the summary text, written in one walk, against json.dumps
+
+
+class LetterNames:
+    """Names words as `GeneratorSet.word_name` does, without matrices."""
+
+    def word_name(self, word):
+        return " ".join(f"g{abs(l)}" + "^-1" * (l < 0) for l in word.letters) or "e"
+
+
+def plain_json(value, gens):
+    """The walk the summaries took to plain JSON data before `json.dumps`."""
+    if type(value) in cli._SUMMARY_KEYS:
+        value = cli._fields(value)
+    if isinstance(value, dict):
+        return {str(k): plain_json(v, gens) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [plain_json(v, gens) for v in value]
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        value = float(value)
+        return value if np.isfinite(value) else None
+    if isinstance(value, np.ndarray):
+        return plain_json(value.tolist(), gens)
+    if isinstance(value, words.Word):
+        return {"name": gens.word_name(value), "letters": list(value.letters)}
+    return value
+
+
+def emitted(value, gens=None):
+    out = []
+    cli._emit_json(value, gens, out, "")
+    return "".join(out)
+
+
+FLOATS = st.one_of(st.floats(), st.sampled_from([-0.0, 0.0, 5e-324, -1e308, 0.1]))
+WORDS = st.lists(st.sampled_from([1, -1, 2, -2, 3]), max_size=5).filter(
+    lambda ls: all(a != -b for a, b in zip(ls, ls[1:]))).map(words.Word)
+TEXT = st.text(st.characters(codec="utf-8"), max_size=8)
+LEAVES = st.one_of(
+    st.none(), st.booleans(), st.booleans().map(np.bool_),
+    st.integers(), st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.integers(-128, 127).map(np.int8),
+    FLOATS, FLOATS.map(np.float64), st.floats(width=32).map(np.float32),
+    TEXT, TEXT.map(np.str_), WORDS,
+    st.lists(FLOATS, max_size=4).map(np.array),
+    st.lists(st.integers(-5, 5), max_size=3).map(lambda v: np.array(v, dtype=np.int32)),
+    st.builds(domination.SphereRecord, length=st.integers(0, 30), count=st.integers(0, 9),
+              gap_min=FLOATS, gap_mean=FLOATS, argmin=WORDS, logak_min=FLOATS,
+              lognk1_max=FLOATS),
+)
+DOCUMENTS = st.recursive(
+    LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.one_of(TEXT, st.integers(-12, 12)), inner, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+class TestSummaryText:
+    @given(DOCUMENTS)
+    @example({1: "int key", "1": "string key", 10: [], 2: {}, "": -0.0})
+    @example([True, 1, np.bool_(False), np.int64(0), 1.0, np.float32(0.1)])
+    @example({"nan": float("nan"), "inf": [np.inf, -np.inf], "zero": [-0.0, np.float64(-0.0)]})
+    @example(["\x00\x1f\x7f\u2028\"\\/", "é ü ß", "\U0001f600", "", [], {}, ()])
+    @example({"b": {"y": [{}], "x": [[]]}, "a": [[1, [2, [3]]]]})
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
+    def test_same_text_as_json_dumps(self, doc):
+        gens = LetterNames()
+        expected = json.dumps(plain_json(doc, gens), indent=2, sort_keys=True)
+        assert emitted(doc, gens) == expected
+
+    def test_unknown_objects_are_refused(self):
+        for value in (object(), {"a": [1, {2, 3}]}, b"bytes"):
+            with pytest.raises(TypeError):
+                json.dumps(plain_json(value, None))
+            with pytest.raises(TypeError):
+                emitted(value)

@@ -149,6 +149,24 @@ class TestSphere:
             assert len(w) == 6
             Word(w.letters)  # re-validates reducedness
 
+    def test_random_word_draws_the_per_letter_stream(self):
+        def reference(rank, length, rng):
+            """One ``rng.integers`` call per letter, from the letters allowed."""
+            letters, out = alphabet(rank), []
+            for _ in range(length):
+                choices = [l for l in letters if not out or l != -out[-1]]
+                out.append(choices[rng.integers(len(choices))])
+            return Word(out)
+
+        for rank in (1, 2, 3, 5):
+            got, expected = np.random.default_rng(rank), np.random.default_rng(rank)
+            for length in (0, 1, 2, 7, 0, 30):
+                for _ in range(20):
+                    assert random_word(rank, length, got) == reference(rank, length, expected)
+            # the generators are left in the same state
+            assert got.integers(2**62) == expected.integers(2**62)
+        assert random_word(2, 9, 5) == reference(2, 9, np.random.default_rng(5))
+
     def test_sampled_words_deterministic(self):
         pol = Sampled(count=25, seed=9)
         draw1 = sampled_words(2, 5, pol)
@@ -245,6 +263,35 @@ class TestEvaluate:
         with pytest.raises(NumericOverflowError) as info:
             evaluate(Word([1] * 60), big)
         assert info.value.prefix_length == 52
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_overflow_prefix_and_product_match_a_checked_walk(self, seed):
+        """The product and the overflow prefix are those of a walk that
+        checks after every letter."""
+        rng = np.random.default_rng(seed)
+        a = np.diag([1e6, 1e-6])
+        q = np.linalg.qr(rng.standard_normal((2, 2)))[0]
+        gens = GeneratorSet([a, q @ a @ q.T])
+        outcomes = set()
+        for _ in range(30):
+            w = random_word(2, int(rng.integers(0, 80)), rng)
+            product, prefix = np.eye(2), None
+            with np.errstate(over="ignore", invalid="ignore"):
+                for i, l in enumerate(w.letters):
+                    product = product @ gens.image(l)
+                    if not np.isfinite(product).all():
+                        prefix = i + 1
+                        break
+            outcomes.add(prefix is None)
+            if prefix is None:
+                assert evaluate(w, gens).tobytes() == product.tobytes()
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(NumericOverflowError) as info:
+                    evaluate(w, gens)
+            assert info.value.prefix_length == prefix
+        assert outcomes == {True, False}
 
     @pytest.mark.parametrize("policy", [Exhaustive(), Sampled(count=3, seed=0)])
     def test_sphere_overflow_raises_without_warning(self, policy):
@@ -425,6 +472,31 @@ class TestArrayDistances:
         geos = self.pool()
         results = flow_metric(geos[0], geos)
         assert {r.half_width for r in results} == {min(g.half_width for g in geos)}
+
+    @pytest.mark.parametrize("top", [127, 128, 200, 32767, 32768, 2**31 - 1, 2**31])
+    def test_large_letters_do_not_wrap(self, top):
+        # the smallest signed type holding -top holds +top only below 128,
+        # 32768 and 2**31; `wrap` reads a letter in that type's bits
+        bits = 8 * np.min_scalar_type(-top).itemsize
+
+        def wrap(letters):
+            return [(l + 2 ** (bits - 1)) % 2**bits - 2 ** (bits - 1) for l in letters]
+
+        forward, backward = [top, top - 1, top, 1, 2] * 4, [3, -top] * 10
+        wide = TreeGeodesic.from_rays([top], forward, backward)
+        wrapped = TreeGeodesic.from_rays(wrap([top]), wrap(forward), wrap(backward))
+        narrow = TreeGeodesic.from_rays([1], [2, 1, 2, 1, 2] * 4, [-1, -2] * 10)
+        assert np.iinfo(wide.window(3)[0].dtype).max >= top
+        assert narrow.window(3)[0].dtype == np.int8
+        geos = [wide, wrapped, narrow]
+        for window in (1, 5, 20):
+            for g in geos:
+                got = _window_distances(g, geos, window)
+                for j, h in enumerate(geos):
+                    assert got[j].tolist() == reference_distances(g, h, window)
+                for h, r in zip(geos, flow_metric(g, geos, window)):
+                    assert r.value == reference_flow_metric(g, h, window)
+        assert (flow_metric(wide, wrapped, 20).value > 0.0) == (wrap([top]) != [top])
 
     def test_window_checks(self):
         g = TreeGeodesic.from_rays([], [1] * 5, [2] * 5)
