@@ -38,7 +38,6 @@ from . import __version__, affine, domination, flowbundle, spectrum, words
 from .errors import (
     DegenerateGapError,
     DegenerateInputError,
-    EnumerationSizeError,
     RepdynError,
     WindowBoundsError,
 )
@@ -196,9 +195,11 @@ def parse_lines(doc, gens, window, path=""):
     """Flow lines for the split command.
 
     The optional top-level key ``"lines"`` is an array of objects, each
-    either ``{"pattern": [letters]}`` (periodic line) or ``{"letters":
-    [2*window letters], "offset": int}``.  Without it, one periodic line per
-    generator is analyzed.
+    either ``{"pattern": [letters]}`` (a periodic line of half width
+    ``window``) or ``{"letters": [letters], "offset": int}``.  An explicit
+    line of 2h letters runs at its own half width, h less ``|offset|``;
+    ``window`` sets only the periodic lines.  Without the key, one periodic
+    line per generator is analyzed.
     """
     specs = doc.get("lines")
     if specs is None:
@@ -699,7 +700,7 @@ def _split_outcomes(traj, k):
             warnings.simplefilter("always")
             try:
                 splits = flowbundle.estimate_splitting(traj, k)
-                rates = flowbundle.measure_rates(traj, splits)
+                rates = flowbundle.measure_rates(traj, k)
                 outcomes = list(zip(splits, rates, _residual_columns(traj, k)))
             except _DEGENERATE:
                 outcomes = None
@@ -710,7 +711,7 @@ def _split_outcomes(traj, k):
     for one in traj.single_lines():
         try:
             splits = flowbundle.estimate_splitting(one, k)
-            rates = flowbundle.measure_rates(one, splits)
+            rates = flowbundle.measure_rates(one, k)
         except _DEGENERATE as e:
             outcomes.append(e)
             continue
@@ -948,8 +949,8 @@ def main(argv=None) -> int:
     except np.linalg.LinAlgError as e:  # a ValueError subclass, so caught first
         print(f"repdyn: numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (InputFileError, WindowBoundsError, EnumerationSizeError,
-            DegenerateInputError, ValueError) as e:
+    except (InputFileError, WindowBoundsError, DegenerateInputError,
+            ValueError) as e:
         print(f"repdyn: {e}", file=sys.stderr)
         return EXIT_USAGE
     except RepdynError as e:

@@ -26,8 +26,6 @@ from . import words
 from .errors import DegenerateInputError, NumericOverflowError
 from .fitting import fit_line
 from .linalg import (
-    log_eigenvalue_moduli,
-    log_singular_values,
     principal_angle,
     require_matrix,
     subspace_distance,
@@ -117,19 +115,6 @@ class GeneratorSet:
             logdet += self._letter_log_dets[column]
             sign *= self._letter_signs[column]
         return logdet, sign
-
-    def log_singular_values(self, letters, products, inverse=None) -> np.ndarray:
-        """`linalg.log_singular_values` of the images ``products`` of the
-        words in the ``(N, L)`` letter array ``letters``, with each word's
-        exact ``log |det|`` from `log_dets` and the rows ``inverse`` of the
-        words' inverses, if given."""
-        return log_singular_values(products, self.log_dets(letters)[0], inverse)
-
-    def log_eigenvalue_moduli(self, letters, products) -> np.ndarray:
-        """`linalg.log_eigenvalue_moduli` of the images ``products`` of the
-        words in the ``(N, L)`` letter array ``letters``, with each word's
-        exact ``log |det|`` and sign from `log_dets`."""
-        return log_eigenvalue_moduli(products, *self.log_dets(letters))
 
     def word_name(self, word) -> str:
         """Human-readable name of a word, e.g. ``"a b^-1"``."""

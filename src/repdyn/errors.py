@@ -58,9 +58,5 @@ class WindowBoundsError(RepdynError):
     """A flow shift or trajectory request exceeded the stored window."""
 
 
-class EnumerationSizeError(RepdynError):
-    """A requested exhaustive enumeration is too large to attempt."""
-
-
 class ConditionWarning(UserWarning):
     """Warned when a matrix is so ill-conditioned results may be meaningless."""

@@ -21,10 +21,10 @@ group is one trajectory.  `estimate_splitting`, `measure_rates`,
 `splitting_at` and `splitting_frames` treat all the lines and times of a
 group in a few stacked LAPACK calls (`linalg.singular_frames` and friends),
 which decompose each matrix on its own, so a line gets the same bits in a
-group as alone.  A trajectory built from one line is a group of one, and
-the analyses then return one result instead of a list.  A check that fails
-on any line raises for the whole group, so a caller that wants per-line
-outcomes (``repdyn split``) runs a failing group again one line at a time.
+group as alone.  Every analysis returns one result per line of the group,
+and a single line is a group of one.  A check that fails on any line raises
+for the whole group, so a caller that wants per-line outcomes (``repdyn
+split``) runs a failing group again one line at a time.
 A stack whose products pass the condition limit draws one
 `ConditionWarning` that counts them.
 """
@@ -48,7 +48,7 @@ from .linalg import (
     singular_frames,
     subspace_distance,
 )
-from .words import FlowLineWindow, alphabet, letter_rank
+from .words import alphabet, letter_rank
 
 # default half width for trajectory windows
 DEFAULT_WINDOW = 48
@@ -74,17 +74,15 @@ class CocycleTrajectory:
     t) @ P(t)`` and backward steps apply inverse images.  Both are read-only
     ``(B, T + 1, n, n)`` stacks.  ``truncated`` says that the lines stopped
     short of their windows on overflow.  ``positions`` are the places of
-    the lines in the sequence given to `build_trajectory`; it is None for a
-    trajectory built from one line, whose analyses return one result, not a
-    list.
+    the lines in the sequence given to `build_trajectory`.
     """
 
     gens: GeneratorSet
     lines: tuple
     forward: np.ndarray = field(repr=False)
     backward: np.ndarray = field(repr=False)
+    positions: tuple
     truncated: bool = False
-    positions: Optional[tuple] = None
 
     @property
     def dim(self) -> int:
@@ -102,16 +100,6 @@ class CocycleTrajectory:
     def t_backward(self) -> int:
         return self.backward.shape[1] - 1
 
-    def _single(self, items):
-        if self.size != 1:
-            raise ValueError(f"the trajectory holds {self.size} lines, not one")
-        return items[0]
-
-    @property
-    def line(self) -> FlowLineWindow:
-        """The flow line of a one-line trajectory."""
-        return self._single(self.lines)
-
     def products(self, t: int) -> np.ndarray:
         """Transport matrices from the fiber at time 0 to the fiber at t,
         one per line, as an ``(B, n, n)`` stack."""
@@ -121,29 +109,19 @@ class CocycleTrajectory:
             raise WindowBoundsError(f"time {t} outside the computed window")
         return store[:, i]
 
-    def product(self, t: int) -> np.ndarray:
-        """Transport matrix of a one-line trajectory from time 0 to t."""
-        return self._single(self.products(t))
-
     def single_lines(self) -> list["CocycleTrajectory"]:
-        """The lines one at a time, as one-line trajectories that keep their
-        positions (so their analyses still return lists)."""
+        """The lines one at a time, as groups of one that keep their
+        positions."""
         return [
             replace(
                 self,
                 lines=(line,),
                 forward=self.forward[b : b + 1],
                 backward=self.backward[b : b + 1],
-                positions=None if self.positions is None else (self.positions[b],),
+                positions=(self.positions[b],),
             )
             for b, line in enumerate(self.lines)
         ]
-
-
-def _per_line(traj, items):
-    """One result per line as a list, or the only one for a trajectory built
-    from a single line."""
-    return list(items) if traj.positions is not None else items[0]
 
 
 def _images(gens):
@@ -157,14 +135,13 @@ def build_trajectory(gens: GeneratorSet, lines, half_width: Optional[int] = None
     Walks each line as far as its usable window (or ``half_width``, if
     smaller) in both directions.  Overflowing float64 stops the affected
     direction of a line at its last finite product and flags it as
-    truncated.  ``lines`` is one :class:`FlowLineWindow`, giving its
-    :class:`CocycleTrajectory`, or a sequence of them, giving a list of
-    trajectories: one per group of lines that reach equally far in each
-    direction and are equally truncated, in the order of each group's first
-    line.  All lines walk together, one stacked product per step.
+    truncated.  ``lines`` is a sequence of :class:`FlowLineWindow` objects,
+    and the result a list of :class:`CocycleTrajectory` groups: one per
+    group of lines that reach equally far in each direction and are equally
+    truncated, in the order of each group's first line.  All lines walk
+    together, one stacked product per step.
     """
-    single = isinstance(lines, FlowLineWindow)
-    lines = (lines,) if single else tuple(lines)
+    lines = tuple(lines)
     if not lines:
         raise ValueError("need at least one flow line")
     reach = np.array([line.usable_half_width for line in lines])
@@ -218,10 +195,10 @@ def build_trajectory(gens: GeneratorSet, lines, half_width: Optional[int] = None
             lines=tuple(lines[b] for b in members),
             forward=forward,
             backward=backward,
+            positions=tuple(members),
             truncated=truncated,
-            positions=None if single else tuple(members),
         ))
-    return groups[0] if single else groups
+    return groups
 
 
 @dataclass
@@ -300,28 +277,23 @@ def splitting_at(traj, k: int, t_forward: int, t_backward: int):
     Returns ``(v_plus, v_zero, v_minus)`` read off the products
     ``P(-t_backward)`` and ``P(t_forward)`` without residual or
     independence checks; `estimate_splitting` wraps this with both.  They
-    are three :class:`Subspace` objects for a trajectory built from one
-    line, and three read-only ``(B, n, p)`` stacks of bases, one row per
-    line, for a group.
+    are three read-only ``(B, n, p)`` stacks of bases, one row per line.
     """
     n = traj.dim
     v_plus = bottom_singular_subspace(traj.products(-t_backward), k)
     _, _, vt = singular_frames(traj.products(t_forward), n - k)
-    blocks = (v_plus, _bases(vt[:, k : n - k]), _bases(vt[:, n - k :]))
-    if traj.positions is None:
-        return tuple(Subspace(b[0]) for b in blocks)
-    return blocks
+    return v_plus, _bases(vt[:, k : n - k]), _bases(vt[:, n - k :])
 
 
 def splitting_frames(traj, k: int, times):
     """`splitting_at` ``(traj, k, t, t)`` for every t in ``times``, stacked.
 
-    Returns ``(v_plus, v_zero, v_minus)`` as read-only ``(N, n, p)`` stacks
-    of orthonormal bases (p the block dimension), one row per time, or
-    ``(B, N, n, p)`` stacks with a row per line for a group, from one SVD of
-    all the products ``P(-t)`` and ``P(t)``.  They are checked line by line
-    in the order ``P(-t), P(t)`` of each time in turn, and the first that
-    fails raises what `splitting_at` would raise for it.
+    Returns ``(v_plus, v_zero, v_minus)`` as read-only ``(B, N, n, p)``
+    stacks of orthonormal bases (p the block dimension), a row per line and
+    within it a row per time, from one SVD of all the products ``P(-t)`` and
+    ``P(t)``.  They are checked line by line in the order ``P(-t), P(t)`` of
+    each time in turn, and the first that fails raises what `splitting_at`
+    would raise for it.
     """
     times = np.asarray(times, dtype=int)
     horizon = min(traj.t_forward, traj.t_backward)
@@ -333,13 +305,18 @@ def splitting_frames(traj, k: int, times):
         traj.forward[:, times].reshape(-1, n, n),
         k,
     )
-    blocks = tuple(
+    return tuple(
         b.reshape(traj.size, times.size, n, -1) for b in _blocks(vt_fwd, vt_back, k)
     )
-    return tuple(b[0] for b in blocks) if traj.positions is None else blocks
 
 
-def estimate_splitting(traj: CocycleTrajectory, k: int):
+def _check_index(k, n):
+    """Refuse a splitting index k without a nonempty neutral block."""
+    if not 1 <= k < n / 2:
+        raise ValueError(f"k must satisfy 1 <= k < {n / 2:g} for dimension {n}")
+
+
+def estimate_splitting(traj: CocycleTrajectory, k: int) -> list[SplittingEstimate]:
     """Candidate invariant splitting of index k from a trajectory window.
 
     Requires ``1 <= k < n / 2`` (the neutral block must be nonempty) and at
@@ -347,28 +324,23 @@ def estimate_splitting(traj: CocycleTrajectory, k: int):
     :class:`DegenerateGapError`, naming the first failing time, when a
     required singular gap collapses anywhere in the window, and
     :class:`DegenerateInputError` when the three blocks fail to be
-    linearly independent; on a group, the first line that fails a check
-    raises.  Returns one :class:`SplittingEstimate` for a trajectory built
-    from one line and a list, one per line, for a group.
+    linearly independent; the first line of the group that fails a check
+    raises.  Returns a list of :class:`SplittingEstimate`, one per line.
     """
-    n = traj.dim
-    if not 1 <= k < n / 2:
-        raise ValueError(f"k must satisfy 1 <= k < {n / 2:g} for dimension {n}")
+    _check_index(k, traj.dim)
     if traj.t_forward < 2 or traj.t_backward < 2:
         raise WindowBoundsError("need at least two steps in each direction")
-    # with positions, `splitting_at` keeps the line axis
-    group = traj if traj.positions is not None else replace(traj, positions=(0,))
-    _check_gaps(group, k, +1)
-    _check_gaps(group, k, -1)
+    _check_gaps(traj, k, +1)
+    _check_gaps(traj, k, -1)
 
-    t_fwd, t_back = group.t_forward, group.t_backward
-    blocks = splitting_at(group, k, t_fwd, t_back)
+    t_fwd, t_back = traj.t_forward, traj.t_backward
+    blocks = splitting_at(traj, k, t_fwd, t_back)
 
     def shrink(t):
         s = max(1, (3 * t) // 4)
         return s if s < t else t - 1
 
-    shrunk = splitting_at(group, k, shrink(t_fwd), shrink(t_back))
+    shrunk = splitting_at(traj, k, shrink(t_fwd), shrink(t_back))
     residual = np.max([subspace_distance(a, b) for a, b in zip(blocks, shrunk)], axis=0)
     stacked = np.concatenate(blocks, axis=2)
     independence = np.linalg.svd(stacked, compute_uv=False)[:, -1]
@@ -379,7 +351,7 @@ def estimate_splitting(traj: CocycleTrajectory, k: int):
             f" {independence[dependent[0]]:.3e})"
         )
     v_plus, v_zero, v_minus = blocks
-    return _per_line(traj, [
+    return [
         SplittingEstimate(
             k=k,
             v_plus=Subspace(v_plus[b]),
@@ -390,8 +362,8 @@ def estimate_splitting(traj: CocycleTrajectory, k: int):
             t_forward=t_fwd,
             t_backward=t_back,
         )
-        for b in range(group.size)
-    ])
+        for b in range(traj.size)
+    ]
 
 
 @dataclass
@@ -431,7 +403,7 @@ def _running_sum(steps):
     return np.cumsum(np.concatenate([np.zeros((len(steps), 1)), steps], axis=1), axis=1)
 
 
-def measure_rates(traj: CocycleTrajectory, split, norm_matrix=None):
+def measure_rates(traj: CocycleTrajectory, k: int, norm_matrix=None) -> list[RateReport]:
     """Fit contraction and dominance rates of a splitting along a trajectory.
 
     Each curve accumulates, step by step, the logarithmic extremal stretch
@@ -442,10 +414,11 @@ def measure_rates(traj: CocycleTrajectory, split, norm_matrix=None):
     coordinates ``x -> W x``; fitted rates are insensitive to that choice.
     The relative products, their frames and the stretches are all computed
     as stacks over the lines and times, and the curves are running sums
-    that add the stretches in time order.  ``split`` is what
-    `estimate_splitting` returned for ``traj``, one estimate or a list for
-    a group, and the result is one :class:`RateReport` or a list to match.
+    that add the stretches in time order.  ``k`` is the index of the
+    splitting, as given to `estimate_splitting`, and the result a list of
+    :class:`RateReport`, one per line.
     """
+    _check_index(k, traj.dim)
     gens = traj.gens
     if norm_matrix is not None:
         w = require_matrix(norm_matrix, "norm matrix")
@@ -455,7 +428,6 @@ def measure_rates(traj: CocycleTrajectory, split, norm_matrix=None):
             names=gens.names,
         )
 
-    k = (split[0] if traj.positions is not None else split).k
     n = traj.dim
     tb, tf = traj.t_backward, traj.t_forward
     h = max(1, min(_RELATIVE_WINDOW, min(tb, tf) // 2))
@@ -540,4 +512,4 @@ def measure_rates(traj: CocycleTrajectory, split, norm_matrix=None):
             norm_used=norm_matrix is not None,
         )
 
-    return _per_line(traj, [report(b) for b in range(traj.size)])
+    return [report(b) for b in range(traj.size)]

@@ -36,11 +36,8 @@ from functools import cached_property, total_ordering
 import numpy as np
 
 from . import linalg
-from .errors import EnumerationSizeError, NumericOverflowError, WindowBoundsError
+from .errors import NumericOverflowError, WindowBoundsError
 from .linalg import log_singular_values
-
-# exhaustive enumeration refuses spheres larger than this
-ENUMERATION_CAP = 2**63
 
 LOG2 = np.log(2.0)
 
@@ -151,15 +148,7 @@ def count_sphere(rank: int, length: int) -> int:
 
 
 def enumerate_sphere(rank: int, length: int):
-    """Yield every reduced word of the given length, in shortlex order.
-
-    Raises :class:`EnumerationSizeError` when the sphere exceeds
-    ENUMERATION_CAP elements.
-    """
-    if count_sphere(rank, length) > ENUMERATION_CAP:
-        raise EnumerationSizeError(
-            f"sphere of length {length} in rank {rank} exceeds the enumeration cap"
-        )
+    """Yield every reduced word of the given length, in shortlex order."""
     letters = alphabet(rank)
 
     def descend(prefix):
@@ -435,8 +424,7 @@ def iter_sphere_products(gens, L_max: int, policy=Exhaustive(),
     :class:`NumericOverflowError` at the first sphere holding a product
     outside float64 range, after yielding the spheres before it, with the
     ``prefix_length`` of the first letter after which one of its products
-    left that range.  Raises :class:`EnumerationSizeError` before an
-    exhaustive sphere larger than ENUMERATION_CAP.
+    left that range.
     """
     letter_set = np.array(alphabet(gens.rank), dtype=_letter_dtype(gens.rank))
     images = np.stack([gens.image(l) for l in letter_set])
@@ -458,10 +446,6 @@ def iter_sphere_products(gens, L_max: int, policy=Exhaustive(),
     for L in range(1, L_max + 1):
         # scoped per sphere: the state must not leak to the caller across the yield
         with _overflow_raises():
-            if count_sphere(gens.rank, L) > ENUMERATION_CAP:
-                raise EnumerationSizeError(
-                    f"sphere of length {L} in rank {gens.rank} exceeds the enumeration cap"
-                )
             if L == 1:
                 letters, products = letter_set[:, None], _checked(images, 1)
                 logdet, sign = letter_logdets, letter_signs

@@ -151,9 +151,9 @@ def test_criterion_05_partial_hyperbolicity(capsys):
 
         def rates_on_line(m, width):
             gens = GeneratorSet([m])
-            traj = build_trajectory(gens, FlowLineWindow([1] * (2 * width), width))
-            split = estimate_splitting(traj, 1)
-            return measure_rates(traj, split)
+            [traj] = build_trajectory(gens, [FlowLineWindow([1] * (2 * width), width)])
+            estimate_splitting(traj, 1)
+            return measure_rates(traj, 1)[0]
 
         exact = rates_on_line(diag, 24)
         for value in (exact.a_plus, exact.a_minus):

@@ -304,6 +304,27 @@ class TestVerdictExitCodes:
         assert summary["results"]["any_degenerate"] is True
         assert summary["results"]["lines"][0]["status"] == "degenerate"
 
+    @pytest.mark.filterwarnings("ignore::repdyn.errors.ConditionWarning")
+    def test_explicit_split_line_runs_at_its_own_half_width(self, tmp_path):
+        # --window sets the periodic lines only; an explicit line of 2h
+        # letters runs at half width h - |offset|, whatever --window says
+        g, h = partial_hyperbolic_matrices()
+        doc = {"n": 3,
+               "generators": [{"name": "g", "rows": rows(g)}, {"name": "h", "rows": rows(h)}],
+               "lines": [{"pattern": [1]},
+                         {"letters": [1, 2] * 12, "offset": 0},
+                         {"letters": [2, 1] * 12, "offset": -3}]}
+        out = tmp_path / "out"
+        rc = main(["split", "--input", write_doc(tmp_path / "s.json", doc),
+                   "--k", "1", "--window", "40", "--out-dir", str(out)])
+        assert rc == EXIT_OK
+        assert read_summary(out, "split")["results"]["window"] == 40
+        # one row per time t = 0..half width
+        for j, half_width in enumerate((40, 12, 9)):
+            table = (out / f"split_line{j}.csv").read_text(encoding="utf-8")
+            assert [row.split(",")[0] for row in table.splitlines()[1:]] == [
+                str(t) for t in range(half_width + 1)], j
+
     def test_flowmetric_window_too_wide(self, tmp_path, capsys):
         doc = {
             "rank": 2,

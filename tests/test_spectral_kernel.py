@@ -16,7 +16,7 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repdyn import linalg
@@ -73,7 +73,7 @@ def exact_product(gens, letters):
 def kernel_word(gens, letters):
     """The kernel on the one word ``letters``, with that word's log-det."""
     product = evaluate(letters, gens)
-    return gens.log_singular_values(np.array([letters]), product[None])[0], product
+    return linalg.log_singular_values(product[None], gens.log_dets([letters])[0])[0], product
 
 
 def kernel_pair(gens, letters):
@@ -81,7 +81,7 @@ def kernel_pair(gens, letters):
     their log-dets; and the two float products."""
     pair = np.array([letters, Word(letters).inverse().letters])
     products = np.stack([evaluate(w, gens) for w in pair])
-    return gens.log_singular_values(pair, products, [1, 0])[0], products
+    return linalg.log_singular_values(products, gens.log_dets(pair)[0], [1, 0])[0], products
 
 
 def mp_log_top(m):
@@ -203,7 +203,7 @@ def test_equal_singular_values_stay_ordered():
         gens = GeneratorSet([np.array([[c, -s], [s, c]])])
         letters = np.array([[1], [-1], [1], [-1]])
         products = np.stack([gens.image(1), gens.image(-1)] * 2)
-        for logs in (gens.log_singular_values(letters[:2], products[:2]),
+        for logs in (linalg.log_singular_values(products[:2], gens.log_dets(letters[:2])[0]),
                      linalg.log_singular_values(products)):
             gaps = logs[:, 0] - logs[:, 1]
             assert (gaps >= 0.0).all() and (gaps <= 4 * EPS).all()
@@ -316,17 +316,30 @@ def stacks(draw):
     return ms
 
 
+def rational_det(a):
+    """The determinant of a square list of rows of Fractions, by cofactors."""
+    if len(a) == 1:
+        return a[0][0]
+    return sum((-1) ** j * a[0][j] * rational_det([row[:j] + row[j + 1:] for row in a[1:]])
+               for j in range(len(a)))
+
+
+def exact_log_det(m):
+    """log |det m| of a float matrix, from its rational determinant."""
+    det = rational_det([[Fraction(x) for x in row] for row in m.tolist()])
+    with mpmath.workdps(160):
+        return float(mpmath.log(abs(mpmath.mpf(det.numerator) / det.denominator)))
+
+
 def exact_inverse(m):
     """The exact inverse of a float 3x3 matrix rounded to float, from its
     adjugate in rational arithmetic, or None where that is not finite."""
     a = [[Fraction(x) for x in row] for row in m.tolist()]
 
     def minor(i, j):
-        (r0, r1), (c0, c1) = ([k for k in range(3) if k != i],
-                              [k for k in range(3) if k != j])
-        return a[r0][c0] * a[r1][c1] - a[r0][c1] * a[r1][c0]
+        return rational_det([row[:j] + row[j + 1:] for r, row in enumerate(a) if r != i])
 
-    det = sum((-1) ** j * a[0][j] * minor(0, j) for j in range(3))
+    det = rational_det(a)
     try:
         out = np.array([[float((-1) ** (i + j) * minor(j, i) / det) for j in range(3)]
                         for i in range(3)])
@@ -335,25 +348,37 @@ def exact_inverse(m):
     return out if np.abs(out).max() > 0.0 else None
 
 
+# a stack where no matrix has a finite inverse in float64: no inverse rows
+NO_FINITE_INVERSE = np.array([[[2e-320, 1e-200, -2e-201],
+                               [4e-321, 3e-201, 5e-201],
+                               [-3e-321, -2e-201, 1e-200]]])
+# a subnormal column, where the float log-det misses the exact one by 2.48
+SUBNORMAL_COLUMN = np.array([[[1.2573e-309, -1.321e-189, 6.404e-189],
+                              [1.049e-309, -5.357e-189, 3.616e-189],
+                              [1.304e-308, 9.471e-189, -7.037e-189]]])
+
+
 @settings(max_examples=150, deadline=None)
 @given(stacks(), st.booleans())
+@example(NO_FINITE_INVERSE, True)
+@example(SUBNORMAL_COLUMN, True)
 def test_stack_matches_rows_and_mpmath(ms, with_logdet):
     """Without a log-det n = 3 is LAPACK.  With one each matrix comes next
     to its exact inverse rounded to float, where float64 holds that, and
     reads all three log singular values to rounding of their size; the
-    rounded inverse itself is only held to its own s1."""
+    rounded inverse itself is only held to its own s1.  Each log-det is
+    exact, from the matrix's rational determinant."""
     n, size = ms.shape[-1], len(ms)
     logdet = inverse = None
-    if with_logdet and n == 2:
-        logdet = np.linalg.slogdet(ms)[1]
-    elif with_logdet and n == 3:
+    if with_logdet and n == 3:
         inverses = [exact_inverse(m) for m in ms]
         pairs = [i for i in range(size) if inverses[i] is not None]
-        ms = np.concatenate([ms, [inverses[i] for i in pairs]]).reshape(-1, 3, 3)
-        logdet = np.linalg.slogdet(ms)[1]
+        ms = np.concatenate([ms, np.reshape([inverses[i] for i in pairs], (-1, 3, 3))])
         inverse = np.full(len(ms), -1)
         inverse[pairs] = size + np.arange(len(pairs))
         inverse[size:] = pairs
+    if with_logdet and n in (2, 3):
+        logdet = np.array([exact_log_det(m) for m in ms])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = linalg.log_singular_values(ms, logdet, inverse)

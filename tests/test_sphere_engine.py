@@ -17,6 +17,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repdyn import linalg
 from repdyn.affine import (
     affine_checks,
     bounded_singular_check,
@@ -70,16 +71,16 @@ def word_log_singular_values(gens, w, p, paired):
     """The kernel's log singular values of the one word ``w`` with image
     ``p``, next to its inverse word when the sphere holds it (``paired``)."""
     if not paired:
-        return gens.log_singular_values(np.array([w.letters]), p[None])[0]
+        return linalg.log_singular_values(p[None], gens.log_dets([w.letters])[0])[0]
     inv = w.inverse()
     letters = np.array([w.letters, inv.letters])
     products = np.stack([p, evaluate(inv, gens)])
-    return gens.log_singular_values(letters, products, [1, 0])[0]
+    return linalg.log_singular_values(products, gens.log_dets(letters)[0], [1, 0])[0]
 
 
 def word_log_eigenvalue_moduli(gens, w, p):
     """The kernel's log eigenvalue moduli of the one word ``w`` with image ``p``."""
-    return gens.log_eigenvalue_moduli(np.array([w.letters]), p[None])[0]
+    return linalg.log_eigenvalue_moduli(p[None], *gens.log_dets([w.letters]))[0]
 
 
 def shortlex_max(rows):

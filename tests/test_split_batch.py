@@ -196,16 +196,16 @@ def test_group_results_equal_single_line_results():
     assert not any(g.truncated for g in groups if g.positions not in ((1,), (3,)))
     for group in groups:
         splits = estimate_splitting(group, k)
-        rates = measure_rates(group, splits)
+        rates = measure_rates(group, k)
         assert len(splits) == len(rates) == group.size
         for b, position in enumerate(group.positions):
-            alone = build_trajectory(gens, lines[position])
-            assert alone.positions is None and alone.line == lines[position]
+            [alone] = build_trajectory(gens, [lines[position]])
+            assert alone.positions == (0,) and alone.lines == (lines[position],)
             assert alone.truncated == group.truncated
             assert np.array_equal(alone.forward[0], group.forward[b])
             assert np.array_equal(alone.backward[0], group.backward[b])
-            split = estimate_splitting(alone, k)
-            rate = measure_rates(alone, split)
+            [split] = estimate_splitting(alone, k)
+            [rate] = measure_rates(alone, k)
             assert split.residual == splits[b].residual
             assert split.independence == splits[b].independence
             for block in ("v_plus", "v_zero", "v_minus"):
@@ -214,5 +214,3 @@ def test_group_results_equal_single_line_results():
             for curve, values in rate.curves.items():
                 assert np.array_equal(values, rates[b].curves[curve]), curve
             assert rate.a_plus == rates[b].a_plus and rate.A_minus == rates[b].A_minus
-    with pytest.raises(ValueError):
-        build_trajectory(gens, lines[:2] + lines[:2])[0].product(1)

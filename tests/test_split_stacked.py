@@ -76,8 +76,8 @@ def reference_distance(u, w):
 
 def reference_splitting_at(traj, k, t_forward, t_backward):
     n = traj.dim
-    v_plus = reference_bottom(traj.product(-t_backward), k)
-    fwd = traj.product(t_forward)
+    v_plus = reference_bottom(traj.products(-t_backward)[0], k)
+    fwd = traj.products(t_forward)[0]
     v_minus = reference_bottom(fwd, k)
     _, _, vt = np.linalg.svd(fwd)
     return v_plus, Subspace(vt[k : n - k].T), v_minus
@@ -87,7 +87,7 @@ def reference_check_gaps(traj, k, sign):
     n = traj.dim
     horizon = traj.t_forward if sign > 0 else traj.t_backward
     for t in range(1, horizon + 1):
-        s = np.linalg.svd(traj.product(sign * t), compute_uv=False)
+        s = np.linalg.svd(traj.products(sign * t)[0], compute_uv=False)
         for p in sorted({k, n - k}):
             gap = (s[p - 1] - s[p]) / s[p - 1]
             if gap < GAP_TOL:
@@ -147,7 +147,7 @@ def log_smin(m):
 
 def reference_rates(traj, k, norm_matrix=None):
     """``(curves, fitted rates)`` as `measure_rates` finds them."""
-    gens, line = traj.gens, traj.line
+    gens, [line] = traj.gens, traj.lines
     if norm_matrix is not None:
         w_inv = np.linalg.inv(norm_matrix)
         gens = GeneratorSet(
@@ -198,7 +198,7 @@ def reference_residuals(traj, k):
 
 def reference_line(gens, line, k):
     """``("ok", summary values, csv text)`` or ``("degenerate", error)``."""
-    traj = build_trajectory(gens, line)
+    [traj] = build_trajectory(gens, [line])
     try:
         blocks, residual, independence = reference_estimate(traj, k)
         curves, rates = reference_rates(traj, k)
@@ -337,7 +337,7 @@ def test_degenerate_gap_names_first_failing_time():
     mats, specs, k, window = split_case("degenerate")
     gens = GeneratorSet(mats)
     for spec, time in zip(specs, (2, -2)):
-        traj = build_trajectory(gens, make_line(spec, window))
+        [traj] = build_trajectory(gens, [make_line(spec, window)])
         with pytest.raises(DegenerateGapError) as expected:
             reference_estimate(traj, k)
         with pytest.raises(DegenerateGapError) as got:
@@ -354,10 +354,9 @@ def test_measure_rates_in_a_changed_norm(case):
     n = gens.dim
     w = np.eye(n) + np.diag(np.full(n - 1, 0.7), 1)
     for spec in specs[:2]:
-        traj = build_trajectory(gens, make_line(spec, window))
-        split = estimate_splitting(traj, k)
+        [traj] = build_trajectory(gens, [make_line(spec, window)])
         for norm in (None, w):
-            got = measure_rates(traj, split, norm_matrix=norm)
+            [got] = measure_rates(traj, k, norm_matrix=norm)
             curves, rates = reference_rates(traj, k, norm_matrix=norm)
             for name in CURVES:
                 assert np.array_equal(got.curves[name], curves[name]), name
