@@ -15,7 +15,8 @@ each sphere's products take one call of the stacked singular-value kernel
 bounded-singular ``a_i``, one call of the stacked eigenvalue-modulus kernel
 (`linalg.log_eigenvalue_moduli`) with each word's exact log-det and sign,
 and one ``det``.  The single checks run the same scan with their one
-statistic.
+statistic.  Only the eigenvalue check takes a tolerance; the others use
+DEFAULT_HKS_THRESHOLD and PLATEAU_SLOPE_FLOOR.
 
 All scans accept either an :class:`AffineGeneratorSet` (linear part is
 projected out) or a bare linear :class:`~repdyn.domination.GeneratorSet`.
@@ -259,12 +260,12 @@ class HksReport:
     truncated: bool
 
 
-def _hks_report(records, L_max, truncated, threshold) -> HksReport:
+def _hks_report(records, L_max, truncated) -> HksReport:
     worst = max(records, key=lambda r: r.value)
-    first_fail = next((r.length for r in records if r.value > threshold), None)
+    first_fail = next((r.length for r in records if r.value > DEFAULT_HKS_THRESHOLD), None)
     return HksReport(
         passed=first_fail is None,
-        threshold=threshold,
+        threshold=DEFAULT_HKS_THRESHOLD,
         max_normalized=worst.value,
         worst_word=worst.word,
         worst_length=worst.length,
@@ -275,16 +276,15 @@ def _hks_report(records, L_max, truncated, threshold) -> HksReport:
     )
 
 
-def hks_test(gens, L_max: int, policy=words.Exhaustive(),
-             threshold=DEFAULT_HKS_THRESHOLD) -> HksReport:
+def hks_test(gens, L_max: int, policy=words.Exhaustive()) -> HksReport:
     """Scan the normalized determinant ``|det(rho(g) - I)|`` over spheres.
 
     The normalization ``(1 + smax(rho(g)))^n`` makes the statistic scale
-    free, so one threshold works across growth rates.  Passing means every
-    scanned product is consistent with having eigenvalue 1.
+    free, so one threshold, DEFAULT_HKS_THRESHOLD, fits all growth rates.
+    Passing means every scanned product is consistent with eigenvalue 1.
     """
     (records,), truncated = _scan_extremes(gens, L_max, (_hks_stat,), policy)
-    return _hks_report(records, L_max, truncated, threshold)
+    return _hks_report(records, L_max, truncated)
 
 
 @dataclass
@@ -342,14 +342,14 @@ class BoundedSingularReport:
     truncated: bool
 
 
-def _bounded_report(records, L_max, truncated, slope_floor) -> BoundedSingularReport:
+def _bounded_report(records, L_max, truncated) -> BoundedSingularReport:
     values = [r.value for r in records]
     if len(records) >= 2:
         slope, _, se = fit_line([r.length for r in records], values)
     else:
         slope, se = float("nan"), float("nan")
     ci = (slope - 2.0 * se, slope + 2.0 * se)
-    passed = bool(abs(slope) <= max(2.0 * se, slope_floor))
+    passed = bool(abs(slope) <= max(2.0 * se, PLATEAU_SLOPE_FLOOR))
     return BoundedSingularReport(
         passed=passed,
         criterion=_BOUNDED_SINGULAR_CRITERION,
@@ -362,36 +362,36 @@ def _bounded_report(records, L_max, truncated, slope_floor) -> BoundedSingularRe
     )
 
 
-def bounded_singular_check(gens, L_max: int, policy=words.Exhaustive(),
-                           slope_floor=PLATEAU_SLOPE_FLOOR) -> BoundedSingularReport:
+def bounded_singular_check(gens, L_max: int,
+                           policy=words.Exhaustive()) -> BoundedSingularReport:
     """Do per-sphere maxima of ``min_i |log a_i|`` plateau rather than grow?
 
     Fits the sphere maxima against length; passing means the slope is 0
-    within two standard errors (or below ``slope_floor`` when the fit is
-    exact).  ``C_hat`` is the largest observed value, the empirical bound.
+    within two standard errors (or below PLATEAU_SLOPE_FLOOR when the fit
+    is exact).  ``C_hat`` is the largest observed value, the empirical bound.
     Needs ``L_max >= 2`` for the fit.
     """
     _require_fit_length(L_max)
     (records,), truncated = _scan_extremes(gens, L_max, (_bounded_values,), policy)
-    return _bounded_report(records, L_max, truncated, slope_floor)
+    return _bounded_report(records, L_max, truncated)
 
 
 def affine_checks(gens, L_max: int, policy=words.Exhaustive(),
-                  threshold=DEFAULT_HKS_THRESHOLD, tol=DEFAULT_EIGENVALUE_TOL,
-                  slope_floor=PLATEAU_SLOPE_FLOOR):
+                  tol=DEFAULT_EIGENVALUE_TOL):
     """`hks_test`, `eigenvalue_norm_one_check` and `bounded_singular_check`
     from one sphere pass.
 
-    Returns the three reports, equal to what the three calls return; each
-    sphere is enumerated once and its log singular values feed both the HKS
-    ``smax`` and the bounded-singular ``min_i |log a_i|``.  Needs ``L_max >= 2``.
+    Returns the three reports, equal to what the three calls return with
+    ``tol`` given to the eigenvalue check; each sphere is enumerated once and
+    its log singular values feed both the HKS ``smax`` and the
+    bounded-singular ``min_i |log a_i|``.  Needs ``L_max >= 2``.
     """
     _require_fit_length(L_max)
     (hks, eig, bounded), truncated = _scan_extremes(
         gens, L_max, (_hks_stat, _eigenvalue_values, _bounded_values), policy
     )
     return (
-        _hks_report(hks, L_max, truncated, threshold),
+        _hks_report(hks, L_max, truncated),
         _eigenvalue_report(eig, L_max, truncated, tol),
-        _bounded_report(bounded, L_max, truncated, slope_floor),
+        _bounded_report(bounded, L_max, truncated),
     )

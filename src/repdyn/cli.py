@@ -663,7 +663,8 @@ def _residual_columns(traj, k):
     """The residual column of each line: at t = 3, 4, ... the largest move
     of a splitting block from t - 1 to t, as an array per line."""
     tt = min(traj.t_forward, traj.t_backward)
-    frames = flowbundle.splitting_frames(traj, k, np.arange(2, tt + 1))
+    times = np.arange(2, tt + 1)
+    frames = flowbundle.splitting_at(traj, k, times, times)
     moves = [
         subspace_distance(f[:, 1:].reshape(-1, *f.shape[2:]),
                           f[:, :-1].reshape(-1, *f.shape[2:]))

@@ -193,8 +193,7 @@ def _sphere_record(k, sphere) -> SphereRecord:
 
 
 def domination_scan(gens: GeneratorSet, k: int, L_max: int,
-                    policy=words.Exhaustive(),
-                    gap_tol=DEFAULT_GAP_TOL) -> DominationReport:
+                    policy=words.Exhaustive()) -> DominationReport:
     """Scan word spheres for k-domination and partial hyperbolicity.
 
     Parameters
@@ -207,14 +206,13 @@ def domination_scan(gens: GeneratorSet, k: int, L_max: int,
     policy : Exhaustive or Sampled
         Sampled scans can refute but never certify; their verdict is
         ``"refuted"`` or ``"inconclusive"``.
-    gap_tol : float
-        A sphere minimum gap at or below this refutes.
 
     Notes
     -----
-    The scan stops at the first refuting sphere.  A product overflowing
-    float64 truncates the scan at the last complete sphere, flagged in the
-    report.  The partial hyperbolicity verdict additionally needs
+    The scan stops at the first refuting sphere, one whose minimum gap is
+    at or below DEFAULT_GAP_TOL (the report's ``gap_tol``).  A product
+    overflowing float64 truncates the scan at the last complete sphere,
+    flagged in the report.  The partial hyperbolicity verdict additionally needs
     ``k < n / 2``, per-sphere ``min log a_k > 0`` and ``max log a_(n-k+1) <
     0`` for all lengths beyond some ``L0 <= L_used - 2``, and margin slopes
     of the right signs.
@@ -234,7 +232,7 @@ def domination_scan(gens: GeneratorSet, k: int, L_max: int,
         for sphere in words.iter_sphere_products(gens, L_max, policy):
             rec = _sphere_record(k, sphere)
             spheres.append(rec)
-            if rec.gap_min <= gap_tol:
+            if rec.gap_min <= DEFAULT_GAP_TOL:
                 refuted_at, violating = rec.length, rec.argmin
                 break
     except NumericOverflowError:
@@ -296,7 +294,7 @@ def domination_scan(gens: GeneratorSet, k: int, L_max: int,
         L0=L0,
         refuted_at=refuted_at,
         violating_word=violating,
-        gap_tol=gap_tol,
+        gap_tol=DEFAULT_GAP_TOL,
         exhaustive=exhaustive,
     )
 

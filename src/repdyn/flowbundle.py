@@ -17,22 +17,21 @@ hyperbolic splitting must exhibit, optionally in a changed fiber norm.
 Everything runs on stacks of lines.  `build_trajectory` walks a sequence
 of lines together, one stacked product per step, and groups them by how
 far they reach in each direction (a line that overflows stops early); each
-group is one trajectory.  `estimate_splitting`, `measure_rates`,
-`splitting_at` and `splitting_frames` treat all the lines and times of a
-group in a few stacked LAPACK calls (`linalg.singular_frames` and friends),
-which decompose each matrix on its own, so a line gets the same bits in a
-group as alone.  Every analysis returns one result per line of the group,
-and a single line is a group of one.  A check that fails on any line raises
-for the whole group, so a caller that wants per-line outcomes (``repdyn
-split``) runs a failing group again one line at a time.
-A stack whose products pass the condition limit draws one
-`ConditionWarning` that counts them.
+group is one trajectory.  `estimate_splitting`, `measure_rates` and
+`splitting_at`, which reads the frames at a sequence of pairs of times,
+treat all the lines and times of a group in a few stacked LAPACK calls
+(`linalg.singular_frames` and friends), which decompose each matrix on its
+own, so a line gets the same bits in a group as alone.  Every analysis
+returns one result per line of the group, and a single line is a group of
+one.  A check that fails on any line raises for the whole group, so a
+caller that wants per-line outcomes (``repdyn split``) runs a failing group
+again one line at a time.  Each stacked call whose products pass the
+condition limit draws one `ConditionWarning` that counts them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 import numpy as np
 
@@ -129,11 +128,11 @@ def _images(gens):
     return np.stack([gens.image(l) for l in alphabet(gens.rank)])
 
 
-def build_trajectory(gens: GeneratorSet, lines, half_width: Optional[int] = None):
+def build_trajectory(gens: GeneratorSet, lines):
     """Compose generator images along flow line windows.
 
-    Walks each line as far as its usable window (or ``half_width``, if
-    smaller) in both directions.  Overflowing float64 stops the affected
+    Walks each line as far as its usable window in both directions (its
+    ``usable_half_width``).  Overflowing float64 stops the affected
     direction of a line at its last finite product and flags it as
     truncated.  ``lines`` is a sequence of :class:`FlowLineWindow` objects,
     and the result a list of :class:`CocycleTrajectory` groups: one per
@@ -145,14 +144,6 @@ def build_trajectory(gens: GeneratorSet, lines, half_width: Optional[int] = None
     if not lines:
         raise ValueError("need at least one flow line")
     reach = np.array([line.usable_half_width for line in lines])
-    if half_width is not None:
-        short = (half_width < 1) | (reach < half_width)
-        if short.any():
-            raise WindowBoundsError(
-                f"half width {half_width} exceeds the usable window"
-                f" {reach[np.argmax(short)]}"
-            )
-        reach[:] = half_width
     count, width, n = len(lines), int(reach.max()), gens.dim
 
     # row b holds the letters of line b at relative times -width..width-1,
@@ -271,43 +262,30 @@ def _blocks(vt_forward, vt_backward, k):
     )
 
 
-def splitting_at(traj, k: int, t_forward: int, t_backward: int):
-    """Raw splitting estimate from specific window ends.
+def splitting_at(traj, k: int, t_forward, t_backward):
+    """Raw splitting estimates from pairs of window ends.
 
-    Returns ``(v_plus, v_zero, v_minus)`` read off the products
-    ``P(-t_backward)`` and ``P(t_forward)`` without residual or
-    independence checks; `estimate_splitting` wraps this with both.  They
-    are three read-only ``(B, n, p)`` stacks of bases, one row per line.
+    Reads ``(v_plus, v_zero, v_minus)`` off ``P(-t_backward[i])`` and
+    ``P(t_forward[i])`` for each pair i of two equal-length sequences of
+    times, without residual or independence checks; `estimate_splitting`
+    wraps this with both.  They are three read-only ``(B, N, n, p)`` stacks
+    of orthonormal bases (p the block dimension), a row per line and within
+    it a row per pair.  All the ``P(-t_backward)`` go through one
+    `bottom_singular_subspace` call, then all the ``P(t_forward)`` through
+    one `singular_frames` call, each checked line by line.
     """
+    tf, tb = np.asarray(t_forward, dtype=int), np.asarray(t_backward, dtype=int)
+    if tf.ndim != 1 or tf.shape != tb.shape:
+        raise WindowBoundsError("need two equal-length sequences of times")
+    if ((tf < 0) | (tf > traj.t_forward) | (tb < 0) | (tb > traj.t_backward)).any():
+        raise WindowBoundsError(
+            f"times must lie in 0..{traj.t_forward} forward, 0..{traj.t_backward} backward"
+        )
     n = traj.dim
-    v_plus = bottom_singular_subspace(traj.products(-t_backward), k)
-    _, _, vt = singular_frames(traj.products(t_forward), n - k)
-    return v_plus, _bases(vt[:, k : n - k]), _bases(vt[:, n - k :])
-
-
-def splitting_frames(traj, k: int, times):
-    """`splitting_at` ``(traj, k, t, t)`` for every t in ``times``, stacked.
-
-    Returns ``(v_plus, v_zero, v_minus)`` as read-only ``(B, N, n, p)``
-    stacks of orthonormal bases (p the block dimension), a row per line and
-    within it a row per time, from one SVD of all the products ``P(-t)`` and
-    ``P(t)``.  They are checked line by line in the order ``P(-t), P(t)`` of
-    each time in turn, and the first that fails raises what `splitting_at`
-    would raise for it.
-    """
-    times = np.asarray(times, dtype=int)
-    horizon = min(traj.t_forward, traj.t_backward)
-    if times.size and not (0 <= times.min() and times.max() <= horizon):
-        raise WindowBoundsError(f"times must lie in 0..{horizon}")
-    n = traj.dim
-    vt_back, vt_fwd = _right_frames(
-        traj.backward[:, times].reshape(-1, n, n),
-        traj.forward[:, times].reshape(-1, n, n),
-        k,
-    )
-    return tuple(
-        b.reshape(traj.size, times.size, n, -1) for b in _blocks(vt_fwd, vt_back, k)
-    )
+    v_plus = bottom_singular_subspace(traj.backward[:, tb].reshape(-1, n, n), k)
+    _, _, vt = singular_frames(traj.forward[:, tf].reshape(-1, n, n), n - k)
+    blocks = v_plus, _bases(vt[:, k : n - k]), _bases(vt[:, n - k :])
+    return tuple(b.reshape(traj.size, tf.size, n, -1) for b in blocks)
 
 
 def _check_index(k, n):
@@ -334,13 +312,13 @@ def estimate_splitting(traj: CocycleTrajectory, k: int) -> list[SplittingEstimat
     _check_gaps(traj, k, -1)
 
     t_fwd, t_back = traj.t_forward, traj.t_backward
-    blocks = splitting_at(traj, k, t_fwd, t_back)
+    blocks = [b[:, 0] for b in splitting_at(traj, k, [t_fwd], [t_back])]
 
     def shrink(t):
         s = max(1, (3 * t) // 4)
         return s if s < t else t - 1
 
-    shrunk = splitting_at(traj, k, shrink(t_fwd), shrink(t_back))
+    shrunk = [b[:, 0] for b in splitting_at(traj, k, [shrink(t_fwd)], [shrink(t_back)])]
     residual = np.max([subspace_distance(a, b) for a, b in zip(blocks, shrunk)], axis=0)
     stacked = np.concatenate(blocks, axis=2)
     independence = np.linalg.svd(stacked, compute_uv=False)[:, -1]

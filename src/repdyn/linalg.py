@@ -22,7 +22,8 @@ degenerate, raising :class:`~repdyn.errors.DegenerateGapError` instead of
 returning an arbitrary basis.  Angles between subspaces come in two flavors:
 `principal_angle` (smallest angle, measures transversality) and
 `subspace_distance` (largest angle, measures how far apart two estimates of
-the same subspace are).
+the same subspace are), both from one stacked numpy copy of the steps of
+``scipy.linalg.subspace_angles``.
 
 `log_singular_values` is the one stacked singular-value kernel that every
 sphere scan reads: the sorted log singular values of an ``(N, n, n)`` stack,
@@ -641,7 +642,8 @@ def require_orthonormal(bases):
     if not 1 <= p <= n:
         raise ValueError(f"subspace dimension {p} invalid in ambient dimension {n}")
     gram = np.swapaxes(bases, -1, -2) @ bases
-    if np.abs(gram - np.eye(p)).max(initial=0.0) > ORTHONORMAL_TOL:
+    # written so that a NaN deviation fails
+    if not np.abs(gram - np.eye(p)).max(initial=0.0) <= ORTHONORMAL_TOL:
         raise ValueError("subspace basis columns are not orthonormal")
     bases.flags.writeable = False
     return bases
@@ -771,39 +773,38 @@ def principal_angle(u: Subspace, w: Subspace) -> float:
         raise ValueError(
             "dimensions force an intersection; smallest angle would always be 0"
         )
-    # imported here: scipy.linalg is slow to import and only this needs it
-    import scipy.linalg
-
-    return float(scipy.linalg.subspace_angles(u.basis, w.basis).min())
+    return float(_principal_angles(u.basis[None], w.basis[None]).min())
 
 
-def _largest_angles(a, b):
-    """``scipy.linalg.subspace_angles(a[i], b[i]).max()`` for each i, bit for bit.
+def _principal_angles(a, b):
+    """``scipy.linalg.subspace_angles(a[i], b[i])`` for each i, as rows.
 
-    ``a`` and ``b`` are ``(N, n, p)`` stacks of full-rank column bases.  The
-    steps are scipy's: orthonormalize by SVD, take the cosines as the
-    singular values of ``Qa^T Qb`` and the sines as those of ``Qb - Qa Qa^T
-    Qb``, and read each angle from its arcsine where the cosine squared is at
-    least 1/2 and from the arccosine of the reversed cosines elsewhere.
+    ``a`` and ``b`` are ``(N, n, p)`` and ``(N, n, q)`` stacks of full-rank
+    column bases.  The steps are scipy's: orthonormalize by SVD, take the
+    cosines as the singular values of ``Qa^T Qb`` and the sines as those of
+    ``Qb - Qa Qa^T Qb`` (of ``Qa - Qb Qb^T Qa`` when p < q), and read each
+    angle from its arcsine where the cosine squared is at least 1/2 and from
+    the arccosine of the reversed cosines elsewhere.
     """
-    n, p = a.shape[-2:]
     qa, sa, _ = np.linalg.svd(a, full_matrices=False)
     qb, sb, _ = np.linalg.svd(b, full_matrices=False)
     # scipy's orth drops columns at or below this cutoff; a full-rank basis
     # keeps every one, so the stacks stay rectangular
-    rcond = np.finfo(float).eps * max(n, p)
-    for s in (sa, sb):
-        if not (s > s[:, :1] * rcond).all():
-            raise ValueError("subspace distance needs full-rank bases")
+    for x, s in ((a, sa), (b, sb)):
+        if not (s > s[:, :1] * np.finfo(float).eps * max(x.shape[-2:])).all():
+            raise ValueError("principal angles need full-rank bases")
     cosines_matrix = np.swapaxes(qa, -1, -2) @ qb
     sigma = np.linalg.svd(cosines_matrix, compute_uv=False)
-    sines = np.linalg.svd(qb - qa @ cosines_matrix, compute_uv=False)
-    theta = np.where(
+    if a.shape[-1] >= b.shape[-1]:
+        rest = qb - qa @ cosines_matrix
+    else:
+        rest = qa - qb @ np.swapaxes(cosines_matrix, -1, -2)
+    sines = np.linalg.svd(rest, compute_uv=False)
+    return np.where(
         sigma**2 >= 0.5,
         np.arcsin(np.clip(sines, -1.0, 1.0)),
         np.arccos(np.clip(sigma[:, ::-1], -1.0, 1.0)),
     )
-    return theta.max(axis=1)
 
 
 def subspace_distance(u, w):
@@ -820,7 +821,7 @@ def subspace_distance(u, w):
             raise ValueError("subspaces live in different ambient dimensions")
         if u.dim != w.dim:
             raise ValueError("subspace distance needs equal dimensions")
-        return float(_largest_angles(u.basis[None], w.basis[None])[0])
+        return float(_principal_angles(u.basis[None], w.basis[None]).max())
     a, b = np.asarray(u, dtype=float), np.asarray(w, dtype=float)
     if a.ndim != 3 or a.shape != b.shape:
         raise ValueError(
@@ -828,4 +829,4 @@ def subspace_distance(u, w):
         )
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("bases must be finite")
-    return _largest_angles(a, b)
+    return _principal_angles(a, b).max(axis=1)

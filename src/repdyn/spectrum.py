@@ -114,7 +114,6 @@ class ConeEstimate:
     hull_vertices: np.ndarray
     hull_affine_dim: int
     hausdorff: float
-    zero_tol_coeff: float
     exhaustive: bool
 
     @property
@@ -151,15 +150,16 @@ def _hull_of_cloud(cloud):
     return cloud[np.sort(hull.vertices)].copy(), adim
 
 
-def sample_cone(gens, m_max: int, policy=words.Exhaustive(),
-                zero_tol_coeff=DEFAULT_ZERO_TOL_COEFF) -> ConeEstimate:
+def sample_cone(gens, m_max: int, policy=words.Exhaustive()) -> ConeEstimate:
     """Collect normalized Jordan (and Cartan) samples for m = 1..m_max.
 
     Every level keeps both projections so eigenvalue and singular value
     readings can be compared downstream.  Sampled policies close each draw
-    under word inversion so involution symmetry stays structural.  A product
-    overflowing float64 truncates the sweep at the last complete level,
-    flagged in the estimate; ``m_max`` must be at least 2.
+    under word inversion so involution symmetry stays structural.  A Jordan
+    coordinate is zero when its modulus is at most DEFAULT_ZERO_TOL_COEFF
+    times max(1, sup-norm of its vector).  A product overflowing float64
+    truncates the sweep at the last complete level, flagged in the
+    estimate; ``m_max`` must be at least 2.
     """
     if m_max < 2:
         raise ValueError("m_max must be at least 2")
@@ -171,7 +171,7 @@ def sample_cone(gens, m_max: int, policy=words.Exhaustive(),
             raise NumericOverflowError("eigenvalue modulus left float64 range",
                                        prefix_length=m)
         cartan = sphere.log_singular_values() / m
-        tols = zero_tol_coeff * np.maximum(1.0, np.abs(jordan).max(axis=1))
+        tols = DEFAULT_ZERO_TOL_COEFF * np.maximum(1.0, np.abs(jordan).max(axis=1))
         return ConeLevel(sphere.letters, jordan, cartan, tols,
                          np.abs(jordan) <= tols[:, None], sphere.inverse)
 
@@ -204,7 +204,6 @@ def sample_cone(gens, m_max: int, policy=words.Exhaustive(),
         hull_vertices=vertices,
         hull_affine_dim=adim,
         hausdorff=float(hausdorff),
-        zero_tol_coeff=zero_tol_coeff,
         exhaustive=isinstance(policy, words.Exhaustive),
     )
 

@@ -651,19 +651,17 @@ class TreeGeodesic:
         return self._letters[rows], self._lengths[rows]
 
     @classmethod
-    def from_rays(cls, anchor, forward, backward, half_width=None) -> "TreeGeodesic":
+    def from_rays(cls, anchor, forward, backward) -> "TreeGeodesic":
         """Build a geodesic from an anchor and two letter rays.
 
         ``forward[j]`` is the letter from time ``j`` to ``j + 1``;
         ``backward[j]`` is the letter read walking backward, so
-        ``vertex(-j-1) = vertex(-j) * backward[j]``.
+        ``vertex(-j-1) = vertex(-j) * backward[j]``.  The half width is
+        the length of the shorter ray.
         """
         forward = tuple(int(l) for l in forward)
         backward = tuple(int(l) for l in backward)
-        if half_width is None:
-            half_width = min(len(forward), len(backward))
-        if len(forward) < half_width or len(backward) < half_width:
-            raise ValueError("rays shorter than the requested half width")
+        half_width = min(len(forward), len(backward))
         stream = tuple(
             -backward[half_width - 1 - j] for j in range(half_width)
         ) + forward[:half_width]

@@ -772,6 +772,50 @@ class TestAffineExtremes:
         assert written["logs"] == written["plain"]
 
 
+class TestOverflowTruncation:
+    """Products of 1e40-scaled generators overflow float64 at length 8, so
+    each sphere scan stops at the last complete length and says so."""
+
+    @pytest.fixture()
+    def huge_doc(self, tmp_path):
+        q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))
+        d = np.diag([4.0, 1.0, 0.25])
+        return write_doc(tmp_path / "huge.json", {"n": 3, "generators": [
+            {"name": "g", "rows": rows(1e40 * d)},
+            {"name": "h", "rows": rows(1e40 * q @ d @ q.T)},
+        ]})
+
+    @pytest.mark.parametrize("policy", [[], ["--policy", "sampled", "--samples", "50"]])
+    def test_dominate_is_inconclusive_at_the_last_complete_sphere(self, huge_doc,
+                                                                  tmp_path, policy):
+        out = tmp_path / "out"
+        code = main(["dominate", "--input", huge_doc, "--max-length", "9",
+                     *policy, "--out-dir", str(out)])
+        results = read_summary(out, "dominate")["results"]
+        assert code == EXIT_INCONCLUSIVE
+        assert results["verdict"] == "inconclusive" and results["truncated"] is True
+        assert results["L_used"] == len(results["spheres"]) == 7
+
+    def test_spectrum_keeps_the_complete_levels(self, huge_doc, tmp_path):
+        out = tmp_path / "out"
+        code = main(["spectrum", "--input", huge_doc, "--m-max", "8",
+                     "--out-dir", str(out)])
+        results = read_summary(out, "spectrum")["results"]
+        assert code == EXIT_OK
+        assert results["truncated"] is True
+        assert (results["m_max"], results["m_used"]) == (8, 7)
+
+    def test_affine_reports_are_all_truncated(self, huge_doc, tmp_path):
+        out = tmp_path / "out"
+        code = main(["affine", "--input", huge_doc, "--max-length", "8",
+                     "--out-dir", str(out)])
+        results = read_summary(out, "affine")["results"]
+        assert code == EXIT_FAIL
+        reports = ("hks", "eigenvalue_norm_one", "bounded_singular")
+        assert [results[r]["truncated"] for r in reports] == [True, True, True]
+        assert results["eigenvalue_norm_one"]["worst_length"] == 7
+
+
 class TestImportCost:
     @staticmethod
     def imported_after_cli(module):
@@ -786,7 +830,7 @@ class TestImportCost:
         assert self.imported_after_cli("scipy.spatial") == "False"
 
     def test_cli_import_leaves_scipy_linalg_out(self):
-        # only linalg.principal_angle needs it, and imports it when called
+        # no module of the package imports it (tests/test_imports.py)
         assert self.imported_after_cli("scipy.linalg") == "False"
 
 

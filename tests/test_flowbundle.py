@@ -82,11 +82,11 @@ class TestSplitting:
     def test_splitting_at_matches_estimate(self, constant_traj):
         [split] = estimate_splitting(constant_traj, 1)
         vp, vz, vm = splitting_at(
-            constant_traj, 1, split.t_forward, split.t_backward
+            constant_traj, 1, [split.t_forward], [split.t_backward]
         )
-        np.testing.assert_allclose(vp[0], split.v_plus.basis, atol=1e-12)
-        np.testing.assert_allclose(vz[0], split.v_zero.basis, atol=1e-12)
-        np.testing.assert_allclose(vm[0], split.v_minus.basis, atol=1e-12)
+        np.testing.assert_allclose(vp[0, 0], split.v_plus.basis, atol=1e-12)
+        np.testing.assert_allclose(vz[0, 0], split.v_zero.basis, atol=1e-12)
+        np.testing.assert_allclose(vm[0, 0], split.v_minus.basis, atol=1e-12)
 
 
 class TestRates:

@@ -1,8 +1,11 @@
-"""Every name that a module of the package imports is read in that module.
+"""Every name that a module of the package imports is read in that module,
+and no module imports ``scipy.linalg``.
 
 No linter runs on the package, so a refactor that leaves an import behind
 is caught here.  Names that a module lists in ``__all__`` (the package's
-re-exports) and ``from __future__`` imports are exempt.
+re-exports) and ``from __future__`` imports are exempt.  ``scipy.linalg``
+is slow to import (it once cost about half the start-up time of a run), and
+`repdyn.linalg` has numpy versions of what the package needs from it.
 """
 
 import ast
@@ -50,3 +53,41 @@ def test_the_check_sees_a_dead_import():
         "x: np.ndarray = alphabet(2)\n"
     )
     assert unused_imports(source) == ["FlowLineWindow"]
+
+
+def scipy_linalg_imports(source):
+    """The line of each import of ``scipy.linalg`` in ``source``, at any
+    depth, as ``import scipy.linalg``, ``from scipy.linalg import ...`` or
+    ``from scipy import linalg``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+        else:
+            continue
+        if any(name == "scipy.linalg" or name.startswith("scipy.linalg.")
+               for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_scipy_linalg_import(path):
+    assert scipy_linalg_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_a_lazy_scipy_linalg_import():
+    source = (
+        "import scipy.spatial\n"
+        "from scipy import special\n"
+        "def f(u):\n"
+        "    import scipy.linalg\n"
+        "    return scipy.linalg.norm(u)\n"
+        "def g(u):\n"
+        "    from scipy import linalg\n"
+        "    from scipy.linalg import svd\n"
+        "    return linalg.norm(u), svd(u)\n"
+    )
+    assert scipy_linalg_imports(source) == [4, 7, 8]

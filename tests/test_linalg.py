@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from repdyn.errors import ConditionWarning, DegenerateGapError, DegenerateInputError
 from repdyn.linalg import _first_invalid
@@ -179,6 +180,33 @@ class TestSubspaceGeometry:
         plane = Subspace(np.eye(3)[:, :2])
         with pytest.raises(ValueError):
             principal_angle(plane, plane)
+
+    def test_nan_basis_refused(self):
+        with pytest.raises(ValueError, match="orthonormal"):
+            Subspace(np.full((3, 1), np.nan))
+        bases = np.stack([np.eye(3)[:, :1]] * 4)
+        bases[2] = np.nan
+        with pytest.raises(ValueError, match="orthonormal"):
+            require_orthonormal(bases)
+
+    @pytest.mark.parametrize("n, p, q", [(3, 1, 1), (3, 1, 2), (3, 2, 1), (4, 2, 2),
+                                         (5, 2, 3), (5, 3, 2), (5, 4, 1)])
+    def test_principal_angle_matches_scipy(self, n, p, q):
+        rng = np.random.default_rng(100 * n + 10 * p + q)
+        for _ in range(100):
+            a = np.linalg.qr(rng.standard_normal((n, p)))[0]
+            b = rng.standard_normal((n, q))
+            if q <= p:
+                # near a's span, which reaches the arcsine branch
+                b = a[:, :q] + 10.0 ** rng.uniform(-12, 0.7) * b
+            b = np.linalg.qr(b)[0]
+            expected = scipy.linalg.subspace_angles(a, b).min()
+            got = principal_angle(Subspace(a), Subspace(b))
+            if min(p, q) > 1 or p == q:
+                assert got == expected
+            else:
+                # a single column against several takes other BLAS paths
+                assert got == pytest.approx(expected, rel=0, abs=4 * np.finfo(float).eps)
 
     def test_distance_symmetric(self):
         rng = np.random.default_rng(2)

@@ -251,10 +251,10 @@ def test_dominate_refuted_early_reads_the_per_length_walk(monkeypatch, walks, n,
                                                            refuted_at):
     gens = pair(n)
     policy = Sampled(count=25, seed=6)
-    got = domination_scan(gens, 1, 20, policy, gap_tol=0.05)
+    got = domination_scan(gens, 1, 20, policy)
     monkeypatch.setattr(words, "iter_sphere_products",
                         lambda g, L, p: reference_spheres(g, L, p))
-    expected = domination_scan(gens, 1, 20, policy, gap_tol=0.05)
+    expected = domination_scan(gens, 1, 20, policy)
     assert got.verdict == "refuted" and got.refuted_at == refuted_at
     assert repr(dataclasses.astuple(got)) == repr(dataclasses.astuple(expected))
     # the scan stopped early, having walked at most three times the rows

@@ -17,7 +17,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repdyn import linalg
+from repdyn import linalg, spectrum
 from repdyn.affine import (
     affine_checks,
     bounded_singular_check,
@@ -168,12 +168,10 @@ def test_affine_extremes(gens, policy):
 
 @pytest.mark.parametrize("policy", POLICIES)
 def test_one_pass_reports_equal_the_single_checks(gens, policy):
-    hks, eig, bounded = affine_checks(gens, L_max=4, policy=policy, threshold=1e-3,
-                                      tol=1e-2, slope_floor=1e-3)
-    assert hks == hks_test(gens, L_max=4, policy=policy, threshold=1e-3)
+    hks, eig, bounded = affine_checks(gens, L_max=4, policy=policy, tol=1e-2)
+    assert hks == hks_test(gens, L_max=4, policy=policy)
     assert eig == eigenvalue_norm_one_check(gens, L_max=4, tol=1e-2, policy=policy)
-    assert bounded == bounded_singular_check(gens, L_max=4, policy=policy,
-                                             slope_floor=1e-3)
+    assert bounded == bounded_singular_check(gens, L_max=4, policy=policy)
 
 
 def test_one_pass_needs_two_spheres(ping_pong):
@@ -193,7 +191,7 @@ def test_cone_samples(request, fixture, policy):
         for r, (w, p) in enumerate(rows):
             jv = word_log_eigenvalue_moduli(gens, w, p) / m
             cv = word_log_singular_values(gens, w, p, paired=True) / m
-            tol = cone.zero_tol_coeff * max(1.0, float(np.abs(jv).max()))
+            tol = spectrum.DEFAULT_ZERO_TOL_COEFF * max(1.0, float(np.abs(jv).max()))
             assert level.word(r) == w
             assert np.array_equal(level.jordan[r], jv)
             assert np.array_equal(level.cartan[r], cv)

@@ -17,7 +17,13 @@ import pytest
 from repdyn import flowbundle
 from repdyn.cli import main
 from repdyn.domination import GeneratorSet
-from repdyn.flowbundle import build_trajectory, estimate_splitting, measure_rates
+from repdyn.errors import WindowBoundsError
+from repdyn.flowbundle import (
+    build_trajectory,
+    estimate_splitting,
+    measure_rates,
+    splitting_at,
+)
 from repdyn.words import FlowLineWindow, random_word
 
 from conftest import partial_hyperbolic_matrices, rotation3
@@ -214,3 +220,46 @@ def test_group_results_equal_single_line_results():
             for curve, values in rate.curves.items():
                 assert np.array_equal(values, rates[b].curves[curve]), curve
             assert rate.a_plus == rates[b].a_plus and rate.A_minus == rates[b].A_minus
+
+
+def overflow_groups():
+    """The trajectory groups of the overflow mix and its splitting index."""
+    mats, specs, k, window = mix("overflow")
+    lines = [
+        FlowLineWindow.periodic(s["pattern"], window) if "pattern" in s
+        else FlowLineWindow(s["letters"], len(s["letters"]) // 2, s["offset"])
+        for s in specs
+    ]
+    return build_trajectory(GeneratorSet(mats), lines), k
+
+
+@pytest.mark.filterwarnings("ignore::repdyn.errors.ConditionWarning")
+def test_splitting_at_rows_equal_one_pair_calls():
+    groups, k = overflow_groups()
+    # the line that overflows forward only reaches unequally far each way
+    assert any(g.t_forward != g.t_backward for g in groups)
+    for group in groups:
+        tf, tb = group.t_forward, group.t_backward
+        pairs = [(tf, tb), (2, tb), (tf, 3), (tf - 1, 2), (tf // 2, tb // 2 + 1)]
+        forward, backward = zip(*pairs)
+        stacked = splitting_at(group, k, forward, backward)
+        n = group.dim
+        for block, p in zip(stacked, (k, n - 2 * k, k)):
+            assert block.shape == (group.size, len(pairs), n, p)
+            assert not block.flags.writeable
+        for i, (t_f, t_b) in enumerate(pairs):
+            for block, one in zip(stacked, splitting_at(group, k, [t_f], [t_b])):
+                assert np.array_equal(block[:, i], one[:, 0]), (group.positions, i)
+
+
+def test_splitting_at_refuses_unpaired_and_outside_times():
+    groups, k = overflow_groups()
+    [ahead] = [g for g in groups if 3 in g.positions]
+    tf, tb = ahead.t_forward, ahead.t_backward
+    assert tf < tb
+    with pytest.raises(WindowBoundsError):
+        splitting_at(ahead, k, [2, 3], [2])
+    for forward, backward in [([-1], [2]), ([2], [-1]), ([tf + 1], [2]), ([tb], [2]),
+                              ([2], [tb + 1])]:
+        with pytest.raises(WindowBoundsError):
+            splitting_at(ahead, k, forward, backward)
