@@ -1,28 +1,25 @@
-"""Three linear-part screens for affine generator sets.
+"""Three screens of the linear part of an affine action.
 
 A group acting affinely with compact linear part forces eigenvalue 1 in
 every linear image (the normalized determinant det(rho(g) - I) must vanish
 identically), and singular values of linear images must stay bounded.
-This script runs all three checks on a form-preserving fixture that
-passes, and on a homothety that fails immediately.
+The screens read only the linear part rho, so each generator set below
+holds the linear parts; the translations do not enter.  This script runs
+all three checks on a form-preserving fixture that passes, and on a
+homothety that fails immediately.
 """
 
 import numpy as np
 from scipy.linalg import expm
 
-from repdyn.affine import (
-    AffineGeneratorSet,
-    AffineMap,
-    bounded_singular_check,
-    eigenvalue_norm_one_check,
-    hks_test,
-)
+from repdyn.affine import bounded_singular_check, eigenvalue_norm_one_check, hks_test
+from repdyn.domination import GeneratorSet
 
 # the exponential of an infinitesimally form-preserving matrix: its
 # eigenvalues come in (mu, 1, 1/mu) triples, so eigenvalue 1 is exact
 x = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
 h = expm(0.3 * x)
-good = AffineGeneratorSet([AffineMap(h, np.array([0.3, -0.5, 0.1]))])
+good = GeneratorSet([h])
 
 report = hks_test(good, L_max=8)
 print("form-preserving fixture")
@@ -38,7 +35,7 @@ print(f"  bounded singular values: passed={bounded.passed}, "
       f"fitted slope {bounded.slope:.2e}")
 
 # --- a homothety fails everything at length 1 ---------------------------
-bad = AffineGeneratorSet([AffineMap(np.diag([2.0, 2.0]), np.array([1.0, 0.0]))])
+bad = GeneratorSet([np.diag([2.0, 2.0])])
 report = hks_test(bad, L_max=4)
 print("\nhomothety control")
 print(f"  determinant test: passed={report.passed}, "

@@ -1,7 +1,7 @@
-"""Affine actions and spectral obstructions to proper affine dynamics.
+"""Spectral obstructions to proper affine dynamics, read off the linear part.
 
 A group acting affinely on R^n with compact quotient forces spectral
-constraints on its linear part: scanned word products must satisfy
+constraints on its linear part rho: scanned word products must satisfy
 ``det(rho(g) - I) = 0`` (an eigenvalue 1), and the eigenvalue picture admits
 two finite readings tested here side by side.  `hks_test` scans the
 normalized determinant ``|det(rho(g) - I)| / (1 + smax(rho(g)))^n``;
@@ -18,8 +18,9 @@ and one ``det``.  The single checks run the same scan with their one
 statistic.  Only the eigenvalue check takes a tolerance; the others use
 DEFAULT_HKS_THRESHOLD and PLATEAU_SLOPE_FLOOR.
 
-All scans accept either an :class:`AffineGeneratorSet` (linear part is
-projected out) or a bare linear :class:`~repdyn.domination.GeneratorSet`.
+Every scan takes the linear part as a
+:class:`~repdyn.domination.GeneratorSet`; the translations of the affine
+action do not enter these checks.
 """
 
 from __future__ import annotations
@@ -30,10 +31,9 @@ from typing import Optional
 import numpy as np
 
 from . import words
-from .domination import GeneratorSet
-from .errors import DegenerateInputError, NumericOverflowError
+from .errors import NumericOverflowError
 from .fitting import fit_line
-from .linalg import log_eigenvalue_moduli, require_matrix
+from .linalg import log_eigenvalue_moduli
 
 DEFAULT_HKS_THRESHOLD = 1e-8
 DEFAULT_EIGENVALUE_TOL = 1e-9
@@ -49,123 +49,6 @@ _BOUNDED_SINGULAR_CRITERION = (
     "per-sphere maxima of min_i |log a_i(rho(g))| stay bounded:"
     " fitted slope vs length is 0 within its confidence interval"
 )
-
-
-@dataclass(frozen=True, eq=False)
-class AffineMap:
-    """An invertible affine map ``x -> linear @ x + translation``."""
-
-    linear: np.ndarray
-    translation: np.ndarray
-
-    def __post_init__(self):
-        lin = require_matrix(self.linear, "linear part")
-        tr = np.asarray(self.translation, dtype=float)
-        if tr.shape != (lin.shape[0],):
-            raise DegenerateInputError(
-                f"translation shape {tr.shape} does not match dimension {lin.shape[0]}"
-            )
-        if not np.isfinite(tr).all():
-            raise DegenerateInputError("translation has non-finite entries")
-        lin, tr = lin.copy(), tr.copy()
-        lin.flags.writeable = False
-        tr.flags.writeable = False
-        object.__setattr__(self, "linear", lin)
-        object.__setattr__(self, "translation", tr)
-
-    @property
-    def dim(self) -> int:
-        return self.linear.shape[0]
-
-    @classmethod
-    def identity(cls, n: int) -> "AffineMap":
-        return cls(np.eye(n), np.zeros(n))
-
-    def apply(self, x) -> np.ndarray:
-        return self.linear @ np.asarray(x, dtype=float) + self.translation
-
-    def inverse(self) -> "AffineMap":
-        inv = np.linalg.inv(self.linear)
-        return AffineMap(inv, -inv @ self.translation)
-
-
-def compose(f: AffineMap, g: AffineMap) -> AffineMap:
-    """The affine map ``x -> f(g(x))``."""
-    if f.dim != g.dim:
-        raise DegenerateInputError("cannot compose affine maps of different dimension")
-    return AffineMap(f.linear @ g.linear, f.linear @ g.translation + f.translation)
-
-
-class AffineGeneratorSet:
-    """Affine maps indexed by free group letters, with a linear projection.
-
-    The linear part is exposed as a :class:`GeneratorSet`; that projection
-    being a homomorphism is spot-checked on random word pairs at
-    construction (composition of maps versus product of linear images).
-    """
-
-    def __init__(self, maps, names=None):
-        maps = list(maps)
-        if not maps:
-            raise DegenerateInputError("affine generator set must be nonempty")
-        for i, f in enumerate(maps):
-            if not isinstance(f, AffineMap):
-                raise TypeError(f"generator {i + 1} is not an AffineMap")
-        self._maps = tuple(maps)
-        # refuses a singular linear part before it is inverted
-        self._linear = GeneratorSet([f.linear for f in maps], names)
-        self._inverses = tuple(f.inverse() for f in maps)
-        self._spot_check_homomorphism()
-
-    def _spot_check_homomorphism(self):
-        rng = np.random.default_rng(0)
-        for _ in range(3):
-            u = words.random_word(self.rank, 3, rng)
-            v = words.random_word(self.rank, 3, rng)
-            left = compose(self.evaluate_map(u), self.evaluate_map(v))
-            right = self.evaluate_map(u * v)
-            scale = max(1.0, float(np.abs(left.linear).max()))
-            if np.abs(left.linear - right.linear).max() > 1e-9 * scale:
-                raise DegenerateInputError(
-                    "linear projection failed the homomorphism spot check"
-                )
-
-    @property
-    def rank(self) -> int:
-        return len(self._maps)
-
-    @property
-    def dim(self) -> int:
-        return self._maps[0].dim
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return self._linear.names
-
-    @property
-    def linear_part(self) -> GeneratorSet:
-        return self._linear
-
-    def image_map(self, letter: int) -> AffineMap:
-        if letter == 0 or abs(letter) > self.rank:
-            raise ValueError(f"letter {letter} outside rank {self.rank}")
-        if letter > 0:
-            return self._maps[letter - 1]
-        return self._inverses[-letter - 1]
-
-    def evaluate_map(self, word) -> AffineMap:
-        out = AffineMap.identity(self.dim)
-        letters = word.letters if isinstance(word, words.Word) else tuple(word)
-        for l in letters:
-            out = compose(out, self.image_map(l))
-        return out
-
-    def word_name(self, word) -> str:
-        return self._linear.word_name(word)
-
-
-def _linear_part(gens):
-    return gens.linear_part if isinstance(gens, AffineGeneratorSet) else gens
 
 
 @dataclass
@@ -219,8 +102,6 @@ def _scan_extremes(gens, L_max, stats, policy):
     of records per statistic and whether the scan was truncated: it stops at
     the last complete sphere when a product overflows.
     """
-    linear = _linear_part(gens)
-
     def extremes(sphere):
         letters = sphere.letters
         logs = sphere.log_singular_values()
@@ -234,7 +115,7 @@ def _scan_extremes(gens, L_max, stats, policy):
             ))
         return out
 
-    spheres = words.map_sphere_products(linear, L_max, extremes, policy)
+    spheres = words.map_sphere_products(gens, L_max, extremes, policy)
     if not spheres:
         raise NumericOverflowError("no complete sphere before overflow", prefix_length=1)
     return [list(records) for records in zip(*spheres)], len(spheres) < L_max

@@ -73,6 +73,11 @@ class GeneratorSet:
                 raise ValueError("generator names must be distinct")
         self._images = tuple(m.copy() for m in mats)
         self._inverses = tuple(np.linalg.inv(m) for m in self._images)
+        for i, inv in enumerate(self._inverses):
+            # a well-conditioned generator near the subnormal range still
+            # inverts past float64
+            if not np.isfinite(inv).all():
+                raise DegenerateInputError(f"generator {i + 1} has a non-finite inverse")
         for m in self._images + self._inverses:
             m.flags.writeable = False
         self._names = names

@@ -99,15 +99,6 @@ class CocycleTrajectory:
     def t_backward(self) -> int:
         return self.backward.shape[1] - 1
 
-    def products(self, t: int) -> np.ndarray:
-        """Transport matrices from the fiber at time 0 to the fiber at t,
-        one per line, as an ``(B, n, n)`` stack."""
-        store = self.forward if t >= 0 else self.backward
-        i = abs(t)
-        if i >= store.shape[1]:
-            raise WindowBoundsError(f"time {t} outside the computed window")
-        return store[:, i]
-
     def single_lines(self) -> list["CocycleTrajectory"]:
         """The lines one at a time, as groups of one that keep their
         positions."""

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import settings
 from scipy.linalg import expm
 
-from repdyn.affine import AffineGeneratorSet, AffineMap
 from repdyn.domination import GeneratorSet
 from repdyn.words import tree_distance
 
@@ -92,9 +91,8 @@ def form_preserving_matrix() -> np.ndarray:
 
 @pytest.fixture(scope="session")
 def form_preserving_affine():
-    h = form_preserving_matrix()
-    maps = [AffineMap(h, np.array([0.3, -0.5, 0.1]))]
-    return AffineGeneratorSet(maps, names=["h"])
+    """The linear part of an affine action by the form-preserving matrix."""
+    return GeneratorSet([form_preserving_matrix()], names=["h"])
 
 
 # closed-form moments of 2**-u on [0, 1], spelled as the library spells them

@@ -13,8 +13,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from repdyn.affine import AffineGeneratorSet, AffineMap, hks_test
-from repdyn.affine import eigenvalue_norm_one_check
+from repdyn.affine import eigenvalue_norm_one_check, hks_test
 from repdyn.cli import EXIT_FAIL, EXIT_OK, main
 from repdyn.domination import GeneratorSet, domination_scan, flag_estimate
 from repdyn.flowbundle import build_trajectory, estimate_splitting, measure_rates
@@ -225,9 +224,7 @@ def test_criterion_09_affine_determinant_test(capsys, form_preserving_affine):
         assert report.passed
         assert report.max_normalized < 1e-10
 
-        control = AffineGeneratorSet(
-            [AffineMap(np.diag([2.0, 2.0]), np.array([1.0, 0.0]))]
-        )
+        control = GeneratorSet([np.diag([2.0, 2.0])])
         failed = hks_test(control, 4)
         assert not failed.passed
         assert failed.first_fail_length == 1

@@ -1,73 +1,15 @@
-"""Affine actions and the eigenvalue-1 battery for complete quotients."""
+"""The eigenvalue-1 battery for complete affine quotients, run on the
+linear part of each affine action as a `GeneratorSet`."""
 
 import numpy as np
 import pytest
 
-from repdyn.affine import (
-    AffineGeneratorSet,
-    AffineMap,
-    bounded_singular_check,
-    compose,
-    eigenvalue_norm_one_check,
-    hks_test,
-)
-from repdyn.errors import DegenerateInputError
+from repdyn.affine import bounded_singular_check, eigenvalue_norm_one_check, hks_test
+from repdyn.domination import GeneratorSet
 
 from conftest import form_preserving_matrix, rotation2
 
 LOG2 = np.log(2.0)
-
-
-class TestAffineMap:
-    def test_apply_and_identity(self):
-        f = AffineMap(np.diag([2.0, 3.0]), np.array([1.0, -1.0]))
-        np.testing.assert_allclose(f.apply(np.array([1.0, 1.0])), [3.0, 2.0])
-        e = AffineMap.identity(2)
-        np.testing.assert_allclose(e.apply(np.array([0.4, 0.6])), [0.4, 0.6])
-
-    def test_inverse(self):
-        f = AffineMap(np.diag([2.0, 0.5]), np.array([1.0, 2.0]))
-        g = compose(f, f.inverse())
-        np.testing.assert_allclose(g.linear, np.eye(2), atol=1e-12)
-        np.testing.assert_allclose(g.translation, 0.0, atol=1e-12)
-
-    def test_compose_is_associative(self):
-        rng = np.random.default_rng(6)
-        maps = [
-            AffineMap(rng.standard_normal((3, 3)) + 2.0 * np.eye(3),
-                      rng.standard_normal(3))
-            for _ in range(3)
-        ]
-        f, g, h = maps
-        left = compose(compose(f, g), h)
-        right = compose(f, compose(g, h))
-        np.testing.assert_allclose(left.linear, right.linear, atol=1e-10)
-        np.testing.assert_allclose(left.translation, right.translation,
-                                   atol=1e-10)
-
-    def test_compose_order_is_f_after_g(self):
-        f = AffineMap(np.diag([2.0, 1.0]), np.array([1.0, 0.0]))
-        g = AffineMap(np.eye(2), np.array([0.0, 1.0]))
-        x = np.zeros(2)
-        np.testing.assert_allclose(compose(f, g).apply(x), f.apply(g.apply(x)))
-
-
-class TestAffineGeneratorSet:
-    def test_evaluate_matches_composition(self, form_preserving_affine):
-        from repdyn.words import Word
-
-        w = Word([1, 1])
-        by_eval = form_preserving_affine.evaluate_map(w)
-        f = form_preserving_affine.image_map(1)
-        by_compose = compose(f, f)
-        np.testing.assert_allclose(by_eval.linear, by_compose.linear, atol=1e-12)
-        np.testing.assert_allclose(
-            by_eval.translation, by_compose.translation, atol=1e-12
-        )
-
-    def test_rejects_singular_linear_part(self):
-        with pytest.raises(DegenerateInputError):
-            AffineGeneratorSet([AffineMap(np.zeros((2, 2)), np.zeros(2))])
 
 
 class TestHksTest:
@@ -79,9 +21,7 @@ class TestHksTest:
         assert len(rep.spheres) == 6
 
     def test_strict_expansion_fails_immediately(self):
-        gens = AffineGeneratorSet(
-            [AffineMap(np.diag([2.0, 2.0]), np.array([1.0, 0.0]))]
-        )
+        gens = GeneratorSet([np.diag([2.0, 2.0])])
         rep = hks_test(gens, L_max=4)
         assert not rep.passed
         assert rep.first_fail_length == 1
@@ -90,25 +30,19 @@ class TestHksTest:
     def test_orthogonal_conjugation_preserves_verdict(self):
         h = form_preserving_matrix()
         q, _ = np.linalg.qr(np.random.default_rng(8).standard_normal((3, 3)))
-        gens = AffineGeneratorSet(
-            [AffineMap(q @ h @ q.T, np.array([0.1, 0.2, 0.3]))]
-        )
+        gens = GeneratorSet([q @ h @ q.T])
         assert hks_test(gens, L_max=5).passed
 
 
 class TestEigenvalueNormOne:
     def test_rotation_passes_exactly(self):
-        gens = AffineGeneratorSet(
-            [AffineMap(rotation2(0.7), np.array([1.0, 0.0]))]
-        )
+        gens = GeneratorSet([rotation2(0.7)])
         rep = eigenvalue_norm_one_check(gens, L_max=5)
         assert rep.passed
         assert rep.worst_deviation < 1e-12
 
     def test_proximal_map_fails(self):
-        gens = AffineGeneratorSet(
-            [AffineMap(np.diag([2.0, 0.5]), np.zeros(2))]
-        )
+        gens = GeneratorSet([np.diag([2.0, 0.5])])
         rep = eigenvalue_norm_one_check(gens, L_max=4)
         assert not rep.passed
         # the deviation grows with length: min |log lambda| = L log 2
@@ -123,18 +57,14 @@ class TestEigenvalueNormOne:
 
 class TestBoundedSingular:
     def test_isometries_have_flat_slope(self):
-        gens = AffineGeneratorSet(
-            [AffineMap(rotation2(0.4), np.array([0.2, 0.0]))]
-        )
+        gens = GeneratorSet([rotation2(0.4)])
         rep = bounded_singular_check(gens, L_max=6)
         assert rep.passed
         assert rep.slope == pytest.approx(0.0, abs=1e-10)
         assert rep.C_hat == pytest.approx(0.0, abs=1e-10)
 
     def test_linear_growth_fails(self):
-        gens = AffineGeneratorSet(
-            [AffineMap(np.diag([2.0, 0.5]), np.zeros(2))]
-        )
+        gens = GeneratorSet([np.diag([2.0, 0.5])])
         rep = bounded_singular_check(gens, L_max=6)
         assert not rep.passed
         assert rep.slope == pytest.approx(LOG2, abs=1e-9)

@@ -161,6 +161,16 @@ class TestInputHandling:
         assert capsys.readouterr().err == (
             f"repdyn: {path}: generator 1 is numerically singular\n")
 
+    @pytest.mark.parametrize("command", ["dominate", "spectrum", "split", "affine"])
+    def test_generator_with_nonfinite_inverse_refused_at_load(self, command, tmp_path,
+                                                              capsys):
+        doc = {"n": 3, "generators": [{"name": "a", "rows": rows(1e-310 * np.eye(3))}]}
+        path = write_doc(tmp_path / "g.json", doc)
+        rc = main([command, "--input", path, "--out-dir", str(tmp_path)])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"repdyn: {path}: generator 1 has a non-finite inverse\n")
+
     def test_nonfinite_constant_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(
@@ -715,10 +725,54 @@ def hks_mpmath(m):
         return float(det / (1 + max(abs(x) for x in d)) ** len(d))
 
 
+def affine_table_docs():
+    """Inputs that `affine` must read as `dominate` reads them: (linear
+    parts, translations or None, extra argv, exit code)."""
+    rng = np.random.default_rng(1)
+    q1, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    q2, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    c = 1e3
+    return {
+        # one generator of condition number c, scanned to length 3
+        "rank_one_c1e3": ([q1 @ np.diag([c ** 0.5, 1.0, c ** -0.5]) @ q2], None,
+                          ["--max-length", "3"], EXIT_FAIL),
+        "tiny_scalar": ([1e-300 * np.eye(2)], [[0, 1]], [], EXIT_FAIL),
+        "huge_translation": ([np.diag([2.0, 1.0])], [[1e308, 1e308]], [], EXIT_OK),
+        "zero_second_generator": ([np.diag([2.0, 1.0]), np.zeros((2, 2))], None, [],
+                                  EXIT_USAGE),
+    }
+
+
 class TestAffineExtremes:
+    @pytest.mark.parametrize("case", sorted(affine_table_docs()))
+    def test_affine_reads_its_input_as_dominate_does(self, case, tmp_path):
+        mats, translations, extra, expected = affine_table_docs()[case]
+        doc = {"n": mats[0].shape[0],
+               "generators": [{"name": f"g{i}", "rows": rows(m)}
+                              for i, m in enumerate(mats)]}
+        if translations is not None:
+            doc["translations"] = translations
+        path = write_doc(tmp_path / "in.json", doc)
+        src = Path(repdyn.__file__).resolve().parents[1]
+
+        def run(command, *argv):
+            return subprocess.run(
+                [sys.executable, "-m", "repdyn.cli", command, "--input", path,
+                 "--out-dir", str(tmp_path / command), *argv],
+                env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+            )
+
+        result = run("affine", *extra)
+        assert result.returncode == expected
+        if expected == EXIT_USAGE:
+            assert result.stderr == f"repdyn: {path}: generator 2 is the zero matrix\n"
+            assert result.stderr == run("dominate").stderr
+        else:
+            assert result.stderr == ""
+
     def test_huge_linear_part_is_not_the_zero_matrix(self, tmp_path):
-        # the homomorphism spot check composes inverse words with entries
-        # near 1e-240, which a norm squares to 0
+        # inverse words reach entries near 1e-120 by length 3, which a norm
+        # would square to 0; no check may read them as the zero matrix
         doc = write_doc(tmp_path / "aff.json", {
             "n": 2, "generators": [{"name": "g", "rows": [[1e40, 0], [0, 1e35]]}],
             "translations": [[1, 1]],

@@ -39,6 +39,12 @@ class TestGeneratorSet:
         with pytest.raises(DegenerateInputError):
             GeneratorSet([np.array([[1.0, 2.0], [2.0, 4.0]])])
 
+    def test_rejects_generator_whose_inverse_is_not_finite(self):
+        # condition number 1, but the inverse 1e310 I overflows
+        with pytest.raises(DegenerateInputError,
+                           match="generator 2 has a non-finite inverse"):
+            GeneratorSet([np.eye(2), 1e-310 * np.eye(2)])
+
 
 class TestDominationScan:
     def test_single_diagonal_generator(self):

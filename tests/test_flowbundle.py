@@ -36,13 +36,13 @@ class TestTrajectory:
         line = FlowLineWindow.periodic([1, 2], 6)
         traj = build_trajectory(ping_pong, [line])[0]
         a, b = ping_pong.image(1), ping_pong.image(2)
-        np.testing.assert_allclose(traj.products(0)[0], np.eye(2), atol=1e-14)
-        np.testing.assert_allclose(traj.products(1)[0], a, atol=1e-12)
+        np.testing.assert_allclose(traj.forward[0, 0], np.eye(2), atol=1e-14)
+        np.testing.assert_allclose(traj.forward[0, 1], a, atol=1e-12)
         # the letter at time 1 acts after the letter at time 0
-        np.testing.assert_allclose(traj.products(2)[0], b @ a, atol=1e-12)
+        np.testing.assert_allclose(traj.forward[0, 2], b @ a, atol=1e-12)
         # one step back inverts the letter covering [-1, 0)
         back = np.linalg.inv(ping_pong.image(line.letter(-1)))
-        np.testing.assert_allclose(traj.products(-1)[0], back, atol=1e-12)
+        np.testing.assert_allclose(traj.backward[0, 1], back, atol=1e-12)
 
     def test_window_respected(self, constant_traj):
         assert constant_traj.t_forward == 24

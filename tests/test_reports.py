@@ -337,11 +337,10 @@ def handbuilt_split(args):
 
 
 def handbuilt_affine(args):
-    agens, _ = cli.load_affine_set(args)
+    gens, _ = cli.load_affine_set(args)
     hks, eig, bounded = affine.affine_checks(
-        agens, L_max=args.max_length, policy=cli._policy(args), tol=args.tol
+        gens, L_max=args.max_length, policy=cli._policy(args), tol=args.tol
     )
-    gens = agens.linear_part
     return {
         "overall_pass": hks.passed and (eig.passed or bounded.passed),
         "hks": {

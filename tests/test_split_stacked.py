@@ -76,8 +76,8 @@ def reference_distance(u, w):
 
 def reference_splitting_at(traj, k, t_forward, t_backward):
     n = traj.dim
-    v_plus = reference_bottom(traj.products(-t_backward)[0], k)
-    fwd = traj.products(t_forward)[0]
+    v_plus = reference_bottom(traj.backward[0, t_backward], k)
+    fwd = traj.forward[0, t_forward]
     v_minus = reference_bottom(fwd, k)
     _, _, vt = np.linalg.svd(fwd)
     return v_plus, Subspace(vt[k : n - k].T), v_minus
@@ -85,9 +85,9 @@ def reference_splitting_at(traj, k, t_forward, t_backward):
 
 def reference_check_gaps(traj, k, sign):
     n = traj.dim
-    horizon = traj.t_forward if sign > 0 else traj.t_backward
-    for t in range(1, horizon + 1):
-        s = np.linalg.svd(traj.products(sign * t)[0], compute_uv=False)
+    store = traj.forward if sign > 0 else traj.backward
+    for t in range(1, store.shape[1]):
+        s = np.linalg.svd(store[0, t], compute_uv=False)
         for p in sorted({k, n - k}):
             gap = (s[p - 1] - s[p]) / s[p - 1]
             if gap < GAP_TOL:

@@ -19,6 +19,7 @@ from repdyn import cli, domination, linalg, spectrum, words
 from conftest import partial_hyperbolic_matrices
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PROBE = TRACING.with_name("probe.py")
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +105,28 @@ def test_affine_makes_one_sphere_pass(tracing, tmp_path):
     assert tracer.calls["words.map_sphere_products"] == 1
     assert tracer.calls["words.iter_sphere_products"] == 1
     assert tracer.layer_metrics()["cli.csv_rows"] == 4
+    # the input is parsed under the affine loader's name only, so
+    # cli.parse_s counts it once
+    assert tracer.calls["cli.load_affine_set"] == 1
+    assert tracer.calls["cli.load_generator_set"] == 0
+
+
+def test_probe_validates_an_affine_plan(tmp_path):
+    spec = importlib.util.spec_from_file_location("perfbench_probe", PROBE)
+    probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe)
+    g, h = partial_hyperbolic_matrices()
+    doc = {"n": 3,
+           "generators": [{"name": "g", "rows": g.tolist()},
+                          {"name": "h", "rows": h.tolist()}],
+           "translations": [[0.5, 0.0, -0.25], [0.0, 1.0, 0.0]]}
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    probe.validate_inputs(cli, ["affine", "--input", str(path), "--max-length", "4"])
+    doc["generators"][1]["rows"] = [[0, 0, 0]] * 3
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(cli.InputFileError, match="generator 2 is the zero matrix"):
+        probe.validate_inputs(cli, ["affine", "--input", str(path)])
 
 
 def test_spectrum_csv_rows_go_through_write_csv(tracing, tmp_path):
