@@ -233,10 +233,12 @@ def parse_lines(doc, gens, window, path=""):
 
 
 def parse_geodesics(doc, path=""):
-    """Geodesic list for the flowmetric command.
+    """Flow lines for the flowmetric command.
 
     Expects ``{"rank": int, "geodesics": [{"anchor": [letters], "forward":
     [letters], "backward": [letters]}, ...]}``; anchors may be empty arrays.
+    Each entry is one :class:`~repdyn.words.FlowLineWindow`, built by
+    ``from_rays`` with its basepoint at the anchor.
     """
     rank = doc.get("rank")
     if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
@@ -260,10 +262,10 @@ def parse_geodesics(doc, path=""):
             if abs(l) > rank:
                 raise InputFileError(f"{where}: letter {l} outside rank {rank}")
         try:
-            geo = words.TreeGeodesic.from_rays(anchor_letters, fwd, back)
+            line = words.FlowLineWindow.from_rays(anchor_letters, fwd, back)
         except ValueError as e:
             raise InputFileError(f"{where}: {e}") from e
-        out.append(geo)
+        out.append(line)
     return out
 
 
@@ -803,9 +805,9 @@ def cmd_flowmetric(args) -> int:
     doc = load_json(args.input)
     geos = parse_geodesics(doc, args.input)
     for j, g in enumerate(geos):
-        if g.half_width < args.window:
+        if g.usable_half_width < args.window:
             raise InputFileError(
-                f"{args.input}: geodesics[{j}] covers half width {g.half_width},"
+                f"{args.input}: geodesics[{j}] covers half width {g.usable_half_width},"
                 f" below the requested window {args.window}"
             )
     pairs = [

@@ -281,6 +281,9 @@ def splitting_at(traj, k: int, t_forward, t_backward):
 
 def _check_index(k, n):
     """Refuse a splitting index k without a nonempty neutral block."""
+    if n < 3:
+        raise ValueError("a splitting with a nonempty neutral block needs dimension"
+                         f" at least 3, got {n}")
     if not 1 <= k < n / 2:
         raise ValueError(f"k must satisfy 1 <= k < {n / 2:g} for dimension {n}")
 

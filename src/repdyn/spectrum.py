@@ -13,10 +13,10 @@ tolerances and zero masks as arrays with one row per word, taken straight
 from the stacked sphere engine.  The checks below read those arrays
 whole and build a `Word` only for a row they report.
 
-`zero_index_interval` lists the coordinates of a Jordan vector that vanish
-up to tolerance; `containment_check` tests whether those indices stay inside
-the neutral window {k+1, ..., n-k} across every nonzero sample, the spectral
-shadow of a partially hyperbolic splitting with index k.
+`containment_check` reads each level's zero masks, the coordinates of each
+Jordan vector that vanish up to tolerance, and tests whether those indices
+stay inside the neutral window {k+1, ..., n-k} across every nonzero sample,
+the spectral shadow of a partially hyperbolic splitting with index k.
 `involution_symmetry_check` verifies the cloud is symmetric under
 negate-and-reverse, the spectral image of g -> g^-1.
 """
@@ -30,7 +30,7 @@ import numpy as np
 
 from . import words
 from .errors import NumericOverflowError
-from .linalg import SpectralVector, log_eigenvalue_moduli
+from .linalg import log_eigenvalue_moduli
 
 # default zero tolerance is this times max(1, sup-norm of the sample)
 DEFAULT_ZERO_TOL_COEFF = 1e-6
@@ -43,31 +43,6 @@ _INVOLUTION_TOL = 1e-8
 
 def _zero_indices(mask):
     return tuple(int(i) + 1 for i in np.flatnonzero(mask))
-
-
-@dataclass(frozen=True, eq=False)
-class ZeroIndexInterval:
-    """1-based indices of a Jordan vector that vanish within tolerance."""
-
-    indices: tuple[int, ...]
-    is_consecutive: bool
-    tol: float
-
-
-def zero_index_interval(v: SpectralVector, tol: float) -> ZeroIndexInterval:
-    """Indices i with ``|v_i| <= tol`` of a Jordan-kind spectral vector.
-
-    Raises ``ValueError`` for a Cartan-kind vector: the zero-index structure
-    is an eigenvalue notion and singular values would conflate it with
-    transient geometry.
-    """
-    if v.kind != "jordan":
-        raise ValueError("zero-index structure is defined for jordan vectors only")
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
-    idx = _zero_indices(np.abs(v.values) <= tol)
-    consecutive = not idx or idx == tuple(range(idx[0], idx[-1] + 1))
-    return ZeroIndexInterval(indices=idx, is_consecutive=consecutive, tol=float(tol))
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,11 +6,11 @@ multiplication cancels.  The alphabet is ordered ``1 < -1 < 2 < -2 < ...``
 and spheres enumerate in shortlex order with respect to it.
 
 Beyond plain words the module models unit-speed parametrized lines in the
-Cayley tree: :class:`FlowLineWindow` is a window of edge letters around a
-basepoint, and :class:`TreeGeodesic` pins an actual vertex path, kept as
-one zero-padded letter array, so that `flow_metric` can integrate the
-distances between lines against the weight ``2**-|t|`` for many pairs and
-all times at once.
+Cayley tree, the points of the geodesic flow: a :class:`FlowLineWindow`
+is a window of edge letters around a basepoint, through an anchor vertex.
+The flow bundle walks its letters; `flow_metric` reads its vertex path,
+kept as one zero-padded letter array, and integrates the distances between
+lines against the weight ``2**-|t|`` for many pairs and all times at once.
 
 Scan policies select between exhaustive sphere enumeration
 (:class:`Exhaustive`) and seeded random sampling (:class:`Sampled`).
@@ -59,6 +59,18 @@ def alphabet(rank: int) -> list[int]:
     return out
 
 
+def _reduced(letters, what) -> tuple:
+    """``letters`` as a tuple of ints, refused unless every letter is nonzero
+    and none is followed by its inverse; ``what`` names them in the message."""
+    letters = tuple(int(l) for l in letters)
+    if 0 in letters:
+        raise ValueError("letters must be nonzero integers")
+    for a, b in zip(letters, letters[1:]):
+        if b == -a:
+            raise ValueError(f"{what} is not reduced")
+    return letters
+
+
 @total_ordering
 class Word:
     """An immutable reduced word.
@@ -70,14 +82,7 @@ class Word:
     __slots__ = ("_letters",)
 
     def __init__(self, letters=()):
-        letters = tuple(int(l) for l in letters)
-        for l in letters:
-            if l == 0:
-                raise ValueError("letters must be nonzero integers")
-        for a, b in zip(letters, letters[1:]):
-            if b == -a:
-                raise ValueError(f"word {letters} is not reduced")
-        self._letters = letters
+        self._letters = _reduced(letters, "word")
 
     @property
     def letters(self) -> tuple[int, ...]:
@@ -498,32 +503,32 @@ class FlowLineWindow:
     ``letters`` holds the edge letters at absolute positions ``-T .. T-1``
     (the letter at position ``j`` labels the edge from time ``j`` to
     ``j + 1``).  The basepoint sits ``basepoint_offset`` positions from the
-    center; positions are always addressed relative to the basepoint.
+    center; positions are always addressed relative to the basepoint.  The
+    vertex at the basepoint is ``anchor`` (the identity by default), so
+    ``vertex(t + 1) = vertex(t) * letter(t)``.  The vertices at relative
+    times ``-U .. U``, U the `usable_half_width`, are built on first use as
+    zero-padded letter rows of type `_letter_dtype` and their lengths.
     """
 
-    __slots__ = ("_letters", "_half_width", "_offset")
+    __slots__ = ("_letters", "_half_width", "_offset", "_anchor", "_vertices")
 
-    def __init__(self, letters, half_width: int, basepoint_offset: int = 0):
-        letters = tuple(int(l) for l in letters)
+    def __init__(self, letters, half_width: int, basepoint_offset: int = 0, anchor=()):
+        self._anchor = anchor if isinstance(anchor, Word) else Word(anchor)
+        letters = tuple(letters)
         if half_width < 1:
             raise ValueError("half width must be at least 1")
         if len(letters) != 2 * half_width:
             raise ValueError(
                 f"expected {2 * half_width} letters for half width {half_width}"
             )
-        for l in letters:
-            if l == 0:
-                raise ValueError("letters must be nonzero integers")
-        for a, b in zip(letters, letters[1:]):
-            if b == -a:
-                raise ValueError("edge letter sequence is not reduced")
+        self._letters = _reduced(letters, "edge letter stream")
         if abs(basepoint_offset) > half_width:
             raise WindowBoundsError(
                 f"basepoint offset {basepoint_offset} exceeds half width {half_width}"
             )
-        self._letters = letters
         self._half_width = half_width
         self._offset = basepoint_offset
+        self._vertices = None
 
     @property
     def half_width(self) -> int:
@@ -532,6 +537,10 @@ class FlowLineWindow:
     @property
     def basepoint_offset(self) -> int:
         return self._offset
+
+    @property
+    def anchor(self) -> Word:
+        return self._anchor
 
     @property
     def usable_half_width(self) -> int:
@@ -556,21 +565,48 @@ class FlowLineWindow:
             )
         return self._letters[lo:hi]
 
+    def vertex(self, t: int) -> Word:
+        """The vertex at relative time ``t``."""
+        i = t + self.usable_half_width
+        if not 0 <= i <= 2 * self.usable_half_width:
+            raise WindowBoundsError(f"time {t} is outside the window")
+        letters, lengths = self.vertex_rows(self.usable_half_width)
+        return Word(letters[i, : lengths[i]])
+
+    def vertex_rows(self, half_width: int):
+        """Padded letter rows and lengths of the vertices at relative times
+        ``-half_width .. half_width``; a row may carry more padding than its
+        vertex needs."""
+        reach = self.usable_half_width
+        if not 0 <= half_width <= reach:
+            raise WindowBoundsError(f"half width {half_width} is outside the window")
+        if self._vertices is None:
+            anchor = self._anchor.letters
+            forward = self.letters_between(0, reach)
+            backward = tuple(-l for l in reversed(self.letters_between(-reach, 0)))
+            dtype = _letter_dtype(max(map(abs, anchor + self._letters)))
+            back_letters, back_lengths = _ray_vertices(anchor, backward, dtype)
+            letters, lengths = _ray_vertices(anchor, forward, dtype)
+            self._vertices = (np.concatenate([back_letters[::-1], letters[1:]]),
+                              np.concatenate([back_lengths[::-1], lengths[1:]]))
+        letters, lengths = self._vertices
+        rows = slice(reach - half_width, reach + half_width + 1)
+        return letters[rows], lengths[rows]
+
+    def _key(self):
+        return self._letters, self._half_width, self._offset, self._anchor
+
     def __eq__(self, other):
-        return (
-            isinstance(other, FlowLineWindow)
-            and self._letters == other._letters
-            and self._half_width == other._half_width
-            and self._offset == other._offset
-        )
+        return isinstance(other, FlowLineWindow) and self._key() == other._key()
 
     def __hash__(self):
-        return hash((self._letters, self._half_width, self._offset))
+        return hash(self._key())
 
     def __repr__(self):
         return (
             f"FlowLineWindow(half_width={self._half_width}, "
-            f"offset={self._offset}, letters={list(self._letters)!r})"
+            f"offset={self._offset}, anchor={list(self._anchor)!r}, "
+            f"letters={list(self._letters)!r})"
         )
 
     @classmethod
@@ -585,88 +621,18 @@ class FlowLineWindow:
         letters = [p[j % len(p)] for j in range(-half_width, half_width)]
         return cls(letters, half_width)
 
-
-class TreeGeodesic:
-    """A unit-speed geodesic path of vertices in the Cayley tree.
-
-    The vertex at time 0 is ``anchor``; ``stream`` holds the edge letters at
-    positions ``-T .. T-1`` exactly as in :class:`FlowLineWindow`, so
-    ``vertex(t + 1) = vertex(t) * letter``.  The vertices at times
-    ``-T .. T`` are kept as the rows of one letter array padded with zeros,
-    in the smallest signed integer type that holds twice the largest letter
-    (`_letter_dtype`), together with their lengths; `vertex` builds a
-    :class:`Word` from a row.
-    """
-
-    __slots__ = ("_anchor", "_half_width", "_letters", "_lengths")
-
-    def __init__(self, anchor: Word, stream, half_width: int):
-        if not isinstance(anchor, Word):
-            anchor = Word(anchor)
-        stream = tuple(int(l) for l in stream)
-        if half_width < 1:
-            raise ValueError("half width must be at least 1")
-        if len(stream) != 2 * half_width:
-            raise ValueError(
-                f"expected {2 * half_width} stream letters for half width {half_width}"
-            )
-        if 0 in stream:
-            raise ValueError("letters must be nonzero integers")
-        for a, b in zip(stream, stream[1:]):
-            if b == -a:
-                raise ValueError("edge letter stream is not reduced")
-        forward = stream[half_width:]
-        backward = tuple(-l for l in reversed(stream[:half_width]))
-        dtype = _letter_dtype(max(map(abs, anchor.letters + stream)))
-        back_letters, back_lengths = _ray_vertices(anchor.letters, backward, dtype)
-        letters, lengths = _ray_vertices(anchor.letters, forward, dtype)
-        self._anchor = anchor
-        self._half_width = half_width
-        self._letters = np.concatenate([back_letters[::-1], letters[1:]])
-        self._lengths = np.concatenate([back_lengths[::-1], lengths[1:]])
-
-    @property
-    def half_width(self) -> int:
-        return self._half_width
-
-    @property
-    def anchor(self) -> Word:
-        return self._anchor
-
-    def vertex(self, t: int) -> Word:
-        if not -self._half_width <= t <= self._half_width:
-            raise WindowBoundsError(f"time {t} is outside the window")
-        i = t + self._half_width
-        return Word(self._letters[i, : self._lengths[i]])
-
-    def window(self, half_width: int):
-        """Padded letter rows and lengths of the vertices at times -T .. T.
-
-        ``T`` is ``half_width``; a row may carry more padding than its
-        vertices need.
-        """
-        if not 0 <= half_width <= self._half_width:
-            raise WindowBoundsError(f"half width {half_width} is outside the window")
-        rows = slice(self._half_width - half_width, self._half_width + half_width + 1)
-        return self._letters[rows], self._lengths[rows]
-
     @classmethod
-    def from_rays(cls, anchor, forward, backward) -> "TreeGeodesic":
-        """Build a geodesic from an anchor and two letter rays.
+    def from_rays(cls, anchor, forward, backward) -> "FlowLineWindow":
+        """Build a line through ``anchor`` at time 0 from two letter rays.
 
         ``forward[j]`` is the letter from time ``j`` to ``j + 1``;
         ``backward[j]`` is the letter read walking backward, so
         ``vertex(-j-1) = vertex(-j) * backward[j]``.  The half width is
-        the length of the shorter ray.
+        the length of the shorter ray, and the basepoint sits at the center.
         """
-        forward = tuple(int(l) for l in forward)
-        backward = tuple(int(l) for l in backward)
         half_width = min(len(forward), len(backward))
-        stream = tuple(
-            -backward[half_width - 1 - j] for j in range(half_width)
-        ) + forward[:half_width]
-        anchor = anchor if isinstance(anchor, Word) else Word(anchor)
-        return cls(anchor, stream, half_width)
+        stream = [-int(l) for l in reversed(backward[:half_width])] + list(forward[:half_width])
+        return cls(stream, half_width, anchor=anchor)
 
 
 def _ray_vertices(anchor, ray, dtype):
@@ -716,11 +682,12 @@ class FlowMetricResult:
         return self.value
 
 
-def flow_metric(g: TreeGeodesic, h, half_width=None):
+def flow_metric(g: FlowLineWindow, h, half_width=None):
     """Integral of the tree distance against the weight ``2**-|t|``.
 
-    ``h`` is one geodesic, giving one :class:`FlowMetricResult`, or a
-    sequence of them, giving the list of results of ``g`` against each.
+    ``h`` is one line, giving one :class:`FlowMetricResult`, or a sequence
+    of them, giving the list of results of ``g`` against each.  The window
+    defaults to, and may not exceed, the lines' common `usable_half_width`.
 
     The distance between two unit-speed geodesics is piecewise linear with
     integer breakpoints, so interpolating the integer samples linearly and
@@ -729,8 +696,8 @@ def flow_metric(g: TreeGeodesic, h, half_width=None):
     tail bound uses the a-priori estimate distance <= 2|t| outside the
     window.
     """
-    others = [h] if isinstance(h, TreeGeodesic) else list(h)
-    limit = min(geo.half_width for geo in [g, *others])
+    others = [h] if isinstance(h, FlowLineWindow) else list(h)
+    limit = min(line.usable_half_width for line in [g, *others])
     if half_width is None:
         half_width = limit
     if half_width < 1:
@@ -754,18 +721,18 @@ def flow_metric(g: TreeGeodesic, h, half_width=None):
     )
     tail = float(4.0 * 2.0 ** (-half_width) * (half_width / LOG2 + 1.0 / LOG2**2))
     out = [FlowMetricResult(float(v), tail, half_width) for v in forward + backward]
-    return out[0] if isinstance(h, TreeGeodesic) else out
+    return out[0] if isinstance(h, FlowLineWindow) else out
 
 
-def _window_distances(g: TreeGeodesic, others, half_width: int) -> np.ndarray:
+def _window_distances(g: FlowLineWindow, others, half_width: int) -> np.ndarray:
     """``(len(others), 2T+1)`` tree distances from ``g`` at each time ``-T .. T``.
 
     The common prefix of two vertices ends at the first letter where their
     zero-padded rows differ, capped by the shorter length; a sentinel
     column of mismatches stops rows that agree throughout.  The letters
-    keep the narrowest type of the geodesics' rows.
+    keep the narrowest type of the lines' rows.
     """
-    windows = [geo.window(half_width) for geo in [g, *others]]
+    windows = [line.vertex_rows(half_width) for line in [g, *others]]
     width = max(int(n.max()) for _, n in windows)
     dtype = np.result_type(*(rows.dtype for rows, _ in windows))
     letters = np.zeros((len(windows), 2 * half_width + 1, width), dtype=dtype)

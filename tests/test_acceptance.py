@@ -21,7 +21,6 @@ from repdyn.linalg import cartan_projection, jordan_projection
 from repdyn.spectrum import containment_check, involution_symmetry_check, sample_cone
 from repdyn.words import (
     FlowLineWindow,
-    TreeGeodesic,
     Word,
     evaluate,
     flow_metric,
@@ -234,15 +233,15 @@ def test_criterion_10_flow_metric_oracles(capsys):
     with criterion(capsys, 10, "flow metric oracles and axioms", 5.0):
         fwd = [1, 2] * 24
         back = [2, 1] * 24
-        g = TreeGeodesic.from_rays(Word([]), fwd, back)
+        g = FlowLineWindow.from_rays(Word([]), fwd, back)
         for s in (1, 2):
             shifted_back = ([-l for l in fwd[:s]][::-1] + back)[:48]
-            h = TreeGeodesic.from_rays(g.vertex(s), fwd[s:] + fwd[:s], shifted_back)
+            h = FlowLineWindow.from_rays(g.vertex(s), fwd[s:] + fwd[:s], shifted_back)
             d = flow_metric(g, h, half_width=40)
             assert abs(d.value - s * 2.0 / LOG2) < 1e-3
 
-        same_future = TreeGeodesic.from_rays(Word([]), [1] * 48, [-2] * 48)
-        split_past = TreeGeodesic.from_rays(Word([]), [1] * 48, [2] * 48)
+        same_future = FlowLineWindow.from_rays(Word([]), [1] * 48, [-2] * 48)
+        split_past = FlowLineWindow.from_rays(Word([]), [1] * 48, [2] * 48)
         d = flow_metric(same_future, split_past, half_width=40)
         assert abs(d.value - 2.0 / LOG2**2) < 1e-3
 
@@ -253,7 +252,7 @@ def test_criterion_10_flow_metric_oracles(capsys):
             b = random_word(2, 48, rng)
             anchor = random_word(2, int(rng.integers(0, 4)), rng)
             try:
-                pool.append(TreeGeodesic.from_rays(anchor, f.letters, b.letters))
+                pool.append(FlowLineWindow.from_rays(anchor, f.letters, b.letters))
             except ValueError:  # junction happened to be unreduced; redraw
                 continue
         for _ in range(50):

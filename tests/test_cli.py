@@ -171,6 +171,15 @@ class TestInputHandling:
         assert capsys.readouterr().err == (
             f"repdyn: {path}: generator 1 has a non-finite inverse\n")
 
+    def test_split_in_dimension_two_says_it_needs_three(self, tmp_path, capsys):
+        doc = {"n": 2, "generators": [{"name": "a", "rows": [[2, 0], [0, 0.5]]}]}
+        rc = main(["split", "--input", write_doc(tmp_path / "g.json", doc),
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == EXIT_USAGE == 64
+        assert capsys.readouterr().err == (
+            "repdyn: a splitting with a nonempty neutral block needs dimension"
+            " at least 3, got 2\n")
+
     def test_nonfinite_constant_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(
@@ -678,7 +687,7 @@ class TestFlowmetricCsv:
             if rng.random() < 0.5:
                 spec["forward"], spec["backward"] = rays[1], rays[0]
             try:
-                geo = words.TreeGeodesic.from_rays(
+                geo = words.FlowLineWindow.from_rays(
                     spec["anchor"], spec["forward"], spec["backward"]
                 )
             except ValueError:

@@ -1,8 +1,9 @@
 """Every name that a module of the package imports is read in that module,
-and no module imports ``scipy.linalg``.
+every module-level private name is read somewhere in the package, and no
+module imports ``scipy.linalg``.
 
-No linter runs on the package, so a refactor that leaves an import behind
-is caught here.  Names that a module lists in ``__all__`` (the package's
+No linter runs on the package, so a refactor that leaves an import or a
+private helper behind is caught here.  Names that a module lists in ``__all__`` (the package's
 re-exports) and ``from __future__`` imports are exempt.  ``scipy.linalg``
 is slow to import (it once cost about half the start-up time of a run), and
 `repdyn.linalg` has numpy versions of what the package needs from it.
@@ -53,6 +54,63 @@ def test_the_check_sees_a_dead_import():
         "x: np.ndarray = alphabet(2)\n"
     )
     assert unused_imports(source) == ["FlowLineWindow"]
+
+
+def unread_private_names(sources):
+    """``module.name`` of each module-level private name (``_name``, not
+    ``__name__``) that a def, class or assignment in ``sources``, a dict of
+    module name to source text, binds and that no source reads.  An
+    attribute access or a ``from ... import`` of the name counts as a read.
+    """
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined += [(module, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(a.name for a in node.names)
+    return sorted(f"{module}.{name}" for module, name in defined if name not in read)
+
+
+def test_every_private_name_is_read():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert unread_private_names(sources) == []
+
+
+def test_the_check_sees_a_dead_helper():
+    sources = {
+        "a": (
+            "_TOL = 1e-9\n"
+            "_x, _unused_pair = 1, 2\n"
+            "def _kept(u):\n"
+            "    return u < _TOL\n"
+            "def _dead(u):\n"
+            "    return -u\n"
+            "class _Box:\n"
+            "    pass\n"
+            "__all__ = []\n"
+        ),
+        "b": (
+            "from . import a\n"
+            "from .a import _x\n"
+            "def f(u):\n"
+            "    return a._kept(u), a._Box\n"
+        ),
+    }
+    assert unread_private_names(sources) == ["a._dead", "a._unused_pair"]
 
 
 def scipy_linalg_imports(source):

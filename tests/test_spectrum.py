@@ -6,42 +6,17 @@ import numpy as np
 import pytest
 
 from repdyn.domination import GeneratorSet
-from repdyn.linalg import SpectralVector
 from repdyn.spectrum import (
     ConeLevel,
     containment_check,
     involution_symmetry_check,
     sample_cone,
-    zero_index_interval,
 )
 from repdyn.words import Sampled
 
 from conftest import rotation3
 
 LOG2 = np.log(2.0)
-
-
-class TestZeroIndexInterval:
-    def test_middle_zero(self):
-        v = SpectralVector(np.array([LOG2, 0.0, -LOG2]), "jordan")
-        out = zero_index_interval(v, 1e-9)
-        assert out.indices == (2,)
-        assert out.is_consecutive
-
-    def test_all_zero(self):
-        v = SpectralVector(np.zeros(3), "jordan")
-        assert zero_index_interval(v, 1e-9).indices == (1, 2, 3)
-
-    def test_consecutive_run(self):
-        w = SpectralVector(np.array([1.0, 0.0, 0.0, -1.0]), "jordan")
-        out = zero_index_interval(w, 1e-9)
-        assert out.indices == (2, 3)
-        assert out.is_consecutive
-
-    def test_requires_jordan_kind(self):
-        v = SpectralVector(np.array([1.0, -1.0]), "cartan")
-        with pytest.raises(ValueError):
-            zero_index_interval(v, 1e-9)
 
 
 class TestSampleCone:

@@ -13,7 +13,6 @@ from repdyn.words import (
     Exhaustive,
     FlowLineWindow,
     Sampled,
-    TreeGeodesic,
     Word,
     alphabet,
     count_sphere,
@@ -60,7 +59,7 @@ def random_geodesic(rng, rank, half_width, anchor_max=4):
         forward = random_word(rank, half_width + int(rng.integers(0, 6)), rng).letters
         backward = random_word(rank, half_width + int(rng.integers(0, 6)), rng).letters
         if forward[0] != backward[0]:
-            return TreeGeodesic.from_rays(anchor, forward, backward)
+            return FlowLineWindow.from_rays(anchor, forward, backward)
 
 
 @st.composite
@@ -81,8 +80,8 @@ def geodesics(draw, rank=2):
                    max(cancel, draw(st.integers(1, 9))))
     second = extend([], draw(st.integers(1, 9)), avoid=first[0])
     if draw(st.booleans()):
-        return TreeGeodesic.from_rays(anchor, first, second)
-    return TreeGeodesic.from_rays(anchor, second, first)
+        return FlowLineWindow.from_rays(anchor, first, second)
+    return FlowLineWindow.from_rays(anchor, second, first)
 
 
 class TestWord:
@@ -341,10 +340,8 @@ class TestFlowLineWindow:
             with pytest.raises(WindowBoundsError):
                 line.letters_between(start, stop)
 
-
-class TestTreeGeodesic:
     def test_vertices_walk_the_rays(self):
-        geo = TreeGeodesic.from_rays([1, 2], [1, 1], [-2, -2])
+        geo = FlowLineWindow.from_rays([1, 2], [1, 1], [-2, -2])
         assert geo.vertex(0).letters == (1, 2)
         assert geo.vertex(1).letters == (1, 2, 1)
         assert geo.vertex(2).letters == (1, 2, 1, 1)
@@ -354,29 +351,59 @@ class TestTreeGeodesic:
 
     @pytest.mark.parametrize("anchor, forward, backward", CANCELLING)
     def test_vertices_match_word_products(self, anchor, forward, backward):
-        geo = TreeGeodesic.from_rays(anchor, forward, backward)
+        geo = FlowLineWindow.from_rays(anchor, forward, backward)
         assert geo.anchor == Word(anchor)
         assert [geo.vertex(t) for t in range(-geo.half_width, geo.half_width + 1)] \
             == walked_vertices(anchor, forward, backward, geo.half_width)
 
     def test_input_checks(self):
         with pytest.raises(ValueError, match="not reduced"):
-            TreeGeodesic.from_rays([1, -1], [2] * 3, [2] * 3)
+            FlowLineWindow.from_rays([1, -1], [2] * 3, [2] * 3)
         with pytest.raises(ValueError, match="nonzero"):
-            TreeGeodesic.from_rays([], [1, 0, 1], [2] * 3)
+            FlowLineWindow.from_rays([], [1, 0, 1], [2] * 3)
         with pytest.raises(ValueError, match="stream is not reduced"):
-            TreeGeodesic.from_rays([], [1, -1, 1], [2] * 3)
+            FlowLineWindow.from_rays([], [1, -1, 1], [2] * 3)
         with pytest.raises(ValueError, match="stream is not reduced"):
-            TreeGeodesic.from_rays([], [1] * 3, [1] * 3)  # rays share their first edge
+            FlowLineWindow.from_rays([], [1] * 3, [1] * 3)  # rays share their first edge
         with pytest.raises(ValueError, match="at least 1"):
-            TreeGeodesic([], [], 0)
+            FlowLineWindow([], 0)
         with pytest.raises(ValueError, match="expected 4"):
-            TreeGeodesic([], [1, 1, 1], 2)
-        geo = TreeGeodesic.from_rays([], [1] * 3, [2] * 3)
+            FlowLineWindow([1, 1, 1], 2)
+        geo = FlowLineWindow.from_rays([], [1] * 3, [2] * 3)
         with pytest.raises(WindowBoundsError):
             geo.vertex(4)
         with pytest.raises(WindowBoundsError):
-            geo.window(4)
+            geo.vertex_rows(4)
+
+    @pytest.mark.parametrize("offset", [-2, 0, 2])
+    @pytest.mark.parametrize("anchor", [[], [2, 1], [1, -2, -1]])
+    def test_offset_line_vertices_step_by_its_letters(self, offset, anchor):
+        line = FlowLineWindow([1, 2, -1, -1, 2, 1, 1, -2, -2, 1], 5,
+                              basepoint_offset=offset, anchor=anchor)
+        reach = line.usable_half_width
+        assert line.vertex(0) == line.anchor == Word(anchor)
+        for t in range(-reach, reach):
+            assert line.vertex(t + 1) == line.vertex(t) * Word([line.letter(t)])
+        for t in (-reach - 1, reach + 1):
+            with pytest.raises(WindowBoundsError):
+                line.vertex(t)
+
+    @pytest.mark.parametrize("anchor, forward, backward", CANCELLING)
+    def test_from_rays_letters_are_the_rays(self, anchor, forward, backward):
+        line = FlowLineWindow.from_rays(anchor, forward, backward)
+        T = min(len(forward), len(backward))
+        assert (line.half_width, line.basepoint_offset) == (T, 0)
+        # the edge from time -j-1 to -j is read backward as backward[j]
+        assert line.letters_between(-T, T) == tuple(
+            [-backward[j] for j in range(T - 1, -1, -1)] + forward[:T])
+
+    def test_lines_differing_only_in_anchor_are_unequal(self):
+        letters = [1, 2] * 4
+        plain = FlowLineWindow(letters, 4)
+        assert plain == FlowLineWindow(letters, 4, anchor=Word())
+        moved = FlowLineWindow(letters, 4, anchor=[2])
+        assert moved != plain
+        assert len({plain, moved, FlowLineWindow(letters, 4, anchor=[2])}) == 2
 
     def test_tree_distance_is_lcp_metric(self):
         assert tree_distance(Word([1, 2]), Word([1, 2])) == 0
@@ -387,22 +414,22 @@ class TestTreeGeodesic:
 
 class TestFlowMetric:
     def test_identical_geodesics_zero(self):
-        g = TreeGeodesic.from_rays([], [1] * 45, [-2] * 45)
+        g = FlowLineWindow.from_rays([], [1] * 45, [-2] * 45)
         r = flow_metric(g, g, 40)
         assert r.value == pytest.approx(0.0, abs=1e-12)
 
     def test_shift_oracle(self):
         # shifting a geodesic by s changes the weighted integral by 2s/log 2
-        base = TreeGeodesic.from_rays([], [1] * 50, [-1] * 50)
+        base = FlowLineWindow.from_rays([], [1] * 50, [-1] * 50)
         for s in (1, 2, 3):
-            moved = TreeGeodesic.from_rays([1] * s, [1] * 50, [-1] * 50)
+            moved = FlowLineWindow.from_rays([1] * s, [1] * 50, [-1] * 50)
             r = flow_metric(base, moved, 40)
             assert r.value == pytest.approx(2.0 * s / LOG2, abs=1e-3)
 
     def test_diverging_rays_oracle(self):
         # same past, futures split at the basepoint: 2 / (log 2)^2
-        g = TreeGeodesic.from_rays([], [1] * 50, [-2] * 50)
-        h = TreeGeodesic.from_rays([], [2] * 50, [-2] * 50)
+        g = FlowLineWindow.from_rays([], [1] * 50, [-2] * 50)
+        h = FlowLineWindow.from_rays([], [2] * 50, [-2] * 50)
         r = flow_metric(g, h, 40)
         assert r.value == pytest.approx(2.0 / LOG2**2, abs=1e-3)
 
@@ -414,7 +441,7 @@ class TestFlowMetric:
             back = random_word(2, 45, rng)
             if fwd.letters[0] == back.letters[0]:
                 continue  # the two rays would share their first edge
-            geos.append(TreeGeodesic.from_rays([], fwd.letters, back.letters))
+            geos.append(FlowLineWindow.from_rays([], fwd.letters, back.letters))
         vals = {}
         for i, g in enumerate(geos):
             for j, h in enumerate(geos):
@@ -426,8 +453,8 @@ class TestFlowMetric:
                     assert vals[i, j] <= vals[i, k] + vals[k, j] + 1e-9
 
     def test_tail_bound_shrinks(self):
-        g = TreeGeodesic.from_rays([], [1] * 50, [-2] * 50)
-        h = TreeGeodesic.from_rays([], [2] * 50, [-1] * 50)
+        g = FlowLineWindow.from_rays([], [1] * 50, [-2] * 50)
+        h = FlowLineWindow.from_rays([], [2] * 50, [-1] * 50)
         r20 = flow_metric(g, h, 20)
         r40 = flow_metric(g, h, 40)
         assert r40.tail_bound < r20.tail_bound
@@ -438,7 +465,7 @@ class TestArrayDistances:
     """The stacked distances equal the per-vertex `tree_distance` loop exactly."""
 
     def pool(self):
-        geos = [TreeGeodesic.from_rays(*spec) for spec in CANCELLING]
+        geos = [FlowLineWindow.from_rays(*spec) for spec in CANCELLING]
         rng = np.random.default_rng(5)
         for half_width in (8, 9, 11, 14):
             geos.append(random_geodesic(rng, 2, half_width))
@@ -483,11 +510,11 @@ class TestArrayDistances:
             return [(l + 2 ** (bits - 1)) % 2**bits - 2 ** (bits - 1) for l in letters]
 
         forward, backward = [top, top - 1, top, 1, 2] * 4, [3, -top] * 10
-        wide = TreeGeodesic.from_rays([top], forward, backward)
-        wrapped = TreeGeodesic.from_rays(wrap([top]), wrap(forward), wrap(backward))
-        narrow = TreeGeodesic.from_rays([1], [2, 1, 2, 1, 2] * 4, [-1, -2] * 10)
-        assert np.iinfo(wide.window(3)[0].dtype).max >= top
-        assert narrow.window(3)[0].dtype == np.int8
+        wide = FlowLineWindow.from_rays([top], forward, backward)
+        wrapped = FlowLineWindow.from_rays(wrap([top]), wrap(forward), wrap(backward))
+        narrow = FlowLineWindow.from_rays([1], [2, 1, 2, 1, 2] * 4, [-1, -2] * 10)
+        assert np.iinfo(wide.vertex_rows(3)[0].dtype).max >= top
+        assert narrow.vertex_rows(3)[0].dtype == np.int8
         geos = [wide, wrapped, narrow]
         for window in (1, 5, 20):
             for g in geos:
@@ -499,8 +526,8 @@ class TestArrayDistances:
         assert (flow_metric(wide, wrapped, 20).value > 0.0) == (wrap([top]) != [top])
 
     def test_window_checks(self):
-        g = TreeGeodesic.from_rays([], [1] * 5, [2] * 5)
-        h = TreeGeodesic.from_rays([1], [1] * 7, [2] * 7)
+        g = FlowLineWindow.from_rays([], [1] * 5, [2] * 5)
+        h = FlowLineWindow.from_rays([1], [1] * 7, [2] * 7)
         with pytest.raises(WindowBoundsError, match="at least 1, got 0"):
             flow_metric(g, h, 0)
         with pytest.raises(WindowBoundsError, match="at least 1, got -2"):
