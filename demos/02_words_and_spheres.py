@@ -3,7 +3,8 @@
 Generator sets are indexed by signed letters (1, -1, 2, -2, ...), words
 are reduced tuples of letters, and the sphere of radius L holds every
 reduced word of that length.  This script counts spheres, evaluates a few
-products, and shows the overflow guard naming the longest safe prefix.
+products, and shows the overflow guard refusing a product that leaves
+float64 range.
 """
 
 import numpy as np
@@ -39,9 +40,9 @@ sphere = list(enumerate_sphere(2, 3))
 print(f"\nfirst five of {len(sphere)} radius-3 words:",
       [gens.word_name(w) for w in sphere[:5]])
 
-# --- float64 overflow is reported with the longest safe prefix ----------
+# --- a product that leaves float64 range raises -------------------------
 steep = GeneratorSet([np.diag([1e6, 1e-6])])
 try:
     evaluate(Word([1] * 60), steep)
 except NumericOverflowError as err:
-    print(f"\noverflow after {err.prefix_length} of 60 letters: {err}")
+    print(f"\noverflow: {err}")

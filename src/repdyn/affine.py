@@ -31,7 +31,6 @@ from typing import Optional
 import numpy as np
 
 from . import words
-from .errors import NumericOverflowError
 from .fitting import fit_line
 from .linalg import log_eigenvalue_moduli
 
@@ -116,8 +115,6 @@ def _scan_extremes(gens, L_max, stats, policy):
         return out
 
     spheres = words.map_sphere_products(gens, L_max, extremes, policy)
-    if not spheres:
-        raise NumericOverflowError("no complete sphere before overflow", prefix_length=1)
     return [list(records) for records in zip(*spheres)], len(spheres) < L_max
 
 

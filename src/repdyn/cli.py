@@ -191,8 +191,9 @@ def parse_lines(doc, gens, window, path=""):
     either ``{"pattern": [letters]}`` (a periodic line of half width
     ``window``) or ``{"letters": [letters], "offset": int}``.  An explicit
     line of 2h letters runs at its own half width, h less ``|offset|``;
-    ``window`` sets only the periodic lines.  Without the key, one periodic
-    line per generator is analyzed.
+    ``window`` sets only the periodic lines.  An explicit line must reach at
+    least two steps each way from its basepoint.  Without the key, one
+    periodic line per generator is analyzed.
     """
     specs = doc.get("lines")
     if specs is None:
@@ -226,6 +227,10 @@ def parse_lines(doc, gens, window, path=""):
                     raise InputFileError(f"{where}.offset: expected an integer")
                 line = words.FlowLineWindow(letters, len(letters) // 2, offset)
                 label = f"explicit:{idx}"
+                if line.usable_half_width < 2:
+                    raise InputFileError(
+                        f"{where}: usable half width {line.usable_half_width};"
+                        " need at least two steps in each direction")
         except (ValueError, WindowBoundsError) as e:
             raise InputFileError(f"{where}: {e}") from e
         out.append((label, line))
@@ -904,7 +909,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("split", parents=[common],
                        help="cocycle splitting and rates along flow lines")
     p.add_argument("--k", type=int, default=1, help="splitting index")
-    p.add_argument("--window", type=_int_at_least(1),
+    p.add_argument("--window", type=_int_at_least(2),
                    default=flowbundle.DEFAULT_WINDOW, help="trajectory half width")
     p.set_defaults(handler=cmd_split)
 

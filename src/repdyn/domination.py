@@ -315,7 +315,6 @@ class FlagEstimate:
 
     word: words.Word
     k: int
-    depth: int
     zeta: object
     theta_map: object
     residual: float
@@ -354,7 +353,7 @@ def flag_estimate(gens: GeneratorSet, prefix: words.Word, k: int,
         subspace_distance(zeta, zeta_prev), subspace_distance(theta, theta_prev)
     )
     return FlagEstimate(
-        word=prefix, k=k, depth=depth, zeta=zeta, theta_map=theta, residual=residual
+        word=prefix, k=k, zeta=zeta, theta_map=theta, residual=residual
     )
 
 

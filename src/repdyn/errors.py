@@ -4,6 +4,8 @@ Everything raised on purpose derives from :class:`RepdynError` so callers can
 catch numerical-analysis failures without masking programming errors
 (``ValueError``/``TypeError`` still signal misuse of an API).  The command
 line exits 64 for the input errors and 70 for the rest and for LAPACK's.
+An overflow carries only its message: a sphere scan that meets one stops
+at the last complete sphere and reports how far it got.
 """
 
 from __future__ import annotations
@@ -43,15 +45,7 @@ class DegenerateGapError(RepdynError):
 
 
 class NumericOverflowError(RepdynError):
-    """A matrix product left the range of float64.
-
-    ``prefix_length`` records how many letters were multiplied before the
-    product stopped being finite.
-    """
-
-    def __init__(self, message, prefix_length):
-        super().__init__(message)
-        self.prefix_length = prefix_length
+    """A matrix product, or a statistic read from one, left float64 range."""
 
 
 class WindowBoundsError(RepdynError):

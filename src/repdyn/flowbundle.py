@@ -12,7 +12,7 @@ the directions most contracted by backward transport, the forward-contracted
 block from the directions most contracted by forward transport, and the
 neutral block from the middle right-singular directions.  `measure_rates`
 then fits the contraction and dominance constants that a partially
-hyperbolic splitting must exhibit, optionally in a changed fiber norm.
+hyperbolic splitting must exhibit.
 
 Everything runs on stacks of lines.  `build_trajectory` walks a sequence
 of lines together, one stacked product per step, and groups them by how
@@ -42,7 +42,6 @@ from .linalg import (
     GAP_TOL,
     Subspace,
     bottom_singular_subspace,
-    require_matrix,
     require_orthonormal,
     singular_frames,
     subspace_distance,
@@ -358,9 +357,6 @@ class RateReport:
     aprime_zero_minus: float
     Aprime_zero_minus: float
     curves: dict
-    fit_start_forward: int
-    fit_start_backward: int
-    norm_used: bool
 
 
 def _log_stretches(steps, bases):
@@ -375,31 +371,19 @@ def _running_sum(steps):
     return np.cumsum(np.concatenate([np.zeros((len(steps), 1)), steps], axis=1), axis=1)
 
 
-def measure_rates(traj: CocycleTrajectory, k: int, norm_matrix=None) -> list[RateReport]:
+def measure_rates(traj: CocycleTrajectory, k: int) -> list[RateReport]:
     """Fit contraction and dominance rates of a splitting along a trajectory.
 
     Each curve accumulates, step by step, the logarithmic extremal stretch
     of a splitting block, with the blocks re-estimated at every time from a
     short relative window; straight lines are fitted on the far two thirds
-    of each curve.  ``norm_matrix`` measures the fibers in the norm
-    ``|W v|`` instead of the Euclidean one, i.e. transports in the
-    coordinates ``x -> W x``; fitted rates are insensitive to that choice.
-    The relative products, their frames and the stretches are all computed
-    as stacks over the lines and times, and the curves are running sums
-    that add the stretches in time order.  ``k`` is the index of the
-    splitting, as given to `estimate_splitting`, and the result a list of
-    :class:`RateReport`, one per line.
+    of each curve.  The relative products, their frames and the stretches
+    are all computed as stacks over the lines and times, and the curves are
+    running sums that add the stretches in time order.  ``k`` is the index
+    of the splitting, as given to `estimate_splitting`, and the result a
+    list of :class:`RateReport`, one per line.
     """
     _check_index(k, traj.dim)
-    gens = traj.gens
-    if norm_matrix is not None:
-        w = require_matrix(norm_matrix, "norm matrix")
-        w_inv = np.linalg.inv(w)
-        gens = GeneratorSet(
-            [w @ gens.image(i + 1) @ w_inv for i in range(gens.rank)],
-            names=gens.names,
-        )
-
     n = traj.dim
     tb, tf = traj.t_backward, traj.t_forward
     h = max(1, min(_RELATIVE_WINDOW, min(tb, tf) // 2))
@@ -420,7 +404,7 @@ def measure_rates(traj: CocycleTrajectory, k: int, norm_matrix=None) -> list[Rat
     ranks = letter_rank(np.array(
         [line.letters_between(first, extent_f + h - 1) for line in traj.lines]
     ))
-    images = _images(gens)
+    images = _images(traj.gens)
 
     def image_at(u, inverse=False):
         """Images of each line's letters at times ``u`` (an index array), or
@@ -479,9 +463,6 @@ def measure_rates(traj: CocycleTrajectory, k: int, norm_matrix=None) -> list[Rat
                 "dominance_neutral_over_expanding": dom_pz[b],
                 "dominance_contracting_over_neutral": dom_zm[b],
             },
-            fit_start_forward=int(start_f),
-            fit_start_backward=int(start_b),
-            norm_used=norm_matrix is not None,
         )
 
     return [report(b) for b in range(traj.size)]

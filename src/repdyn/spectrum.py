@@ -50,20 +50,19 @@ class ConeLevel:
     """The normalized spectral samples of all length-m words, one row each.
 
     ``letters`` is ``(N, m)``, ``jordan`` and ``cartan`` are ``(N, n)``,
-    ``zero_tol`` is ``(N,)``, ``zero`` is the ``(N, n)`` mask ``|jordan| <=
-    zero_tol`` and ``inverse`` the ``(N,)`` row of each word's inverse, -1
-    where the level lacks it.  The arrays are read-only.
+    ``zero`` is the ``(N, n)`` mask of the zero Jordan coordinates and
+    ``inverse`` the ``(N,)`` row of each word's inverse, -1 where the level
+    lacks it.  The arrays are read-only.
     """
 
     letters: np.ndarray
     jordan: np.ndarray
     cartan: np.ndarray
-    zero_tol: np.ndarray
     zero: np.ndarray
     inverse: np.ndarray
 
     def __post_init__(self):
-        for field in ("letters", "jordan", "cartan", "zero_tol", "zero", "inverse"):
+        for field in ("letters", "jordan", "cartan", "zero", "inverse"):
             getattr(self, field).flags.writeable = False
 
     @property
@@ -143,18 +142,15 @@ def sample_cone(gens, m_max: int, policy=words.Exhaustive()) -> ConeEstimate:
         m = sphere.letters.shape[1]
         jordan = log_eigenvalue_moduli(sphere.products, sphere.logdet, sphere.sign) / m
         if not np.isfinite(jordan).all():
-            raise NumericOverflowError("eigenvalue modulus left float64 range",
-                                       prefix_length=m)
+            raise NumericOverflowError("eigenvalue modulus left float64 range")
         cartan = sphere.log_singular_values() / m
         tols = DEFAULT_ZERO_TOL_COEFF * np.maximum(1.0, np.abs(jordan).max(axis=1))
-        return ConeLevel(sphere.letters, jordan, cartan, tols,
+        return ConeLevel(sphere.letters, jordan, cartan,
                          np.abs(jordan) <= tols[:, None], sphere.inverse)
 
     levels = words.map_sphere_products(gens, m_max, level, policy, inversion_closed=True)
-    if not levels:
-        raise NumericOverflowError(
-            "no complete sample level before overflow", prefix_length=1
-        )
+    if not levels:  # a level-1 statistic can leave float64 range
+        raise NumericOverflowError("no complete sample level before overflow")
     m_used = len(levels)
     levels = dict(enumerate(levels, start=1))
 

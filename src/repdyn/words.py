@@ -22,8 +22,9 @@ spheres of consecutive lengths are walked as one stack, longest word
 first, with one stacked multiply per letter for the whole group; a group
 holds at most twice the rows of the one before it and at most
 ``linalg.KERNEL_BLOCK`` rows.  Each sphere is then a row slice with the
-bits of a walk of its own, and an overflow stops the scan at the same
-sphere and prefix.  A sphere finds the row of each word's inverse on first use
+bits of a walk of its own.  A non-finite product stays non-finite, so each
+sphere is checked once, when complete, and the first that overflowed
+stops the scan.  A sphere finds the row of each word's inverse on first use
 (`Sphere.inverse`), which the n = 3 singular-value kernel and the cone's
 involution check read.
 """
@@ -186,30 +187,19 @@ def random_word(rank: int, length: int, rng) -> Word:
     return Word(out)
 
 
-def _product(letters, gens, checked=False):
-    product = np.eye(gens.dim)
-    for i, l in enumerate(letters):
-        product = product @ gens.image(l)
-        if checked:
-            _checked(product, i + 1)
-    return product
-
-
 def evaluate(word, gens) -> np.ndarray:
     """Multiply generator images left to right along a word.
 
     ``gens`` must provide ``image(letter)`` and ``dim``.  Raises
-    :class:`NumericOverflowError` naming the prefix length at which the
-    product left float64 range.  A non-finite product stays non-finite, so
-    the product is checked once; only one that fails is multiplied again,
-    with a check after each letter, to name that prefix.
+    :class:`NumericOverflowError` if the product left float64 range: a
+    non-finite product stays non-finite, so the product is checked once,
+    after the last letter.
     """
-    letters = word.letters if isinstance(word, Word) else tuple(word)
+    product = np.eye(gens.dim)
     with _overflow_raises():
-        product = _product(letters, gens)
-        if not np.isfinite(product).all():
-            _product(letters, gens, checked=True)
-    return product
+        for l in word:
+            product = product @ gens.image(l)
+    return _checked(product)
 
 
 def _overflow_raises():
@@ -220,11 +210,9 @@ def _overflow_raises():
     return np.errstate(over="ignore", invalid="ignore")
 
 
-def _checked(products, length):
+def _checked(products):
     if not np.isfinite(products).all():
-        raise NumericOverflowError(
-            f"product overflowed after {length} letters", prefix_length=length
-        )
+        raise NumericOverflowError("product left float64 range")
     return products
 
 
@@ -351,15 +339,14 @@ class Sphere:
                                    self.inverse if n == 3 else None)
 
 
-def _walk(positions, walking, images, letter_logdets, letter_signs, checked=False):
+def _walk(positions, walking, images, letter_logdets, letter_signs):
     """Products, log-dets and signs of the words in the rows of an ``(R, L)``
     array of alphabet positions, longest word first.
 
     At letter i the first ``walking[i]`` rows take one stacked multiply, one
     log-det add and one sign multiply, so every row reads its own letters
-    left to right, as a walk of its sphere alone would.  With ``checked``
-    the walk raises :class:`NumericOverflowError` after the first letter
-    that leaves a product outside float64 range.
+    left to right, as a walk of its sphere alone would.  A product that
+    leaves float64 range stays non-finite; the walk does not check.
     """
     rows, n = len(positions), images.shape[-1]
     products = np.tile(np.eye(n), (rows, 1, 1))
@@ -370,8 +357,6 @@ def _walk(positions, walking, images, letter_logdets, letter_signs, checked=Fals
         np.matmul(products[:m], images.take(step, axis=0), out=products[:m])
         logdet[:m] += letter_logdets.take(step)
         sign[:m] *= letter_signs.take(step)
-        if checked:
-            _checked(products[:m], i + 1)
     return products, logdet, sign
 
 
@@ -379,11 +364,8 @@ def _sampled_group(draws, rank, tables, inversion_closed):
     """The spheres of consecutive lengths' ``sampled_words`` draws, shortest
     first, from one `_walk` of all their rows stacked longest word first.
     ``tables`` holds the generator images, log-dets and signs by alphabet
-    position.
-
-    A non-finite product stays non-finite, so one check at the end finds the
-    spheres that overflowed; the first of them is walked again alone, with a
-    check after every letter, to raise at the prefix where it overflowed.
+    position.  The first sphere holding a non-finite product raises
+    :class:`NumericOverflowError` in place of being yielded.
     """
     longest = draws[-1].shape[1]
     positions = np.zeros((sum(map(len, draws)), longest), dtype=draws[0].dtype)
@@ -395,15 +377,10 @@ def _sampled_group(draws, rank, tables, inversion_closed):
     walking = [sum(len(d) for d in draws if d.shape[1] > i) for i in range(longest)]
     with _overflow_raises():
         products, logdet, sign = _walk(positions, walking, *tables)
-    finite = np.isfinite(products).all(axis=(1, 2))
     for letters, start in zip(draws, reversed(starts)):
         rows = slice(start, start + len(letters))
-        if not finite[rows].all():
-            L = letters.shape[1]
-            with _overflow_raises():
-                _walk(positions[rows, :L], [len(letters)] * L, *tables, checked=True)
-        yield Sphere(letters, products[rows], logdet[rows], sign[rows], rank,
-                     False, inversion_closed)
+        yield Sphere(letters, _checked(products[rows]), logdet[rows], sign[rows],
+                     rank, False, inversion_closed)
 
 
 def iter_sphere_products(gens, L_max: int, policy=Exhaustive(),
@@ -427,9 +404,9 @@ def iter_sphere_products(gens, L_max: int, policy=Exhaustive(),
     ``gens`` provides ``rank``, ``dim``, ``image`` and ``log_dets`` (see
     :class:`~repdyn.domination.GeneratorSet`).  Raises
     :class:`NumericOverflowError` at the first sphere holding a product
-    outside float64 range, after yielding the spheres before it, with the
-    ``prefix_length`` of the first letter after which one of its products
-    left that range.
+    outside float64 range, after yielding the spheres before it.  Each
+    product is multiplied once and checked once, when its sphere is
+    complete.
     """
     letter_set = np.array(alphabet(gens.rank), dtype=_letter_dtype(gens.rank))
     images = np.stack([gens.image(l) for l in letter_set])
@@ -452,7 +429,7 @@ def iter_sphere_products(gens, L_max: int, policy=Exhaustive(),
         # scoped per sphere: the state must not leak to the caller across the yield
         with _overflow_raises():
             if L == 1:
-                letters, products = letter_set[:, None], _checked(images, 1)
+                letters, products = letter_set[:, None], _checked(images)
                 logdet, sign = letter_logdets, letter_signs
             else:
                 nxt = children[letter_rank(letters[:, -1])].ravel()
@@ -460,7 +437,7 @@ def iter_sphere_products(gens, L_max: int, policy=Exhaustive(),
                 letters = np.concatenate(
                     [np.repeat(letters, fan, axis=0), letter_set[nxt, None]], axis=1
                 )
-                products = _checked(np.repeat(products, fan, axis=0) @ images[nxt], L)
+                products = _checked(np.repeat(products, fan, axis=0) @ images[nxt])
                 logdet = np.repeat(logdet, fan) + letter_logdets[nxt]
                 sign = np.repeat(sign, fan) * letter_signs[nxt]
         yield Sphere(letters, products, logdet, sign, gens.rank, True, inversion_closed)
@@ -676,7 +653,6 @@ class FlowMetricResult:
 
     value: float
     tail_bound: float
-    half_width: int
 
     def __float__(self):
         return self.value
@@ -720,7 +696,7 @@ def flow_metric(g: FlowLineWindow, h, half_width=None):
         weights * (inner * _WEIGHT_MOMENT_0 + outer * _WEIGHT_MOMENT_1), axis=1
     )
     tail = float(4.0 * 2.0 ** (-half_width) * (half_width / LOG2 + 1.0 / LOG2**2))
-    out = [FlowMetricResult(float(v), tail, half_width) for v in forward + backward]
+    out = [FlowMetricResult(float(v), tail) for v in forward + backward]
     return out[0] if isinstance(h, FlowLineWindow) else out
 
 

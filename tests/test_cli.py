@@ -180,6 +180,25 @@ class TestInputHandling:
             "repdyn: a splitting with a nonempty neutral block needs dimension"
             " at least 3, got 2\n")
 
+    def test_split_line_with_one_step_each_way_is_refused(self, tmp_path, capsys):
+        # an explicit line of 8 letters at offset 3 reaches one step back
+        doc = {"n": 3,
+               "generators": [{"name": "g", "rows": [[2, 0, 0], [0, 1, 0], [0, 0, 0.5]]}],
+               "lines": [{"pattern": [1]}, {"letters": [1] * 8, "offset": 3}]}
+        path = write_doc(tmp_path / "g.json", doc)
+        out = tmp_path / "out"
+        rc = main(["split", "--input", path, "--k", "1", "--window", "6",
+                   "--out-dir", str(out)])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"repdyn: {path}: lines[1]: usable half width 1;"
+            " need at least two steps in each direction\n")
+        rc = main(["split", "--input", path, "--k", "1", "--window", "1",
+                   "--out-dir", str(out)])
+        assert rc == EXIT_USAGE
+        assert "argument --window: must be at least 2, got 1" in capsys.readouterr().err
+        assert list(out.iterdir()) == []  # no report for the other line
+
     def test_nonfinite_constant_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(
@@ -212,7 +231,8 @@ class TestInputHandling:
             err = capsys.readouterr().err
             assert "must" in err and "Traceback" not in err, argv
             if "--window" in argv:
-                assert "must be at least 1" in err, argv
+                low = 2 if argv[0] == "split" else 1
+                assert f"must be at least {low}" in err, argv
 
 
     @pytest.mark.parametrize("under", [False, True])
@@ -837,7 +857,10 @@ class TestAffineExtremes:
 
 class TestOverflowTruncation:
     """Products of 1e40-scaled generators overflow float64 at length 8, so
-    each sphere scan stops at the last complete length and says so."""
+    each sphere scan stops at the last complete length and says so, under
+    either policy."""
+
+    POLICIES = [[], ["--policy", "sampled", "--samples", "50"]]
 
     @pytest.fixture()
     def huge_doc(self, tmp_path):
@@ -848,7 +871,7 @@ class TestOverflowTruncation:
             {"name": "h", "rows": rows(1e40 * q @ d @ q.T)},
         ]})
 
-    @pytest.mark.parametrize("policy", [[], ["--policy", "sampled", "--samples", "50"]])
+    @pytest.mark.parametrize("policy", POLICIES)
     def test_dominate_is_inconclusive_at_the_last_complete_sphere(self, huge_doc,
                                                                   tmp_path, policy):
         out = tmp_path / "out"
@@ -860,23 +883,42 @@ class TestOverflowTruncation:
         assert results["L_used"] == len(results["spheres"]) == 7
 
     def test_spectrum_keeps_the_complete_levels(self, huge_doc, tmp_path):
-        out = tmp_path / "out"
-        code = main(["spectrum", "--input", huge_doc, "--m-max", "8",
-                     "--out-dir", str(out)])
-        results = read_summary(out, "spectrum")["results"]
-        assert code == EXIT_OK
-        assert results["truncated"] is True
-        assert (results["m_max"], results["m_used"]) == (8, 7)
+        for i, policy in enumerate(self.POLICIES):
+            out = tmp_path / f"out{i}"
+            code = main(["spectrum", "--input", huge_doc, "--m-max", "8",
+                         *policy, "--out-dir", str(out)])
+            results = read_summary(out, "spectrum")["results"]
+            assert code == EXIT_OK, policy
+            assert results["truncated"] is True
+            assert (results["m_max"], results["m_used"]) == (8, 7)
 
     def test_affine_reports_are_all_truncated(self, huge_doc, tmp_path):
-        out = tmp_path / "out"
-        code = main(["affine", "--input", huge_doc, "--max-length", "8",
-                     "--out-dir", str(out)])
-        results = read_summary(out, "affine")["results"]
-        assert code == EXIT_FAIL
-        reports = ("hks", "eigenvalue_norm_one", "bounded_singular")
-        assert [results[r]["truncated"] for r in reports] == [True, True, True]
-        assert results["eigenvalue_norm_one"]["worst_length"] == 7
+        for i, policy in enumerate(self.POLICIES):
+            out = tmp_path / f"out{i}"
+            code = main(["affine", "--input", huge_doc, "--max-length", "8",
+                         *policy, "--out-dir", str(out)])
+            results = read_summary(out, "affine")["results"]
+            assert code == EXIT_FAIL, policy
+            reports = ("hks", "eigenvalue_norm_one", "bounded_singular")
+            assert [results[r]["truncated"] for r in reports] == [True, True, True]
+            assert results["eigenvalue_norm_one"]["worst_length"] == 7
+
+    def test_spectrum_without_a_complete_level_is_a_numeric_failure(self, tmp_path):
+        # finite generator and inverse, but slogdet overflows on entries near
+        # the float64 maximum, so the level-1 eigenvalue moduli are not finite;
+        # run apart, because the suite turns the RuntimeWarning into an error
+        q, _ = np.linalg.qr(np.random.default_rng(2).standard_normal((2, 2)))
+        path = write_doc(tmp_path / "g.json",
+                         {"n": 2, "generators": [{"name": "g", "rows": rows(1.7e308 * q)}]})
+        src = Path(repdyn.__file__).resolve().parents[1]
+        result = subprocess.run(
+            [sys.executable, "-m", "repdyn.cli", "spectrum", "--input", path,
+             "--out-dir", str(tmp_path / "out")],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+        )
+        assert result.returncode == EXIT_NUMERIC
+        assert result.stderr.endswith(
+            "repdyn: numeric failure: no complete sample level before overflow\n")
 
 
 class TestImportCost:

@@ -110,12 +110,15 @@ class TestRates:
 
     def test_norm_matrix_leaves_rates_alone(self, constant_traj):
         [plain] = measure_rates(constant_traj, 1)
-        # a shear does not commute with the generator, so the transported
-        # blocks genuinely move; the fitted rates must not (up to the frame
-        # re-estimation bias of the sliding window)
+        # the fiber norm |W v| is the Euclidean one in the coordinates
+        # x -> W x, where the generator reads W g W^-1.  A shear does not
+        # commute with the generator, so the transported blocks genuinely
+        # move; the fitted rates must not (up to the frame re-estimation
+        # bias of the sliding window)
         w = np.array([[1.0, 0.7, 0.0], [0.0, 1.0, 0.3], [0.0, 0.0, 1.0]])
-        [weighted] = measure_rates(constant_traj, 1, norm_matrix=w)
-        assert weighted.norm_used is True
-        assert plain.norm_used is False
+        g = constant_traj.gens.image(1)
+        gens = GeneratorSet([w @ g @ np.linalg.inv(w)], names=["g"])
+        [traj] = build_trajectory(gens, constant_traj.lines)
+        [weighted] = measure_rates(traj, 1)
         assert weighted.a_plus == pytest.approx(plain.a_plus, abs=1e-3)
         assert weighted.a_minus == pytest.approx(plain.a_minus, abs=1e-3)

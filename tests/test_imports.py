@@ -1,11 +1,13 @@
 """Every name that a module of the package imports is read in that module,
-every module-level private name is read somewhere in the package, and no
-module imports ``scipy.linalg``.
+every module-level private name is read somewhere in the package, every
+dataclass field is read outside the tests, and no module imports
+``scipy.linalg``.
 
-No linter runs on the package, so a refactor that leaves an import or a
-private helper behind is caught here.  Names that a module lists in ``__all__`` (the package's
-re-exports) and ``from __future__`` imports are exempt.  ``scipy.linalg``
-is slow to import (it once cost about half the start-up time of a run), and
+No linter runs on the package, so a refactor that leaves an import, a
+private helper or a field that only the tests read behind is caught here.
+Names that a module lists in ``__all__`` (the package's re-exports) and
+``from __future__`` imports are exempt.  ``scipy.linalg`` is slow to
+import (it once cost about half the start-up time of a run), and
 `repdyn.linalg` has numpy versions of what the package needs from it.
 """
 
@@ -15,8 +17,10 @@ from pathlib import Path
 import pytest
 
 import repdyn
+from repdyn import cli
 
 SOURCES = sorted(Path(repdyn.__file__).parent.glob("*.py"))
+ROOT = Path(repdyn.__file__).resolve().parents[2]
 
 
 def unused_imports(source):
@@ -111,6 +115,72 @@ def test_the_check_sees_a_dead_helper():
         ),
     }
     assert unread_private_names(sources) == ["a._dead", "a._unused_pair"]
+
+
+def is_dataclass(node):
+    """Whether a class definition carries ``@dataclass`` or
+    ``@dataclasses.dataclass``, called or not."""
+    for decorator in node.decorator_list:
+        if isinstance(decorator, ast.Call):
+            decorator = decorator.func
+        if "dataclass" in (getattr(decorator, "id", None), getattr(decorator, "attr", None)):
+            return True
+    return False
+
+
+def unread_fields(sources, readers, summary_entries):
+    """``module.Class.field`` of each field that a dataclass in ``sources``,
+    a dict of module name to source text, declares and that nothing reads.
+    A read is an attribute load of the field's name in one of the
+    ``readers`` source texts, or an entry of ``summary_entries`` (the
+    ``key`` or ``key=field`` strings of `cli._SUMMARY_KEYS`) that names it.
+    """
+    read = {entry.partition("=")[2] or entry for entry in summary_entries}
+    for source in readers:
+        read.update(node.attr for node in ast.walk(ast.parse(source))
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+    unread = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef) and is_dataclass(node):
+                unread += [f"{module}.{node.name}.{item.target.id}" for item in node.body
+                           if isinstance(item, ast.AnnAssign)
+                           and isinstance(item.target, ast.Name)
+                           and item.target.id not in read]
+    return sorted(unread)
+
+
+def test_every_dataclass_field_is_read():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
+    readers = list(sources.values()) + [
+        path.read_text(encoding="utf-8")
+        for folder in ("demos", "perfbench") for path in sorted((ROOT / folder).glob("*.py"))
+    ]
+    entries = [entry for keys in cli._SUMMARY_KEYS.values() for entry in keys.split()]
+    assert unread_fields(sources, readers, entries) == []
+
+
+def test_the_check_sees_a_dead_field():
+    source = (
+        "import dataclasses\n"
+        "from dataclasses import dataclass\n"
+        "@dataclass\n"
+        "class Report:\n"
+        "    value: float\n"
+        "    note: str\n"
+        "    hidden: int = 0\n"
+        "    def describe(self):\n"
+        "        return self.note\n"
+        "@dataclasses.dataclass(frozen=True)\n"
+        "class Record:\n"
+        "    length: int\n"
+        "    dead: int\n"
+        "class Plain:\n"
+        "    unchecked: int\n"
+    )
+    reader = "def f(report):\n    report.hidden = report.value\n"
+    assert unread_fields({"a": source}, [source, reader], ["L=length"]) == [
+        "a.Record.dead", "a.Report.hidden"]
 
 
 def scipy_linalg_imports(source):

@@ -148,7 +148,7 @@ class TestInvolutionSymmetry:
         levels = dict(cone.levels)
         levels[2] = ConeLevel(
             level.letters[keep], level.jordan[keep], level.cartan[keep],
-            level.zero_tol[keep], level.zero[keep], inverse,
+            level.zero[keep], inverse,
         )
         rep = involution_symmetry_check(dataclasses.replace(cone, levels=levels))
         assert not rep.passed

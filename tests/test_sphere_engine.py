@@ -195,16 +195,18 @@ def test_cone_samples(request, fixture, policy):
             assert level.word(r) == w
             assert np.array_equal(level.jordan[r], jv)
             assert np.array_equal(level.cartan[r], cv)
-            assert level.zero_tol[r] == tol
             assert np.array_equal(level.zero[r], np.abs(jv) <= tol)
 
 
 def reference_samples(cone):
-    """(m, word, jordan, cartan, zero_tol) of each sample, one row at a time."""
+    """(m, word, jordan, cartan, zero tolerance) of each sample, one row at
+    a time; the tolerance is that of `sample_cone`."""
     for m in sorted(cone.levels):
         level = cone.levels[m]
         for r in range(len(level)):
-            yield m, level.word(r), level.jordan[r], level.cartan[r], float(level.zero_tol[r])
+            jv = level.jordan[r]
+            tol = spectrum.DEFAULT_ZERO_TOL_COEFF * max(1.0, float(np.abs(jv).max()))
+            yield m, level.word(r), jv, level.cartan[r], tol
 
 
 def reference_containment(cone, k, tol):
@@ -249,7 +251,7 @@ def drop_first_row(level):
     """``level`` without its first word; the inverse rows move up one, and
     the dropped word's inverse is left with none (-1)."""
     return ConeLevel(level.letters[1:], level.jordan[1:], level.cartan[1:],
-                     level.zero_tol[1:], level.zero[1:], level.inverse[1:] - 1)
+                     level.zero[1:], level.inverse[1:] - 1)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 8])

@@ -256,16 +256,9 @@ class TestEvaluate:
         )
         np.testing.assert_allclose(evaluate(w, ping_pong), expected, atol=1e-12)
 
-    def test_overflow_names_prefix(self):
-        # (1e6)^52 = 1e312 leaves float64 range at the 52nd letter
-        big = GeneratorSet([np.diag([1e6, 1e-6])])
-        with pytest.raises(NumericOverflowError) as info:
-            evaluate(Word([1] * 60), big)
-        assert info.value.prefix_length == 52
-
     @pytest.mark.parametrize("seed", range(8))
     def test_overflow_prefix_and_product_match_a_checked_walk(self, seed):
-        """The product and the overflow prefix are those of a walk that
+        """The product, and whether it overflows, are those of a walk that
         checks after every letter."""
         rng = np.random.default_rng(seed)
         a = np.diag([1e6, 1e-6])
@@ -274,33 +267,34 @@ class TestEvaluate:
         outcomes = set()
         for _ in range(30):
             w = random_word(2, int(rng.integers(0, 80)), rng)
-            product, prefix = np.eye(2), None
+            product, finite = np.eye(2), True
             with np.errstate(over="ignore", invalid="ignore"):
-                for i, l in enumerate(w.letters):
+                for l in w.letters:
                     product = product @ gens.image(l)
-                    if not np.isfinite(product).all():
-                        prefix = i + 1
+                    finite = np.isfinite(product).all()
+                    if not finite:
                         break
-            outcomes.add(prefix is None)
-            if prefix is None:
+            outcomes.add(finite)
+            if finite:
                 assert evaluate(w, gens).tobytes() == product.tobytes()
                 continue
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                with pytest.raises(NumericOverflowError) as info:
+                with pytest.raises(NumericOverflowError):
                     evaluate(w, gens)
-            assert info.value.prefix_length == prefix
         assert outcomes == {True, False}
 
     @pytest.mark.parametrize("policy", [Exhaustive(), Sampled(count=3, seed=0)])
     def test_sphere_overflow_raises_without_warning(self, policy):
+        # (1e6)^52 = 1e312 leaves float64 range at the 52nd letter
         big = GeneratorSet([np.diag([1e6, 1e-6])])
+        lengths = []
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(NumericOverflowError) as info:
-                for _ in iter_sphere_products(big, 60, policy):
-                    pass
-        assert info.value.prefix_length == 52
+            with pytest.raises(NumericOverflowError):
+                for sphere in iter_sphere_products(big, 60, policy):
+                    lengths.append(sphere.letters.shape[1])
+        assert lengths == list(range(1, 52))
 
     def test_iter_sphere_products_consistent(self, ping_pong):
         spheres = list(iter_sphere_products(ping_pong, 3))
@@ -493,12 +487,12 @@ class TestArrayDistances:
             for h, r in zip(geos[i:], batch):
                 assert r.value == reference_flow_metric(g, h, window)
                 assert r == flow_metric(g, h, window)
-                assert r.half_width == window
 
     def test_default_window_is_the_common_one(self):
         geos = self.pool()
-        results = flow_metric(geos[0], geos)
-        assert {r.half_width for r in results} == {min(g.half_width for g in geos)}
+        # the tail bound falls with the window, so equal results share it
+        window = min(g.half_width for g in geos)
+        assert flow_metric(geos[0], geos) == flow_metric(geos[0], geos, window)
 
     @pytest.mark.parametrize("top", [127, 128, 200, 32767, 32768, 2**31 - 1, 2**31])
     def test_large_letters_do_not_wrap(self, top):
