@@ -38,6 +38,7 @@ from . import __version__, affine, domination, flowbundle, spectrum, words
 from .errors import (
     DegenerateGapError,
     DegenerateInputError,
+    NumericOverflowError,
     RepdynError,
     WindowBoundsError,
 )
@@ -372,7 +373,7 @@ _SUMMARY_KEYS = {
     affine.EigenvalueOneReport: "passed criterion tol worst_deviation worst_word"
         " worst_length truncated",
     affine.BoundedSingularReport: "passed criterion C_hat slope slope_ci truncated",
-    flowbundle.SplittingEstimate: "k residual independence",
+    flowbundle.SplittingEstimate: "k residual independence t_forward t_backward",
     flowbundle.RateReport: "a_plus A_plus a_minus A_minus aprime_plus_zero"
         " Aprime_plus_zero aprime_zero_minus Aprime_zero_minus",
 }
@@ -694,8 +695,15 @@ def _split_outcomes(traj, k):
 
     The lines go through one stacked pass.  If a line degenerates there,
     the pass is dropped together with the warnings it raised, and the lines
-    go through again one at a time, each exactly as it would alone.
+    go through again one at a time, each exactly as it would alone.  Lines
+    whose products overflow within two steps in either direction are
+    degenerate, with a `NumericOverflowError` that says how far they reach.
     """
+    if traj.truncated and min(traj.t_forward, traj.t_backward) < 2:
+        error = NumericOverflowError(
+            f"the window reaches t = {traj.t_forward} forward and t = -{traj.t_backward}"
+            " backward before overflow; need at least two steps in each direction")
+        return [error] * traj.size
     if traj.size > 1:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -734,7 +742,7 @@ def cmd_split(args) -> int:
         entry = {"label": label, "index": j, "status": "ok", "detail": "",
                  "truncated": traj.truncated}
         line_results.append(entry)
-        if isinstance(outcome, _DEGENERATE):
+        if isinstance(outcome, Exception):
             entry.update(
                 status="degenerate",
                 detail=str(outcome),

@@ -19,9 +19,12 @@ of lines together, one stacked product per step, and groups them by how
 far they reach in each direction (a line that overflows stops early); each
 group is one trajectory.  `estimate_splitting`, `measure_rates` and
 `splitting_at`, which reads the frames at a sequence of pairs of times,
-treat all the lines and times of a group in a few stacked LAPACK calls
-(`linalg.singular_frames` and friends), which decompose each matrix on its
-own, so a line gets the same bits in a group as alone.  Every analysis
+treat all the lines and times of a group in a few stacked calls: LAPACK
+(`linalg.singular_frames` and friends) for the frames and for the stretches
+of blocks of two or more columns, the column length for the stretch of a
+one-column block, and one `fitting.fit_lines` call per reach for the rates.
+Each decomposes its matrix or sums its row on its own, so a line gets the
+same bits in a group as alone.  Every analysis
 returns one result per line of the group, and a single line is a group of
 one.  A check that fails on any line raises for the whole group, so a
 caller that wants per-line outcomes (``repdyn split``) runs a failing group
@@ -37,11 +40,12 @@ import numpy as np
 
 from .domination import GeneratorSet
 from .errors import DegenerateGapError, DegenerateInputError, WindowBoundsError
-from .fitting import fit_line
+from .fitting import fit_lines
 from .linalg import (
     GAP_TOL,
     Subspace,
     bottom_singular_subspace,
+    log_column_lengths,
     require_orthonormal,
     singular_frames,
     subspace_distance,
@@ -360,8 +364,15 @@ class RateReport:
 
 
 def _log_stretches(steps, bases):
-    """Log largest and log smallest singular value of each ``step @ basis``."""
-    logs = np.log(np.linalg.svd(steps @ bases, compute_uv=False))
+    """Log largest and log smallest singular value of each ``step @ basis``:
+    the log length of the one column of a one-column basis, by SVD for
+    wider bases."""
+    images = steps @ bases
+    if bases.shape[-1] == 1:
+        logs = log_column_lengths(images.reshape(-1, *images.shape[-2:]))
+        logs = logs.reshape(images.shape[:-2])
+        return logs, logs
+    logs = np.log(np.linalg.svd(images, compute_uv=False))
     return logs[..., 0], logs[..., -1]
 
 
@@ -436,18 +447,19 @@ def measure_rates(traj: CocycleTrajectory, k: int) -> list[RateReport]:
 
     start_f = min(extent_f - int(_FIT_FRACTION * extent_f), extent_f - 1)
     start_b = min(extent_b - int(_FIT_FRACTION * extent_b), extent_b - 1)
-    ts_f = np.arange(start_f, extent_f + 1)
-    ts_b = np.arange(start_b, extent_b + 1)
-
-    def rate(curve, ts):
-        slope, intercept, _ = fit_line(ts, curve[ts[0] : ts[-1] + 1])
-        return -slope, float(np.exp(intercept))
+    # one stacked fit per reach: the backward curve of each line, then the
+    # three forward curves of each line
+    slope_b, intercept_b, _ = fit_lines(np.arange(start_b, extent_b + 1), up_back[:, start_b:])
+    forward_curves = np.concatenate([down_fwd, dom_pz, dom_zm])[:, start_f:]
+    slope_f, intercept_f, _ = fit_lines(np.arange(start_f, extent_f + 1), forward_curves)
+    slopes = np.concatenate([slope_b, slope_f]).reshape(4, traj.size)
+    intercepts = np.concatenate([intercept_b, intercept_f]).reshape(4, traj.size)
+    # row b: the backward expanding, forward contracting and two dominance fits
+    rates, constants = (-slopes).T.tolist(), np.exp(intercepts).T.tolist()
 
     def report(b):
-        a_plus, A_plus = rate(up_back[b], ts_b)
-        a_minus, A_minus = rate(down_fwd[b], ts_f)
-        ap_pz, App_pz = rate(dom_pz[b], ts_f)
-        ap_zm, App_zm = rate(dom_zm[b], ts_f)
+        a_plus, a_minus, ap_pz, ap_zm = rates[b]
+        A_plus, A_minus, App_pz, App_zm = constants[b]
         return RateReport(
             a_plus=a_plus,
             A_plus=A_plus,

@@ -22,8 +22,9 @@ degenerate, raising :class:`~repdyn.errors.DegenerateGapError` instead of
 returning an arbitrary basis.  Angles between subspaces come in two flavors:
 `principal_angle` (smallest angle, measures transversality) and
 `subspace_distance` (largest angle, measures how far apart two estimates of
-the same subspace are), both from one stacked numpy copy of the steps of
-``scipy.linalg.subspace_angles``.
+the same subspace are), both stacked: the angle between two single columns
+in closed form from their dot product, and other blocks by a numpy copy of
+the steps of ``scipy.linalg.subspace_angles``.
 
 `log_singular_values` is the one stacked singular-value kernel that every
 sphere scan reads: the sorted log singular values of an ``(N, n, n)`` stack,
@@ -135,8 +136,9 @@ def require_matrix(m, what="matrix"):
     _require_square(m.shape, what)
     if not np.isfinite(m).all():
         raise DegenerateInputError(f"{what} has non-finite entries")
-    # the zero matrix has no pivot, so only a failed LU needs the full verdict
-    sign, logdet = np.linalg.slogdet(m)
+    # the zero matrix has no pivot, so only a failed LU needs the full
+    # verdict; scaled exactly to unit largest entry, the LU cannot overflow
+    sign, logdet = np.linalg.slogdet(_scale_to_unit(m[None])[0][0])
     if sign == 0.0 or not np.isfinite(logdet):
         _, error = _first_invalid(m[None], what)
         if error is not None:
@@ -218,7 +220,7 @@ def _scale_to_unit(ms, top=0):
     stack scaled exactly, by a power of two, so that its largest entry lies
     in [2**(top - 1), 2**top)."""
     # a chain of elementwise maxima: numpy reduces small axes slowly
-    entries = np.abs(ms.reshape(len(ms), -1)).T
+    entries = np.abs(ms.reshape(len(ms), math.prod(ms.shape[1:]))).T
     _, e = np.frexp(functools.reduce(np.maximum, entries))
     return np.ldexp(ms, (top - e)[:, None, None]), e - top
 
@@ -776,30 +778,82 @@ def principal_angle(u: Subspace, w: Subspace) -> float:
     return float(_principal_angles(u.basis[None], w.basis[None]).min())
 
 
-def _principal_angles(a, b):
-    """``scipy.linalg.subspace_angles(a[i], b[i])`` for each i, as rows.
+def _require_full_rank(x, s):
+    """Refuse a stack of bases ``x`` with singular values ``s`` that scipy's
+    orth would cut a column from: it drops the columns at or below this
+    cutoff, and a full-rank basis keeps every one, so the stacks stay
+    rectangular."""
+    if not (s > s[:, :1] * np.finfo(float).eps * max(x.shape[-2:])).all():
+        raise ValueError("principal angles need full-rank bases")
 
-    ``a`` and ``b`` are ``(N, n, p)`` and ``(N, n, q)`` stacks of full-rank
-    column bases.  The steps are scipy's: orthonormalize by SVD, take the
-    cosines as the singular values of ``Qa^T Qb`` and the sines as those of
-    ``Qb - Qa Qa^T Qb`` (of ``Qa - Qb Qb^T Qa`` when p < q), and read each
-    angle from its arcsine where the cosine squared is at least 1/2 and from
-    the arccosine of the reversed cosines elsewhere.
-    """
+
+def _scaled_lengths(x):
+    """``(v, length, e)`` of an ``(N, n, 1)`` stack of columns: ``v`` the
+    ``(N, n)`` columns scaled exactly to unit largest entry, ``x[i] = v[i] *
+    2**e[i]``, and ``length`` their ``(N,)`` Euclidean lengths, which no
+    square can overflow or underflow.  Every sum runs along its own row, so
+    a row gets the same bits in a stack as alone."""
+    v, e = _scale_to_unit(x)
+    v = v[..., 0]
+    return v, np.sqrt(np.sum(v * v, axis=1)), e
+
+
+def log_column_lengths(x):
+    """``log |x[i]|`` of each column of an ``(N, n, 1)`` stack: its one
+    singular value, without an SVD, as exact as ``np.log`` of the length."""
+    _, length, e = _scaled_lengths(x)
+    return _log_scaled(length, e)
+
+
+def _column_cosine_sine(a, b):
+    """Cosine and sine of the angle between the columns of two ``(N, n, 1)``
+    stacks, as ``(N, 1)`` each: the cosine from the dot product of the unit
+    columns, the sine from the length of the rejection of one from the
+    other.  Every sum runs along its own row."""
+    units = []
+    for x in (a, b):
+        v, length, _ = _scaled_lengths(x)
+        _require_full_rank(x, length[:, None])
+        units.append(v / length[:, None])
+    qa, qb = units
+    dot = np.sum(qa * qb, axis=1)[:, None]
+    rest = qb - qa * dot
+    return np.abs(dot), np.sqrt(np.sum(rest * rest, axis=1))[:, None]
+
+
+def _block_cosines_sines(a, b):
+    """Cosines and sines of the principal angles between two stacks of
+    bases, by scipy's steps: orthonormalize by SVD, take the cosines as the
+    singular values of ``Qa^T Qb`` and the sines as those of ``Qb - Qa Qa^T
+    Qb`` (of ``Qa - Qb Qb^T Qa`` when p < q)."""
     qa, sa, _ = np.linalg.svd(a, full_matrices=False)
     qb, sb, _ = np.linalg.svd(b, full_matrices=False)
-    # scipy's orth drops columns at or below this cutoff; a full-rank basis
-    # keeps every one, so the stacks stay rectangular
-    for x, s in ((a, sa), (b, sb)):
-        if not (s > s[:, :1] * np.finfo(float).eps * max(x.shape[-2:])).all():
-            raise ValueError("principal angles need full-rank bases")
+    _require_full_rank(a, sa)
+    _require_full_rank(b, sb)
     cosines_matrix = np.swapaxes(qa, -1, -2) @ qb
     sigma = np.linalg.svd(cosines_matrix, compute_uv=False)
     if a.shape[-1] >= b.shape[-1]:
         rest = qb - qa @ cosines_matrix
     else:
         rest = qa - qb @ np.swapaxes(cosines_matrix, -1, -2)
-    sines = np.linalg.svd(rest, compute_uv=False)
+    return sigma, np.linalg.svd(rest, compute_uv=False)
+
+
+def _principal_angles(a, b):
+    """The principal angles between ``a[i]`` and ``b[i]`` for each i, as rows
+    in the order of ``scipy.linalg.subspace_angles``.
+
+    ``a`` and ``b`` are ``(N, n, p)`` and ``(N, n, q)`` stacks of full-rank
+    column bases.  Two single columns take the closed form of
+    `_column_cosine_sine`, other blocks scipy's SVD steps.  Either way each
+    angle is read from its arcsine where the cosine squared is at least 1/2
+    and from the arccosine of the reversed cosines elsewhere, as scipy reads
+    it.
+    """
+    if a.shape[-1] == b.shape[-1] == 1:
+        sigma, sines = _column_cosine_sine(a, b)
+    else:
+        sigma, sines = _block_cosines_sines(a, b)
     return np.where(
         sigma**2 >= 0.5,
         np.arcsin(np.clip(sines, -1.0, 1.0)),
@@ -814,7 +868,10 @@ def subspace_distance(u, w):
     estimates of the same subspace.  ``u`` and ``w`` are two
     :class:`Subspace` objects, giving a float, or two ``(N, n, p)`` stacks
     of column bases, giving the N distances between matching rows.  Either
-    way the values are those of ``scipy.linalg.subspace_angles(u, w).max()``.
+    way a value is the largest of `_principal_angles`: those of
+    ``scipy.linalg.subspace_angles(u, w)`` for p >= 2, and a closed form
+    within a few ulps of the exact angle for p = 1.  A row gets the same
+    bits in a stack as alone.
     """
     if isinstance(u, Subspace) and isinstance(w, Subspace):
         if u.ambient_dim != w.ambient_dim:

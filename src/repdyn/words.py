@@ -636,17 +636,6 @@ def _ray_vertices(anchor, ray, dtype):
     return rows, lengths[:, 0]
 
 
-def tree_distance(v: Word, w: Word) -> int:
-    """Graph distance between two vertices of the Cayley tree."""
-    a, b = v.letters, w.letters
-    common = 0
-    for x, y in zip(a, b):
-        if x != y:
-            break
-        common += 1
-    return len(a) + len(b) - 2 * common
-
-
 @dataclass(frozen=True)
 class FlowMetricResult:
     """Weighted distance between two geodesics plus a truncation tail bound."""

@@ -1,13 +1,16 @@
 """Shared fixtures: the generator sets exercised throughout the suite,
-and the per-vertex flow metric reference."""
+the per-vertex flow metric reference, and the exact oracles of the
+one-column kernels and the line fit."""
 
+from fractions import Fraction
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import settings
 from scipy.linalg import expm
 
 from repdyn.domination import GeneratorSet
-from repdyn.words import tree_distance
 
 LOG2 = np.log(2.0)
 
@@ -100,6 +103,18 @@ _MOMENT_1 = (1.0 - LOG2) / (2.0 * LOG2**2)
 _MOMENT_0 = 1.0 / (2.0 * LOG2) - _MOMENT_1
 
 
+def tree_distance(v, w) -> int:
+    """Graph distance between two vertices (`Word` objects) of the Cayley
+    tree: the lengths less twice the common prefix."""
+    a, b = v.letters, w.letters
+    common = 0
+    for x, y in zip(a, b):
+        if x != y:
+            break
+        common += 1
+    return len(a) + len(b) - 2 * common
+
+
 def reference_distances(g, h, half_width):
     """Distances of one pair at times -T .. T, one `Word` vertex pair each."""
     return [tree_distance(g.vertex(t), h.vertex(t))
@@ -116,3 +131,39 @@ def reference_flow_metric(g, h, half_width):
     backward = np.sum(weights * (d[c : c - half_width : -1] * _MOMENT_0
                                  + d[c - 1 :: -1] * _MOMENT_1))
     return float(forward + backward)
+
+
+# ---------------------------------------------------------------------------
+# exact oracles: 60-digit mpmath for one-column angles and lengths, exact
+# rationals for least squares lines
+
+
+def mpmath_column_angle(a, b) -> float:
+    """The angle in [0, pi/2] between the lines spanned by two float
+    vectors, from 60-digit arithmetic on their exact values."""
+    with mpmath.workdps(60):
+        a = [mpmath.mpf(float(x)) for x in np.ravel(a)]
+        b = [mpmath.mpf(float(x)) for x in np.ravel(b)]
+        dot = mpmath.fsum(x * y for x, y in zip(a, b))
+        aa = mpmath.fsum(x * x for x in a)
+        rejection = [y - x * dot / aa for x, y in zip(a, b)]
+        sine = mpmath.sqrt(mpmath.fsum(r * r for r in rejection))
+        return float(mpmath.atan2(sine, abs(dot) / mpmath.sqrt(aa)))
+
+
+def mpmath_log_length(v) -> float:
+    """``log |v|`` of a float vector, from 60-digit arithmetic."""
+    with mpmath.workdps(60):
+        return float(mpmath.log(mpmath.sqrt(mpmath.fsum(
+            mpmath.mpf(float(x)) ** 2 for x in np.ravel(v)))))
+
+
+def exact_line_fit(xs, ys):
+    """``(slope, intercept)`` of the least squares line through float points,
+    in exact rationals."""
+    xs = [Fraction(float(x)) for x in xs]
+    ys = [Fraction(float(y)) for y in ys]
+    x_mean, y_mean = sum(xs) / len(xs), sum(ys) / len(ys)
+    sxx = sum((x - x_mean) ** 2 for x in xs)
+    slope = sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys)) / sxx
+    return slope, y_mean - slope * x_mean

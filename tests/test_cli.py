@@ -343,6 +343,27 @@ class TestVerdictExitCodes:
         assert summary["results"]["any_degenerate"] is True
         assert summary["results"]["lines"][0]["status"] == "degenerate"
 
+    def test_split_line_that_overflows_within_two_steps_is_degenerate(self, tmp_path):
+        # P(2) = 1e400 I overflows on the line of b; the line of a still splits
+        doc = {"n": 3,
+               "generators": [{"name": "a", "rows": [[2, 0, 0], [0, 1, 0], [0, 0, 0.5]]},
+                              {"name": "b", "rows": rows(1e200 * np.eye(3))}],
+               "lines": [{"pattern": [1]}, {"pattern": [2]}]}
+        out = tmp_path / "out"
+        rc = main(["split", "--input", write_doc(tmp_path / "s.json", doc),
+                   "--k", "1", "--window", "6", "--out-dir", str(out)])
+        assert rc == EXIT_FAIL
+        ok, overflowed = read_summary(out, "split")["results"]["lines"]
+        assert (ok["status"], ok["truncated"], ok["t_forward"]) == ("ok", False, 6)
+        assert overflowed == {
+            "label": "periodic:2", "index": 1, "status": "degenerate", "truncated": True,
+            "time": None,
+            "detail": "the window reaches t = 1 forward and t = -6 backward before"
+                      " overflow; need at least two steps in each direction",
+        }
+        assert sorted(p.name for p in out.iterdir()) == ["split_line0.csv",
+                                                         "split_summary.json"]
+
     @pytest.mark.filterwarnings("ignore::repdyn.errors.ConditionWarning")
     def test_explicit_split_line_runs_at_its_own_half_width(self, tmp_path):
         # --window sets the periodic lines only; an explicit line of 2h
@@ -359,7 +380,9 @@ class TestVerdictExitCodes:
         assert rc == EXIT_OK
         assert read_summary(out, "split")["results"]["window"] == 40
         # one row per time t = 0..half width
+        lines = read_summary(out, "split")["results"]["lines"]
         for j, half_width in enumerate((40, 12, 9)):
+            assert lines[j]["t_forward"] == lines[j]["t_backward"] == half_width
             table = (out / f"split_line{j}.csv").read_text(encoding="utf-8")
             assert [row.split(",")[0] for row in table.splitlines()[1:]] == [
                 str(t) for t in range(half_width + 1)], j
@@ -904,9 +927,9 @@ class TestOverflowTruncation:
             assert results["eigenvalue_norm_one"]["worst_length"] == 7
 
     def test_spectrum_without_a_complete_level_is_a_numeric_failure(self, tmp_path):
-        # finite generator and inverse, but slogdet overflows on entries near
-        # the float64 maximum, so the level-1 eigenvalue moduli are not finite;
-        # run apart, because the suite turns the RuntimeWarning into an error
+        # finite generator and inverse, but the inverse of entries near the
+        # float64 maximum underflows to a singular matrix, so the level-1
+        # eigenvalue moduli are not finite; run apart, in a fresh process
         q, _ = np.linalg.qr(np.random.default_rng(2).standard_normal((2, 2)))
         path = write_doc(tmp_path / "g.json",
                          {"n": 2, "generators": [{"name": "g", "rows": rows(1.7e308 * q)}]})

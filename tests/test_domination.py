@@ -39,6 +39,18 @@ class TestGeneratorSet:
         with pytest.raises(DegenerateInputError):
             GeneratorSet([np.array([[1.0, 2.0], [2.0, 4.0]])])
 
+    @pytest.mark.parametrize("theta", [0.7, 0.3])
+    def test_log_det_of_a_generator_near_the_float_maximum(self, theta):
+        # the elimination in slogdet overflows on 1.7e308 R(0.7), and not on
+        # 1.7e308 R(0.3); a leaked RuntimeWarning fails the test
+        gens = GeneratorSet([1.7e308 * rotation2(theta), np.diag([2.0, 0.5])])
+        logdet, sign = gens.log_dets([[1], [-1], [2]])
+        expected = 2.0 * np.log(1.7e308)
+        assert abs(logdet[0] - expected) <= 4 * np.spacing(expected)
+        assert logdet[1] == -logdet[0]
+        assert logdet[2] == np.linalg.slogdet(np.diag([2.0, 0.5]))[1]
+        assert sign.tolist() == [1, 1, 1]
+
     def test_rejects_generator_whose_inverse_is_not_finite(self):
         # condition number 1, but the inverse 1e310 I overflows
         with pytest.raises(DegenerateInputError,

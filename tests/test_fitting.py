@@ -1,9 +1,14 @@
-"""Least-squares slope fits used by the scan verdicts."""
+"""Least-squares slope fits used by the scan verdicts and the flow rates."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from repdyn.fitting import fit_line
+from repdyn.fitting import fit_line, fit_lines
+
+from conftest import exact_line_fit
 
 
 def test_exact_line_recovered():
@@ -30,3 +35,46 @@ def test_noise_gives_positive_se():
 def test_single_point_rejected():
     with pytest.raises(ValueError):
         fit_line([1.0], [1.0])
+    with pytest.raises(ValueError):
+        fit_lines([1.0, 2.0], [1.0, 2.0])  # one curve is a (1, points) stack
+
+
+@pytest.mark.parametrize("points", [2, 3, 8, 13, 27, 41])
+def test_fits_against_exact_least_squares(points):
+    # rate-like curves: running sums of noisy steps, fitted on a late window
+    rng = np.random.default_rng(points)
+    xs = np.arange(7, 7 + points)
+    ys = np.cumsum(0.6 + 0.1 * rng.standard_normal((40, points)), axis=1)
+    ys[:20] -= 3.0 * xs  # falling curves too
+    slope, intercept, _ = fit_lines(xs, ys)
+    for row in range(len(ys)):
+        exact_slope, exact_intercept = exact_line_fit(xs, ys[row])
+        assert slope[row] == pytest.approx(float(exact_slope), rel=1e-14, abs=0)
+        assert intercept[row] == pytest.approx(float(exact_intercept), rel=1e-14, abs=0)
+
+
+def test_shared_and_stacked_abscissae_agree():
+    rng = np.random.default_rng(4)
+    xs = np.arange(3.0, 15.0)
+    ys = rng.standard_normal((5, xs.size))
+    shared = fit_lines(xs, ys)
+    stacked = fit_lines(np.tile(xs, (5, 1)), ys)
+    for a, b in zip(shared, stacked):
+        assert np.array_equal(a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    curves=st.integers(1, 30),
+    points=st.integers(2, 50),
+    data=st.data(),
+)
+def test_rows_are_the_one_row_calls(curves, points, data):
+    # any stack size: each row gets the bits that `fit_line` gives it alone
+    ys = data.draw(arrays(float, (curves, points), elements=st.floats(-1e6, 1e6)))
+    start = data.draw(st.integers(-100, 100))
+    xs = np.arange(start, start + points)
+    got = fit_lines(xs, ys)
+    for row in range(curves):
+        alone = fit_line(xs, ys[row])
+        assert tuple(float(g[row]) for g in got) == alone

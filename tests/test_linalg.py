@@ -5,6 +5,9 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repdyn.errors import ConditionWarning, DegenerateGapError, DegenerateInputError
 from repdyn.linalg import _first_invalid
@@ -14,6 +17,7 @@ from repdyn.linalg import (
     bottom_singular_subspace,
     cartan_projection,
     jordan_projection,
+    log_column_lengths,
     opposition_involution,
     principal_angle,
     require_matrix,
@@ -22,6 +26,8 @@ from repdyn.linalg import (
     subspace_distance,
     top_singular_subspace,
 )
+
+from conftest import mpmath_column_angle, mpmath_log_length
 
 # Frozen oracles.  For [[3,1],[1,1]] the Gram matrix has trace 12 and
 # determinant 4, so the singular values are 2 + sqrt(2) and 2 - sqrt(2).
@@ -202,11 +208,40 @@ class TestSubspaceGeometry:
             b = np.linalg.qr(b)[0]
             expected = scipy.linalg.subspace_angles(a, b).min()
             got = principal_angle(Subspace(a), Subspace(b))
-            if min(p, q) > 1 or p == q:
+            if p == q == 1:
+                # two single columns take the closed form, held to the exact angle
+                exact = mpmath_column_angle(a, b)
+                assert abs(got - exact) <= 4 * np.finfo(float).eps
+            elif min(p, q) > 1 or p == q:
                 assert got == expected
             else:
                 # a single column against several takes other BLAS paths
                 assert got == pytest.approx(expected, rel=0, abs=4 * np.finfo(float).eps)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        count=st.integers(1, 40),
+        n=st.integers(2, 6),
+        data=st.data(),
+    )
+    def test_column_distance_rows_are_the_one_row_calls(self, count, n, data):
+        # any stack size: each row of a p = 1 stack gets the bits it gets alone
+        entries = st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3)
+        a, b = (data.draw(arrays(float, (count, n, 1), elements=entries)) for _ in "ab")
+        got = subspace_distance(a, b)
+        for i in range(count):
+            assert got[i] == subspace_distance(a[i : i + 1], b[i : i + 1])[0]
+
+    def test_column_lengths_against_mpmath(self):
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((300, 3, 1)) * 10.0 ** rng.uniform(-0.8, 0.8, (300, 1, 1))
+        got = log_column_lengths(x)
+        exact = [mpmath_log_length(v) for v in x]
+        assert np.abs(got - exact).max() <= 4 * np.finfo(float).eps
+        # no square overflows or underflows near the ends of the float range
+        far = np.array([[[3e300], [4e300], [0.0]], [[3e-300], [-4e-300], [0.0]]])
+        assert log_column_lengths(far) == pytest.approx(
+            [np.log(5e300), np.log(5e-300)], rel=1e-15)
 
     def test_distance_symmetric(self):
         rng = np.random.default_rng(2)

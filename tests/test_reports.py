@@ -300,7 +300,7 @@ def handbuilt_split(args):
         entry = {"label": label, "index": j, "status": "ok", "detail": "",
                  "truncated": traj.truncated}
         line_results.append(entry)
-        if isinstance(outcome, cli._DEGENERATE):
+        if isinstance(outcome, Exception):
             entry.update(
                 status="degenerate",
                 detail=str(outcome),
@@ -312,6 +312,8 @@ def handbuilt_split(args):
             k=split.k,
             residual=split.residual,
             independence=split.independence,
+            t_forward=split.t_forward,
+            t_backward=split.t_backward,
             bases={
                 "expanding": split.v_plus.basis,
                 "neutral": split.v_zero.basis,

@@ -3,26 +3,44 @@
 The reference below is the per-time loop that `splitting_at`,
 `measure_rates` and the residual column of ``repdyn split`` ran before they
 were stacked: one checked SVD per product, a second SVD for the neutral
-block, one ``scipy.linalg.subspace_angles`` call per pair of blocks and a
-running Python sum per curve.  The stacked path must agree with it bit for
-bit: CSV text, summary values and the errors raised.
+block, one principal-angle call per pair of blocks and a running Python
+sum per curve.  What the stacked path takes from LAPACK must agree with it
+bit for bit: the bases, the independence, the statuses, the errors raised,
+the CSV times, and every angle and stretch of a block of two or more
+columns.  The one-column work is held to exact oracles instead: the angle
+between two columns and the log length of a column within 4 eps of
+60-digit `mpmath`, and every rate and constant within 1e-14 of the exact
+rational least squares line through the reported curve.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from repdyn.cli import format_number, main
+from repdyn.cli import main
 from repdyn.domination import GeneratorSet
 from repdyn.errors import DegenerateGapError, DegenerateInputError
-from repdyn.fitting import fit_line
 from repdyn.flowbundle import build_trajectory, estimate_splitting, measure_rates
 from repdyn.linalg import GAP_TOL, Subspace, subspace_distance
 from repdyn.words import FlowLineWindow, random_word
 
-from conftest import partial_hyperbolic_matrices
+from conftest import (
+    exact_line_fit,
+    mpmath_column_angle,
+    mpmath_log_length,
+    partial_hyperbolic_matrices,
+)
+
+EPS = np.finfo(float).eps
+
+# the closed-form angle or log length of one column against 60-digit mpmath
+COLUMN_TOL = 4 * EPS
+
+# a fitted slope, and an intercept, against the exact least squares line
+FIT_TOL = 1e-14
 
 pytestmark = pytest.mark.filterwarnings("ignore::repdyn.errors.ConditionWarning")
 
@@ -71,6 +89,10 @@ def reference_bottom(m, p):
 
 
 def reference_distance(u, w):
+    """The largest principal angle: exact for two single columns, scipy's
+    for wider blocks."""
+    if u.dim == 1:
+        return mpmath_column_angle(u.basis, w.basis)
     return float(scipy.linalg.subspace_angles(u.basis, w.basis).max())
 
 
@@ -137,47 +159,93 @@ def reference_local_frames(gens, line, s, h, k):
     return v_plus, v_zero, v_minus
 
 
-def log_smax(m):
-    return float(np.log(np.linalg.svd(m, compute_uv=False)[0]))
+def log_stretch(m, largest):
+    """``(log s, closed)``: the log largest or smallest singular value of
+    ``m`` (n x p), exact for one column (``closed``), by SVD otherwise."""
+    if m.shape[1] == 1:
+        return mpmath_log_length(m), True
+    s = np.linalg.svd(m, compute_uv=False)
+    return float(np.log(s[0] if largest else s[-1])), False
 
 
-def log_smin(m):
-    return float(np.log(np.linalg.svd(m, compute_uv=False)[-1]))
-
-
-def reference_rates(traj, k):
-    """``(curves, fitted rates)`` as `measure_rates` finds them."""
-    gens, [line] = traj.gens, traj.lines
+def fit_starts(traj):
+    """``(h, extent_b, extent_f, start_b, start_f)`` as `measure_rates`
+    finds them."""
     tb, tf = traj.t_backward, traj.t_forward
     h = max(1, min(12, min(tb, tf) // 2))
     extent_f, extent_b = tf - h, tb - h
-    up_back = np.zeros(extent_b + 1)
-    acc = 0.0
+    start_f = min(extent_f - int(2.0 / 3.0 * extent_f), extent_f - 1)
+    start_b = min(extent_b - int(2.0 / 3.0 * extent_b), extent_b - 1)
+    return h, extent_b, extent_f, start_b, start_f
+
+
+def reference_rates(traj, k):
+    """``(curves, tolerances)`` as `measure_rates` finds the curves.
+
+    A curve that takes no one-column stretch has the reference's bits, and
+    tolerance 0.  Otherwise each step adds to its tolerance COLUMN_TOL per
+    one-column stretch, and one rounding of each stretch, of the step's
+    difference and of the running sum, on both sides."""
+    gens, [line] = traj.gens, traj.lines
+    h, extent_b, extent_f, _, _ = fit_starts(traj)
+    sums = {name: [0.0] for name in CURVES}
+    tols = {name: [0.0] for name in CURVES}
+
+    def add(name, *terms):
+        """Append a step of signed terms ``(sign, (value, closed))``."""
+        step = 0.0
+        for sign, (value, _) in terms:
+            step += sign * value
+        sums[name].append(sums[name][-1] + step)
+        closed = sum(c for _, (_, c) in terms)
+        grow = 0.0
+        if closed:
+            grow = EPS * (4 * closed + sum(abs(v) for _, (v, _) in terms)
+                          + abs(step) + abs(sums[name][-1]))
+        tols[name].append(tols[name][-1] + grow)
+
     for s in range(extent_b):
         v_plus, _, _ = reference_local_frames(gens, line, -s, h, k)
-        acc += log_smax(gens.image(-line.letter(-s - 1)) @ v_plus.basis)
-        up_back[s + 1] = acc
-    curves = [up_back] + [np.zeros(extent_f + 1) for _ in range(3)]
-    acc_minus = acc_pz = acc_zm = 0.0
+        step = gens.image(-line.letter(-s - 1))
+        add(CURVES[0], (1, log_stretch(step @ v_plus.basis, True)))
     for s in range(extent_f):
         v_plus, v_zero, v_minus = reference_local_frames(gens, line, s, h, k)
         step = gens.image(line.letter(s))
-        log_minus = log_smax(step @ v_minus.basis)
-        acc_minus += log_minus
-        acc_pz += log_smax(step @ v_zero.basis) - log_smin(step @ v_plus.basis)
-        acc_zm += log_minus - log_smin(step @ v_zero.basis)
-        curves[1][s + 1] = acc_minus
-        curves[2][s + 1] = acc_pz
-        curves[3][s + 1] = acc_zm
-    start_f = min(extent_f - int(2.0 / 3.0 * extent_f), extent_f - 1)
-    start_b = min(extent_b - int(2.0 / 3.0 * extent_b), extent_b - 1)
-    rates = []
-    for curve, start, end in zip(curves, (start_b,) + (start_f,) * 3,
-                                 (extent_b,) + (extent_f,) * 3):
+        log_minus = log_stretch(step @ v_minus.basis, True)
+        add(CURVES[1], (1, log_minus))
+        add(CURVES[2], (1, log_stretch(step @ v_zero.basis, True)),
+            (-1, log_stretch(step @ v_plus.basis, False)))
+        add(CURVES[3], (1, log_minus), (-1, log_stretch(step @ v_zero.basis, False)))
+    return ({name: np.array(c) for name, c in sums.items()},
+            {name: np.array(t) for name, t in tols.items()})
+
+
+def assert_curves_close(got, expected, tolerances):
+    """Each curve of ``got`` within its tolerance of the reference, exactly
+    where that is 0, and as long."""
+    for name in CURVES:
+        assert len(got[name]) == len(expected[name]), name
+        assert (np.abs(got[name] - expected[name]) <= tolerances[name]).all(), name
+
+
+RATE_KEYS = (("a_plus", "A_plus"), ("a_minus", "A_minus"),
+             ("aprime_plus_zero", "Aprime_plus_zero"),
+             ("aprime_zero_minus", "Aprime_zero_minus"))
+
+
+def assert_rates_fit(rates, curves, traj):
+    """Each rate is minus the slope, and each constant the exponential of
+    the intercept, of the exact least squares line through its reported
+    curve over the far two thirds: within FIT_TOL relative, the constant
+    within FIT_TOL times the size of the intercept."""
+    _, extent_b, extent_f, start_b, start_f = fit_starts(traj)
+    windows = [(start_b, extent_b)] + [(start_f, extent_f)] * 3
+    for name, (rate, constant), (start, end) in zip(CURVES, RATE_KEYS, windows):
         ts = np.arange(start, end + 1)
-        slope, intercept, _ = fit_line(ts, curve[ts[0] : ts[-1] + 1])
-        rates.append((-slope, float(np.exp(intercept))))
-    return dict(zip(CURVES, curves)), rates
+        slope, intercept = map(float, exact_line_fit(ts, curves[name][start : end + 1]))
+        assert rates[rate] == pytest.approx(-slope, rel=FIT_TOL, abs=0), rate
+        assert rates[constant] == pytest.approx(
+            math.exp(intercept), rel=FIT_TOL * max(1.0, abs(intercept)) + EPS, abs=0), constant
 
 
 def reference_residuals(traj, k):
@@ -191,31 +259,54 @@ def reference_residuals(traj, k):
 
 
 def reference_line(gens, line, k):
-    """``("ok", summary values, csv text)`` or ``("degenerate", error)``."""
+    """``("ok", reference values)`` or ``("degenerate", error)``."""
     [traj] = build_trajectory(gens, [line])
     try:
         blocks, residual, independence = reference_estimate(traj, k)
-        curves, rates = reference_rates(traj, k)
+        curves, tolerances = reference_rates(traj, k)
     except (DegenerateGapError, DegenerateInputError) as e:
         return "degenerate", e
-    names = ("a_plus", "A_plus", "a_minus", "A_minus", "aprime_plus_zero",
-             "Aprime_plus_zero", "aprime_zero_minus", "Aprime_zero_minus")
-    values = {
+    return "ok", {
+        "traj": traj,
+        "blocks": blocks,
         "residual": residual,
         "independence": independence,
-        "rates": dict(zip(names, [x for pair in rates for x in pair])),
-        "bases": {name: b.basis.tolist()
-                  for name, b in zip(("expanding", "neutral", "contracting"), blocks)},
+        "curves": curves,
+        "tolerances": tolerances,
+        "residuals": reference_residuals(traj, k),
     }
-    residuals = reference_residuals(traj, k)
+
+
+def assert_line_matches(entry, csv_text, ref):
+    """A line's summary entry and CSV text against its reference values."""
+    traj, blocks = ref["traj"], ref["blocks"]
+    # every reported residual is a largest angle over the three blocks
+    residual_tol = COLUMN_TOL if min(b.dim for b in blocks) == 1 else 0.0
+    assert abs(entry["residual"] - ref["residual"]) <= residual_tol
+    assert entry["independence"] == ref["independence"]
+    assert entry["bases"] == {name: b.basis.tolist() for name, b in
+                              zip(("expanding", "neutral", "contracting"), blocks)}
+    assert (entry["t_forward"], entry["t_backward"]) == (traj.t_forward, traj.t_backward)
+
+    header, *rows = [row.split(",") for row in csv_text.splitlines()]
+    assert header == ["t", "residual", *CURVES]
     tt = min(traj.t_forward, traj.t_backward)
-    t_max = max(tt, *(len(c) - 1 for c in curves.values()))
-    lines = [",".join(("t", "residual") + CURVES)]
-    for t in range(t_max + 1):
-        cells = [str(t), format_number(residuals[t]) if t in residuals else ""]
-        cells += [format_number(c[t]) if t < len(c) else "" for c in curves.values()]
-        lines.append(",".join(cells))
-    return "ok", values, "\n".join(lines) + "\n"
+    t_max = max(tt, *(len(c) - 1 for c in ref["curves"].values()))
+    assert [row[0] for row in rows] == [str(t) for t in range(t_max + 1)]
+    residuals = ref["residuals"]
+    for t, row in enumerate(rows):
+        if t in residuals:
+            assert abs(float(row[1]) - residuals[t]) <= residual_tol, t
+        else:
+            assert row[1] == "", t
+    columns = list(zip(*rows))[2:]
+    curves = {}
+    for name, column in zip(CURVES, columns):
+        size = len(ref["curves"][name])
+        assert all(cell == "" for cell in column[size:]), name
+        curves[name] = np.array([float(cell) for cell in column[:size]])
+    assert_curves_close(curves, ref["curves"], ref["tolerances"])
+    assert_rates_fit(entry["rates"], curves, traj)
 
 
 # ---------------------------------------------------------------------------
@@ -314,10 +405,8 @@ def test_split_command_matches_reference(case, tmp_path):
             assert entry["time"] == getattr(expected[1], "time", None)
             assert not (out / f"split_line{j}.csv").exists()
             continue
-        _, values, csv_text = expected
-        for key, value in values.items():
-            assert entry[key] == value, key
-        assert (out / f"split_line{j}.csv").read_text(encoding="utf-8") == csv_text
+        csv_text = (out / f"split_line{j}.csv").read_text(encoding="utf-8")
+        assert_line_matches(entry, csv_text, expected[1])
     if case == "degenerate":
         assert statuses == ["degenerate", "degenerate", "ok"]
     elif case == "degenerate-rates":
@@ -355,20 +444,16 @@ def test_measure_rates_in_a_changed_norm(case):
             [traj] = build_trajectory(gens, [line])
             assert traj.t_forward == traj.t_backward == line.usable_half_width
             [got] = measure_rates(traj, k)
-            curves, rates = reference_rates(traj, k)
-            for name in CURVES:
-                assert np.array_equal(got.curves[name], curves[name]), name
-            assert [
-                (got.a_plus, got.A_plus),
-                (got.a_minus, got.A_minus),
-                (got.aprime_plus_zero, got.Aprime_plus_zero),
-                (got.aprime_zero_minus, got.Aprime_zero_minus),
-            ] == rates
+            curves, tolerances = reference_rates(traj, k)
+            assert_curves_close(got.curves, curves, tolerances)
+            rates = {key: getattr(got, key) for pair in RATE_KEYS for key in pair}
+            assert_rates_fit(rates, got.curves, traj)
 
 
 @pytest.mark.parametrize("p", [1, 2])
 @pytest.mark.parametrize("n", [3, 5])
 def test_stacked_subspace_distance_matches_scipy(n, p):
+    """Blocks of two or more columns: scipy's bits; one column: the exact angle."""
     rng = np.random.default_rng(10 * n + p)
     count = 400
     a = np.linalg.qr(rng.standard_normal((count, n, p)))[0]
@@ -376,14 +461,19 @@ def test_stacked_subspace_distance_matches_scipy(n, p):
     # arcsine (cos^2 >= 1/2) and the arccosine branch
     scale = 10.0 ** rng.uniform(-12, 0.7, size=(count, 1, 1))
     b = np.linalg.qr(a + scale * rng.standard_normal((count, n, p)))[0]
-    expected = [scipy.linalg.subspace_angles(x, y).max() for x, y in zip(a, b)]
     cosines = np.array([scipy.linalg.svdvals(x.T @ y) for x, y in zip(a, b)])
     assert (cosines**2 >= 0.5).any() and (cosines**2 < 0.5).any()
     got = subspace_distance(a, b)
     assert got.shape == (count,)
-    assert np.array_equal(got, expected)
     one = [subspace_distance(Subspace(x), Subspace(y)) for x, y in zip(a[:20], b[:20])]
-    assert one == expected[:20]
+    assert one == got[:20].tolist()
+    if p == 1:
+        # two single columns take the closed form, held to the exact angle
+        exact = [mpmath_column_angle(x, y) for x, y in zip(a, b)]
+        assert np.abs(got - exact).max() <= COLUMN_TOL
+    else:
+        expected = [scipy.linalg.subspace_angles(x, y).max() for x, y in zip(a, b)]
+        assert np.array_equal(got, expected)
 
 
 def test_stacked_subspace_distance_rejects_mismatched_stacks():

@@ -24,11 +24,10 @@ from repdyn.words import (
     random_word,
     sampled_words,
     shortlex_rank,
-    tree_distance,
 )
 from repdyn.words import _window_distances
 
-from conftest import reference_distances, reference_flow_metric
+from conftest import reference_distances, reference_flow_metric, tree_distance
 
 LOG2 = np.log(2.0)
 
