@@ -9,14 +9,17 @@ normalized determinant ``|det(rho(g) - I)| / (1 + smax(rho(g)))^n``;
 eigenvalue of modulus 1 up to tolerance; `bounded_singular_check` instead
 asks the per-sphere worst ``min_i |log a_i|`` to plateau rather than grow.
 
-`affine_checks` returns all three reports from one pass over the spheres:
-each sphere's products take one call of the stacked singular-value kernel
-(`linalg.log_singular_values`), which gives both the HKS ``smax`` and the
-bounded-singular ``a_i``, one call of the stacked eigenvalue-modulus kernel
-(`linalg.log_eigenvalue_moduli`) with each word's exact log-det and sign,
-and one ``det``.  The single checks run the same scan with their one
-statistic.  Only the eigenvalue check takes a tolerance; the others use
-DEFAULT_HKS_THRESHOLD and PLATEAU_SLOPE_FLOOR.
+`affine_checks` returns all three reports from one pass over the spheres.
+Each sphere reads its rows of the stacked singular-value kernel
+(`Sphere.log_singular_values`), which gives both the HKS ``smax`` and the
+bounded-singular ``a_i``, and of the stacked eigenvalue-modulus kernel
+(`Sphere.log_eigenvalue_moduli`), with each word's exact log-det and sign;
+each kernel runs once per kernel group of spheres
+(:class:`~repdyn.words.KernelGroup`).  Each sphere also takes one ``det``,
+and where that or the scale overflows, one `linalg.scaled_slogdet`.  The
+single checks run the same scan with their one statistic.  Only the
+eigenvalue check takes a tolerance; the others use DEFAULT_HKS_THRESHOLD
+and PLATEAU_SLOPE_FLOOR.
 
 Every scan takes the linear part as a
 :class:`~repdyn.domination.GeneratorSet`; the translations of the affine
@@ -32,7 +35,7 @@ import numpy as np
 
 from . import words
 from .fitting import fit_line
-from .linalg import log_eigenvalue_moduli
+from .linalg import scaled_slogdet
 
 DEFAULT_HKS_THRESHOLD = 1e-8
 DEFAULT_EIGENVALUE_TOL = 1e-9
@@ -75,7 +78,7 @@ def _hks_values(products, logs):
     # where the determinant or the scale overflows, take the quotient in logs
     far = ~(np.isfinite(det) & np.isfinite(scale)) | np.isnan(values)
     if far.any():
-        _, logdet = np.linalg.slogdet(shifted[far])
+        _, logdet = scaled_slogdet(shifted[far])
         values[far] = np.exp(logdet - n * np.logaddexp(0.0, logs[far, 0]))
     return values
 
@@ -85,8 +88,7 @@ def _hks_stat(sphere, logs):
 
 
 def _eigenvalue_values(sphere, logs):
-    moduli = log_eigenvalue_moduli(sphere.products, sphere.logdet, sphere.sign)
-    return np.abs(moduli).min(axis=1)
+    return np.abs(sphere.log_eigenvalue_moduli()).min(axis=1)
 
 
 def _bounded_values(sphere, logs):
@@ -96,10 +98,11 @@ def _bounded_values(sphere, logs):
 def _scan_extremes(gens, L_max, stats, policy):
     """Per-sphere maxima of each statistic in ``stats``, from one sphere pass.
 
-    Every sphere takes one `log_singular_values` call that all the
-    statistics share; ties go to the shortlex-first word.  Returns one list
-    of records per statistic and whether the scan was truncated: it stops at
-    the last complete sphere when a product overflows.
+    Every sphere reads its rows of the group's singular values once, and
+    all the statistics share them; ties go to the shortlex-first word.
+    Returns one list of records per statistic and whether the scan was
+    truncated: it stops at the last complete sphere when a product
+    overflows.
     """
     def extremes(sphere):
         letters = sphere.letters

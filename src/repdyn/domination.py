@@ -17,7 +17,6 @@ of one boundary point and the ``(n-k)``-plane of another.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,6 +28,7 @@ from .fitting import fit_line
 from .linalg import (
     principal_angle,
     require_matrix,
+    scaled_slogdet,
     subspace_distance,
     top_singular_subspace,
 )
@@ -84,18 +84,8 @@ class GeneratorSet:
         self._names = names
         # log |det| and the determinant sign indexed by letter: entry i for
         # letter i, and entry -i, the exact negative and the same sign, for
-        # its inverse.  The elimination in slogdet can overflow on entries
-        # near the float64 maximum, so a generator whose largest entry lies
-        # outside [2**-256, 2**256] is scaled exactly to unit largest entry:
-        # log |det M| = n e log 2 + log |det (M 2**-e)|.  Inside that band
-        # (pivot growth at most 2**15 for n <= 16, condition below 1e14) the
-        # elimination stays in range, and the log-det is slogdet's own.
-        stack = np.stack(mats)
-        _, e = np.frexp(np.abs(stack).max(axis=(1, 2)))
-        e[np.abs(e) <= 256] = 0
-        signs, logdets = np.linalg.slogdet(np.ldexp(stack, -e[:, None, None]))
-        far = e != 0
-        logdets[far] += n * e[far] * math.log(2.0)
+        # its inverse.
+        signs, logdets = scaled_slogdet(np.stack(mats))
         self._letter_log_dets = np.concatenate([[0.0], logdets, -logdets[::-1]])
         self._letter_signs = np.concatenate([[1], signs, signs[::-1]]).astype(np.int8)
 

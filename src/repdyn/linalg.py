@@ -225,6 +225,25 @@ def _scale_to_unit(ms, top=0):
     return np.ldexp(ms, (top - e)[:, None, None]), e - top
 
 
+def scaled_slogdet(ms):
+    """``(sign, log |det|)`` of each matrix of an ``(N, n, n)`` stack, as
+    ``np.linalg.slogdet`` gives them, without its overflow.
+
+    The elimination in slogdet can overflow on entries near the float64
+    maximum, so a matrix whose largest entry lies outside [2**-256, 2**256]
+    is scaled exactly to unit largest entry: ``log |det M| = n e log 2 +
+    log |det (M 2**-e)|``.  Inside that band the elimination stays in
+    range (partial pivoting grows entries by at most 2**15 for n <= 16), and
+    the log-det is slogdet's own.
+    """
+    _, e = np.frexp(np.abs(ms).max(axis=(1, 2)))
+    e[np.abs(e) <= 256] = 0
+    signs, logdets = np.linalg.slogdet(np.ldexp(ms, -e[:, None, None]))
+    far = e != 0
+    logdets[far] += ms.shape[-1] * e[far] * math.log(2.0)
+    return signs, logdets
+
+
 def _log_scaled(x, e):
     """``log(x * 2**e)`` for ``x >= 0``, with ``e`` broadcast along the last
     axis; the log of the float ``x * 2**e`` itself wherever that is a normal

@@ -30,7 +30,6 @@ import numpy as np
 
 from . import words
 from .errors import NumericOverflowError
-from .linalg import log_eigenvalue_moduli
 
 # default zero tolerance is this times max(1, sup-norm of the sample)
 DEFAULT_ZERO_TOL_COEFF = 1e-6
@@ -140,7 +139,7 @@ def sample_cone(gens, m_max: int, policy=words.Exhaustive()) -> ConeEstimate:
 
     def level(sphere):
         m = sphere.letters.shape[1]
-        jordan = log_eigenvalue_moduli(sphere.products, sphere.logdet, sphere.sign) / m
+        jordan = sphere.log_eigenvalue_moduli() / m
         if not np.isfinite(jordan).all():
             raise NumericOverflowError("eigenvalue modulus left float64 range")
         cartan = sphere.log_singular_values() / m

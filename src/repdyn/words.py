@@ -24,23 +24,33 @@ holds at most twice the rows of the one before it and at most
 ``linalg.KERNEL_BLOCK`` rows.  Each sphere is then a row slice with the
 bits of a walk of its own.  A non-finite product stays non-finite, so each
 sphere is checked once, when complete, and the first that overflowed
-stops the scan.  A sphere finds the row of each word's inverse on first use
-(`Sphere.inverse`), which the n = 3 singular-value kernel and the cone's
-involution check read.
+stops the scan.
+
+The spheres come in kernel groups (:class:`KernelGroup`): runs of
+consecutive spheres whose rows the stacked singular-value and
+eigenvalue-modulus kernels take in one call, so that small spheres do not
+each pay a kernel call's fixed cost.  Each sphere reads its own read-only
+rows (`Sphere.log_singular_values`, `Sphere.log_eigenvalue_moduli`), with
+the bits of a call on that sphere alone.  An exhaustive group holds at most
+``linalg.KERNEL_BLOCK`` rows, or one larger sphere, and is yielded before
+a later sphere is built; a sampled group is the stack of one walk.  A group
+finds the row of each word's inverse on first use (`Sphere.inverse`),
+which the n = 3 singular-value kernel and the cone's involution check read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, total_ordering
 
 import numpy as np
 
 from . import linalg
 from .errors import NumericOverflowError, WindowBoundsError
-from .linalg import log_singular_values
 
 LOG2 = np.log(2.0)
+
+_OVERFLOW = "product left float64 range"
 
 # closed-form moments of 2**-u on [0, 1]: against (1 - u) and against u
 _WEIGHT_MOMENT_1 = (1.0 - LOG2) / (2.0 * LOG2**2)
@@ -212,7 +222,7 @@ def _overflow_raises():
 
 def _checked(products):
     if not np.isfinite(products).all():
-        raise NumericOverflowError("product left float64 range")
+        raise NumericOverflowError(_OVERFLOW)
     return products
 
 
@@ -296,6 +306,80 @@ def shortlex_rank(letters, rank: int) -> np.ndarray:
     return digits @ weights
 
 
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True, eq=False)
+class KernelGroup:
+    """Consecutive spheres of one scan whose rows the stacked kernels take in
+    one call.
+
+    ``products``, ``logdet`` and ``sign`` stack the rows of every sphere of
+    the group; ``letters`` holds each sphere's letter array, shortest word
+    first, and ``starts`` the sphere's first row in the stacks.  ``rank``,
+    ``exhaustive`` and ``inversion_closed`` are the spheres' own.  A kernel
+    runs on first use, over all the rows at once, and its output is
+    read-only and kept for the group's other spheres (`_run`).  A kernel
+    row has the same bits in any stack as alone, with its inverse row, so a
+    sphere's slice of the output is what a call on that sphere alone
+    returns.
+    """
+
+    letters: tuple
+    starts: tuple
+    products: np.ndarray
+    logdet: np.ndarray
+    sign: np.ndarray
+    rank: int
+    exhaustive: bool
+    inversion_closed: bool
+    _outputs: dict = field(default_factory=dict, init=False, repr=False)
+
+    @cached_property
+    def inverse(self):
+        """The row of each row's inverse word in the stacks: per sphere, the
+        `shortlex_rank` of the reversed, negated letters, or the next row
+        over in an inversion-closed draw (`sampled_words`); else None."""
+        if not (self.exhaustive or self.inversion_closed):
+            return None
+        rows = np.empty(len(self.products), dtype=np.int64)
+        for letters, start in zip(self.letters, self.starts):
+            part = rows[start:start + len(letters)]
+            if self.exhaustive:
+                part[:] = shortlex_rank(-letters[:, ::-1], self.rank)
+            else:
+                part[:] = np.arange(len(letters)) ^ 1
+            part += start
+        return _read_only(rows)
+
+    def log_singular_values(self) -> np.ndarray:
+        """`linalg.log_singular_values` of the products with the exact
+        log-dets, and with the inverse rows for n = 3, the one size that
+        reads them."""
+        n = self.products.shape[-1]
+        return self._run(linalg.log_singular_values, self.logdet,
+                         self.inverse if n == 3 else None)
+
+    def log_eigenvalue_moduli(self) -> np.ndarray:
+        """`linalg.log_eigenvalue_moduli` of the products with the exact
+        log-dets and signs."""
+        return self._run(linalg.log_eigenvalue_moduli, self.logdet, self.sign)
+
+    def _run(self, kernel, *args):
+        """``kernel(products, *args)``, read-only, from one call.  A group of
+        several spheres keeps it for the others; a group of one hands it
+        out and keeps nothing, so a sphere over ``linalg.KERNEL_BLOCK`` rows
+        holds no more memory once read than before it was."""
+        out = self._outputs.get(kernel)
+        if out is None:
+            out = _read_only(kernel(self.products, *args))
+            if len(self.letters) > 1:
+                self._outputs[kernel] = out
+        return out
+
+
 @dataclass(frozen=True, eq=False)
 class Sphere:
     """One sphere of a scan, one word per row; no array may be mutated.
@@ -306,6 +390,8 @@ class Sphere:
     ``gens.log_dets``, added and multiplied left to right.  ``rank`` is the
     free group's rank; ``exhaustive`` marks a whole sphere in shortlex
     order and ``inversion_closed`` a sampled draw closed under inversion.
+    The sphere's rows are those of its `KernelGroup` ``group`` from
+    ``start`` on; a sphere made without one is a group of one.
     """
 
     letters: np.ndarray
@@ -315,28 +401,55 @@ class Sphere:
     rank: int
     exhaustive: bool
     inversion_closed: bool = False
+    group: KernelGroup = field(default=None, repr=False)
+    start: int = 0
+
+    def __post_init__(self):
+        if self.group is None:
+            object.__setattr__(self, "group", KernelGroup(
+                (self.letters,), (0,), self.products, self.logdet, self.sign,
+                self.rank, self.exhaustive, self.inversion_closed))
+
+    @property
+    def _rows(self):
+        return slice(self.start, self.start + len(self.letters))
 
     @cached_property
     def inverse(self):
-        """The ``(N,)`` row of each word's inverse, computed on first use:
-        the `shortlex_rank` of the reversed, negated letters, the next row
-        over in an inversion-closed draw (`sampled_words`), else None."""
-        if self.exhaustive:
-            rows = shortlex_rank(-self.letters[:, ::-1], self.rank)
-        elif self.inversion_closed:
-            rows = np.arange(len(self.letters)) ^ 1
-        else:
+        """The read-only ``(N,)`` row of each word's inverse in this sphere,
+        computed on first use, or None for a sampled draw not closed under
+        inversion (see `KernelGroup.inverse`)."""
+        rows = self.group.inverse
+        if rows is None:
             return None
-        rows.flags.writeable = False
-        return rows
+        rows = rows[self._rows]
+        return _read_only(rows - self.start) if self.start else rows
 
     def log_singular_values(self) -> np.ndarray:
-        """`linalg.log_singular_values` of the products with the exact
-        log-dets, and with the inverse rows for n = 3, the one size that
-        reads them."""
-        n = self.products.shape[-1]
-        return log_singular_values(self.products, self.logdet,
-                                   self.inverse if n == 3 else None)
+        """This sphere's read-only rows of `KernelGroup.log_singular_values`."""
+        return self.group.log_singular_values()[self._rows]
+
+    def log_eigenvalue_moduli(self) -> np.ndarray:
+        """This sphere's read-only rows of `KernelGroup.log_eigenvalue_moduli`."""
+        return self.group.log_eigenvalue_moduli()[self._rows]
+
+
+def _kernel_group(draws, starts, stacks, rank, exhaustive, inversion_closed):
+    """The spheres of the letter arrays ``draws``, shortest first, sharing
+    one `KernelGroup`.  The rows of ``draws[i]`` start at ``starts[i]`` in
+    each of the ``stacks`` (products, log-dets, signs), and the draws
+    together fill one contiguous run of rows, which the group takes as
+    views."""
+    lo = min(starts)
+    hi = max(start + len(letters) for letters, start in zip(draws, starts))
+    group = KernelGroup(tuple(draws), tuple(start - lo for start in starts),
+                        *(a[lo:hi] for a in stacks), rank, exhaustive, inversion_closed)
+    return [
+        Sphere(letters, *(a[start:start + len(letters)]
+                          for a in (group.products, group.logdet, group.sign)),
+               rank, exhaustive, inversion_closed, group, start)
+        for letters, start in zip(group.letters, group.starts)
+    ]
 
 
 def _walk(positions, walking, images, letter_logdets, letter_signs):
@@ -362,10 +475,12 @@ def _walk(positions, walking, images, letter_logdets, letter_signs):
 
 def _sampled_group(draws, rank, tables, inversion_closed):
     """The spheres of consecutive lengths' ``sampled_words`` draws, shortest
-    first, from one `_walk` of all their rows stacked longest word first.
-    ``tables`` holds the generator images, log-dets and signs by alphabet
-    position.  The first sphere holding a non-finite product raises
-    :class:`NumericOverflowError` in place of being yielded.
+    first, from one `_walk` of all their rows stacked longest word first;
+    the walk's stacks are their `KernelGroup`'s.  ``tables`` holds the
+    generator images, log-dets and signs by alphabet position.  The first
+    sphere holding a non-finite product raises
+    :class:`NumericOverflowError` after the spheres before it, and the
+    group holds only those.
     """
     longest = draws[-1].shape[1]
     positions = np.zeros((sum(map(len, draws)), longest), dtype=draws[0].dtype)
@@ -374,22 +489,90 @@ def _sampled_group(draws, rank, tables, inversion_closed):
         positions[end:end + len(letters), :letters.shape[1]] = letter_rank(letters)
         starts.append(end)
         end += len(letters)
+    starts.reverse()
     walking = [sum(len(d) for d in draws if d.shape[1] > i) for i in range(longest)]
     with _overflow_raises():
-        products, logdet, sign = _walk(positions, walking, *tables)
-    for letters, start in zip(draws, reversed(starts)):
-        rows = slice(start, start + len(letters))
-        yield Sphere(letters, _checked(products[rows]), logdet[rows], sign[rows],
-                     rank, False, inversion_closed)
+        stacks = _walk(positions, walking, *tables)
+    finite = 0
+    for letters, start in zip(draws, starts):
+        if not np.isfinite(stacks[0][start:start + len(letters)]).all():
+            break
+        finite += 1
+    if finite:
+        yield from _kernel_group(draws[:finite], starts[:finite], stacks, rank, False,
+                                 inversion_closed)
+    if finite < len(draws):
+        raise NumericOverflowError(_OVERFLOW)
+
+
+def _extend(parent, letter_set, children, tables):
+    """The exhaustive sphere one letter longer than ``parent``, each as a
+    ``(letters, products, logdet, sign)`` tuple: one stacked multiply of
+    the parent's products with the allowed next letters' images, one add
+    of their log-dets and one multiply of their signs."""
+    letters, products, logdet, sign = parent
+    images, letter_logdets, letter_signs = tables
+    fan = children.shape[1]
+    nxt = children[letter_rank(letters[:, -1])].ravel()
+    return (np.concatenate([np.repeat(letters, fan, axis=0), letter_set[nxt, None]],
+                           axis=1),
+            np.repeat(products, fan, axis=0) @ images[nxt],
+            np.repeat(logdet, fan) + letter_logdets[nxt],
+            np.repeat(sign, fan) * letter_signs[nxt])
+
+
+def _exhaustive_groups(rank, L_max, letter_set, tables, inversion_closed):
+    """The exhaustive spheres 1 .. L_max, one `KernelGroup` at a time.
+
+    A group takes the next sphere while its rows and that sphere's
+    `count_sphere` stay within ``linalg.KERNEL_BLOCK``, so it is closed
+    before a later sphere is built; a larger sphere is a group of its own,
+    and its arrays are the group's stacks.  Each sphere is built from the
+    one before it (`_extend`) and checked when complete; the first that is
+    not finite raises :class:`NumericOverflowError` after the spheres
+    before it.
+    """
+    children = _next_positions(rank)
+    sphere = (letter_set[:, None], *tables)
+    first = 1
+    while first <= L_max:
+        last, rows = first, count_sphere(rank, first)
+        while last < L_max and rows + count_sphere(rank, last + 1) <= linalg.KERNEL_BLOCK:
+            last += 1
+            rows += count_sphere(rank, last)
+        spheres, finite = [], True
+        # scoped per group: the state must not leak to the caller across the yield
+        with _overflow_raises():
+            for L in range(first, last + 1):
+                if L > 1:
+                    sphere = _extend(sphere, letter_set, children, tables)
+                finite = np.isfinite(sphere[1]).all()
+                if not finite:
+                    break
+                spheres.append(sphere)
+        if spheres:
+            draws, *parts = zip(*spheres)
+            stacks = [np.concatenate(part) if len(part) > 1 else part[0] for part in parts]
+            starts = np.cumsum([0] + [len(letters) for letters in draws[:-1]]).tolist()
+            yield from _kernel_group(draws, starts, stacks, rank, True, inversion_closed)
+        if not finite:
+            raise NumericOverflowError(_OVERFLOW)
+        first = last + 1
 
 
 def iter_sphere_products(gens, L_max: int, policy=Exhaustive(),
                          inversion_closed=False):
-    """Yield a :class:`Sphere` for each length 1 .. L_max.
+    """Yield a :class:`Sphere` for each length 1 .. L_max, in kernel groups.
 
-    Exhaustive spheres come in shortlex order, each built from the previous
-    one by one stacked multiply with the allowed next letters and one add
-    of their log-dets.  Sampled spheres are the `sampled_words` draws in
+    A `KernelGroup` is a run of consecutive spheres whose rows the stacked
+    singular-value and eigenvalue kernels take in one call; each sphere
+    reads its own rows of the group's output.  Exhaustive spheres come in
+    shortlex order, each built from the previous one by one stacked
+    multiply with the allowed next letters and one add of their log-dets.
+    A group takes spheres while they hold at most ``linalg.KERNEL_BLOCK``
+    rows in all, which their sizes tell in advance, and is yielded before
+    the next one is built (`_exhaustive_groups`); a larger sphere is a
+    group of its own.  Sampled spheres are the `sampled_words` draws in
     draw order, one draw per length.  Consecutive lengths are walked as
     one group (`_sampled_group`): their rows are stacked longest word
     first, so the rows still walking at each letter are a prefix, and each
@@ -404,49 +587,35 @@ def iter_sphere_products(gens, L_max: int, policy=Exhaustive(),
     ``gens`` provides ``rank``, ``dim``, ``image`` and ``log_dets`` (see
     :class:`~repdyn.domination.GeneratorSet`).  Raises
     :class:`NumericOverflowError` at the first sphere holding a product
-    outside float64 range, after yielding the spheres before it.  Each
-    product is multiplied once and checked once, when its sphere is
-    complete.
+    outside float64 range, after yielding the spheres before it, whose
+    group holds no other rows.  Each product is multiplied once and
+    checked once, when its sphere is complete.
     """
     letter_set = np.array(alphabet(gens.rank), dtype=_letter_dtype(gens.rank))
     images = np.stack([gens.image(l) for l in letter_set])
-    letter_logdets, letter_signs = gens.log_dets(letter_set[:, None])
-    if isinstance(policy, Sampled):
-        tables = images, letter_logdets, letter_signs
-        group, cap = [], 0
-        for L in range(1, L_max + 1):
-            letters = sampled_words(gens.rank, L, policy, inversion_closed)
-            rows = sum(map(len, group))
-            if group and rows + len(letters) > cap:
-                yield from _sampled_group(group, gens.rank, tables, inversion_closed)
-                group, cap = [], min(2 * rows, linalg.KERNEL_BLOCK)
-            group.append(letters)
-        if group:
-            yield from _sampled_group(group, gens.rank, tables, inversion_closed)
+    tables = (images, *gens.log_dets(letter_set[:, None]))
+    if not isinstance(policy, Sampled):
+        yield from _exhaustive_groups(gens.rank, L_max, letter_set, tables,
+                                      inversion_closed)
         return
-    children = _next_positions(gens.rank)
+    group, cap = [], 0
     for L in range(1, L_max + 1):
-        # scoped per sphere: the state must not leak to the caller across the yield
-        with _overflow_raises():
-            if L == 1:
-                letters, products = letter_set[:, None], _checked(images)
-                logdet, sign = letter_logdets, letter_signs
-            else:
-                nxt = children[letter_rank(letters[:, -1])].ravel()
-                fan = children.shape[1]
-                letters = np.concatenate(
-                    [np.repeat(letters, fan, axis=0), letter_set[nxt, None]], axis=1
-                )
-                products = _checked(np.repeat(products, fan, axis=0) @ images[nxt])
-                logdet = np.repeat(logdet, fan) + letter_logdets[nxt]
-                sign = np.repeat(sign, fan) * letter_signs[nxt]
-        yield Sphere(letters, products, logdet, sign, gens.rank, True, inversion_closed)
+        letters = sampled_words(gens.rank, L, policy, inversion_closed)
+        rows = sum(map(len, group))
+        if group and rows + len(letters) > cap:
+            yield from _sampled_group(group, gens.rank, tables, inversion_closed)
+            group, cap = [], min(2 * rows, linalg.KERNEL_BLOCK)
+        group.append(letters)
+    if group:
+        yield from _sampled_group(group, gens.rank, tables, inversion_closed)
 
 
 def map_sphere_products(gens, L_max: int, stat, policy=Exhaustive(),
                         inversion_closed=False) -> list:
     """``stat(sphere)`` of each complete :class:`Sphere` 1 .. L_max, in order.
 
+    The spheres come in kernel groups (`iter_sphere_products`), so the
+    first sphere of a group to call a kernel runs it for the whole group.
     The list stops before the first sphere whose products, or whose
     statistic, raise :class:`NumericOverflowError`; a list shorter than
     ``L_max`` marks a truncated scan.

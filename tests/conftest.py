@@ -11,6 +11,7 @@ from hypothesis import settings
 from scipy.linalg import expm
 
 from repdyn.domination import GeneratorSet
+from repdyn.errors import NumericOverflowError
 
 LOG2 = np.log(2.0)
 
@@ -167,3 +168,14 @@ def exact_line_fit(xs, ys):
     sxx = sum((x - x_mean) ** 2 for x in xs)
     slope = sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys)) / sxx
     return slope, y_mean - slope * x_mean
+
+
+def collect(spheres):
+    """The spheres an iterator yields, and whether an overflow stopped it."""
+    out = []
+    try:
+        for sphere in spheres:
+            out.append(sphere)
+    except NumericOverflowError:
+        return out, True
+    return out, False

@@ -1,6 +1,8 @@
 """The eigenvalue-1 battery for complete affine quotients, run on the
 linear part of each affine action as a `GeneratorSet`."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,28 @@ class TestHksTest:
         q, _ = np.linalg.qr(np.random.default_rng(8).standard_normal((3, 3)))
         gens = GeneratorSet([q @ h @ q.T])
         assert hks_test(gens, L_max=5).passed
+
+
+    def test_generator_near_the_float_maximum(self):
+        # det(P - I) of 1.7e308 R(0.7) overflows, and so does the elimination
+        # in slogdet unless the matrix is scaled first
+        gens = GeneratorSet([1.7e308 * rotation2(0.7), np.diag([2.0, 0.5])])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = hks_test(gens, L_max=4)
+        assert rep.truncated and len(rep.spheres) == 1
+        expected = max(hks_mpmath(gens.image(l)) for l in (1, -1, 2, -2))
+        assert rep.max_normalized == pytest.approx(expected, rel=1e-13)
+
+
+def hks_mpmath(m):
+    """``|det(m - I)| / (1 + s1)^2`` of a 2x2 float matrix in 60 digits."""
+    import mpmath
+
+    with mpmath.workdps(60):
+        (a, b), (c, d) = [[mpmath.mpf(float(x)) for x in row] for row in m]
+        s1 = (mpmath.hypot(a + d, b - c) + mpmath.hypot(a - d, b + c)) / 2
+        return float(abs((a - 1) * (d - 1) - b * c) / (1 + s1) ** 2)
 
 
 class TestEigenvalueNormOne:

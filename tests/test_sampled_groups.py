@@ -25,6 +25,8 @@ from repdyn.words import (
     sampled_words,
 )
 
+from conftest import collect
+
 
 def reference_spheres(gens, L_max, policy, inversion_closed=False):
     """Yield each length's sphere, drawn and walked alone; raise at the
@@ -46,17 +48,6 @@ def reference_spheres(gens, L_max, policy, inversion_closed=False):
                 if not np.isfinite(products).all():
                     raise NumericOverflowError("reference overflow")
         yield Sphere(letters, products, logdet, sign, gens.rank, False, inversion_closed)
-
-
-def collect(spheres):
-    """The spheres an iterator yields, and whether an overflow stopped it."""
-    out = []
-    try:
-        for sphere in spheres:
-            out.append(sphere)
-    except NumericOverflowError:
-        return out, True
-    return out, False
 
 
 def assert_same_spheres(got, expected):
