@@ -28,6 +28,7 @@ from .fitting import fit_line
 from .linalg import (
     principal_angle,
     require_matrix,
+    scaled_inv,
     scaled_slogdet,
     subspace_distance,
     top_singular_subspace,
@@ -73,7 +74,7 @@ class GeneratorSet:
             if len(set(names)) != len(names):
                 raise ValueError("generator names must be distinct")
         self._images = tuple(m.copy() for m in mats)
-        self._inverses = tuple(np.linalg.inv(m) for m in self._images)
+        self._inverses = tuple(scaled_inv(np.stack(self._images)))
         for i, inv in enumerate(self._inverses):
             # a well-conditioned generator near the subnormal range still
             # inverts past float64

@@ -19,12 +19,13 @@ of lines together, one stacked product per step, and groups them by how
 far they reach in each direction (a line that overflows stops early); each
 group is one trajectory.  `estimate_splitting`, `measure_rates` and
 `splitting_at`, which reads the frames at a sequence of pairs of times,
-treat all the lines and times of a group in a few stacked calls: LAPACK
-(`linalg.singular_frames` and friends) for the frames and for the stretches
-of blocks of two or more columns, the column length for the stretch of a
-one-column block, and one `fitting.fit_lines` call per reach for the rates.
-Each decomposes its matrix or sums its row on its own, so a line gets the
-same bits in a group as alone.  Every analysis
+treat all the lines and times of a group in a few stacked calls:
+`linalg.singular_frames` and friends for the frames and the gap checks (in
+closed form for n = 3, by LAPACK near a double singular value and for other
+n), LAPACK for the stretches of blocks of two or more columns, the column
+length for the stretch of a one-column block, and one `fitting.fit_lines`
+call per reach for the rates.  Each decomposes its matrix or sums its row
+on its own, so a line gets the same bits in a group as alone.  Every analysis
 returns one result per line of the group, and a single line is a group of
 one.  A check that fails on any line raises for the whole group, so a
 caller that wants per-line outcomes (``repdyn split``) runs a failing group
@@ -48,6 +49,7 @@ from .linalg import (
     log_column_lengths,
     require_orthonormal,
     singular_frames,
+    singular_values,
     subspace_distance,
 )
 from .words import alphabet, letter_rank
@@ -212,7 +214,7 @@ def _check_gaps(traj, k, sign):
     first line that has such a time."""
     n = traj.dim
     store = traj.forward if sign > 0 else traj.backward
-    s = np.linalg.svd(store[:, 1:], compute_uv=False)
+    s = singular_values(store[:, 1:])
     index = np.array(sorted({k, n - k}))
     gaps = (s[..., index - 1] - s[..., index]) / s[..., index - 1]
     failed = np.flatnonzero(gaps < GAP_TOL)
@@ -236,7 +238,7 @@ def _right_frames(first, second, k):
     """
     n = first.shape[-1]
     both = np.stack([first, second], axis=1).reshape(-1, n, n)
-    _, _, vt = singular_frames(both, n - k, stacklevel=3)
+    _, vt = singular_frames(both, n - k, stacklevel=3)
     return vt[0::2], vt[1::2]
 
 
@@ -277,7 +279,7 @@ def splitting_at(traj, k: int, t_forward, t_backward):
         )
     n = traj.dim
     v_plus = bottom_singular_subspace(traj.backward[:, tb].reshape(-1, n, n), k)
-    _, _, vt = singular_frames(traj.forward[:, tf].reshape(-1, n, n), n - k)
+    _, vt = singular_frames(traj.forward[:, tf].reshape(-1, n, n), n - k)
     blocks = v_plus, _bases(vt[:, k : n - k]), _bases(vt[:, n - k :])
     return tuple(b.reshape(traj.size, tf.size, n, -1) for b in blocks)
 

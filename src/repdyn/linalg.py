@@ -41,12 +41,19 @@ row), and `cartan_projection` and `jordan_projection` are the kernels on a
 stack of one.
 
 The singular subspaces and `subspace_distance` run on stacks.
-`singular_frames` decomposes an ``(N, n, n)`` stack in one call, checking
-each matrix as the one-matrix functions do and raising one aggregated
-:class:`~repdyn.errors.ConditionWarning`; `subspace_distance` also takes two
-``(N, n, p)`` stacks of bases, and `bottom_singular_subspace` an ``(N, n,
-n)`` stack of matrices.  The one-matrix functions are these kernels applied
-to a stack of one.
+`singular_frames` gives the singular values and right singular vectors of
+an ``(N, n, n)`` stack in one call, checking each matrix as the one-matrix
+functions do and raising one aggregated
+:class:`~repdyn.errors.ConditionWarning`.  For n = 3 it reads them in
+closed form, from the top eigenpairs of the Gram matrices of the matrix and
+of its cofactor matrix, each vector within a few ``eps s1 / gap`` of the
+exact one; LAPACK takes the matrices near a double singular value or with a
+relative gap below 1e-3, so every gap verdict is LAPACK's (see
+`_frames3`).  `singular_values` reads the same kernel without checks.
+`subspace_distance` also takes two ``(N, n, p)`` stacks of bases, and
+`bottom_singular_subspace` an ``(N, n, n)`` stack of matrices.  The
+one-matrix functions are these kernels applied to a stack of one, and
+`top_singular_subspace` takes the right frames of the transpose.
 """
 
 from __future__ import annotations
@@ -77,9 +84,24 @@ _SORT_TOL = 1e-9
 # rows `log_singular_values` takes at a time, which bounds its temporaries
 KERNEL_BLOCK = 8192
 
-# the n = 3 closed form hands a matrix to LAPACK when 1 + r is below this,
-# r = -1 marking a double largest singular value (see `_log_top3`)
+# the n = 3 closed forms hand a matrix to LAPACK when 1 + r is below this,
+# r = -1 marking a double largest eigenvalue of a Gram matrix (see
+# `_top_eigenvalue3`)
 _DOUBLE_TOP_TOL = 1e-4
+
+# the n = 3 singular frames hand a matrix to LAPACK when a relative gap
+# between neighbouring singular values is below this, far above GAP_TOL, so
+# that every gap verdict is LAPACK's
+_FRAME_GAP_MARGIN = 1e-3
+
+# ... and when s1 / s3 reaches this, well before s3**2 underflows or s1 / s3
+# overflows (which the span check reads)
+_FRAME_SPAN_LIMIT = 2.0**500
+
+# rows the n = 3 singular frames take at a time: about a hundred
+# temporaries of two floats a row live at once, and 8192-row blocks raised
+# the peak memory of a whole `split` run by 0.6 MB
+_FRAME_BLOCK = 1024
 
 # a 2x2 or 3x3 eigenvalue closed form hands a matrix to LAPACK when the
 # squared relative distance of two of its roots is below this
@@ -170,7 +192,13 @@ def _warn_ill_conditioned(cond, size, stacklevel):
 
 
 def singular_frames(ms, gap_index: int, stacklevel=2):
-    """Full SVDs ``(u, s, vt)`` of an ``(N, n, n)`` stack, checked row by row.
+    """Singular values and right singular vectors ``(s, vt)`` of an ``(N,
+    n, n)`` stack, checked row by row: ``s`` is ``(N, n)``, largest first,
+    and the rows of ``vt[i]`` are the right singular vectors of ``ms[i]``,
+    each up to sign.  For n = 3 they come in closed form, and LAPACK takes
+    a matrix near a double singular value or with a relative gap below
+    _FRAME_GAP_MARGIN (see `_frames3`); other n are LAPACK's.  Either way a
+    row has the same bits in a stack as alone.
 
     Each matrix in turn gets the checks of `require_matrix`, then the check
     that its singular values span less than float64 allows, then the gap
@@ -190,7 +218,7 @@ def singular_frames(ms, gap_index: int, stacklevel=2):
     if not 1 <= p < n:
         raise ValueError(f"gap index must satisfy 1 <= index < {n}, got {p}")
     stop, error = _first_invalid(ms, "matrix")
-    u, s, vt = np.linalg.svd(ms[:stop])
+    s, vt = _svd(ms[:stop], vectors=True)
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = s[:, 0] / s[:, -1]
         gap = (s[:, p - 1] - s[:, p]) / s[:, p - 1]
@@ -212,7 +240,18 @@ def singular_frames(ms, gap_index: int, stacklevel=2):
     _warn_ill_conditioned(cond[:checked], len(ms), stacklevel)
     if error is not None:
         raise error
-    return u, s, vt
+    return s, vt
+
+
+def singular_values(ms):
+    """The singular values of each matrix of a ``(..., n, n)`` stack of
+    finite matrices, largest first, unchecked: those of `singular_frames`,
+    with LAPACK's ``compute_uv=False`` values on the rows it hands LAPACK
+    and for n other than 3."""
+    ms = np.asarray(ms, dtype=float)
+    n = ms.shape[-1]
+    s, _ = _svd(ms.reshape(-1, n, n), vectors=False)
+    return s.reshape(ms.shape[:-1])
 
 
 def _scale_to_unit(ms, top=0):
@@ -236,12 +275,36 @@ def scaled_slogdet(ms):
     range (partial pivoting grows entries by at most 2**15 for n <= 16), and
     the log-det is slogdet's own.
     """
-    _, e = np.frexp(np.abs(ms).max(axis=(1, 2)))
-    e[np.abs(e) <= 256] = 0
+    e = _far_exponents(ms)
     signs, logdets = np.linalg.slogdet(np.ldexp(ms, -e[:, None, None]))
     far = e != 0
     logdets[far] += ms.shape[-1] * e[far] * math.log(2.0)
     return signs, logdets
+
+
+def scaled_inv(ms):
+    """The inverse of each matrix of an ``(N, n, n)`` stack, as
+    ``np.linalg.inv`` gives it, without its flush to zero.
+
+    Near the float64 maximum the entries of the inverse fall below the
+    normal range, where the elimination in inv rounds them away, so a
+    matrix outside the band of `scaled_slogdet` is inverted scaled exactly
+    to unit largest entry: ``M^-1 = (M 2**-e)^-1 2**-e``.  Inside the band
+    the inverse is inv's own.  An inverse beyond the float64 maximum reads
+    ``inf``; nothing warns.
+    """
+    e = _far_exponents(ms)[:, None, None]
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.linalg.inv(np.ldexp(ms, -e)), -e)
+
+
+def _far_exponents(ms):
+    """For each matrix of a stack, the exponent ``e`` that scales it to unit
+    largest entry, ``max |M 2**-e|`` in [1/2, 1), where its largest entry
+    lies outside [2**-256, 2**256], and 0 inside."""
+    _, e = np.frexp(np.abs(ms).max(axis=(1, 2)))
+    e[np.abs(e) <= 256] = 0
+    return e
 
 
 def _log_scaled(x, e):
@@ -268,25 +331,17 @@ def _log_sv2(ms, logdet):
     return np.stack([log1, logdet - log1], axis=1)
 
 
-def _log_top3(ms):
-    """``(log s1, near)`` of a ``(B, 3, 3)`` stack, ``near`` masking the
-    rows whose top two singular values are too close for this closed form.
+def _top_eigenvalue3(g00, g11, g22, g01, g02, g12):
+    """``(top, near)``: the largest eigenvalue of each symmetric 3x3 matrix
+    ``G`` with these entries, and the mask of the matrices whose top two
+    eigenvalues are too close for this closed form.
 
-    ``s1**2`` is the largest eigenvalue of the Gram matrix ``G`` of the
-    matrix scaled to unit largest entry: with ``q`` the mean of the
-    eigenvalues, ``p`` their root mean square distance from it and ``r =
-    det((G - q I) / p) / 2``, ``q + 2 p cos(arccos(r) / 3)``, or ``q`` when
-    ``p = 0``.  Rounding ``r`` costs about ``eps / sqrt(1 + r)`` relative to
-    ``s1``, large where the top two meet at ``r = -1``."""
-    m, e = _scale_to_unit(ms)
-    # x[i] holds entry i of every matrix, flattened row by row
-    x = np.ascontiguousarray(m.reshape(len(ms), 9).T)
-
-    def gram(j, k):
-        return x[j] * x[k] + x[3 + j] * x[3 + k] + x[6 + j] * x[6 + k]
-
-    g00, g11, g22 = gram(0, 0), gram(1, 1), gram(2, 2)
-    g01, g02, g12 = gram(0, 1), gram(0, 2), gram(1, 2)
+    With ``q`` the mean of the eigenvalues, ``p`` their root mean square
+    distance from it and ``r = det((G - q I) / p) / 2``, the top eigenvalue
+    is ``q + 2 p cos(arccos(r) / 3)``, or ``q`` when ``p = 0``.  Rounding
+    ``r`` costs about ``eps / sqrt(1 + r)`` relative to its square root,
+    large where the top two meet at ``r = -1``; ``near`` marks ``1 + r``
+    below _DOUBLE_TOP_TOL."""
     q = (g00 + g11 + g22) / 3.0
     d0, d1, d2 = g00 - q, g11 - q, g22 - q
     p = np.sqrt((d0 * d0 + d1 * d1 + d2 * d2
@@ -296,8 +351,164 @@ def _log_top3(ms):
     r = 0.5 * (d0 * (d1 * d2 - b12 * b12) - b01 * (b01 * d2 - b12 * b02)
                + b02 * (b01 * b12 - d1 * b02))
     r = np.clip(r, -1.0, 1.0)
-    top = q + 2.0 * p * np.cos(np.arccos(r) / 3.0)
-    return _log_scaled(np.sqrt(top), e), ~(1.0 + r >= _DOUBLE_TOP_TOL)
+    return q + 2.0 * p * np.cos(np.arccos(r) / 3.0), ~(1.0 + r >= _DOUBLE_TOP_TOL)
+
+
+def _entries(ms):
+    """``x`` with ``x[i]`` entry i of every matrix of a ``(B, 3, 3)`` stack,
+    flattened row by row."""
+    return np.ascontiguousarray(ms.reshape(len(ms), 9).T)
+
+
+def _gram3(x):
+    """The entries ``(g00, g11, g22, g01, g02, g12)`` of the Gram matrix
+    ``M^T M`` of each matrix of `_entries` ``x``."""
+
+    def gram(j, k):
+        return x[j] * x[k] + x[3 + j] * x[3 + k] + x[6 + j] * x[6 + k]
+
+    return gram(0, 0), gram(1, 1), gram(2, 2), gram(0, 1), gram(0, 2), gram(1, 2)
+
+
+def _log_top3(ms):
+    """``(log s1, near)`` of a ``(B, 3, 3)`` stack, ``near`` masking the
+    rows whose top two singular values are too close for this closed form:
+    ``s1**2`` is the `_top_eigenvalue3` of the Gram matrix of the matrix
+    scaled to unit largest entry."""
+    m, e = _scale_to_unit(ms)
+    top, near = _top_eigenvalue3(*_gram3(_entries(m)))
+    return _log_scaled(np.sqrt(top), e), near
+
+
+def _unit(v0, v1, v2):
+    """The vectors ``(v0, v1, v2)``, given by their components, scaled to
+    unit length."""
+    length = np.sqrt(v0 * v0 + v1 * v1 + v2 * v2)
+    return v0 / length, v1 / length, v2 / length
+
+
+def _top_eigenvector3(g, top):
+    """The unit eigenvectors, as three components, for the top eigenvalues
+    ``top`` of the symmetric matrices with the entries ``g`` of `_gram3`.
+
+    ``G - top I`` has rank two, so its adjugate is ``mu v v^T``: each row, a
+    cross product of two rows of ``G - top I``, is a multiple ``mu v_i v``
+    of the eigenvector ``v``, and the longest is the one through the largest
+    diagonal entry ``mu v_i^2``."""
+    g00, g11, g22, a01, a02, a12 = g
+    a00, a11, a22 = g00 - top, g11 - top, g22 - top
+    c00, c11, c22 = a11 * a22 - a12 * a12, a00 * a22 - a02 * a02, a00 * a11 - a01 * a01
+    c01, c02, c12 = a02 * a12 - a01 * a22, a01 * a12 - a02 * a11, a01 * a02 - a00 * a12
+    d0, d1, d2 = np.abs(c00), np.abs(c11), np.abs(c22)
+    first = (d0 >= d1) & (d0 >= d2)
+    second = ~first & (d1 >= d2)
+
+    def pick(u0, u1, u2):
+        return np.where(first, u0, np.where(second, u1, u2))
+
+    return _unit(pick(c00, c01, c02), pick(c01, c11, c12), pick(c02, c12, c22))
+
+
+def _rayleigh3(g, v):
+    """The Rayleigh quotients ``v^T G v`` of the symmetric matrices with the
+    entries ``g`` of `_gram3` and the unit vectors ``v``, by components."""
+    g00, g11, g22, g01, g02, g12 = g
+    v0, v1, v2 = v
+    return (g00 * v0 * v0 + g11 * v1 * v1 + g22 * v2 * v2
+            + 2.0 * (g01 * v0 * v1 + g02 * v0 * v2 + g12 * v1 * v2))
+
+
+# for a 3x3 matrix flattened row by row, the cofactor matrix, whose rows are
+# the cross products of rows 1 and 2, 2 and 0, and 0 and 1, is
+# x[_COFACTOR[0]] * x[_COFACTOR[1]] - x[_COFACTOR[2]] * x[_COFACTOR[3]]
+_COFACTOR = np.array([
+    [3 * a + (j + 1) % 3, 3 * b + (j + 2) % 3, 3 * a + (j + 2) % 3, 3 * b + (j + 1) % 3]
+    for a, b in ((1, 2), (2, 0), (0, 1)) for j in range(3)
+]).T
+
+
+def _frames3(ms):
+    """``(s, vt, lapack)`` of a ``(B, 3, 3)`` stack of finite matrices: the
+    singular values ``(B, 3)``, largest first, and the right singular
+    vectors as the rows of ``(B, 3, 3)`` in closed form, and the mask of
+    the rows this form cannot vouch for.
+
+    Each matrix ``M`` is scaled exactly to unit largest entry.  The top
+    eigenpair of its Gram matrix ``M^T M`` is ``(s1**2, v1)``.  The
+    cofactor matrix ``C = det(M) M^-T``, scaled exactly too, has the
+    singular values ``s1 s2 >= s1 s3 >= s2 s3``, so the top eigenpair of
+    ``C^T C`` is ``((s1 s2)**2, v3)``.  Each pair takes two passes: the
+    closed forms `_top_eigenvalue3` and `_top_eigenvector3`, then the
+    eigenvector again at the Rayleigh quotient of the first, which is
+    accurate to a few ulps.  Of ``v1`` and ``v3``, the one with the
+    smaller gap is made orthogonal to the other; ``v2 = v3 x v1`` and ``s3
+    = |M v3|``.  Each vector then lies within a few ``eps s1 / gap`` of the
+    exact one, ``gap`` the distance of its singular value to the nearest
+    other, ``s1`` within a few ulps and ``s2`` and ``s3`` within a few
+    ``eps s1``.
+
+    ``lapack`` marks a row with a double top eigenvalue in either Gram
+    matrix, a relative gap ``(s1 - s2) / s1`` or ``(s2 - s3) / s2`` below
+    _FRAME_GAP_MARGIN, or an ``s3`` that is no normal positive number or
+    lies _FRAME_SPAN_LIMIT or more below ``s1``, where its square would
+    underflow.
+    """
+    count = len(ms)
+    m, e = _scale_to_unit(ms)
+    x = _entries(m)
+    factors = x[_COFACTOR]
+    cofactor = factors[0] * factors[1] - factors[2] * factors[3]
+    _, e_cofactor = np.frexp(np.abs(cofactor).max(axis=0))
+    # the two Gram matrices of each row go through one set of calls
+    g = _gram3(np.concatenate([x, np.ldexp(cofactor, -e_cofactor)], axis=1))
+    top, near = _top_eigenvalue3(*g)
+    top = _rayleigh3(g, _top_eigenvector3(g, top))
+    v = _top_eigenvector3(g, top)
+    v1, v3 = [c[:count] for c in v], [c[count:] for c in v]
+    s1 = np.sqrt(top[:count])
+    s2 = np.ldexp(np.sqrt(top[count:]) / s1, e_cofactor)
+    # of v1 and v3, the one with the smaller gap is made orthogonal to the
+    # other; s3 = |det M| / (s1 s2) is close enough to choose
+    det = x[0] * cofactor[0] + x[1] * cofactor[1] + x[2] * cofactor[2]
+    move_v1 = s1 - s2 < s2 - np.abs(det) / (s1 * s2)
+    dot = v1[0] * v3[0] + v1[1] * v3[1] + v1[2] * v3[2]
+    v1 = _unit(*(np.where(move_v1, a - dot * b, a) for a, b in zip(v1, v3)))
+    v3 = _unit(*(np.where(move_v1, b, b - dot * a) for a, b in zip(v1, v3)))
+    (a0, a1, a2), (b0, b1, b2) = v3, v1
+    v2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+    image = [x[i] * v3[0] + x[i + 1] * v3[1] + x[i + 2] * v3[2] for i in (0, 3, 6)]
+    s3 = np.sqrt(image[0] * image[0] + image[1] * image[1] + image[2] * image[2])
+    big, mid, small = s = np.ldexp([s1, s2, s3], e)
+    lapack = near[:count] | near[count:] | ~(
+        (big - mid >= _FRAME_GAP_MARGIN * big) & (mid - small >= _FRAME_GAP_MARGIN * mid)
+        & (small >= _TINY) & (big / small < _FRAME_SPAN_LIMIT)
+    )
+    return s.T, np.array([v1, v2, v3]).transpose(2, 0, 1), lapack
+
+
+def _svd(ms, vectors):
+    """``(s, vt)`` of an ``(N, n, n)`` stack of finite matrices, ``vt``
+    None without ``vectors``: for n = 3 `_frames3`, _FRAME_BLOCK rows at a
+    time, with LAPACK for the rows it hands over, and LAPACK for other n."""
+
+    def lapack(rows):
+        if vectors:
+            _, s, vt = np.linalg.svd(rows)
+            return s, vt
+        return np.linalg.svd(rows, compute_uv=False), None
+
+    if ms.shape[-1] != 3:
+        return lapack(ms)
+    s, vt = np.empty(ms.shape[:2]), np.empty(ms.shape)
+    for start in range(0, len(ms), _FRAME_BLOCK):
+        block = slice(start, start + _FRAME_BLOCK)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            s[block], vt[block], rows = _frames3(ms[block])
+        if rows.any():
+            s[block][rows], frames = lapack(ms[block][rows])
+            if vectors:
+                vt[block][rows] = frames
+    return s, vt if vectors else None
 
 
 def _log_sv3(products, logdet, inverse):
@@ -737,7 +948,8 @@ def _subspace_frames(ms, p, bottom):
 
 
 def top_singular_subspace(m, p: int) -> Subspace:
-    """Span of the ``p`` leading left singular vectors of ``m``.
+    """Span of the ``p`` leading left singular vectors of ``m``: the leading
+    right singular vectors of ``m^T``, from `singular_frames`.
 
     Parameters
     ----------
@@ -752,8 +964,10 @@ def top_singular_subspace(m, p: int) -> Subspace:
         If the relative gap between singular values ``p`` and ``p + 1``
         falls below GAP_TOL, making the subspace ill defined.
     """
-    u, _, _ = _subspace_frames(np.asarray(m, dtype=float)[None], p, bottom=False)
-    return Subspace(u[0, :, :p])
+    m = np.asarray(m, dtype=float)
+    _require_square(m.shape, "matrix")
+    _, vt = _subspace_frames(m.T[None], p, bottom=False)
+    return Subspace(vt[0, :p].T)
 
 
 def bottom_singular_subspace(m, p: int) -> Subspace:
@@ -768,7 +982,7 @@ def bottom_singular_subspace(m, p: int) -> Subspace:
     """
     m = np.asarray(m, dtype=float)
     stack = m.ndim == 3
-    _, _, vt = _subspace_frames(m if stack else m[None], p, bottom=True)
+    _, vt = _subspace_frames(m if stack else m[None], p, bottom=True)
     bases = np.swapaxes(vt[:, -p:, :], 1, 2)
     return require_orthonormal(bases) if stack else Subspace(bases[0])
 

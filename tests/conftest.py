@@ -1,6 +1,6 @@
 """Shared fixtures: the generator sets exercised throughout the suite,
 the per-vertex flow metric reference, and the exact oracles of the
-one-column kernels and the line fit."""
+one-column kernels, the n = 3 singular frames and the line fit."""
 
 from fractions import Fraction
 
@@ -157,6 +157,38 @@ def mpmath_log_length(v) -> float:
     with mpmath.workdps(60):
         return float(mpmath.log(mpmath.sqrt(mpmath.fsum(
             mpmath.mpf(float(x)) ** 2 for x in np.ravel(v)))))
+
+
+def mpmath_svd(m):
+    """``(s, vt)`` of a float matrix from 60-digit arithmetic on its exact
+    entries: the singular values, largest first, and the right singular
+    vectors as the rows of ``vt``, all as mpf."""
+    with mpmath.workdps(60):
+        _, s, v = mpmath.svd_r(mpmath.matrix(np.asarray(m, dtype=float).tolist()))
+        order = sorted(range(len(s)), key=lambda i: -s[i])
+        return [s[i] for i in order], [[v[i, j] for j in range(v.cols)] for i in order]
+
+
+def mpmath_frame_errors(m, s, vt):
+    """``(angles, gaps, deviations, top)`` of the float singular values
+    ``s`` and right singular vectors ``vt`` (as rows) of ``m`` against
+    `mpmath_svd`: the angle of each row from its exact vector, up to sign;
+    the distance of each exact singular value to the nearest other;
+    ``|s_i - S_i|``; and the exact ``S_1``, all as floats."""
+    exact_s, exact_vt = mpmath_svd(m)
+    with mpmath.workdps(60):
+        angles = []
+        for row, exact in zip(vt, exact_vt):
+            row = [mpmath.mpf(float(x)) for x in row]
+            dot = abs(mpmath.fsum(x * y for x, y in zip(row, exact)))
+            length = mpmath.sqrt(mpmath.fsum(x * x for x in row))
+            sine = mpmath.sqrt(abs(length**2 - dot**2))
+            angles.append(float(mpmath.atan2(sine, dot)))
+        n = len(exact_s)
+        gaps = [float(min(abs(exact_s[i] - exact_s[j]) for j in range(n) if j != i))
+                for i in range(n)]
+        deviations = [float(abs(mpmath.mpf(float(x)) - y)) for x, y in zip(s, exact_s)]
+        return angles, gaps, deviations, float(exact_s[0])
 
 
 def exact_line_fit(xs, ys):

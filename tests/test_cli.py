@@ -926,22 +926,27 @@ class TestOverflowTruncation:
             assert [results[r]["truncated"] for r in reports] == [True, True, True]
             assert results["eigenvalue_norm_one"]["worst_length"] == 7
 
-    def test_spectrum_without_a_complete_level_is_a_numeric_failure(self, tmp_path):
-        # finite generator and inverse, but the inverse of entries near the
-        # float64 maximum underflows to a singular matrix, so the level-1
-        # eigenvalue moduli are not finite; run apart, in a fresh process
+    def test_spectrum_near_the_float_maximum_keeps_its_inverse(self, tmp_path):
+        # the inverse of entries near the float64 maximum has subnormal
+        # entries, which an unscaled inverse rounds to a singular matrix;
+        # inverted scaled, level 1 reads the generator and its inverse, and
+        # the square overflows
         q, _ = np.linalg.qr(np.random.default_rng(2).standard_normal((2, 2)))
         path = write_doc(tmp_path / "g.json",
                          {"n": 2, "generators": [{"name": "g", "rows": rows(1.7e308 * q)}]})
-        src = Path(repdyn.__file__).resolve().parents[1]
-        result = subprocess.run(
-            [sys.executable, "-m", "repdyn.cli", "spectrum", "--input", path,
-             "--out-dir", str(tmp_path / "out")],
-            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
-        )
-        assert result.returncode == EXIT_NUMERIC
-        assert result.stderr.endswith(
-            "repdyn: numeric failure: no complete sample level before overflow\n")
+        out = tmp_path / "out"
+        code = main(["spectrum", "--input", path, "--out-dir", str(out)])
+        results = read_summary(out, "spectrum")["results"]
+        assert code == EXIT_FAIL
+        assert results["truncated"] is True
+        assert (results["m_max"], results["m_used"]) == (6, 1)
+        with open(out / "spectrum_cone_samples.csv", encoding="utf-8") as fh:
+            samples = list(csv.DictReader(fh))
+        assert [r["word"] for r in samples] == ["g", "g^-1"]
+        log_top = np.log(1.7e308)
+        for r, sign in zip(samples, (1, -1)):
+            for c in ("c1", "c2"):
+                assert float(r[c]) == pytest.approx(sign * log_top, rel=1e-15)
 
 
 class TestImportCost:

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repdyn import linalg
+from repdyn.domination import GeneratorSet
 from repdyn.errors import ConditionWarning, DegenerateGapError, DegenerateInputError
 from repdyn.linalg import _first_invalid
 from repdyn.linalg import (
@@ -27,7 +29,7 @@ from repdyn.linalg import (
     top_singular_subspace,
 )
 
-from conftest import mpmath_column_angle, mpmath_log_length
+from conftest import mpmath_column_angle, mpmath_frame_errors, mpmath_log_length
 
 # Frozen oracles.  For [[3,1],[1,1]] the Gram matrix has trace 12 and
 # determinant 4, so the singular values are 2 + sqrt(2) and 2 - sqrt(2).
@@ -337,9 +339,9 @@ class TestSingularFrames:
 
     def test_rows_match_one_matrix_svd(self):
         ms = np.random.default_rng(4).standard_normal((50, 4, 4)) + 3.0 * np.eye(4)
-        u, s, vt = singular_frames(ms, 2)
-        for m, row in zip(ms, zip(u, s, vt)):
-            for got, expected in zip(row, np.linalg.svd(m)):
+        s, vt = singular_frames(ms, 2)
+        for m, row in zip(ms, zip(s, vt)):
+            for got, expected in zip(row, np.linalg.svd(m)[1:]):
                 assert np.array_equal(got, expected)
 
     def test_one_matrix_message_unchanged(self):
@@ -389,3 +391,185 @@ class TestSingularFrames:
         bases[2, 1, 0] = 0.5
         with pytest.raises(ValueError):
             require_orthonormal(bases)
+
+
+def random_rotation(seed):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))
+    return q
+
+
+class TestClosedFormFrames:
+    """The n = 3 singular frames against 60-digit mpmath, and the rows they
+    leave to LAPACK."""
+
+    # each vector within FRAME_UNITS * eps * s1 / gap of the exact one, gap
+    # the distance of its singular value to the nearest other; s1 within
+    # S1_ULPS * eps * s1 and s2, s3 within SMALL_ULPS * eps * s1
+    FRAME_UNITS = 4.0
+    S1_ULPS = 3.0
+    SMALL_ULPS = 4.0
+
+    EPS = np.finfo(float).eps
+
+    @staticmethod
+    def frames(ms):
+        """`linalg._frames3` as `linalg._svd` calls it: no warning, and the
+        mask of the rows it hands LAPACK."""
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return linalg._frames3(ms)
+
+    KINDS = ("spread", "close", "top close", "bottom close", "gaussian")
+
+    @staticmethod
+    def matrix(kind, seed, u, w, a, b, scale):
+        """A test matrix: ``Q1 diag(s) Q2`` scaled by ``2**scale``.  "spread"
+        reaches condition numbers of 1e28; "close" puts both gaps, "top
+        close" the top and "bottom close" the bottom gap on either side of
+        _FRAME_GAP_MARGIN; "gaussian" has Gaussian entries."""
+        if kind == "gaussian":
+            m = np.random.default_rng(seed).standard_normal((3, 3))
+        else:
+            near_a, near_b = 1.0 - 10.0**a, 1.0 - 10.0**b
+            s = {"spread": [1.0, 10.0**-u, 10.0 ** -(u + w)],
+                 "close": [1.0, near_a, near_a * near_b],
+                 "top close": [1.0, near_a, 10.0**-u],
+                 "bottom close": [1.0, 10.0**-u, 10.0**-u * near_b]}[kind]
+            m = random_rotation(seed) @ np.diag(s) @ random_rotation(seed + 1)
+        return np.ldexp(m, scale)
+
+    def assert_rows_within_bounds(self, ms):
+        """Each row either has LAPACK's bits, where the closed form hands it
+        over, or lies within the bounds of mpmath."""
+        s, vt = linalg._svd(ms, vectors=True)
+        lapack = self.frames(ms)[2]
+        _, lapack_s, lapack_vt = np.linalg.svd(ms[lapack])
+        assert np.array_equal(s[lapack], lapack_s) and np.array_equal(vt[lapack], lapack_vt)
+        for m, values, vectors in zip(ms[~lapack], s[~lapack], vt[~lapack]):
+            angles, gaps, deviations, top = mpmath_frame_errors(m, values, vectors)
+            for angle, gap in zip(angles, gaps):
+                assert angle <= self.FRAME_UNITS * self.EPS * top / gap
+            assert deviations[0] <= self.S1_ULPS * self.EPS * top
+            assert max(deviations[1:]) <= self.SMALL_ULPS * self.EPS * top
+            assert np.abs(vectors @ vectors.T - np.eye(3)).max() <= 4 * self.EPS
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(KINDS),
+        seed=st.integers(0, 2**32 - 1),
+        u=st.floats(0.0, 14.0),
+        w=st.floats(0.0, 14.0),
+        a=st.floats(-3.5, -0.5),
+        b=st.floats(-3.5, -0.5),
+        scale=st.integers(-900, 900),
+    )
+    def test_rows_against_mpmath(self, kind, seed, u, w, a, b, scale):
+        self.assert_rows_within_bounds(self.matrix(kind, seed, u, w, a, b, scale)[None])
+
+    def test_seeded_rows_against_mpmath(self):
+        # 100 rows of each kind, gaps from 10**-3.5 to 10**-0.5
+        rng = np.random.default_rng(17)
+        ms = [self.matrix(kind, int(rng.integers(2**32)), *rng.uniform(0.0, 14.0, 2),
+                          *rng.uniform(-3.5, -0.5, 2), int(rng.integers(-900, 900)))
+              for kind in self.KINDS for _ in range(100)]
+        self.assert_rows_within_bounds(np.array(ms))
+
+    def mixed_stack(self):
+        """Rows of every kind: spread, close, Gaussian, and rows handed to
+        LAPACK (a double top value, gaps under the margin, FLAT)."""
+        rng = np.random.default_rng(21)
+        r = random_rotation(5)
+        ms = [random_rotation(i) @ np.diag([1.0, 10.0**-x, 10.0**-(x + y)]) @ random_rotation(i + 1)
+              for i, (x, y) in enumerate(rng.uniform(0, 10, (20, 2)))]
+        ms += list(rng.standard_normal((20, 3, 3)) * 10.0 ** rng.uniform(-200, 200, (20, 1, 1)))
+        ms += [r @ np.diag([2.0, 2.0, 0.5]), r @ np.diag([1.0, 1.0 - 5e-4, 0.25]),
+               r @ np.diag([1.0, 0.5, 0.5 - 1e-4]), TestSingularFrames.FLAT]
+        return np.array(ms)
+
+    def test_rows_alone_equal_rows_stacked(self, monkeypatch):
+        ms = self.mixed_stack()
+        assert 0 < self.frames(ms)[2].sum() < len(ms)
+        s, vt = linalg._svd(ms, vectors=True)
+        values = linalg.singular_values(ms)
+        for i in range(len(ms)):
+            one_s, one_vt = linalg._svd(ms[i : i + 1], vectors=True)
+            assert np.array_equal(one_s[0], s[i]) and np.array_equal(one_vt[0], vt[i])
+            assert np.array_equal(linalg.singular_values(ms[i]), values[i])
+        # blocks change no row
+        monkeypatch.setattr(linalg, "_FRAME_BLOCK", 7)
+        blocked_s, blocked_vt = linalg._svd(ms, vectors=True)
+        assert np.array_equal(blocked_s, s) and np.array_equal(blocked_vt, vt)
+
+    def test_empty_stack(self):
+        s, vt = singular_frames(np.empty((0, 3, 3)), 1)
+        assert s.shape == (0, 3) and vt.shape == (0, 3, 3)
+        assert linalg.singular_values(np.empty((0, 3, 3))).shape == (0, 3)
+
+    def test_handed_over_rows_keep_lapack_bits(self):
+        ms = self.mixed_stack()[-4:]
+        assert self.frames(ms)[2].all()
+        s, vt = linalg._svd(ms, vectors=True)
+        _, lapack_s, lapack_vt = np.linalg.svd(ms)
+        assert np.array_equal(s, lapack_s) and np.array_equal(vt, lapack_vt)
+        assert np.array_equal(linalg.singular_values(ms),
+                              np.linalg.svd(ms, compute_uv=False))
+
+    def test_gap_message_is_lapacks(self):
+        m = random_rotation(8) @ np.diag([1.0, 1.0 - 1e-10, 0.5]) @ random_rotation(9)
+        _, s, _ = np.linalg.svd(m)
+        gap = (s[0] - s[1]) / s[0]
+        err, _ = caught_conditions(lambda: singular_frames(m[None], 1))
+        assert isinstance(err, DegenerateGapError)
+        assert str(err) == f"singular gap at index 1 is degenerate (relative gap {gap:.3e})"
+        assert err.gap == gap
+
+    def test_span_beyond_the_limit_is_lapacks(self):
+        # s1 / s3 = 1e200, beyond _FRAME_SPAN_LIMIT; and a matrix whose s3
+        # is subnormal
+        ms = np.array([np.diag([1.0, 1e-100, 1e-200]), 1e-300 * np.diag([1.0, 0.5, 1e-10])])
+        assert self.frames(ms)[2].all()
+        s, vt = linalg._svd(ms, vectors=True)
+        _, lapack_s, lapack_vt = np.linalg.svd(ms)
+        assert np.array_equal(s, lapack_s) and np.array_equal(vt, lapack_vt)
+
+    def test_ill_conditioned_diagonal_is_exact(self):
+        # ILL keeps the closed form, which reads its diagonal exactly
+        ill = TestSingularFrames.ILL
+        assert not self.frames(ill[None])[2][0]
+        (s, vt), _ = caught_conditions(lambda: singular_frames(ill[None], 1))
+        assert s[0].tolist() == [1e13, 1.0, 0.5]
+        assert np.array_equal(np.abs(vt[0]), np.eye(3))
+
+    def test_degenerate_rows_leak_no_warning(self):
+        r = random_rotation(3)
+        handed_over = np.array([
+            np.zeros((3, 3)), np.ones((3, 3)), np.diag([1.0, 1.0, 0.0]), np.eye(3),
+            np.diag([1e300, 1.0, 1e-300]), 1e-320 * np.eye(3), 1.7e308 * r,
+            r @ np.diag([1.0, 1e-200, 1e-300]),
+        ])
+        singular = np.arange(1.0, 10.0).reshape(3, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self.frames(handed_over)[2].all()
+            s, vt = linalg._svd(handed_over, vectors=True)
+            values = linalg.singular_values(np.concatenate([handed_over, singular[None]]))
+        _, lapack_s, lapack_vt = np.linalg.svd(handed_over)
+        assert np.array_equal(s, lapack_s) and np.array_equal(vt, lapack_vt)
+        assert np.isfinite(values).all()
+
+
+class TestScaledInverse:
+    def test_inside_the_band_is_inv(self):
+        scales = 10.0 ** np.arange(-70, 80, 5)[:, None, None]
+        ms = np.random.default_rng(6).standard_normal((30, 3, 3)) * scales
+        assert np.array_equal(linalg.scaled_inv(ms), np.linalg.inv(ms))
+
+    def test_near_the_float_maximum(self):
+        # an unscaled inverse of 1.7e308 Q rounds to the singular
+        # [[0, 6.5e-309], [0, 0]]
+        q, _ = np.linalg.qr(np.random.default_rng(2).standard_normal((2, 2)))
+        got = linalg.scaled_inv((1.7e308 * q)[None])[0]
+        assert got == pytest.approx(q.T / 1.7e308, rel=1e-14, abs=0)
+        c, s = np.cos(0.7), np.sin(0.7)
+        gens = GeneratorSet([1.7e308 * np.array([[c, -s], [s, c]]), np.diag([2.0, 0.5])])
+        moduli = linalg.log_eigenvalue_moduli(gens.image(-1)[None])[0]
+        assert moduli == pytest.approx([-np.log(1.7e308)] * 2, rel=1e-14)
