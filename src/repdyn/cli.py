@@ -825,10 +825,8 @@ def cmd_flowmetric(args) -> int:
             )
     pairs = [
         {"i": i, "j": j, "value": r.value, "tail_bound": r.tail_bound}
-        for i in range(len(geos))
-        for j, r in enumerate(
-            words.flow_metric(geos[i], geos[i:], args.window), start=i
-        )
+        for i, row in enumerate(words.flow_metric(geos, half_width=args.window))
+        for j, r in enumerate(row, start=i)
     ]
     csv_path = os.path.join(args.out_dir, "flowmetric_pairs.csv")
     write_csv(

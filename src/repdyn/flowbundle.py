@@ -19,18 +19,23 @@ of lines together, one stacked product per step, and groups them by how
 far they reach in each direction (a line that overflows stops early); each
 group is one trajectory.  `estimate_splitting`, `measure_rates` and
 `splitting_at`, which reads the frames at a sequence of pairs of times,
-treat all the lines and times of a group in a few stacked calls:
-`linalg.singular_frames` and friends for the frames and the gap checks (in
-closed form for n = 3, by LAPACK near a double singular value and for other
-n), LAPACK for the stretches of blocks of two or more columns, the column
-length for the stretch of a one-column block, and one `fitting.fit_lines`
-call per reach for the rates.  Each decomposes its matrix or sums its row
-on its own, so a line gets the same bits in a group as alone.  Every analysis
-returns one result per line of the group, and a single line is a group of
-one.  A check that fails on any line raises for the whole group, so a
-caller that wants per-line outcomes (``repdyn split``) runs a failing group
-again one line at a time.  Each stacked call whose products pass the
-condition limit draws one `ConditionWarning` that counts them.
+treat all the lines and times of a group in a few stacked calls.  A group
+decomposes its products ``P(±t)`` once, in one `linalg.unchecked_frames`
+call on first use (`CocycleTrajectory.frames`: in closed form for n = 3, by
+LAPACK near a double singular value and for other n).  The gap checks read
+its singular values, and `splitting_at` hands the rows it reads to
+`linalg.singular_frames` and `bottom_singular_subspace`, which check them
+as if they had decomposed them.  The relative products of `measure_rates`
+take one checked decomposition of their own; LAPACK gives the stretches of
+blocks of two or more columns, the column length the stretch of a
+one-column block, and one `fitting.fit_lines` call per reach the rates.
+Each decomposes its matrix or sums its row on its own, so a line gets the
+same bits in a group as alone.  Every analysis returns one result per line
+of the group, and a single line is a group of one.  A check that fails on
+any line raises for the whole group, so a caller that wants per-line
+outcomes (``repdyn split``) runs a failing group again one line at a time.
+Each stacked check whose products pass the condition limit draws one
+`ConditionWarning` that counts them.
 """
 
 from __future__ import annotations
@@ -49,8 +54,8 @@ from .linalg import (
     log_column_lengths,
     require_orthonormal,
     singular_frames,
-    singular_values,
     subspace_distance,
+    unchecked_frames,
 )
 from .words import alphabet, letter_rank
 
@@ -78,7 +83,8 @@ class CocycleTrajectory:
     t) @ P(t)`` and backward steps apply inverse images.  Both are read-only
     ``(B, T + 1, n, n)`` stacks.  ``truncated`` says that the lines stopped
     short of their windows on overflow.  ``positions`` are the places of
-    the lines in the sequence given to `build_trajectory`.
+    the lines in the sequence given to `build_trajectory`.  ``_frames``
+    holds the decomposition of `frames` once it is made.
     """
 
     gens: GeneratorSet
@@ -87,6 +93,7 @@ class CocycleTrajectory:
     backward: np.ndarray = field(repr=False)
     positions: tuple
     truncated: bool = False
+    _frames: tuple = field(default=None, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -104,9 +111,30 @@ class CocycleTrajectory:
     def t_backward(self) -> int:
         return self.backward.shape[1] - 1
 
+    def frames(self, sign):
+        """``(s, vt)`` of ``P(sign * t)``, t = 0, 1, ..., of every line: the
+        `linalg.unchecked_frames` of ``forward`` (``sign > 0``) or
+        ``backward``, as read-only ``(B, T + 1, n)`` and ``(B, T + 1, n, n)``
+        stacks.  Both directions are decomposed together, in one call, the
+        first time either is asked for."""
+        if self._frames is None:
+            n, stacks = self.dim, (self.forward, self.backward)
+            products = np.concatenate([p.reshape(-1, n, n) for p in stacks])
+            # P(0) = I keeps the exact frames LAPACK gives it: unit values, vt = I
+            moved = np.concatenate([np.tile(np.arange(p.shape[1]) > 0, len(p)) for p in stacks])
+            s, vt = np.ones(products.shape[:-1]), np.tile(np.eye(n), (len(products), 1, 1))
+            s[moved], vt[moved] = unchecked_frames(products[moved])
+            s.flags.writeable = vt.flags.writeable = False
+            cut = [self.forward.size // (n * n)]
+            self._frames = tuple(
+                (a.reshape(p.shape[:-1]), b.reshape(p.shape))
+                for p, a, b in zip(stacks, np.split(s, cut), np.split(vt, cut))
+            )
+        return self._frames[0 if sign > 0 else 1]
+
     def single_lines(self) -> list["CocycleTrajectory"]:
         """The lines one at a time, as groups of one that keep their
-        positions."""
+        positions, and their rows of `frames` if they were made."""
         return [
             replace(
                 self,
@@ -114,6 +142,8 @@ class CocycleTrajectory:
                 forward=self.forward[b : b + 1],
                 backward=self.backward[b : b + 1],
                 positions=(self.positions[b],),
+                _frames=None if self._frames is None else tuple(
+                    (s[b : b + 1], vt[b : b + 1]) for s, vt in self._frames),
             )
             for b, line in enumerate(self.lines)
         ]
@@ -211,10 +241,10 @@ class SplittingEstimate:
 def _check_gaps(traj, k, sign):
     """Raise at the first time 1, 2, ... in direction ``sign`` where the
     singular gap at index k or n - k of ``P(sign * t)`` collapses, on the
-    first line that has such a time."""
+    first line that has such a time.  The singular values are those of
+    `CocycleTrajectory.frames`."""
     n = traj.dim
-    store = traj.forward if sign > 0 else traj.backward
-    s = singular_values(store[:, 1:])
+    s = traj.frames(sign)[0][:, 1:]
     index = np.array(sorted({k, n - k}))
     gaps = (s[..., index - 1] - s[..., index]) / s[..., index - 1]
     failed = np.flatnonzero(gaps < GAP_TOL)
@@ -258,6 +288,16 @@ def _blocks(vt_forward, vt_backward, k):
     )
 
 
+def _rows_at(traj, sign, times):
+    """The products ``P(sign * t)`` of every line at ``times``, as one
+    ``(B * len(times), n, n)`` stack, and their rows of `frames`."""
+    n = traj.dim
+    store = traj.forward if sign > 0 else traj.backward
+    s, vt = traj.frames(sign)
+    return store[:, times].reshape(-1, n, n), (s[:, times].reshape(-1, n),
+                                               vt[:, times].reshape(-1, n, n))
+
+
 def splitting_at(traj, k: int, t_forward, t_backward):
     """Raw splitting estimates from pairs of window ends.
 
@@ -268,7 +308,8 @@ def splitting_at(traj, k: int, t_forward, t_backward):
     of orthonormal bases (p the block dimension), a row per line and within
     it a row per pair.  All the ``P(-t_backward)`` go through one
     `bottom_singular_subspace` call, then all the ``P(t_forward)`` through
-    one `singular_frames` call, each checked line by line.
+    one `singular_frames` call, each checked line by line.  Both read the
+    group's `CocycleTrajectory.frames` instead of decomposing.
     """
     tf, tb = np.asarray(t_forward, dtype=int), np.asarray(t_backward, dtype=int)
     if tf.ndim != 1 or tf.shape != tb.shape:
@@ -278,8 +319,10 @@ def splitting_at(traj, k: int, t_forward, t_backward):
             f"times must lie in 0..{traj.t_forward} forward, 0..{traj.t_backward} backward"
         )
     n = traj.dim
-    v_plus = bottom_singular_subspace(traj.backward[:, tb].reshape(-1, n, n), k)
-    _, vt = singular_frames(traj.forward[:, tf].reshape(-1, n, n), n - k)
+    ms, frames = _rows_at(traj, -1, tb)
+    v_plus = bottom_singular_subspace(ms, k, frames=frames)
+    ms, frames = _rows_at(traj, +1, tf)
+    _, vt = singular_frames(ms, n - k, frames=frames)
     blocks = v_plus, _bases(vt[:, k : n - k]), _bases(vt[:, n - k :])
     return tuple(b.reshape(traj.size, tf.size, n, -1) for b in blocks)
 

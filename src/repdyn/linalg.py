@@ -49,7 +49,10 @@ closed form, from the top eigenpairs of the Gram matrices of the matrix and
 of its cofactor matrix, each vector within a few ``eps s1 / gap`` of the
 exact one; LAPACK takes the matrices near a double singular value or with a
 relative gap below 1e-3, so every gap verdict is LAPACK's (see
-`_frames3`).  `singular_values` reads the same kernel without checks.
+`_frames3`).  `unchecked_frames` reads the same kernel without checks; a
+caller that reads several stacks off one set of products decomposes them
+once that way and hands each stack's rows back to `singular_frames` (or
+`bottom_singular_subspace`) as ``frames``, which then only checks them.
 `subspace_distance` also takes two ``(N, n, p)`` stacks of bases, and
 `bottom_singular_subspace` an ``(N, n, n)`` stack of matrices.  The
 one-matrix functions are these kernels applied to a stack of one, and
@@ -191,14 +194,16 @@ def _warn_ill_conditioned(cond, size, stacklevel):
     )
 
 
-def singular_frames(ms, gap_index: int, stacklevel=2):
+def singular_frames(ms, gap_index: int, stacklevel=2, frames=None):
     """Singular values and right singular vectors ``(s, vt)`` of an ``(N,
     n, n)`` stack, checked row by row: ``s`` is ``(N, n)``, largest first,
     and the rows of ``vt[i]`` are the right singular vectors of ``ms[i]``,
     each up to sign.  For n = 3 they come in closed form, and LAPACK takes
     a matrix near a double singular value or with a relative gap below
     _FRAME_GAP_MARGIN (see `_frames3`); other n are LAPACK's.  Either way a
-    row has the same bits in a stack as alone.
+    row has the same bits in a stack as alone.  ``frames``, the
+    `unchecked_frames` of ``ms`` (or the same rows of a larger stack),
+    stands in for the decomposition, and only the checks run.
 
     Each matrix in turn gets the checks of `require_matrix`, then the check
     that its singular values span less than float64 allows, then the gap
@@ -218,7 +223,10 @@ def singular_frames(ms, gap_index: int, stacklevel=2):
     if not 1 <= p < n:
         raise ValueError(f"gap index must satisfy 1 <= index < {n}, got {p}")
     stop, error = _first_invalid(ms, "matrix")
-    s, vt = _svd(ms[:stop], vectors=True)
+    if frames is None:
+        s, vt = _svd(ms[:stop])
+    else:
+        s, vt = frames[0][:stop], frames[1][:stop]
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = s[:, 0] / s[:, -1]
         gap = (s[:, p - 1] - s[:, p]) / s[:, p - 1]
@@ -243,15 +251,10 @@ def singular_frames(ms, gap_index: int, stacklevel=2):
     return s, vt
 
 
-def singular_values(ms):
-    """The singular values of each matrix of a ``(..., n, n)`` stack of
-    finite matrices, largest first, unchecked: those of `singular_frames`,
-    with LAPACK's ``compute_uv=False`` values on the rows it hands LAPACK
-    and for n other than 3."""
-    ms = np.asarray(ms, dtype=float)
-    n = ms.shape[-1]
-    s, _ = _svd(ms.reshape(-1, n, n), vectors=False)
-    return s.reshape(ms.shape[:-1])
+def unchecked_frames(ms):
+    """The ``(s, vt)`` of `singular_frames` for an ``(N, n, n)`` stack of
+    finite matrices, without its checks, warnings or errors."""
+    return _svd(np.asarray(ms, dtype=float))
 
 
 def _scale_to_unit(ms, top=0):
@@ -486,29 +489,21 @@ def _frames3(ms):
     return s.T, np.array([v1, v2, v3]).transpose(2, 0, 1), lapack
 
 
-def _svd(ms, vectors):
-    """``(s, vt)`` of an ``(N, n, n)`` stack of finite matrices, ``vt``
-    None without ``vectors``: for n = 3 `_frames3`, _FRAME_BLOCK rows at a
-    time, with LAPACK for the rows it hands over, and LAPACK for other n."""
-
-    def lapack(rows):
-        if vectors:
-            _, s, vt = np.linalg.svd(rows)
-            return s, vt
-        return np.linalg.svd(rows, compute_uv=False), None
-
+def _svd(ms):
+    """``(s, vt)`` of an ``(N, n, n)`` stack of finite matrices: for n = 3
+    `_frames3`, _FRAME_BLOCK rows at a time, with LAPACK for the rows it
+    hands over, and LAPACK for other n."""
     if ms.shape[-1] != 3:
-        return lapack(ms)
+        _, s, vt = np.linalg.svd(ms)
+        return s, vt
     s, vt = np.empty(ms.shape[:2]), np.empty(ms.shape)
     for start in range(0, len(ms), _FRAME_BLOCK):
         block = slice(start, start + _FRAME_BLOCK)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             s[block], vt[block], rows = _frames3(ms[block])
         if rows.any():
-            s[block][rows], frames = lapack(ms[block][rows])
-            if vectors:
-                vt[block][rows] = frames
-    return s, vt if vectors else None
+            _, s[block][rows], vt[block][rows] = np.linalg.svd(ms[block][rows])
+    return s, vt
 
 
 def _log_sv3(products, logdet, inverse):
@@ -937,14 +932,14 @@ def jordan_projection(m) -> SpectralVector:
     return SpectralVector(v, "jordan")
 
 
-def _subspace_frames(ms, p, bottom):
+def _subspace_frames(ms, p, bottom, frames=None):
     """`singular_frames` of an ``(N, n, n)`` stack for the top or bottom
     p-dimensional singular subspaces; warnings point at the caller's caller."""
     _require_square(ms.shape[1:], "matrix")
     n = ms.shape[-1]
     if not 1 <= p < n:
         raise ValueError(f"subspace size must satisfy 1 <= p < {n}, got {p}")
-    return singular_frames(ms, n - p if bottom else p, stacklevel=4)
+    return singular_frames(ms, n - p if bottom else p, stacklevel=4, frames=frames)
 
 
 def top_singular_subspace(m, p: int) -> Subspace:
@@ -970,7 +965,7 @@ def top_singular_subspace(m, p: int) -> Subspace:
     return Subspace(vt[0, :p].T)
 
 
-def bottom_singular_subspace(m, p: int) -> Subspace:
+def bottom_singular_subspace(m, p: int, frames=None) -> Subspace:
     """Span of the right singular vectors of ``m`` for its ``p`` smallest
     singular values.
 
@@ -978,11 +973,12 @@ def bottom_singular_subspace(m, p: int) -> Subspace:
     inverse matrix, computed here without inverting.  The defining gap is the
     one between singular values ``n - p`` and ``n - p + 1``.  An ``(N, n, n)``
     stack gives a read-only ``(N, n, p)`` stack of bases from one
-    `singular_frames` call, checked matrix by matrix.
+    `singular_frames` call, checked matrix by matrix; ``frames``, the stack's
+    `unchecked_frames`, spares that call its decomposition.
     """
     m = np.asarray(m, dtype=float)
     stack = m.ndim == 3
-    _, vt = _subspace_frames(m if stack else m[None], p, bottom=True)
+    _, vt = _subspace_frames(m if stack else m[None], p, bottom=True, frames=frames)
     bases = np.swapaxes(vt[:, -p:, :], 1, 2)
     return require_orthonormal(bases) if stack else Subspace(bases[0])
 

@@ -8,9 +8,10 @@ and spheres enumerate in shortlex order with respect to it.
 Beyond plain words the module models unit-speed parametrized lines in the
 Cayley tree, the points of the geodesic flow: a :class:`FlowLineWindow`
 is a window of edge letters around a basepoint, through an anchor vertex.
-The flow bundle walks its letters; `flow_metric` reads its vertex path,
-kept as one zero-padded letter array, and integrates the distances between
-lines against the weight ``2**-|t|`` for many pairs and all times at once.
+The flow bundle walks its letters; `flow_metric` reads the vertex paths of
+all its lines off one zero-padded letter stack, built in one pass, and
+integrates the distances between lines against the weight ``2**-|t|`` for
+many pairs and all times at once.
 
 Scan policies select between exhaustive sphere enumeration
 (:class:`Exhaustive`) and seeded random sampling (:class:`Sampled`).
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, total_ordering
+from itertools import islice
 
 import numpy as np
 
@@ -55,6 +57,10 @@ _OVERFLOW = "product left float64 range"
 # closed-form moments of 2**-u on [0, 1]: against (1 - u) and against u
 _WEIGHT_MOMENT_1 = (1.0 - LOG2) / (2.0 * LOG2**2)
 _WEIGHT_MOMENT_0 = 1.0 / (2.0 * LOG2) - _WEIGHT_MOMENT_1
+
+# `flow_metric` weighs the distances of at least this many pairs at a time
+# (or all of them, if fewer), which bounds its temporaries
+_PAIR_BLOCK = 2048
 
 
 def letter_rank(letter):
@@ -651,12 +657,11 @@ class FlowLineWindow:
     ``j + 1``).  The basepoint sits ``basepoint_offset`` positions from the
     center; positions are always addressed relative to the basepoint.  The
     vertex at the basepoint is ``anchor`` (the identity by default), so
-    ``vertex(t + 1) = vertex(t) * letter(t)``.  The vertices at relative
-    times ``-U .. U``, U the `usable_half_width`, are built on first use as
-    zero-padded letter rows of type `_letter_dtype` and their lengths.
+    ``vertex(t + 1) = vertex(t) * letter(t)``.  `vertex_rows` gives the
+    vertices of a window as zero-padded letter rows and their lengths.
     """
 
-    __slots__ = ("_letters", "_half_width", "_offset", "_anchor", "_vertices")
+    __slots__ = ("_letters", "_half_width", "_offset", "_anchor")
 
     def __init__(self, letters, half_width: int, basepoint_offset: int = 0, anchor=()):
         self._anchor = anchor if isinstance(anchor, Word) else Word(anchor)
@@ -674,7 +679,6 @@ class FlowLineWindow:
             )
         self._half_width = half_width
         self._offset = basepoint_offset
-        self._vertices = None
 
     @property
     def half_width(self) -> int:
@@ -720,24 +724,13 @@ class FlowLineWindow:
         return Word(letters[i, : lengths[i]])
 
     def vertex_rows(self, half_width: int):
-        """Padded letter rows and lengths of the vertices at relative times
-        ``-half_width .. half_width``; a row may carry more padding than its
-        vertex needs."""
-        reach = self.usable_half_width
-        if not 0 <= half_width <= reach:
+        """Zero-padded letter rows and lengths of the vertices at relative
+        times ``-half_width .. half_width``: this line's rows of
+        `_vertex_stack`."""
+        if not 0 <= half_width <= self.usable_half_width:
             raise WindowBoundsError(f"half width {half_width} is outside the window")
-        if self._vertices is None:
-            anchor = self._anchor.letters
-            forward = self.letters_between(0, reach)
-            backward = tuple(-l for l in reversed(self.letters_between(-reach, 0)))
-            dtype = _letter_dtype(max(map(abs, anchor + self._letters)))
-            back_letters, back_lengths = _ray_vertices(anchor, backward, dtype)
-            letters, lengths = _ray_vertices(anchor, forward, dtype)
-            self._vertices = (np.concatenate([back_letters[::-1], letters[1:]]),
-                              np.concatenate([back_lengths[::-1], lengths[1:]]))
-        letters, lengths = self._vertices
-        rows = slice(reach - half_width, reach + half_width + 1)
-        return letters[rows], lengths[rows]
+        letters, lengths = _vertex_stack([self], half_width)
+        return letters[0], lengths[0]
 
     def _key(self):
         return self._letters, self._half_width, self._offset, self._anchor
@@ -781,28 +774,57 @@ class FlowLineWindow:
         return cls(stream, half_width, anchor=anchor)
 
 
-def _ray_vertices(anchor, ray, dtype):
-    """Rows ``anchor * ray[:t]`` for t = 0 .. len(ray), zero padded, of type
-    ``dtype``, and their lengths.
+def _vertex_stack(lines, half_width):
+    """Zero-padded letter rows ``(B, 2T + 1, W)`` and lengths ``(B, 2T + 1)``
+    of the vertices of each of B lines at relative times ``-T .. T``, T =
+    ``half_width``, W the longest length; the letters have the type
+    `_letter_dtype` gives the largest of them.
 
-    The ray is reduced, so it can only cancel a tail of the anchor, and only
-    with its first letters: after ``c`` cancelling letters the vertex at time
-    ``t`` is ``anchor[:n - s] + ray[s:t]`` with ``s = min(c, t)``.
+    Both rays of every line go through one stacked pass.  A ray is reduced,
+    so it can only cancel a tail of the anchor, and only with its first
+    letters: after ``c`` cancelling letters its vertex at time ``t`` is
+    ``anchor[:n - t]`` for ``t <= c`` and ``anchor[:n - c] + ray[c:t]``
+    after, of length ``n + t - 2 min(t, c)``.  Each ray gets its own count
+    ``c`` and its own path ``anchor[:n - c] + ray[c:]``, and each vertex row
+    is a prefix of its anchor or of its path.
     """
-    n, T = len(anchor), len(ray)
-    c = 0
-    while c < min(n, T) and ray[c] == -anchor[n - 1 - c]:
-        c += 1
-    t = np.arange(T + 1)[:, None]
-    s = np.minimum(t, c)
-    lengths = n + t - 2 * s
-    # column j reads the anchor before n - s and the ray after it, where
-    # ray[j - (n - s) + s] sits at j + 2s of anchor + ray
-    j = np.arange(n + T)
-    source = np.array((0,) + anchor + ray, dtype=dtype)
-    index = np.where(j < n - s, j, j + 2 * s) + 1
-    rows = source[np.where(j < lengths, index, 0)]
-    return rows, lengths[:, 0]
+    count, T = len(lines), half_width
+    anchors = [line.anchor.letters for line in lines]
+    n = np.array([len(a) for a in anchors])
+    A = int(n.max())
+    anchor = np.zeros((count, A), dtype=np.int64)
+    anchor[np.arange(A) < n[:, None]] = [l for a in anchors for l in a]
+    window = np.array([line.letters_between(-T, T) for line in lines], dtype=np.int64)
+    # rows 0 .. B - 1 read the backward rays, rows B .. 2B - 1 the forward ones
+    rays = np.concatenate([-window[:, T - 1 :: -1], window[:, T:]])
+    anchor, n = np.concatenate([anchor, anchor]), np.concatenate([n, n])
+    rows = np.arange(2 * count)[:, None]
+
+    # ray[j] cancels anchor[n - 1 - j]; a column past the anchor matches no
+    # letter, and a column of mismatches stops a ray that cancels it all
+    j = np.arange(min(A, T))
+    tail = np.where(j < n[:, None], anchor[rows, np.maximum(n[:, None] - 1 - j, 0)], 0)
+    match = np.zeros((2 * count, j.size + 1), dtype=bool)
+    np.equal(rays[:, : j.size], -tail, out=match[:, :-1])
+    c = match.argmin(axis=1)[:, None]
+
+    # column j of a path reads the anchor before n - c and ray[j - n + 2c]
+    # after it, at column A + j - n + 2c of anchor + ray
+    j = np.arange(A + T)
+    source = np.concatenate([anchor, rays], axis=1)
+    index = np.where(j < n[:, None] - c, j, np.minimum(A + j - n[:, None] + 2 * c, A + T - 1))
+    dtype = _letter_dtype(int(np.abs(source).max(initial=1)))
+    path = source[rows, index].astype(dtype)
+    anchor = np.pad(anchor.astype(dtype), ((0, 0), (0, T)))
+
+    t = np.arange(T + 1)
+    lengths = n[:, None] + t - 2 * np.minimum(t, c)
+    letters = np.where((t <= c)[..., None], anchor[:, None], path[:, None])
+    letters[j >= lengths[..., None]] = 0
+    # times -T .. -1 read the backward rows from T down to 1
+    letters = np.concatenate([letters[:count, :0:-1], letters[count:]], axis=1)
+    lengths = np.concatenate([lengths[:count, :0:-1], lengths[count:]], axis=1)
+    return letters[..., : lengths.max()], lengths
 
 
 @dataclass(frozen=True)
@@ -816,11 +838,14 @@ class FlowMetricResult:
         return self.value
 
 
-def flow_metric(g: FlowLineWindow, h, half_width=None):
+def flow_metric(g, h=None, half_width=None):
     """Integral of the tree distance against the weight ``2**-|t|``.
 
-    ``h`` is one line, giving one :class:`FlowMetricResult`, or a sequence
-    of them, giving the list of results of ``g`` against each.  The window
+    ``h`` is one line, giving one :class:`FlowMetricResult` of the line
+    ``g`` against it, or a sequence of lines, giving the list of results of
+    ``g`` against each.  Without ``h``, ``g`` is a sequence of lines and the
+    result the list, for each i, of the results of ``g[i]`` against
+    ``g[i:]``: every pair once, and each line against itself.  The window
     defaults to, and may not exceed, the lines' common `usable_half_width`.
 
     The distance between two unit-speed geodesics is piecewise linear with
@@ -829,9 +854,21 @@ def flow_metric(g: FlowLineWindow, h, half_width=None):
     reproduces the truncated integral without quadrature error.  The reported
     tail bound uses the a-priori estimate distance <= 2|t| outside the
     window.
+
+    The vertex rows of all the lines come from one `_vertex_stack`.  The
+    distances are read off it a line against its partners at a time
+    (`_window_distances`) and weighted _PAIR_BLOCK pairs or more at a time,
+    so that no temporary holds every pair at every time and letter.
     """
-    others = [h] if isinstance(h, FlowLineWindow) else list(h)
-    limit = min(line.usable_half_width for line in [g, *others])
+    if h is None:
+        lines = list(g)
+        if not lines:
+            raise ValueError("need at least one line")
+        rows = [(i, i) for i in range(len(lines))]
+    else:
+        lines = [g, h] if isinstance(h, FlowLineWindow) else [g, *h]
+        rows = [(0, 1)]
+    limit = min(line.usable_half_width for line in lines)
     if half_width is None:
         half_width = limit
     if half_width < 1:
@@ -840,7 +877,23 @@ def flow_metric(g: FlowLineWindow, h, half_width=None):
         raise WindowBoundsError(
             f"half width {half_width} exceeds the common window {limit}"
         )
-    d = _window_distances(g, others, half_width).astype(float)
+    letters, lengths = _vertex_stack(lines, half_width)
+    values, block = [], []
+    for i, start in rows:
+        block.append(_window_distances(letters, lengths, i, start))
+        if sum(map(len, block)) >= _PAIR_BLOCK or i == rows[-1][0]:
+            values.append(_weighted_sums(np.concatenate(block).astype(float), half_width))
+            block = []
+    tail = float(4.0 * 2.0 ** (-half_width) * (half_width / LOG2 + 1.0 / LOG2**2))
+    out = iter([FlowMetricResult(v, tail) for v in np.concatenate(values).tolist()])
+    if h is None:
+        return [list(islice(out, len(lines) - i)) for i in range(len(lines))]
+    return next(out) if isinstance(h, FlowLineWindow) else list(out)
+
+
+def _weighted_sums(d, half_width):
+    """The weighted integral of each row of ``d``, the float distances at
+    times ``-T .. T``, T = ``half_width``: each row summed on its own."""
     weights = 2.0 ** (-np.arange(half_width, dtype=float))
     center = half_width  # column of t = 0 in d
     inner = d[:, center : center + half_width]       # d at t = 0 .. T-1
@@ -853,28 +906,19 @@ def flow_metric(g: FlowLineWindow, h, half_width=None):
     backward = np.sum(
         weights * (inner * _WEIGHT_MOMENT_0 + outer * _WEIGHT_MOMENT_1), axis=1
     )
-    tail = float(4.0 * 2.0 ** (-half_width) * (half_width / LOG2 + 1.0 / LOG2**2))
-    out = [FlowMetricResult(float(v), tail) for v in forward + backward]
-    return out[0] if isinstance(h, FlowLineWindow) else out
+    return forward + backward
 
 
-def _window_distances(g: FlowLineWindow, others, half_width: int) -> np.ndarray:
-    """``(len(others), 2T+1)`` tree distances from ``g`` at each time ``-T .. T``.
+def _window_distances(letters, lengths, i, start) -> np.ndarray:
+    """``(B - start, 2T + 1)`` tree distances of line i of a `_vertex_stack`
+    against its lines ``start, start + 1, ...`` at each time ``-T .. T``.
 
     The common prefix of two vertices ends at the first letter where their
     zero-padded rows differ, capped by the shorter length; a sentinel
-    column of mismatches stops rows that agree throughout.  The letters
-    keep the narrowest type of the lines' rows.
+    column of mismatches stops rows that agree throughout.
     """
-    windows = [line.vertex_rows(half_width) for line in [g, *others]]
-    width = max(int(n.max()) for _, n in windows)
-    dtype = np.result_type(*(rows.dtype for rows, _ in windows))
-    letters = np.zeros((len(windows), 2 * half_width + 1, width), dtype=dtype)
-    for k, (rows, _) in enumerate(windows):
-        rows = rows[:, :width]
-        letters[k, :, : rows.shape[1]] = rows
-    lengths = np.stack([n for _, n in windows])
-    mismatch = np.ones((len(others), 2 * half_width + 1, width + 1), dtype=bool)
-    np.not_equal(letters[:1], letters[1:], out=mismatch[..., :width])
-    common = np.minimum(mismatch.argmax(axis=2), np.minimum(lengths[:1], lengths[1:]))
-    return lengths[:1] + lengths[1:] - 2 * common
+    width = letters.shape[2]
+    mismatch = np.ones((len(letters) - start, letters.shape[1], width + 1), dtype=bool)
+    np.not_equal(letters[i], letters[start:], out=mismatch[..., :width])
+    common = np.minimum(mismatch.argmax(axis=2), np.minimum(lengths[i], lengths[start:]))
+    return lengths[i] + lengths[start:] - 2 * common

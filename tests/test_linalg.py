@@ -376,6 +376,28 @@ class TestSingularFrames:
         err, _ = caught_conditions(lambda: singular_frames(np.zeros((2, 3, 3)), 1))
         assert str(err) == "matrix is the zero matrix"
 
+    def test_given_frames_are_only_checked(self):
+        # rows of unchecked_frames, taken from a larger stack, stand in for
+        # the decomposition: the same frames, errors and warnings
+        singular = np.diag([1.0, 1.0, 0.0])
+        rng = np.random.default_rng(9)
+        pool = np.concatenate([np.stack([self.ILL, self.FLAT, singular, np.eye(3)]),
+                               rng.standard_normal((6, 3, 3))])
+        s, vt = linalg.unchecked_frames(pool)
+        for rows, p in (([4, 5, 0, 6], 1), ([4, 0, 1, 5], 2), ([0, 1, 0, 2], 2),
+                        ([7, 2, 8], 1), ([0, 3], 1), ([9, 4, 8, 6], 2)):
+            frames = s[rows], vt[rows]
+            for fn in (lambda **kw: singular_frames(pool[rows], p, **kw),
+                       lambda **kw: bottom_singular_subspace(pool[rows], 3 - p, **kw)):
+                expected, texts = caught_conditions(fn)
+                got, got_texts = caught_conditions(lambda: fn(frames=frames))
+                assert got_texts == texts
+                if isinstance(expected, Exception):
+                    assert type(got) is type(expected) and str(got) == str(expected)
+                else:
+                    pairs = zip(got, expected) if isinstance(got, tuple) else [(got, expected)]
+                    assert all(np.array_equal(a, b) for a, b in pairs)
+
     def test_shape_and_index_checked(self):
         with pytest.raises(DegenerateInputError):
             singular_frames(np.ones((2, 3, 4)), 1)
@@ -440,7 +462,7 @@ class TestClosedFormFrames:
     def assert_rows_within_bounds(self, ms):
         """Each row either has LAPACK's bits, where the closed form hands it
         over, or lies within the bounds of mpmath."""
-        s, vt = linalg._svd(ms, vectors=True)
+        s, vt = linalg._svd(ms)
         lapack = self.frames(ms)[2]
         _, lapack_s, lapack_vt = np.linalg.svd(ms[lapack])
         assert np.array_equal(s[lapack], lapack_s) and np.array_equal(vt[lapack], lapack_vt)
@@ -488,30 +510,27 @@ class TestClosedFormFrames:
     def test_rows_alone_equal_rows_stacked(self, monkeypatch):
         ms = self.mixed_stack()
         assert 0 < self.frames(ms)[2].sum() < len(ms)
-        s, vt = linalg._svd(ms, vectors=True)
-        values = linalg.singular_values(ms)
+        s, vt = linalg._svd(ms)
         for i in range(len(ms)):
-            one_s, one_vt = linalg._svd(ms[i : i + 1], vectors=True)
+            one_s, one_vt = linalg.unchecked_frames(ms[i : i + 1])
             assert np.array_equal(one_s[0], s[i]) and np.array_equal(one_vt[0], vt[i])
-            assert np.array_equal(linalg.singular_values(ms[i]), values[i])
         # blocks change no row
         monkeypatch.setattr(linalg, "_FRAME_BLOCK", 7)
-        blocked_s, blocked_vt = linalg._svd(ms, vectors=True)
+        blocked_s, blocked_vt = linalg._svd(ms)
         assert np.array_equal(blocked_s, s) and np.array_equal(blocked_vt, vt)
 
     def test_empty_stack(self):
         s, vt = singular_frames(np.empty((0, 3, 3)), 1)
         assert s.shape == (0, 3) and vt.shape == (0, 3, 3)
-        assert linalg.singular_values(np.empty((0, 3, 3))).shape == (0, 3)
+        s, vt = linalg.unchecked_frames(np.empty((0, 3, 3)))
+        assert s.shape == (0, 3) and vt.shape == (0, 3, 3)
 
     def test_handed_over_rows_keep_lapack_bits(self):
         ms = self.mixed_stack()[-4:]
         assert self.frames(ms)[2].all()
-        s, vt = linalg._svd(ms, vectors=True)
+        s, vt = linalg.unchecked_frames(ms)
         _, lapack_s, lapack_vt = np.linalg.svd(ms)
         assert np.array_equal(s, lapack_s) and np.array_equal(vt, lapack_vt)
-        assert np.array_equal(linalg.singular_values(ms),
-                              np.linalg.svd(ms, compute_uv=False))
 
     def test_gap_message_is_lapacks(self):
         m = random_rotation(8) @ np.diag([1.0, 1.0 - 1e-10, 0.5]) @ random_rotation(9)
@@ -527,7 +546,7 @@ class TestClosedFormFrames:
         # is subnormal
         ms = np.array([np.diag([1.0, 1e-100, 1e-200]), 1e-300 * np.diag([1.0, 0.5, 1e-10])])
         assert self.frames(ms)[2].all()
-        s, vt = linalg._svd(ms, vectors=True)
+        s, vt = linalg._svd(ms)
         _, lapack_s, lapack_vt = np.linalg.svd(ms)
         assert np.array_equal(s, lapack_s) and np.array_equal(vt, lapack_vt)
 
@@ -550,8 +569,8 @@ class TestClosedFormFrames:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert self.frames(handed_over)[2].all()
-            s, vt = linalg._svd(handed_over, vectors=True)
-            values = linalg.singular_values(np.concatenate([handed_over, singular[None]]))
+            s, vt = linalg._svd(handed_over)
+            values, _ = linalg.unchecked_frames(np.concatenate([handed_over, singular[None]]))
         _, lapack_s, lapack_vt = np.linalg.svd(handed_over)
         assert np.array_equal(s, lapack_s) and np.array_equal(vt, lapack_vt)
         assert np.isfinite(values).all()

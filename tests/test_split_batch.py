@@ -14,10 +14,10 @@ import warnings
 import numpy as np
 import pytest
 
-from repdyn import flowbundle
+from repdyn import flowbundle, linalg
 from repdyn.cli import main
 from repdyn.domination import GeneratorSet
-from repdyn.errors import WindowBoundsError
+from repdyn.errors import DegenerateGapError, WindowBoundsError
 from repdyn.flowbundle import (
     build_trajectory,
     estimate_splitting,
@@ -263,3 +263,43 @@ def test_splitting_at_refuses_unpaired_and_outside_times():
                               ([2], [tb + 1])]:
         with pytest.raises(WindowBoundsError):
             splitting_at(ahead, k, forward, backward)
+
+
+def test_each_trajectory_product_is_decomposed_once(tmp_path, monkeypatch):
+    # the benchmark's shape: two periodic lines and seeded ones, all of one
+    # reach, so they form one group
+    mats = list(partial_hyperbolic_matrices())
+    specs = [{"pattern": [1]}, {"pattern": [2]}]
+    specs += [{**spec, "offset": 0} for spec in seeded_lines(4, 24, 2, 25)]
+    calls = []
+    kernel = linalg._svd
+
+    def recorded(ms, *args, **kwargs):
+        calls.append(ms.copy())
+        return kernel(ms, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_svd", recorded)
+    code, summary, _, _ = run_split(tmp_path, "all", mats, specs, 1, 24)
+    assert code == 0 and len(summary["results"]["lines"]) == len(specs)
+    [traj] = build_trajectory(GeneratorSet(mats),
+                              [FlowLineWindow(s["letters"], 24) if "letters" in s
+                               else FlowLineWindow.periodic(s["pattern"], 24) for s in specs])
+    # one call takes every P(t) and P(-t), t >= 1, once; the gap checks,
+    # both window ends, the shrunk window and the residual column read it.
+    # The only other call is the relative products of the rate frames
+    products = [p[:, 1:].reshape(-1, 3, 3) for p in (traj.forward, traj.backward)]
+    assert len(calls) == 2
+    assert np.array_equal(calls[0], np.concatenate(products))
+    h = 12
+    assert len(calls[1]) == 2 * traj.size * (traj.t_forward + traj.t_backward - 2 * h - 1)
+
+
+def test_splitting_at_time_zero_checks_the_identity():
+    # P(0) = I has no gap: its frames fail the check as LAPACK's do
+    groups, k = overflow_groups()
+    with pytest.raises(DegenerateGapError) as expected:
+        linalg.singular_frames(np.eye(3)[None], 3 - k)
+    for group in groups:
+        with pytest.raises(DegenerateGapError) as got:
+            splitting_at(group, k, [0], [2])
+        assert str(got.value) == str(expected.value)

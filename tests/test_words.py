@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repdyn import words
 from repdyn.domination import GeneratorSet
 from repdyn.errors import NumericOverflowError, WindowBoundsError
 from repdyn.words import (
@@ -25,7 +26,7 @@ from repdyn.words import (
     sampled_words,
     shortlex_rank,
 )
-from repdyn.words import _window_distances
+from repdyn.words import _vertex_stack, _window_distances
 
 from conftest import reference_distances, reference_flow_metric, tree_distance
 
@@ -40,6 +41,12 @@ CANCELLING = [
     ([-2], [2, 1, 1, 2, -1, -2, -2, 1, 1, 2], [1, 1, 2, 1, -2, -2, 1, 2, -1]),
     ([1, 2, 1], [2, 1, 1, 2, -1, -2, -2, 1, 1], [-1, -2, -2, 1, 2, 1, 1, 2, -1]),
 ]
+
+
+def window_distances(g, others, half_width):
+    """`_window_distances` of ``g`` against ``others``, off their stack."""
+    letters, lengths = _vertex_stack([g, *others], half_width)
+    return _window_distances(letters, lengths, 0, 1)
 
 
 def walked_vertices(anchor, forward, backward, half_width):
@@ -81,6 +88,67 @@ def geodesics(draw, rank=2):
     if draw(st.booleans()):
         return FlowLineWindow.from_rays(anchor, first, second)
     return FlowLineWindow.from_rays(anchor, second, first)
+
+
+def extend(draw, ray, length, avoid=None, rank=2):
+    """``ray`` extended to ``length`` reduced letters, the first one not
+    ``avoid``."""
+    ray = list(ray)
+    while len(ray) < length:
+        banned = -ray[-1] if ray else avoid
+        ray.append(draw(st.sampled_from([l for l in alphabet(rank) if l != banned])))
+    return ray
+
+
+@st.composite
+def offset_windows(draw):
+    """A window with a basepoint offset and an anchor of 0 to 4 letters whose
+    tail often cancels the first 1 to 3 letters of one of its rays."""
+    half_width = draw(st.integers(1, 9))
+    offset = draw(st.integers(1 - half_width, half_width - 1))
+    stream = extend(draw, [], 2 * half_width)
+    reach = half_width - abs(offset)
+    start = half_width + offset
+    forward = stream[start : start + reach]
+    backward = [-l for l in reversed(stream[start - reach : start])]
+    ray = draw(st.sampled_from([forward, backward]))
+    cancel = draw(st.integers(0, min(3, reach)))
+    tail = [-l for l in reversed(ray[:cancel])]
+    # the letters before the tail, written from the tail outward
+    head = extend(draw, [], draw(st.integers(0, 4 - cancel)),
+                  avoid=-tail[0] if tail else None)
+    return FlowLineWindow(stream, half_width, offset, anchor=head[::-1] + tail)
+
+
+def reference_ray_vertices(anchor, ray):
+    """Rows ``anchor * ray[:t]`` for t = 0 .. len(ray), zero padded to
+    ``len(anchor) + len(ray)``, and their lengths, one ray at a time."""
+    n, T = len(anchor), len(ray)
+    c = 0
+    while c < min(n, T) and ray[c] == -anchor[n - 1 - c]:
+        c += 1
+    rows = np.zeros((T + 1, n + T), dtype=np.int64)
+    lengths = []
+    for t in range(T + 1):
+        s = min(c, t)
+        vertex = anchor[: n - s] + ray[s:t]
+        rows[t, : len(vertex)] = vertex
+        lengths.append(len(vertex))
+    return rows, np.array(lengths)
+
+
+def reference_vertex_rows(line, half_width):
+    """One line's vertex rows at times ``-half_width .. half_width``, from
+    its two rays built to its whole reach."""
+    reach = line.usable_half_width
+    anchor = line.anchor.letters
+    forward = line.letters_between(0, reach)
+    backward = tuple(-l for l in reversed(line.letters_between(-reach, 0)))
+    back_rows, back_lengths = reference_ray_vertices(anchor, backward)
+    rows, lengths = reference_ray_vertices(anchor, forward)
+    keep = slice(reach - half_width, reach + half_width + 1)
+    return (np.concatenate([back_rows[::-1], rows[1:]])[keep],
+            np.concatenate([back_lengths[::-1], lengths[1:]])[keep])
 
 
 class TestWord:
@@ -471,7 +539,7 @@ class TestArrayDistances:
         assert len(widths) > 3  # half widths differ and exceed the window
         for window in (1, 3, 8):
             for i, g in enumerate(geos):
-                got = _window_distances(g, geos, window)
+                got = window_distances(g, geos, window)
                 assert got.shape == (len(geos), 2 * window + 1)
                 assert got[i].tolist() == [0] * (2 * window + 1)
                 for j, h in enumerate(geos):
@@ -511,7 +579,7 @@ class TestArrayDistances:
         geos = [wide, wrapped, narrow]
         for window in (1, 5, 20):
             for g in geos:
-                got = _window_distances(g, geos, window)
+                got = window_distances(g, geos, window)
                 for j, h in enumerate(geos):
                     assert got[j].tolist() == reference_distances(g, h, window)
                 for h, r in zip(geos, flow_metric(g, geos, window)):
@@ -532,12 +600,54 @@ class TestArrayDistances:
     @given(geodesics(), geodesics(), geodesics())
     def test_metric_properties(self, g, h, k):
         window = min(g.half_width, h.half_width, k.half_width)
-        d_gh, d_gk, d_gg = _window_distances(g, [h, k, g], window)
-        (d_hg,) = _window_distances(h, [g], window)
-        (d_kh,) = _window_distances(k, [h], window)
+        d_gh, d_gk, d_gg = window_distances(g, [h, k, g], window)
+        (d_hg,) = window_distances(h, [g], window)
+        (d_kh,) = window_distances(k, [h], window)
         assert d_gh.tolist() == reference_distances(g, h, window)
         assert (d_gg == 0).all()
         assert (d_gh == d_hg).all()
         assert (d_gh <= d_gk + d_kh).all()
         assert flow_metric(g, g, window).value == 0.0
         assert flow_metric(g, h, window).value == flow_metric(h, g, window).value
+
+
+class TestVertexStack:
+    """The stacked vertex rows against a per-line, per-ray builder."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(offset_windows(), min_size=1, max_size=4), st.data())
+    def test_rows_and_pairs_match_per_line_references(self, lines, data):
+        window = data.draw(st.integers(1, min(line.usable_half_width for line in lines)))
+        letters, lengths = _vertex_stack(lines, window)
+        assert letters.shape[:2] == lengths.shape == (len(lines), 2 * window + 1)
+        for line, rows, row_lengths in zip(lines, letters, lengths):
+            expected, expected_lengths = reference_vertex_rows(line, window)
+            assert row_lengths.tolist() == expected_lengths.tolist()
+            width = max(rows.shape[1], expected.shape[1])
+            assert np.array_equal(np.pad(rows, ((0, 0), (0, width - rows.shape[1]))),
+                                  np.pad(expected, ((0, 0), (0, width - expected.shape[1]))))
+            alone, alone_lengths = line.vertex_rows(window)
+            assert np.array_equal(alone, rows[:, : alone.shape[1]])
+            assert np.array_equal(alone_lengths, row_lengths)
+        table = flow_metric(lines, half_width=window)
+        assert [len(row) for row in table] == list(range(len(lines), 0, -1))
+        for i, row in enumerate(table):
+            for h, r in zip(lines[i:], row):
+                assert r.value == reference_flow_metric(lines[i], h, window)
+
+    def test_pairs_in_blocks_equal_pairs_at_once(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        lines = [random_geodesic(rng, 2, 12) for _ in range(9)]
+        table = flow_metric(lines, half_width=12)
+        monkeypatch.setattr(words, "_PAIR_BLOCK", 5)
+        assert flow_metric(lines, half_width=12) == table
+        for i, row in enumerate(table):
+            assert row == flow_metric(lines[i], lines[i:], 12)
+
+    def test_a_line_without_room(self):
+        # a basepoint at the end of its window leaves a single vertex
+        line = FlowLineWindow([1, 2, 1, 2], 2, basepoint_offset=2, anchor=[2, 1])
+        letters, lengths = line.vertex_rows(0)
+        assert letters.tolist() == [[2, 1]] and lengths.tolist() == [2]
+        with pytest.raises(ValueError, match="at least one line"):
+            flow_metric([], half_width=1)
