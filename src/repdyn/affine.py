@@ -35,7 +35,7 @@ import numpy as np
 
 from . import words
 from .fitting import fit_line
-from .linalg import scaled_slogdet
+from .linalg import _fold_columns, scaled_slogdet
 
 DEFAULT_HKS_THRESHOLD = 1e-8
 DEFAULT_EIGENVALUE_TOL = 1e-9
@@ -88,11 +88,11 @@ def _hks_stat(sphere, logs):
 
 
 def _eigenvalue_values(sphere, logs):
-    return np.abs(sphere.log_eigenvalue_moduli()).min(axis=1)
+    return _fold_columns(np.minimum, np.abs(sphere.log_eigenvalue_moduli()))
 
 
 def _bounded_values(sphere, logs):
-    return np.abs(logs).min(axis=1)
+    return _fold_columns(np.minimum, np.abs(logs))
 
 
 def _scan_extremes(gens, L_max, stats, policy):

@@ -61,7 +61,6 @@ one-matrix functions are these kernels applied to a stack of one, and
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -126,11 +125,11 @@ def _require_square(shape, what):
 def _first_invalid(ms, what):
     """``(row, error)`` for the first matrix of a stack that `require_matrix`
     rejects, or ``(len(ms), None)`` when every matrix passes."""
-    finite = np.isfinite(ms).all(axis=(1, 2))
+    finite = _fold_columns(np.logical_and, np.isfinite(ms))
     stop = len(ms) if finite.all() else int(np.argmin(finite))
     head = ms[:stop]
     # the largest entry, not a norm: squaring would underflow or overflow
-    zero = np.abs(head).max(axis=(1, 2)) == 0.0
+    zero = _fold_columns(np.maximum, np.abs(head)) == 0.0
     sign, logdet = np.linalg.slogdet(head)
     singular = (sign == 0.0) | ~np.isfinite(logdet)
     if singular.any():
@@ -257,13 +256,26 @@ def unchecked_frames(ms):
     return _svd(np.asarray(ms, dtype=float))
 
 
+def _fold_columns(ufunc, x):
+    """``ufunc.reduce`` of each row of an ``(N, ...)`` stack over all its other
+    axes, for rows of a few entries.  For an order-free ufunc (maximum,
+    minimum, the logical ones, a count of bools) it is numpy's own reduction:
+    the same dtype, so a bool count comes out an integer, and the same bits,
+    up to which NaN a row of several NaNs keeps."""
+    # a chain of elementwise calls over the columns: numpy reduces small axes
+    # slowly, in one inner loop per row
+    columns = x.reshape(len(x), math.prod(x.shape[1:])).T
+    out = ufunc.reduce(columns[:1], axis=0)
+    for column in columns[1:]:
+        ufunc(out, column, out=out)
+    return out
+
+
 def _scale_to_unit(ms, top=0):
     """``(scaled, e)`` with ``ms = scaled * 2**e`` row by row: each matrix of a
     stack scaled exactly, by a power of two, so that its largest entry lies
     in [2**(top - 1), 2**top)."""
-    # a chain of elementwise maxima: numpy reduces small axes slowly
-    entries = np.abs(ms.reshape(len(ms), math.prod(ms.shape[1:]))).T
-    _, e = np.frexp(functools.reduce(np.maximum, entries))
+    _, e = np.frexp(_fold_columns(np.maximum, np.abs(ms)))
     return np.ldexp(ms, (top - e)[:, None, None]), e - top
 
 
@@ -305,7 +317,7 @@ def _far_exponents(ms):
     """For each matrix of a stack, the exponent ``e`` that scales it to unit
     largest entry, ``max |M 2**-e|`` in [1/2, 1), where its largest entry
     lies outside [2**-256, 2**256], and 0 inside."""
-    _, e = np.frexp(np.abs(ms).max(axis=(1, 2)))
+    _, e = np.frexp(_fold_columns(np.maximum, np.abs(ms)))
     e[np.abs(e) <= 256] = 0
     return e
 
@@ -574,8 +586,26 @@ def log_singular_values(products, logdet=None, inverse=None):
     return out
 
 
+# compare-exchanges that sort the columns of a stack of n <= 3 coordinates
+_NETWORKS = {2: ((0, 1),), 3: ((0, 1), (1, 2), (0, 1))}
+
+
 def _descending(logs):
-    return -np.sort(-logs, axis=1)
+    """Each row of an ``(N, n)`` stack largest first, as ``-np.sort(-logs,
+    axis=1)`` orders it: equal values, signed zeros among them, keep their
+    order and NaNs go last.  For n <= 3 a compare-exchange network runs over
+    the columns, since np.sort, like a reduction, takes one call per row;
+    it moves each value with its bits, where np.sort's SIMD path can rewrite
+    a NaN as the quiet NaN."""
+    if logs.shape[1] not in _NETWORKS:
+        return -np.sort(-logs, axis=1)
+    columns = list(logs.T)
+    for i, j in _NETWORKS[logs.shape[1]]:
+        a, b = columns[i], columns[j]
+        # b moves up when it is larger, or a number behind a NaN
+        swap = (b == b) & ~(a >= b)
+        columns[i], columns[j] = np.where(swap, b, a), np.where(swap, a, b)
+    return np.stack(columns, axis=1)
 
 
 # for each index i of a 3x3 matrix flattened row by row: entry (i, i), then

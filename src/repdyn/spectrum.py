@@ -30,6 +30,7 @@ import numpy as np
 
 from . import words
 from .errors import NumericOverflowError
+from .linalg import _fold_columns
 
 # default zero tolerance is this times max(1, sup-norm of the sample)
 DEFAULT_ZERO_TOL_COEFF = 1e-6
@@ -143,7 +144,8 @@ def sample_cone(gens, m_max: int, policy=words.Exhaustive()) -> ConeEstimate:
         if not np.isfinite(jordan).all():
             raise NumericOverflowError("eigenvalue modulus left float64 range")
         cartan = sphere.log_singular_values() / m
-        tols = DEFAULT_ZERO_TOL_COEFF * np.maximum(1.0, np.abs(jordan).max(axis=1))
+        top = _fold_columns(np.maximum, np.abs(jordan))
+        tols = DEFAULT_ZERO_TOL_COEFF * np.maximum(1.0, top)
         return ConeLevel(sphere.letters, jordan, cartan,
                          np.abs(jordan) <= tols[:, None], sphere.inverse)
 
@@ -237,12 +239,13 @@ def containment_check(cone: ConeEstimate, k: int, tol=None) -> ContainmentReport
     n_samples = n_zero = n_empty = 0
     for m, level in sorted(cone.levels.items()):
         zero = level.zero if tol is None else np.abs(level.jordan) <= tol
-        count = zero.sum(axis=1)
+        count = _fold_columns(np.add, zero)
         nonzero = count < n
         n_samples += len(level)
         n_zero += int(np.count_nonzero(~nonzero))
         n_empty += int(np.count_nonzero(count == 0))
-        for row in np.flatnonzero(nonzero & (zero & outside).any(axis=1)):
+        escaped = _fold_columns(np.logical_or, zero & outside)
+        for row in np.flatnonzero(nonzero & escaped):
             violations.append((m, level.word(row), _zero_indices(zero[row])))
         jv = level.jordan[nonzero]
         # fmin skips NaN gaps, as a running Python min does
@@ -299,8 +302,10 @@ def involution_symmetry_check(cone: ConeEstimate,
     for m, level in sorted(cone.levels.items()):
         partner = level.inverse
         paired = partner >= 0
-        jordan = np.abs(-level.jordan[:, ::-1] - level.jordan[partner]).max(axis=1)
-        cartan = np.abs(-level.cartan[:, ::-1] - level.cartan[partner]).max(axis=1)
+        jordan = _fold_columns(
+            np.maximum, np.abs(-level.jordan[:, ::-1] - level.jordan[partner]))
+        cartan = _fold_columns(
+            np.maximum, np.abs(-level.cartan[:, ::-1] - level.cartan[partner]))
         # Python's max(jordan, cartan): the first argument unless the second is larger
         dev = np.where(paired, np.where(cartan > jordan, cartan, jordan), np.nan)
         worst = float(np.fmax.reduce(dev, initial=worst))

@@ -440,6 +440,48 @@ class TestDeterminism:
         )
         assert one == two
 
+    def test_short_row_reductions_keep_every_byte(self, padded_doc, tmp_path, monkeypatch):
+        # the sphere statistics reduce and sort rows of n <= 3 coordinates by
+        # column folds and a compare-exchange network; numpy's own axis
+        # reductions and np.sort in their place give the same reports.  The
+        # partial hyperbolic pair's words have unbalanced spectra, so a fold
+        # that lost a column would move its statistics.
+        def doc(name, matrices):
+            return write_doc(tmp_path / name, {"n": 3, "generators": [
+                {"name": letter, "rows": rows(m)} for letter, m in zip("gh", matrices)]})
+
+        so21_doc = doc("so21.json", [form_preserving_matrix(),
+                                     np.diag([np.exp(0.5), 1.0, np.exp(-0.5)])])
+        ph_doc = doc("ph.json", partial_hyperbolic_matrices())
+        runs = [
+            (["spectrum", "--input", padded_doc, "--m-max", "5"], "spectrum"),
+            (["affine", "--input", so21_doc, "--max-length", "5"], "affine"),
+            (["spectrum", "--input", ph_doc, "--m-max", "5"], "spectrum"),
+            (["affine", "--input", ph_doc, "--max-length", "5"], "affine"),
+        ]
+
+        def reports():
+            out = tmp_path / "out"
+            got = []
+            for argv, command in runs:
+                code = main(argv + ["--out-dir", str(out)])
+                summary = read_summary(out, command)
+                summary.pop("timestamp")
+                got.append((code, summary, {f.name: f.read_bytes()
+                                            for f in sorted(out.glob(f"{command}_*.csv"))}))
+            return got
+
+        shipped = reports()
+
+        def numpy_reduce(ufunc, x):
+            return ufunc.reduce(x, axis=tuple(range(1, x.ndim)))
+
+        for module in (linalg, spectrum, affine):
+            monkeypatch.setattr(module, "_fold_columns", numpy_reduce)
+        monkeypatch.setattr(linalg, "_descending", lambda logs: -np.sort(-logs, axis=1))
+        assert shipped == reports()
+        assert [code for code, _, _ in shipped[:2]] == [EXIT_OK, EXIT_OK]
+
 
 def reference_format_cell(cell):
     """One non-string cell as the row-at-a-time writer formatted it."""

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -592,3 +592,68 @@ class TestScaledInverse:
         gens = GeneratorSet([1.7e308 * np.array([[c, -s], [s, c]]), np.diag([2.0, 0.5])])
         moduli = linalg.log_eigenvalue_moduli(gens.image(-1)[None])[0]
         assert moduli == pytest.approx([-np.log(1.7e308)] * 2, rel=1e-14)
+
+
+# values whose order numpy treats specially, and ties among them
+SHORT_ROW_VALUES = [np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1.0, -1.0, 2.5]
+
+
+def short_rows():
+    """``(N, n)`` float stacks with n from 1 to 4, drawn mostly from
+    `SHORT_ROW_VALUES` so that rows tie often."""
+    return st.integers(1, 4).flatmap(lambda n: arrays(
+        np.float64, st.tuples(st.integers(0, 12), st.just(n)),
+        elements=st.sampled_from(SHORT_ROW_VALUES) | st.floats()))
+
+
+def float_bits(x):
+    """The bits of a float array, with every NaN read as the one quiet NaN:
+    numpy promises no payload when it picks among NaNs, and its elementwise
+    loops, its reduction loop and np.sort pick differently."""
+    assert x.dtype == np.float64
+    return np.where(np.isnan(x), np.nan, x).view(np.int64)
+
+
+SHORT_ROW_EXAMPLES = [
+    [[np.nan, 1.0, -0.0]],
+    [[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0]],
+    [[-0.0, 0.0], [0.0, -0.0]],
+    [[np.inf, np.nan, -np.inf, 5e-324]],
+    [[5e-324, -5e-324, 5e-324], [-5e-324, np.nan, np.nan]],
+    [[np.nan], [-0.0]],
+    [[2.5, 2.5, 2.5, 2.5], [1.0, np.nan, 1.0, -np.inf]],
+]
+
+
+def with_short_row_examples(test):
+    for rows in SHORT_ROW_EXAMPLES:
+        test = example(np.array(rows))(test)
+    return test
+
+
+class TestShortRows:
+    """`_fold_columns` and `_descending` against numpy's axis reductions and
+    np.sort, which they replace on rows of a few coordinates."""
+
+    @with_short_row_examples
+    @settings(max_examples=200, deadline=None)
+    @given(short_rows())
+    def test_fold_is_the_axis_reduction(self, x):
+        for ufunc in (np.maximum, np.minimum):
+            for stack in (x, np.abs(x), x[:, None, :]):
+                want = ufunc.reduce(stack, axis=tuple(range(1, stack.ndim)))
+                got = linalg._fold_columns(ufunc, stack)
+                assert np.array_equal(float_bits(got), float_bits(want))
+        zero = (x == 0.0) | np.isnan(x)
+        for ufunc in (np.add, np.logical_or, np.logical_and):
+            want = ufunc.reduce(zero, axis=1)
+            got = linalg._fold_columns(ufunc, zero)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @with_short_row_examples
+    @settings(max_examples=200, deadline=None)
+    @given(short_rows())
+    def test_descending_is_a_negated_sort(self, x):
+        got = linalg._descending(x)
+        assert got.dtype == np.float64
+        assert np.array_equal(float_bits(got), float_bits(-np.sort(-x, axis=1)))
