@@ -33,7 +33,7 @@ def line(width):
 print("constant diagonal line, window 24")
 print(f"  splitting residual {split.residual:.2e}, "
       f"independence {split.independence:.4f}")
-print(f"  expanding direction: {np.round(split.v_plus.basis.ravel(), 6)}")
+print(f"  expanding direction: {np.round(split.v_plus.ravel(), 6)}")
 [rates] = measure_rates(traj, k=1)
 print(f"  expansion rate  a_plus  = {rates.a_plus:.9f}  (log 2 = {np.log(2):.9f})")
 print(f"  contraction rate a_minus = {rates.a_minus:.9f}")

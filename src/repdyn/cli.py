@@ -753,9 +753,9 @@ def cmd_split(args) -> int:
         entry.update(
             _fields(split),
             bases={
-                "expanding": split.v_plus.basis,
-                "neutral": split.v_zero.basis,
-                "contracting": split.v_minus.basis,
+                "expanding": split.v_plus,
+                "neutral": split.v_zero,
+                "contracting": split.v_minus,
             },
             rates=rates,
         )

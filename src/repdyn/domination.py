@@ -10,9 +10,11 @@ hyperbolic (when additionally ``a_k > 1 > a_(n-k+1)`` with definite margins),
 refuted, or inconclusive.
 
 `flag_estimate` and `transversality_check` probe the attracting flags of
-periodic boundary points: the span of leading singular directions of long
-periodic products, and the smallest principal angle between the ``k``-plane
-of one boundary point and the ``(n-k)``-plane of another.
+periodic boundary points.  A flag estimate is a pair of orthonormal bases,
+``(n, k)`` and ``(n, n-k)``, of the leading left singular directions of a
+long periodic product, read off one `linalg.singular_frames` call on its
+transpose; a transversality check is the smallest principal angle between
+the ``k``-plane of one boundary point and the ``(n-k)``-plane of another.
 """
 
 from __future__ import annotations
@@ -26,12 +28,13 @@ from . import words
 from .errors import DegenerateInputError, NumericOverflowError
 from .fitting import fit_line
 from .linalg import (
-    principal_angle,
+    _principal_angles,
     require_matrix,
+    require_orthonormal,
     scaled_inv,
     scaled_slogdet,
+    singular_frames,
     subspace_distance,
-    top_singular_subspace,
 )
 
 # sorted singular values make the log gap nonnegative in floats, so
@@ -310,15 +313,17 @@ def domination_scan(gens: GeneratorSet, k: int, L_max: int,
 class FlagEstimate:
     """Attracting flag pieces of a periodic boundary point.
 
-    ``zeta`` spans the leading ``k`` singular directions of the long
-    periodic product, ``theta_map`` the leading ``n - k``; ``residual`` is
-    the largest principal-angle change from the previous depth.
+    ``zeta`` is a read-only ``(n, k)`` orthonormal basis of the leading
+    ``k`` left singular directions of the long periodic product, and
+    ``theta_map`` an ``(n, n - k)`` one of the leading ``n - k``;
+    ``residual`` is the largest principal-angle change from the previous
+    depth.
     """
 
     word: words.Word
     k: int
-    zeta: object
-    theta_map: object
+    zeta: np.ndarray
+    theta_map: np.ndarray
     residual: float
 
 
@@ -346,14 +351,20 @@ def flag_estimate(gens: GeneratorSet, prefix: words.Word, k: int,
         raise ValueError("depth must be at least 2")
 
     def flag_at(d):
-        m = words.evaluate(_periodic_letters(prefix, d), gens)
-        return top_singular_subspace(m, k), top_singular_subspace(m, n - k)
+        # the leading left singular vectors of m are the right ones of m^T;
+        # the second call only checks the gap at n - k on the same frames
+        mt = words.evaluate(_periodic_letters(prefix, d), gens).T[None]
+        frames = singular_frames(mt, k)
+        singular_frames(mt, n - k, frames=frames)
+        vt = frames[1][0]
+        return require_orthonormal(vt[:k].T), require_orthonormal(vt[: n - k].T)
 
     zeta_prev, theta_prev = flag_at(depth - 1)
     zeta, theta = flag_at(depth)
-    residual = max(
-        subspace_distance(zeta, zeta_prev), subspace_distance(theta, theta_prev)
-    )
+    residual = float(max(
+        subspace_distance(zeta[None], zeta_prev[None])[0],
+        subspace_distance(theta[None], theta_prev[None])[0],
+    ))
     return FlagEstimate(
         word=prefix, k=k, zeta=zeta, theta_map=theta, residual=residual
     )
@@ -371,4 +382,4 @@ def transversality_check(e1: FlagEstimate, e2: FlagEstimate) -> float:
     horizon = len(e1.word) + len(e2.word)
     if _periodic_letters(e1.word, horizon) == _periodic_letters(e2.word, horizon):
         raise ValueError("estimates describe the same boundary point")
-    return principal_angle(e1.zeta, e2.theta_map)
+    return float(_principal_angles(e1.zeta[None], e2.theta_map[None]).min())

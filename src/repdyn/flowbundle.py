@@ -49,7 +49,6 @@ from .errors import DegenerateGapError, DegenerateInputError, WindowBoundsError
 from .fitting import fit_lines
 from .linalg import (
     GAP_TOL,
-    Subspace,
     bottom_singular_subspace,
     log_column_lengths,
     require_orthonormal,
@@ -222,6 +221,9 @@ def build_trajectory(gens: GeneratorSet, lines):
 class SplittingEstimate:
     """An empirical index-k splitting with its convergence residual.
 
+    ``v_plus``, ``v_zero`` and ``v_minus`` are read-only ``(n, p)``
+    orthonormal bases of the expanding, neutral and contracting blocks: the
+    line's rows of the stacks `splitting_at` gives at the window ends.
     ``residual`` is the largest principal-angle change when the estimation
     window shrinks to three quarters; ``independence`` is the smallest
     singular value of the stacked basis (1 would be an orthogonal direct
@@ -229,9 +231,9 @@ class SplittingEstimate:
     """
 
     k: int
-    v_plus: Subspace
-    v_zero: Subspace
-    v_minus: Subspace
+    v_plus: np.ndarray
+    v_zero: np.ndarray
+    v_minus: np.ndarray
     residual: float
     independence: float
     t_forward: int
@@ -374,9 +376,9 @@ def estimate_splitting(traj: CocycleTrajectory, k: int) -> list[SplittingEstimat
     return [
         SplittingEstimate(
             k=k,
-            v_plus=Subspace(v_plus[b]),
-            v_zero=Subspace(v_zero[b]),
-            v_minus=Subspace(v_minus[b]),
+            v_plus=v_plus[b],
+            v_zero=v_zero[b],
+            v_minus=v_minus[b],
             residual=float(residual[b]),
             independence=float(independence[b]),
             t_forward=t_fwd,

@@ -1,69 +1,56 @@
-"""Singular value and eigenvalue decompositions with explicit gap contracts.
+"""Singular value and eigenvalue decompositions of stacks of matrices, with
+explicit gap contracts.
 
-This module wraps the dense decompositions every other analysis here relies
-on.  The two central objects are log singular value vectors ("cartan" kind)
-and log eigenvalue-modulus vectors ("jordan" kind), both sorted in
-nonincreasing order so the first entry is the fastest growth direction:
+Every decomposition and angle here takes and returns ``(N, ...)`` stacks,
+a row per matrix, and a row gets the same bits in a stack as alone.  The two chamber
+readings of a matrix come from two kernels: `log_singular_values` (the
+Cartan projection) and `log_eigenvalue_moduli` (the Jordan projection),
+each row sorted largest first, so the first entry is the fastest growth
+direction:
 
     >>> import numpy as np
     >>> from repdyn import linalg
-    >>> v = linalg.cartan_projection(np.diag([3.0, 2.0, 1.0]))
-    >>> np.round(v.values, 4)
-    array([1.0986, 0.6931, 0.    ])
-    >>> w = linalg.jordan_projection(np.array([[2.0, 1.0], [1.0, 1.0]]))
-    >>> np.round(w.values, 4)
-    array([ 0.9624, -0.9624])
-    >>> linalg.jordan_projection(np.array([[0.0, -2.0], [2.0, 0.0]])).values
-    array([0.69314718, 0.69314718])
+    >>> np.round(linalg.log_singular_values(np.diag([3.0, 2.0, 1.0])[None]), 4)
+    array([[1.0986, 0.6931, 0.    ]])
+    >>> m = np.array([[[2.0, 1.0], [1.0, 1.0]], [[0.0, -2.0], [2.0, 0.0]]])
+    >>> np.round(linalg.log_eigenvalue_moduli(m), 4)
+    array([[ 0.9624, -0.9624],
+           [ 0.6931,  0.6931]])
 
-Subspace extraction (`top_singular_subspace`, `bottom_singular_subspace`)
-refuses to answer when the defining singular value gap is numerically
-degenerate, raising :class:`~repdyn.errors.DegenerateGapError` instead of
-returning an arbitrary basis.  Angles between subspaces come in two flavors:
-`principal_angle` (smallest angle, measures transversality) and
-`subspace_distance` (largest angle, measures how far apart two estimates of
-the same subspace are), both stacked: the angle between two single columns
-in closed form from their dot product, and other blocks by a numpy copy of
-the steps of ``scipy.linalg.subspace_angles``.
+`log_singular_values` is what every sphere scan reads: closed forms for n =
+2 (the small singular value from an exact log-det when the caller has one),
+for n = 3 from top singular values only (``s3(w) = 1 / s1(w^-1)`` read off
+the inverse word's row, ``s2`` from the exact log-det), and LAPACK for a row
+with no inverse row and for larger n.  `log_eigenvalue_moduli` reads an
+isolated diagonal entry exactly, takes closed forms for n = 2 and the
+characteristic cubic for n = 3, the smallest real root from the exact
+log-det, and LAPACK near a multiple eigenvalue and for larger n.
 
-`log_singular_values` is the one stacked singular-value kernel that every
-sphere scan reads: the sorted log singular values of an ``(N, n, n)`` stack,
-in closed form for n = 2 (the small one from an exact log-det when the
-caller has one), for n = 3 from top singular values only (``s3(w) = 1 /
-s1(w^-1)`` read off the inverse word's row, ``s2`` from the exact log-det)
-and by LAPACK for a row with no inverse row and for larger n.
-`log_eigenvalue_moduli` is its eigenvalue twin: the sorted log eigenvalue
-moduli, read exactly off an isolated diagonal entry, in closed form for n =
-2 and from the characteristic cubic for n = 3, the smallest real one from
-the exact log-det, and by LAPACK near a multiple eigenvalue and for larger
-n.  In both a row gets the same bits in a stack as alone (with its inverse
-row), and `cartan_projection` and `jordan_projection` are the kernels on a
-stack of one.
-
-The singular subspaces and `subspace_distance` run on stacks.
 `singular_frames` gives the singular values and right singular vectors of
-an ``(N, n, n)`` stack in one call, checking each matrix as the one-matrix
-functions do and raising one aggregated
-:class:`~repdyn.errors.ConditionWarning`.  For n = 3 it reads them in
-closed form, from the top eigenpairs of the Gram matrices of the matrix and
-of its cofactor matrix, each vector within a few ``eps s1 / gap`` of the
-exact one; LAPACK takes the matrices near a double singular value or with a
-relative gap below 1e-3, so every gap verdict is LAPACK's (see
-`_frames3`).  `unchecked_frames` reads the same kernel without checks; a
-caller that reads several stacks off one set of products decomposes them
-once that way and hands each stack's rows back to `singular_frames` (or
-`bottom_singular_subspace`) as ``frames``, which then only checks them.
-`subspace_distance` also takes two ``(N, n, p)`` stacks of bases, and
-`bottom_singular_subspace` an ``(N, n, n)`` stack of matrices.  The
-one-matrix functions are these kernels applied to a stack of one, and
-`top_singular_subspace` takes the right frames of the transpose.
+a stack in one call, checking each matrix (`require_matrix`'s checks, the
+span of its singular values, the gap at a given index) and raising one
+aggregated :class:`~repdyn.errors.ConditionWarning`.  A degenerate gap
+raises :class:`~repdyn.errors.DegenerateGapError` instead of returning an
+arbitrary basis.  For n = 3 the frames come in closed form, from the top
+eigenpairs of the Gram matrices of the matrix and of its cofactor matrix,
+each vector within a few ``eps s1 / gap`` of the exact one; LAPACK takes
+the matrices near a double singular value or with a relative gap below
+1e-3, so every gap verdict is LAPACK's (see `_frames3`).
+`unchecked_frames` reads the same kernel without checks; a caller that
+reads several stacks off one set of products decomposes them once that way
+and hands each stack's rows back to `singular_frames` or
+`bottom_singular_subspace` as ``frames``, which then only check them.
+`bottom_singular_subspace` gives a stack of orthonormal bases of bottom
+singular subspaces, and `subspace_distance` the largest principal angle
+between matching rows of two stacks of bases: between two single columns
+in closed form from their dot product, and between wider blocks by a numpy
+copy of the steps of ``scipy.linalg.subspace_angles``.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,9 +66,6 @@ GAP_TOL = 1e-9
 CONDITION_LIMIT = 1e12
 
 ORTHONORMAL_TOL = 1e-10
-
-# tolerance for the nonincreasing check on spectral vectors
-_SORT_TOL = 1e-9
 
 # rows `log_singular_values` takes at a time, which bounds its temporaries
 KERNEL_BLOCK = 8192
@@ -209,10 +193,10 @@ def singular_frames(ms, gap_index: int, stacklevel=2, frames=None):
     check: the relative gap between singular values ``gap_index`` and
     ``gap_index + 1`` (1-based) must reach GAP_TOL.  The first failing
     matrix raises :class:`DegenerateInputError` or
-    :class:`DegenerateGapError` with the message the one-matrix functions
-    give.  The matrices checked until then whose condition number exceeds
-    CONDITION_LIMIT draw one :class:`ConditionWarning` that counts them and
-    gives the worst number; for a stack of one it reads as it always has.
+    :class:`DegenerateGapError`.  The matrices checked until then whose
+    condition number exceeds CONDITION_LIMIT draw one
+    :class:`ConditionWarning` that counts them and gives the worst number;
+    for a stack of one it gives that matrix's number alone.
     ``stacklevel`` counts from this function, as in :func:`warnings.warn`.
     """
     ms = np.asarray(ms, dtype=float)
@@ -849,45 +833,6 @@ def log_eigenvalue_moduli(products, logdet=None, sign=None):
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralVector:
-    """A nonincreasing vector of logarithms with a declared origin.
-
-    ``kind`` is ``"cartan"`` for log singular values or ``"jordan"`` for log
-    eigenvalue moduli.  The entries sum to log |det| in both cases.
-    """
-
-    values: np.ndarray
-    kind: str
-
-    def __post_init__(self):
-        values = np.array(self.values, dtype=float)
-        if values.ndim != 1 or values.size < 1:
-            raise ValueError("spectral vector must be a nonempty 1-d array")
-        # a few entries: Python floats check them faster than numpy calls
-        entries = values.tolist()
-        if not all(map(math.isfinite, entries)):
-            raise ValueError("spectral vector entries must be finite")
-        if self.kind not in ("cartan", "jordan"):
-            raise ValueError(f"unknown spectral vector kind {self.kind!r}")
-        slack = _SORT_TOL * (1.0 + max(map(abs, entries)))
-        if any(b - a > slack for a, b in zip(entries, entries[1:])):
-            raise ValueError("spectral vector must be nonincreasing")
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-
-    def __len__(self):
-        return self.values.size
-
-    def __getitem__(self, i):
-        return self.values[i]
-
-    @property
-    def total(self) -> float:
-        """Sum of the entries, i.e. log |det| of the source matrix."""
-        return float(self.values.sum())
-
-
 def require_orthonormal(bases):
     """Validate orthonormal column bases and return a read-only C-ordered copy.
 
@@ -906,135 +851,24 @@ def require_orthonormal(bases):
     return bases
 
 
-@dataclass(frozen=True, eq=False)
-class Subspace:
-    """A linear subspace given by an orthonormal column basis."""
+def bottom_singular_subspace(ms, p: int, frames=None):
+    """Spans of the right singular vectors for the ``p`` smallest singular
+    values of each matrix of an ``(N, n, n)`` stack, as a read-only ``(N,
+    n, p)`` stack of orthonormal bases.
 
-    basis: np.ndarray
-
-    def __post_init__(self):
-        basis = np.asarray(self.basis, dtype=float)
-        if basis.ndim != 2:
-            raise ValueError("subspace basis must be a 2-d array of columns")
-        object.__setattr__(self, "basis", require_orthonormal(basis))
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.basis.shape[0]
-
-
-def cartan_projection(m) -> SpectralVector:
-    """Log singular values of ``m``, nonincreasing: `log_singular_values`
-    of a stack of one, which has no log-det and no inverse row, so n >= 3
-    is LAPACK.
-
-    Raises :class:`DegenerateInputError` when they span more than float64
-    allows and emits :class:`ConditionWarning` when the condition number
-    exceeds CONDITION_LIMIT.
+    Each span equals that of the ``p`` leading left singular vectors of the
+    inverse matrix, computed here without inverting.  The defining gap is
+    the one between singular values ``n - p`` and ``n - p + 1``, checked
+    matrix by matrix in one `singular_frames` call; ``frames``, the stack's
+    `unchecked_frames`, spares that call its decomposition.
     """
-    m = require_matrix(m)
-    s = log_singular_values(m[None])[0]
-    with np.errstate(over="ignore"):
-        cond = np.exp(s[:1] - s[-1:])
-    if not np.isfinite(cond[0]):
-        raise DegenerateInputError(_SPAN_MESSAGE)
-    _warn_ill_conditioned(cond, 1, stacklevel=2)
-    return SpectralVector(s, "cartan")
-
-
-def jordan_projection(m) -> SpectralVector:
-    """Log moduli of the eigenvalues of ``m``, nonincreasing:
-    `log_eigenvalue_moduli` of a stack of one.
-
-    Invariant under conjugation, and equals the limit of
-    ``cartan_projection(m^k).values / k``.  Raises
-    :class:`DegenerateInputError` when an eigenvalue modulus underflows to
-    zero.
-    """
-    m = require_matrix(m)
-    v = log_eigenvalue_moduli(m[None])[0]
-    if not np.isfinite(v[-1]):
-        raise DegenerateInputError("eigenvalue modulus underflowed to zero")
-    return SpectralVector(v, "jordan")
-
-
-def _subspace_frames(ms, p, bottom, frames=None):
-    """`singular_frames` of an ``(N, n, n)`` stack for the top or bottom
-    p-dimensional singular subspaces; warnings point at the caller's caller."""
+    ms = np.asarray(ms, dtype=float)
     _require_square(ms.shape[1:], "matrix")
     n = ms.shape[-1]
     if not 1 <= p < n:
         raise ValueError(f"subspace size must satisfy 1 <= p < {n}, got {p}")
-    return singular_frames(ms, n - p if bottom else p, stacklevel=4, frames=frames)
-
-
-def top_singular_subspace(m, p: int) -> Subspace:
-    """Span of the ``p`` leading left singular vectors of ``m``: the leading
-    right singular vectors of ``m^T``, from `singular_frames`.
-
-    Parameters
-    ----------
-    m : array_like
-        Square invertible matrix.
-    p : int
-        Number of leading directions, ``1 <= p < n``.
-
-    Raises
-    ------
-    DegenerateGapError
-        If the relative gap between singular values ``p`` and ``p + 1``
-        falls below GAP_TOL, making the subspace ill defined.
-    """
-    m = np.asarray(m, dtype=float)
-    _require_square(m.shape, "matrix")
-    _, vt = _subspace_frames(m.T[None], p, bottom=False)
-    return Subspace(vt[0, :p].T)
-
-
-def bottom_singular_subspace(m, p: int, frames=None) -> Subspace:
-    """Span of the right singular vectors of ``m`` for its ``p`` smallest
-    singular values.
-
-    This equals the span of the ``p`` leading left singular vectors of the
-    inverse matrix, computed here without inverting.  The defining gap is the
-    one between singular values ``n - p`` and ``n - p + 1``.  An ``(N, n, n)``
-    stack gives a read-only ``(N, n, p)`` stack of bases from one
-    `singular_frames` call, checked matrix by matrix; ``frames``, the stack's
-    `unchecked_frames`, spares that call its decomposition.
-    """
-    m = np.asarray(m, dtype=float)
-    stack = m.ndim == 3
-    _, vt = _subspace_frames(m if stack else m[None], p, bottom=True, frames=frames)
-    bases = np.swapaxes(vt[:, -p:, :], 1, 2)
-    return require_orthonormal(bases) if stack else Subspace(bases[0])
-
-
-def opposition_involution(v: SpectralVector) -> SpectralVector:
-    """Negate and reverse a spectral vector: (v1..vn) -> (-vn..-v1).
-
-    An exact involution (no rounding), preserving the nonincreasing order
-    and the kind tag.
-    """
-    return SpectralVector(-v.values[::-1], v.kind)
-
-
-def principal_angle(u: Subspace, w: Subspace) -> float:
-    """Smallest principal angle between two subspaces, in radians.
-
-    Zero means the subspaces intersect (up to numerics); requires
-    ``u.dim + w.dim <= n`` so that transversality is possible at all.
-    """
-    if u.ambient_dim != w.ambient_dim:
-        raise ValueError("subspaces live in different ambient dimensions")
-    if u.dim + w.dim > u.ambient_dim:
-        raise ValueError(
-            "dimensions force an intersection; smallest angle would always be 0"
-        )
-    return float(_principal_angles(u.basis[None], w.basis[None]).min())
+    _, vt = singular_frames(ms, n - p, stacklevel=3, frames=frames)
+    return require_orthonormal(np.swapaxes(vt[:, -p:, :], 1, 2))
 
 
 def _require_full_rank(x, s):
@@ -1121,23 +955,15 @@ def _principal_angles(a, b):
 
 
 def subspace_distance(u, w):
-    """Largest principal angle between two equal-dimensional subspaces.
+    """Largest principal angle between matching rows of two ``(N, n, p)``
+    stacks of column bases, as an ``(N,)`` array.
 
     This is a metric on the Grassmannian; use it to compare successive
-    estimates of the same subspace.  ``u`` and ``w`` are two
-    :class:`Subspace` objects, giving a float, or two ``(N, n, p)`` stacks
-    of column bases, giving the N distances between matching rows.  Either
-    way a value is the largest of `_principal_angles`: those of
-    ``scipy.linalg.subspace_angles(u, w)`` for p >= 2, and a closed form
-    within a few ulps of the exact angle for p = 1.  A row gets the same
-    bits in a stack as alone.
+    estimates of the same subspace.  A value is the largest of
+    `_principal_angles`: those of ``scipy.linalg.subspace_angles`` for p >=
+    2, and a closed form within a few ulps of the exact angle for p = 1.  A
+    row gets the same bits in a stack as alone.
     """
-    if isinstance(u, Subspace) and isinstance(w, Subspace):
-        if u.ambient_dim != w.ambient_dim:
-            raise ValueError("subspaces live in different ambient dimensions")
-        if u.dim != w.dim:
-            raise ValueError("subspace distance needs equal dimensions")
-        return float(_principal_angles(u.basis[None], w.basis[None]).max())
     a, b = np.asarray(u, dtype=float), np.asarray(w, dtype=float)
     if a.ndim != 3 or a.shape != b.shape:
         raise ValueError(

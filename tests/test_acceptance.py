@@ -17,7 +17,7 @@ from repdyn.affine import eigenvalue_norm_one_check, hks_test
 from repdyn.cli import EXIT_FAIL, EXIT_OK, main
 from repdyn.domination import GeneratorSet, domination_scan, flag_estimate
 from repdyn.flowbundle import build_trajectory, estimate_splitting, measure_rates
-from repdyn.linalg import cartan_projection, jordan_projection
+from repdyn.linalg import log_eigenvalue_moduli, log_singular_values
 from repdyn.spectrum import containment_check, involution_symmetry_check, sample_cone
 from repdyn.words import (
     FlowLineWindow,
@@ -68,16 +68,16 @@ def padded_ping_pong():
 
 def test_criterion_01_closed_form_projections(capsys):
     with criterion(capsys, 1, "closed-form spectral projections", 1.0):
-        sv = cartan_projection(np.array([[3.0, 1.0], [1.0, 1.0]]))
+        [sv] = log_singular_values(np.array([[[3.0, 1.0], [1.0, 1.0]]]))
         assert abs(sv[0] - np.log(2.0 + np.sqrt(2.0))) < 1e-10
         assert abs(sv[1] - np.log(2.0 - np.sqrt(2.0))) < 1e-10
-        jv = jordan_projection(np.array([[2.0, 1.0], [1.0, 1.0]]))
+        [jv] = log_eigenvalue_moduli(np.array([[[2.0, 1.0], [1.0, 1.0]]]))
         assert abs(jv[0] - np.log((3.0 + np.sqrt(5.0)) / 2.0)) < 1e-10
         assert abs(jv[1] - np.log((3.0 - np.sqrt(5.0)) / 2.0)) < 1e-10
-        d = np.diag([5.0, -3.0, 0.5])
+        d = np.diag([5.0, -3.0, 0.5])[None]
         expect = np.log([5.0, 3.0, 0.5])
-        np.testing.assert_allclose(cartan_projection(d).values, expect, atol=1e-10)
-        np.testing.assert_allclose(jordan_projection(d).values, expect, atol=1e-10)
+        np.testing.assert_allclose(log_singular_values(d)[0], expect, atol=1e-10)
+        np.testing.assert_allclose(log_eigenvalue_moduli(d)[0], expect, atol=1e-10)
 
 
 def test_criterion_02_chamber_membership(capsys):
@@ -92,13 +92,17 @@ def test_criterion_02_chamber_membership(capsys):
         )
         # exact reference: log|det| of a product is the sum over letters
         logdet = {l: np.linalg.slogdet(gens.image(l))[1] for l in (1, 2, -1, -2)}
-        worst = 0.0
+        products, expected = [], []
         for _ in range(100_000):
             length = int(rng.integers(1, 11))
             w = random_word(2, length, rng)
-            cp = cartan_projection(evaluate(w, gens))
-            assert np.all(np.diff(cp.values) <= 0.0)
-            worst = max(worst, abs(cp.total - sum(logdet[l] for l in w.letters)))
+            products.append(evaluate(w, gens))
+            expected.append(sum(logdet[l] for l in w.letters))
+        # one kernel call reads every product, each row as it reads alone
+        cp = log_singular_values(np.stack(products))
+        assert np.isfinite(cp).all()
+        assert np.all(np.diff(cp, axis=1) <= 0.0)
+        worst = np.abs(cp.sum(axis=1) - expected).max()
         assert worst < 1e-7
 
 
@@ -116,9 +120,9 @@ def test_criterion_03_power_limit_of_log_singular_values(capsys):
             s = q @ (np.eye(n) + 0.01 * rng.standard_normal((n, n)))
             m = s @ d @ np.linalg.inv(s)
             p = np.linalg.matrix_power(m, 64)
-            err = np.max(
-                np.abs(cartan_projection(p).values / 64.0 - jordan_projection(m).values)
-            )
+            err = np.max(np.abs(
+                log_singular_values(p[None])[0] / 64.0 - log_eigenvalue_moduli(m[None])[0]
+            ))
             worst = max(worst, err)
         assert worst < 1e-3
 

@@ -10,7 +10,8 @@ from repdyn.domination import (
     transversality_check,
 )
 from repdyn.errors import DegenerateInputError
-from repdyn.words import Sampled, Word
+from repdyn.linalg import subspace_distance
+from repdyn.words import Sampled, Word, evaluate
 
 from conftest import rotation2
 
@@ -132,8 +133,17 @@ class TestFlagEstimate:
         gens = GeneratorSet([np.diag([3.0, 1.0, 1.0 / 3.0])], names=["a"])
         est = flag_estimate(gens, Word([1]), k=1, depth=8)
         assert est.residual == pytest.approx(0.0, abs=1e-12)
-        assert abs(est.zeta.basis[0, 0]) == pytest.approx(1.0, abs=1e-12)
-        assert est.theta_map.dim == 2
+        assert abs(est.zeta[0, 0]) == pytest.approx(1.0, abs=1e-12)
+        assert est.theta_map.shape == (3, 2)
+
+    def test_flags_span_the_leading_left_singular_vectors(self):
+        gens = GeneratorSet([np.diag([3.0, 1.0, 1.0 / 3.0])], names=["a"])
+        est = flag_estimate(gens, Word([1]), k=1, depth=8)
+        u = np.linalg.svd(evaluate(Word([1] * 8), gens))[0]
+        for basis, p in ((est.zeta, 1), (est.theta_map, 2)):
+            assert isinstance(basis, np.ndarray) and basis.shape == (3, p)
+            assert not basis.flags.writeable
+            assert subspace_distance(basis[None], u[None, :, :p])[0] <= 1e-12
 
     def test_ping_pong_residual_decays(self, ping_pong):
         residuals = {

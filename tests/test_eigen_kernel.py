@@ -18,7 +18,6 @@ from scipy.linalg import expm
 
 from repdyn import linalg, spectrum
 from repdyn.domination import GeneratorSet
-from repdyn.errors import DegenerateInputError
 from repdyn.words import Word, evaluate, iter_sphere_products
 
 from conftest import (
@@ -265,18 +264,6 @@ def test_blocks_do_not_change_rows(monkeypatch):
 def test_logdet_comes_with_its_sign():
     with pytest.raises(ValueError, match="together"):
         linalg.log_eigenvalue_moduli(np.eye(2)[None], logdet=[0.0])
-
-
-def test_jordan_projection_is_the_kernel_on_one_matrix():
-    for m in (np.array([[2.0, 1.0], [1.0, 1.0]]), form_preserving_matrix(),
-              np.random.default_rng(3).standard_normal((4, 4))):
-        v = linalg.jordan_projection(m)
-        assert v.kind == "jordan"
-        assert np.array_equal(v.values, linalg.log_eigenvalue_moduli(m[None])[0])
-    # the float determinant of this matrix is exactly 0, but its smallest
-    # singular value is not, so require_matrix lets it through
-    with pytest.raises(DegenerateInputError, match="underflowed to zero"):
-        linalg.jordan_projection(np.array([[1.0, 2.0], [2.0, 4.0]]))
 
 
 def test_block_diagonal_singular_values_read_the_exact_log_det():

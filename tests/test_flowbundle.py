@@ -60,8 +60,8 @@ class TestSplitting:
             (split.v_zero, 1),
             (split.v_minus, 2),
         ):
-            assert sub.dim == 1
-            assert abs(sub.basis[axis, 0]) == pytest.approx(1.0, abs=1e-10)
+            assert sub.shape == (3, 1)
+            assert abs(sub[axis, 0]) == pytest.approx(1.0, abs=1e-10)
 
     def test_k_range_is_strict(self, constant_traj):
         # n = 3 leaves no room for k = 1 plus an empty neutral block
@@ -84,9 +84,11 @@ class TestSplitting:
         vp, vz, vm = splitting_at(
             constant_traj, 1, [split.t_forward], [split.t_backward]
         )
-        np.testing.assert_allclose(vp[0, 0], split.v_plus.basis, atol=1e-12)
-        np.testing.assert_allclose(vz[0, 0], split.v_zero.basis, atol=1e-12)
-        np.testing.assert_allclose(vm[0, 0], split.v_minus.basis, atol=1e-12)
+        for rows, block in ((vp, split.v_plus), (vz, split.v_zero), (vm, split.v_minus)):
+            # the estimate's fields are the read-only (n, p) rows themselves
+            assert isinstance(block, np.ndarray) and block.shape == (3, 1)
+            assert not block.flags.writeable
+            assert np.array_equal(rows[0, 0], block)
 
 
 class TestRates:

@@ -1,4 +1,4 @@
-"""Spectral projections and subspace geometry against closed-form oracles."""
+"""Spectral kernels and subspace geometry against closed-form oracles."""
 
 import warnings
 
@@ -10,24 +10,20 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repdyn import linalg
-from repdyn.domination import GeneratorSet
+from repdyn.domination import GeneratorSet, flag_estimate
 from repdyn.errors import ConditionWarning, DegenerateGapError, DegenerateInputError
-from repdyn.linalg import _first_invalid
+from repdyn.linalg import _first_invalid, _principal_angles
 from repdyn.linalg import (
-    SpectralVector,
-    Subspace,
     bottom_singular_subspace,
-    cartan_projection,
-    jordan_projection,
     log_column_lengths,
-    opposition_involution,
-    principal_angle,
+    log_eigenvalue_moduli,
+    log_singular_values,
     require_matrix,
     require_orthonormal,
     singular_frames,
     subspace_distance,
-    top_singular_subspace,
 )
+from repdyn.words import Word
 
 from conftest import mpmath_column_angle, mpmath_frame_errors, mpmath_log_length
 
@@ -41,43 +37,38 @@ EIGEN_MODULI = ((3.0 + np.sqrt(5.0)) / 2.0, (3.0 - np.sqrt(5.0)) / 2.0)
 
 
 class TestCartanProjection:
+    """`log_singular_values` on a stack of one matrix."""
+
     def test_closed_form_oracle(self):
-        v = cartan_projection(SINGULAR_ORACLE)
-        assert v.kind == "cartan"
-        np.testing.assert_allclose(
-            np.exp(v.values), SINGULAR_VALUES, rtol=0, atol=1e-10
-        )
+        v = log_singular_values(SINGULAR_ORACLE[None])[0]
+        np.testing.assert_allclose(np.exp(v), SINGULAR_VALUES, rtol=0, atol=1e-10)
 
     def test_diagonal_matrix(self):
-        v = cartan_projection(np.diag([3.0, 2.0, 1.0]))
-        np.testing.assert_allclose(
-            v.values, np.log([3.0, 2.0, 1.0]), rtol=0, atol=1e-12
-        )
+        v = log_singular_values(np.diag([3.0, 2.0, 1.0])[None])[0]
+        np.testing.assert_allclose(v, np.log([3.0, 2.0, 1.0]), rtol=0, atol=1e-12)
 
     def test_sum_is_log_abs_det(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             m = rng.standard_normal((4, 4))
             _, logdet = np.linalg.slogdet(m)
-            assert cartan_projection(m).total == pytest.approx(logdet, abs=1e-9)
+            assert log_singular_values(m[None])[0].sum() == pytest.approx(logdet, abs=1e-9)
 
     def test_inverse_is_involution_image(self):
         rng = np.random.default_rng(3)
         m = rng.standard_normal((3, 3))
-        v = cartan_projection(m)
-        w = cartan_projection(np.linalg.inv(m))
-        np.testing.assert_allclose(
-            w.values, opposition_involution(v).values, rtol=0, atol=1e-9
-        )
+        v = log_singular_values(m[None])[0]
+        w = log_singular_values(np.linalg.inv(m)[None])[0]
+        # the opposition involution (v1..vn) -> (-vn..-v1)
+        np.testing.assert_allclose(w, -v[::-1], rtol=0, atol=1e-9)
 
 
 class TestJordanProjection:
+    """`log_eigenvalue_moduli` on a stack of one matrix."""
+
     def test_closed_form_oracle(self):
-        v = jordan_projection(EIGEN_ORACLE)
-        assert v.kind == "jordan"
-        np.testing.assert_allclose(
-            np.exp(v.values), EIGEN_MODULI, rtol=0, atol=1e-10
-        )
+        v = log_eigenvalue_moduli(EIGEN_ORACLE[None])[0]
+        np.testing.assert_allclose(np.exp(v), EIGEN_MODULI, rtol=0, atol=1e-10)
 
     def test_conjugation_invariance(self):
         rng = np.random.default_rng(5)
@@ -85,113 +76,83 @@ class TestJordanProjection:
         p = rng.standard_normal((3, 3)) + 3.0 * np.eye(3)
         conj = p @ m @ np.linalg.inv(p)
         np.testing.assert_allclose(
-            jordan_projection(conj).values,
-            jordan_projection(m).values,
+            log_eigenvalue_moduli(conj[None])[0],
+            log_eigenvalue_moduli(m[None])[0],
             rtol=0,
             atol=1e-9,
         )
 
     def test_rotation_all_zero(self):
         c, s = np.cos(0.7), np.sin(0.7)
-        v = jordan_projection(np.array([[c, -s], [s, c]]))
-        np.testing.assert_allclose(v.values, 0.0, rtol=0, atol=1e-12)
+        v = log_eigenvalue_moduli(np.array([[[c, -s], [s, c]]]))[0]
+        np.testing.assert_allclose(v, 0.0, rtol=0, atol=1e-12)
 
 
-class TestSpectralVector:
-    def test_rejects_increasing(self):
-        with pytest.raises(ValueError):
-            SpectralVector(np.array([0.0, 1.0]), "cartan")
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            SpectralVector(np.array([1.0, 0.0]), "spooky")
-
-    @pytest.mark.parametrize("values", [
-        [1.0, np.nan], [np.inf, 0.0], [0.0, -np.inf], [np.nan], [0.0, 1e-8],
-        [1.0, 1.0 + 3e-9], [5.0, 3.0, 3.0 + 1e-7, 0.0],
-    ])
-    def test_rejects_non_finite_and_increasing(self, values):
-        with pytest.raises(ValueError):
-            SpectralVector(np.array(values), "cartan")
-
-    @pytest.mark.parametrize("values", [
-        [0.0, 5e-10], [1.0, 1.0 + 1e-9], [-0.0, 0.0], [3.0], [1e300, -1e300],
-        [5.0, 3.0, 3.0 + 1e-9, 0.0],
-    ])
-    def test_accepts_increase_within_the_slack(self, values):
-        v = SpectralVector(values, "jordan")
-        assert v.values.tobytes() == np.array(values, dtype=float).tobytes()
-        assert not v.values.flags.writeable
-
-    def test_keeps_a_copy(self):
-        source = np.array([2.0, 1.0])
-        v = SpectralVector(source, "cartan")
-        source[0] = 0.0
-        assert tuple(v.values) == (2.0, 1.0)
-
-    def test_involution_is_exact_and_involutive(self):
-        v = SpectralVector(np.array([2.0, 0.5, -1.0]), "jordan")
-        w = opposition_involution(v)
-        assert w.kind == "jordan"
-        assert tuple(w.values) == (1.0, -0.5, -2.0)
-        assert tuple(opposition_involution(w).values) == tuple(v.values)
+def test_rank_drop_reads_minus_infinity_without_a_warning():
+    # the float determinant of this matrix is exactly 0, but its smallest
+    # singular value is not, so require_matrix lets it through
+    m = np.array([[[1.0, 2.0], [2.0, 4.0]]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kernel in (log_singular_values, log_eigenvalue_moduli):
+            v = kernel(m)[0]
+            assert v[-1] == -np.inf and np.isfinite(v[0]), kernel.__name__
 
 
 class TestSingularSubspaces:
     def test_top_of_diagonal(self):
-        u = top_singular_subspace(np.diag([3.0, 2.0, 1.0]), 1)
-        assert u.dim == 1 and u.ambient_dim == 3
-        assert abs(u.basis[0, 0]) == pytest.approx(1.0, abs=1e-12)
+        # flag_estimate reads the leading left singular vectors
+        est = flag_estimate(GeneratorSet([np.diag([3.0, 2.0, 1.0])]), Word([1]), 1, 2)
+        assert est.zeta.shape == (3, 1) and est.theta_map.shape == (3, 2)
+        assert abs(est.zeta[0, 0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_bottom_of_diagonal(self):
-        u = bottom_singular_subspace(np.diag([3.0, 2.0, 1.0]), 1)
-        assert abs(u.basis[2, 0]) == pytest.approx(1.0, abs=1e-12)
+        u = bottom_singular_subspace(np.diag([3.0, 2.0, 1.0])[None], 1)
+        assert u.shape == (1, 3, 1)
+        assert abs(u[0, 2, 0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_bottom_is_top_of_inverse(self):
         rng = np.random.default_rng(9)
         m = rng.standard_normal((4, 4)) + 2.0 * np.eye(4)
-        u = bottom_singular_subspace(m, 2)
-        w = top_singular_subspace(np.linalg.inv(m), 2)
-        assert subspace_distance(u, w) == pytest.approx(0.0, abs=1e-8)
+        u = bottom_singular_subspace(m[None], 2)
+        w = np.linalg.svd(np.linalg.inv(m))[0][:, :2]
+        assert subspace_distance(u, w[None])[0] == pytest.approx(0.0, abs=1e-8)
 
     def test_degenerate_gap_raises(self):
         with pytest.raises(DegenerateGapError) as info:
-            top_singular_subspace(np.eye(3), 1)
+            flag_estimate(GeneratorSet([np.eye(3)]), Word([1]), 1, 2)
         assert info.value.index == 1
 
     def test_p_out_of_range(self):
         with pytest.raises(ValueError):
-            top_singular_subspace(np.diag([2.0, 1.0]), 2)
+            bottom_singular_subspace(np.diag([2.0, 1.0])[None], 2)
+
+
+def smallest_angle(a, b):
+    """The smallest principal angle between two column bases."""
+    return _principal_angles(a[None], b[None]).min(axis=1)[0]
 
 
 class TestSubspaceGeometry:
     def test_orthonormality_enforced(self):
         with pytest.raises(ValueError):
-            Subspace(np.array([[1.0], [1.0]]))
+            require_orthonormal(np.array([[1.0], [1.0]]))
 
     def test_right_angle(self):
-        e1 = Subspace(np.array([[1.0], [0.0]]))
-        e2 = Subspace(np.array([[0.0], [1.0]]))
-        assert principal_angle(e1, e2) == pytest.approx(np.pi / 2, abs=1e-12)
+        e1, e2 = np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])
+        assert smallest_angle(e1, e2) == pytest.approx(np.pi / 2, abs=1e-12)
 
     def test_quarter_angle(self):
-        e1 = Subspace(np.array([[1.0], [0.0], [0.0]]))
-        d = Subspace(np.array([[1.0], [1.0], [0.0]]) / np.sqrt(2.0))
-        assert principal_angle(e1, d) == pytest.approx(np.pi / 4, abs=1e-12)
+        e1 = np.array([[1.0], [0.0], [0.0]])
+        d = np.array([[1.0], [1.0], [0.0]]) / np.sqrt(2.0)
+        assert smallest_angle(e1, d) == pytest.approx(np.pi / 4, abs=1e-12)
 
     def test_zero_angle_on_overlap(self):
-        plane = Subspace(np.eye(3)[:, :2])
-        line = Subspace(np.array([[1.0], [0.0], [0.0]]))
-        assert principal_angle(plane, line) == pytest.approx(0.0, abs=1e-8)
-
-    def test_angle_needs_room(self):
-        plane = Subspace(np.eye(3)[:, :2])
-        with pytest.raises(ValueError):
-            principal_angle(plane, plane)
+        plane = np.eye(3)[:, :2]
+        line = np.array([[1.0], [0.0], [0.0]])
+        assert smallest_angle(plane, line) == pytest.approx(0.0, abs=1e-8)
 
     def test_nan_basis_refused(self):
-        with pytest.raises(ValueError, match="orthonormal"):
-            Subspace(np.full((3, 1), np.nan))
         bases = np.stack([np.eye(3)[:, :1]] * 4)
         bases[2] = np.nan
         with pytest.raises(ValueError, match="orthonormal"):
@@ -201,24 +162,27 @@ class TestSubspaceGeometry:
                                          (5, 2, 3), (5, 3, 2), (5, 4, 1)])
     def test_principal_angle_matches_scipy(self, n, p, q):
         rng = np.random.default_rng(100 * n + 10 * p + q)
+        a, b = [], []
         for _ in range(100):
-            a = np.linalg.qr(rng.standard_normal((n, p)))[0]
-            b = rng.standard_normal((n, q))
+            x = np.linalg.qr(rng.standard_normal((n, p)))[0]
+            y = rng.standard_normal((n, q))
             if q <= p:
-                # near a's span, which reaches the arcsine branch
-                b = a[:, :q] + 10.0 ** rng.uniform(-12, 0.7) * b
-            b = np.linalg.qr(b)[0]
-            expected = scipy.linalg.subspace_angles(a, b).min()
-            got = principal_angle(Subspace(a), Subspace(b))
-            if p == q == 1:
-                # two single columns take the closed form, held to the exact angle
-                exact = mpmath_column_angle(a, b)
-                assert abs(got - exact) <= 4 * np.finfo(float).eps
-            elif min(p, q) > 1 or p == q:
-                assert got == expected
-            else:
-                # a single column against several takes other BLAS paths
-                assert got == pytest.approx(expected, rel=0, abs=4 * np.finfo(float).eps)
+                # near x's span, which reaches the arcsine branch
+                y = x[:, :q] + 10.0 ** rng.uniform(-12, 0.7) * y
+            a.append(x)
+            b.append(np.linalg.qr(y)[0])
+        a, b = np.stack(a), np.stack(b)
+        got = _principal_angles(a, b).min(axis=1)
+        expected = np.array([scipy.linalg.subspace_angles(x, y).min() for x, y in zip(a, b)])
+        if p == q == 1:
+            # two single columns take the closed form, held to the exact angle
+            exact = [mpmath_column_angle(x, y) for x, y in zip(a, b)]
+            assert np.abs(got - exact).max() <= 4 * np.finfo(float).eps
+        elif min(p, q) > 1 or p == q:
+            assert np.array_equal(got, expected)
+        else:
+            # a single column against several takes other BLAS paths
+            assert np.abs(got - expected).max() <= 4 * np.finfo(float).eps
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -247,13 +211,12 @@ class TestSubspaceGeometry:
 
     def test_distance_symmetric(self):
         rng = np.random.default_rng(2)
-        q1, _ = np.linalg.qr(rng.standard_normal((4, 2)))
-        q2, _ = np.linalg.qr(rng.standard_normal((4, 2)))
-        u, w = Subspace(q1), Subspace(q2)
-        assert subspace_distance(u, w) == pytest.approx(
-            subspace_distance(w, u), abs=1e-12
+        u, _ = np.linalg.qr(rng.standard_normal((1, 4, 2)))
+        w, _ = np.linalg.qr(rng.standard_normal((1, 4, 2)))
+        assert subspace_distance(u, w)[0] == pytest.approx(
+            subspace_distance(w, u)[0], abs=1e-12
         )
-        assert subspace_distance(u, u) == pytest.approx(0.0, abs=1e-8)
+        assert subspace_distance(u, u)[0] == pytest.approx(0.0, abs=1e-8)
 
 
 class TestRequireMatrix:
@@ -311,15 +274,9 @@ class TestRequireMatrix:
         m = np.diag([1e9, 1e-9])
         require_matrix(m)
 
-    def test_jordan_rejects_rank_drop(self):
-        with pytest.raises(DegenerateInputError):
-            jordan_projection(np.array([[1.0, 2.0], [2.0, 4.0]]))
-
     def test_ill_conditioning_warns(self):
-        from repdyn.errors import ConditionWarning
-
         with pytest.warns(ConditionWarning):
-            cartan_projection(np.diag([1e13, 1.0]))
+            singular_frames(np.diag([1e13, 1.0])[None], 1)
 
 
 def caught_conditions(fn):
@@ -345,7 +302,7 @@ class TestSingularFrames:
                 assert np.array_equal(got, expected)
 
     def test_one_matrix_message_unchanged(self):
-        _, texts = caught_conditions(lambda: top_singular_subspace(self.ILL, 1))
+        _, texts = caught_conditions(lambda: singular_frames(self.ILL[None], 1))
         assert texts == ["condition number 2.000e+13 exceeds 1e+12;"
                          " downstream gaps may be meaningless"]
 

@@ -315,9 +315,9 @@ def handbuilt_split(args):
             t_forward=split.t_forward,
             t_backward=split.t_backward,
             bases={
-                "expanding": split.v_plus.basis,
-                "neutral": split.v_zero.basis,
-                "contracting": split.v_minus.basis,
+                "expanding": split.v_plus,
+                "neutral": split.v_zero,
+                "contracting": split.v_minus,
             },
             rates={
                 "a_plus": rates.a_plus,

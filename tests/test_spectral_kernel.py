@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 from repdyn import linalg
 from repdyn.domination import GeneratorSet, domination_scan
-from repdyn.errors import DegenerateInputError
 from repdyn.words import Word, evaluate, iter_sphere_products, random_word
 
 from conftest import (
@@ -287,18 +286,6 @@ def test_n4_is_lapack():
     ms = np.random.default_rng(8).standard_normal((20, 4, 4))
     expected = np.log(np.linalg.svd(ms, compute_uv=False))
     assert np.array_equal(linalg.log_singular_values(ms), expected)
-
-
-def test_cartan_projection_keeps_its_checks():
-    with pytest.raises(DegenerateInputError, match="span more than float64"):
-        linalg.cartan_projection(np.diag([1e300, 1e-300]))
-    with pytest.raises(DegenerateInputError, match="span more than float64"):
-        linalg.cartan_projection(np.diag([1e300, 1.0, 1e-300]))
-    for n in (2, 3):
-        m = np.diag([1e13] + [1.0] * (n - 1))
-        with pytest.warns(linalg.ConditionWarning, match="1.000e\\+13 exceeds"):
-            v = linalg.cartan_projection(m)
-        assert np.array_equal(v.values, linalg.log_singular_values(m[None])[0])
 
 
 @st.composite

@@ -204,6 +204,9 @@ def test_group_results_equal_single_line_results():
         splits = estimate_splitting(group, k)
         rates = measure_rates(group, k)
         assert len(splits) == len(rates) == group.size
+        # the fields are the splitting_at rows at the window ends
+        ends = dict(zip(("v_plus", "v_zero", "v_minus"),
+                        splitting_at(group, k, [group.t_forward], [group.t_backward])))
         for b, position in enumerate(group.positions):
             [alone] = build_trajectory(gens, [lines[position]])
             assert alone.positions == (0,) and alone.lines == (lines[position],)
@@ -215,8 +218,12 @@ def test_group_results_equal_single_line_results():
             assert split.residual == splits[b].residual
             assert split.independence == splits[b].independence
             for block in ("v_plus", "v_zero", "v_minus"):
-                assert np.array_equal(getattr(split, block).basis,
-                                      getattr(splits[b], block).basis)
+                basis = getattr(splits[b], block)
+                p = group.dim - 2 * k if block == "v_zero" else k
+                assert isinstance(basis, np.ndarray) and basis.shape == (group.dim, p)
+                assert not basis.flags.writeable
+                assert np.array_equal(ends[block][b, 0], basis)
+                assert np.array_equal(getattr(split, block), basis)
             for curve, values in rate.curves.items():
                 assert np.array_equal(values, rates[b].curves[curve]), curve
             assert rate.a_plus == rates[b].a_plus and rate.A_minus == rates[b].A_minus

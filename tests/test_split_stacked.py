@@ -31,7 +31,7 @@ from repdyn.cli import main
 from repdyn.domination import GeneratorSet
 from repdyn.errors import DegenerateGapError, DegenerateInputError
 from repdyn.flowbundle import build_trajectory, estimate_splitting, measure_rates
-from repdyn.linalg import GAP_TOL, Subspace, singular_frames, subspace_distance
+from repdyn.linalg import GAP_TOL, require_orthonormal, singular_frames, subspace_distance
 from repdyn.words import FlowLineWindow, random_word
 
 from conftest import (
@@ -107,10 +107,11 @@ def reference_frames(m):
 
 
 def reference_block(m, rows):
-    """``(Subspace, bound)``: the span of the reference right singular
-    vectors ``rows`` of one matrix and the largest bound among them."""
+    """``(basis, bound)``: an orthonormal ``(n, p)`` basis of the reference
+    right singular vectors ``rows`` of one matrix and the largest bound
+    among them."""
     vt, bounds = reference_frames(m)
-    return Subspace(vt[rows].T), float(bounds[rows].max())
+    return require_orthonormal(vt[rows].T), float(bounds[rows].max())
 
 
 def reference_bottom(m, p):
@@ -136,9 +137,9 @@ def reference_distance(u, w):
     most the bounds of their bases let it move: exact for two single
     columns, scipy's for wider blocks."""
     (u, bound_u), (w, bound_w) = u, w
-    if u.dim == 1:
-        return mpmath_column_angle(u.basis, w.basis), bound_u + bound_w
-    return float(scipy.linalg.subspace_angles(u.basis, w.basis).max()), bound_u + bound_w
+    if u.shape[1] == 1:
+        return mpmath_column_angle(u, w), bound_u + bound_w
+    return float(scipy.linalg.subspace_angles(u, w).max()), bound_u + bound_w
 
 
 def reference_splitting_at(traj, k, t_forward, t_backward):
@@ -183,7 +184,7 @@ def reference_estimate(traj, k):
     shrunk = reference_splitting_at(traj, k, shrink(tf), shrink(tb))
     distances = [reference_distance(a, b) for a, b in zip(blocks, shrunk)]
     residual = (max(d for d, _ in distances), max(slack for _, slack in distances))
-    stacked = np.hstack([b.basis for b, _ in blocks])
+    stacked = np.hstack([b for b, _ in blocks])
     independence = float(np.linalg.svd(stacked, compute_uv=False)[-1])
     if independence <= 1e-6:
         raise DegenerateInputError(
@@ -217,7 +218,7 @@ def log_stretch(step, block, largest):
     moves it: ``log |step v|`` moves by at most ``cond(step)`` times the
     change of ``v``, to first order."""
     basis, bound = block
-    m = step @ basis.basis
+    m = step @ basis
     s = np.linalg.svd(step, compute_uv=False)
     moved = s[0] / s[-1] * bound
     slack = moved + moved * moved
@@ -344,7 +345,7 @@ def assert_line_matches(entry, csv_text, ref):
     """A line's summary entry and CSV text against its reference values."""
     traj, blocks = ref["traj"], ref["blocks"]
     # every reported residual is a largest angle over the three blocks
-    residual_tol = COLUMN_TOL if min(b.dim for b, _ in blocks) == 1 else 0.0
+    residual_tol = COLUMN_TOL if min(b.shape[1] for b, _ in blocks) == 1 else 0.0
     residual, slack = ref["residual"]
     assert abs(entry["residual"] - residual) <= residual_tol + slack
     independence, slack = ref["independence"]
@@ -352,11 +353,11 @@ def assert_line_matches(entry, csv_text, ref):
     for name, (basis, bound) in zip(("expanding", "neutral", "contracting"), blocks):
         got = np.array(entry["bases"][name])
         if bound == 0.0:
-            assert got.tolist() == basis.basis.tolist(), name
+            assert got.tolist() == basis.tolist(), name
         else:
             # a one-column block, within its bound of the exact one
-            assert got.shape == basis.basis.shape == (3, 1), name
-            assert mpmath_column_angle(got, basis.basis) <= bound + COLUMN_TOL, name
+            assert got.shape == basis.shape == (3, 1), name
+            assert mpmath_column_angle(got, basis) <= bound + COLUMN_TOL, name
     assert (entry["t_forward"], entry["t_backward"]) == (traj.t_forward, traj.t_backward)
 
     header, *rows = [row.split(",") for row in csv_text.splitlines()]
@@ -537,7 +538,7 @@ def test_stacked_subspace_distance_matches_scipy(n, p):
     assert (cosines**2 >= 0.5).any() and (cosines**2 < 0.5).any()
     got = subspace_distance(a, b)
     assert got.shape == (count,)
-    one = [subspace_distance(Subspace(x), Subspace(y)) for x, y in zip(a[:20], b[:20])]
+    one = [subspace_distance(x[None], y[None])[0] for x, y in zip(a[:20], b[:20])]
     assert one == got[:20].tolist()
     if p == 1:
         # two single columns take the closed form, held to the exact angle
