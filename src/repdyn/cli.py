@@ -13,13 +13,15 @@ into ``--out-dir``.  CSVs use '.' decimals, LF endings, a header row, and 17
 significant digits, so identical configurations reproduce identical bytes;
 the JSON summary is deterministic except for its ``timestamp`` field.
 
-Exit codes: 0 pass, 2 refuted or failed, 3 inconclusive, 64 bad usage or
-unparseable input (with line/column where available), 70 numeric failure.
+Exit codes: 0 pass, 2 refuted or failed, 3 inconclusive, 64 bad usage,
+unparseable input (with line/column where available) or output that cannot
+be written, 70 numeric failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import datetime
 import json
@@ -74,12 +76,18 @@ def load_json(path) -> dict:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise InputFileError(f"cannot read {path}: {e.strerror or e}") from e
+    except UnicodeDecodeError as e:
+        raise InputFileError(f"{path}: not UTF-8 text: {e}") from e
     try:
         doc = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as e:
         raise InputFileError(
             f"{path}: parse error at line {e.lineno}, column {e.colno}: {e.msg}"
         ) from e
+    except RecursionError as e:
+        raise InputFileError(f"{path}: JSON nested too deeply") from e
+    except ValueError as e:  # an integer past Python's digit limit
+        raise InputFileError(f"{path}: {e}") from e
     if not isinstance(doc, dict):
         raise InputFileError(f"{path}: top level must be a JSON object")
     return doc
@@ -89,15 +97,14 @@ def _number(value, where) -> float:
     """A JSON number or an exact rational string like "3/4", as float."""
     if isinstance(value, bool):
         raise InputFileError(f"{where}: expected a number, got a boolean")
-    if isinstance(value, (int, float)):
-        out = float(value)
-    elif isinstance(value, str):
-        try:
-            out = float(Fraction(value))
-        except (ValueError, ZeroDivisionError) as e:
-            raise InputFileError(f"{where}: not a number or p/q rational: {value!r}") from e
-    else:
+    if not isinstance(value, (int, float, str)):
         raise InputFileError(f"{where}: expected a number, got {type(value).__name__}")
+    try:
+        out = float(Fraction(value) if isinstance(value, str) else value)
+    except (ValueError, ZeroDivisionError) as e:
+        raise InputFileError(f"{where}: not a number or p/q rational: {value!r}") from e
+    except OverflowError as e:
+        raise InputFileError(f"{where}: value outside the float64 range") from e
     if not np.isfinite(out):
         raise InputFileError(f"{where}: value {value!r} is not finite")
     return out
@@ -324,6 +331,18 @@ def _chunk_text(chunk, width):
     return text if plain else None
 
 
+@contextlib.contextmanager
+def _output(path):
+    """``path`` opened for writing text; an `OSError` while opening, writing
+    or closing it is an `InputFileError` that names the file.  What was
+    written before stays."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+    except OSError as e:
+        raise InputFileError(f"cannot write {path}: {e.strerror or e}") from e
+
+
 def write_csv(path, header, rows):
     """Write a CSV with LF endings, a header row and 17-significant-digit floats.
 
@@ -339,7 +358,7 @@ def write_csv(path, header, rows):
     """
     width = len(header)
     rows = iter(rows)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _output(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         while chunk := list(islice(rows, CSV_CHUNK_ROWS)):
@@ -481,7 +500,7 @@ def write_summary(out_dir, command, config, results, csv_files, gens=None):
     _emit_json(report, gens, out)
     out.append("\n")
     path = os.path.join(out_dir, f"{command}_summary.json")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _output(path) as fh:
         fh.write("".join(out))
     with open(path, "r", encoding="utf-8") as fh:
         reread = json.load(fh)
@@ -677,6 +696,8 @@ def _residual_columns(traj, k):
 def _replay(caught):
     """Warn again what ``warnings.catch_warnings(record=True)`` caught, under
     the filters in force, as if from where each was first raised."""
+    if not caught:
+        return
     modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
     for w in caught:
         module = modules.get(w.filename)
@@ -693,9 +714,10 @@ def _split_outcomes(traj, k):
     """The outcome of each line of a trajectory: ``(split, rates, residual
     column)``, or the error that makes the line degenerate.
 
-    The lines go through one stacked pass.  If a line degenerates there,
-    the pass is dropped together with the warnings it raised, and the lines
-    go through again one at a time, each exactly as it would alone.  Lines
+    The lines go through one stacked pass.  If a line of a group of two or
+    more degenerates there, the pass is dropped together with the warnings
+    it raised, and each half of the group goes through again, down to the
+    degenerate lines alone; a line gets the same bits in any group.  Lines
     whose products overflow within two steps in either direction are
     degenerate, with a `NumericOverflowError` that says how far they reach.
     """
@@ -704,29 +726,20 @@ def _split_outcomes(traj, k):
             f"the window reaches t = {traj.t_forward} forward and t = -{traj.t_backward}"
             " backward before overflow; need at least two steps in each direction")
         return [error] * traj.size
-    if traj.size > 1:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            try:
-                splits = flowbundle.estimate_splitting(traj, k)
-                rates = flowbundle.measure_rates(traj, k)
-                outcomes = list(zip(splits, rates, _residual_columns(traj, k)))
-            except _DEGENERATE:
-                outcomes = None
-        if outcomes is not None:
-            _replay(caught)
-            return outcomes
-    outcomes = []
-    for one in traj.single_lines():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         try:
-            splits = flowbundle.estimate_splitting(one, k)
-            rates = flowbundle.measure_rates(one, k)
+            splits = flowbundle.estimate_splitting(traj, k)
+            rates = flowbundle.measure_rates(traj, k)
+            outcomes = list(zip(splits, rates, _residual_columns(traj, k)))
         except _DEGENERATE as e:
-            outcomes.append(e)
-            continue
-        # an error in the residual column is not a line outcome: it stops the run
-        outcomes.append((splits[0], rates[0], _residual_columns(one, k)[0]))
-    return outcomes
+            outcomes = [e]
+    if traj.size == 1 or not isinstance(outcomes[0], Exception):
+        _replay(caught)
+        return outcomes
+    half = traj.size // 2
+    return [*_split_outcomes(traj.lines_in(slice(None, half)), k),
+            *_split_outcomes(traj.lines_in(slice(half, None)), k)]
 
 
 def cmd_split(args) -> int:

@@ -33,7 +33,8 @@ Each decomposes its matrix or sums its row on its own, so a line gets the
 same bits in a group as alone.  Every analysis returns one result per line
 of the group, and a single line is a group of one.  A check that fails on
 any line raises for the whole group, so a caller that wants per-line
-outcomes (``repdyn split``) runs a failing group again one line at a time.
+outcomes (``repdyn split``) runs each half of a failing group again
+(`CocycleTrajectory.lines_in`), down to the failing lines alone.
 Each stacked check whose products pass the condition limit draws one
 `ConditionWarning` that counts them.
 """
@@ -131,21 +132,18 @@ class CocycleTrajectory:
             )
         return self._frames[0 if sign > 0 else 1]
 
-    def single_lines(self) -> list["CocycleTrajectory"]:
-        """The lines one at a time, as groups of one that keep their
-        positions, and their rows of `frames` if they were made."""
-        return [
-            replace(
-                self,
-                lines=(line,),
-                forward=self.forward[b : b + 1],
-                backward=self.backward[b : b + 1],
-                positions=(self.positions[b],),
-                _frames=None if self._frames is None else tuple(
-                    (s[b : b + 1], vt[b : b + 1]) for s, vt in self._frames),
-            )
-            for b, line in enumerate(self.lines)
-        ]
+    def lines_in(self, rows: slice) -> "CocycleTrajectory":
+        """The group of the lines at ``rows``, keeping their positions and
+        their rows of `frames` if they were made."""
+        return replace(
+            self,
+            lines=self.lines[rows],
+            forward=self.forward[rows],
+            backward=self.backward[rows],
+            positions=self.positions[rows],
+            _frames=None if self._frames is None else tuple(
+                (s[rows], vt[rows]) for s, vt in self._frames),
+        )
 
 
 def _images(gens):

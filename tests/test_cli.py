@@ -246,6 +246,66 @@ class TestInputHandling:
         assert err.startswith(f"repdyn: cannot create output directory {out}: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("entry", ["1e400", "-1e400", 10 ** 400],
+                             ids=["1e400", "-1e400", "401-digit-integer"])
+    def test_entry_past_float64_names_the_entry(self, entry, tmp_path, capsys):
+        doc = {"n": 2, "generators": [{"name": "a", "rows": [[entry, 0], [0, 1]]}]}
+        path = write_doc(tmp_path / "g.json", doc)
+        rc = main(["dominate", "--input", path, "--out-dir", str(tmp_path / "out")])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"repdyn: {path}: generators[0].rows[0][0]: value outside the float64 range\n")
+
+    def test_translation_past_float64_names_the_entry(self, tmp_path, capsys):
+        doc = {"n": 2, "generators": [{"name": "a", "rows": [[2, 0], [0, 1]]}],
+               "translations": [["1e400", 0]]}
+        path = write_doc(tmp_path / "g.json", doc)
+        rc = main(["affine", "--input", path, "--out-dir", str(tmp_path / "out")])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"repdyn: {path}: translations[0][0]: value outside the float64 range\n")
+
+    @pytest.mark.parametrize("text, reason", [
+        # past the recursion limit of the parser on every supported Python
+        ('{"n": ' + "[" * 100_000 + "]" * 100_000 + "}", "JSON nested too deeply"),
+        pytest.param('{"n": 2, "generators": [[' + "9" * 5000 + "]]}", "Exceeds the limit",
+                     marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                              reason="no integer digit limit")),
+    ], ids=["nested-100000-deep", "5000-digit-integer"])
+    def test_document_the_parser_refuses_names_the_file(self, text, reason, tmp_path,
+                                                        capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text, encoding="utf-8")
+        rc = main(["dominate", "--input", str(bad), "--out-dir", str(tmp_path / "out")])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"repdyn: {bad}: {reason}") and err.count("\n") == 1
+
+    def test_non_utf8_input_names_the_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff{}")
+        rc = main(["dominate", "--input", str(bad), "--out-dir", str(tmp_path / "out")])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"repdyn: {bad}: not UTF-8 text: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("blocked", ["dominate_spheres.csv", "dominate_summary.json"])
+    def test_unwritable_output_is_usage_error(self, blocked, ping_pong_doc, tmp_path,
+                                              capsys):
+        # a directory where an output file goes; the CSV before the summary
+        # is written before the summary fails and stays
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        rc = main(["dominate", "--input", ping_pong_doc, "--max-length", "3",
+                   "--out-dir", str(out)])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"repdyn: cannot write {out / blocked}: Is a directory\n")
+        if blocked == "dominate_summary.json":
+            assert (out / "dominate_spheres.csv").is_file()
+        else:
+            assert not (out / "dominate_summary.json").exists()
+
 
 class TestVerdictExitCodes:
     def test_dominated_exits_zero(self, ping_pong_doc, tmp_path):

@@ -3,18 +3,20 @@
 Every document below mixes lines; each line's summary entry and CSV bytes
 are compared with a run of the same command on a document holding only
 that line.  The mixes cover periodic and seeded lines, a degenerate line
-between good ones (its group falls back to one line at a time), a line
-whose products overflow (it stops early and forms a group of its own) and
-n = 5 with k = 2.
+between good ones, two degenerate lines among many of one reach (a group
+that hits a degenerate line is halved down to it), a line whose products
+overflow (it stops early and forms a group of its own) and n = 5 with
+k = 2.
 """
 
 import json
+import math
 import warnings
 
 import numpy as np
 import pytest
 
-from repdyn import flowbundle, linalg
+from repdyn import cli, flowbundle, linalg
 from repdyn.cli import main
 from repdyn.domination import GeneratorSet
 from repdyn.errors import DegenerateGapError, WindowBoundsError
@@ -61,6 +63,13 @@ def mix(name):
         mats = [np.diag([2.0, 1.0, 0.5]), np.diag([0.5, 1.0, 1.0])]
         good = {"letters": [1] * 9 + [2, 1, 1], "offset": 0}
         return mats, [{"pattern": [1]}, {"pattern": [1, 2]}, good], 1, 6
+    if name == "two-degenerate-among-many":
+        # the lines of the mix above, 32 of one reach in one group, with
+        # the degenerate line at positions 4 and 13
+        mats, (periodic, bad, good), k, window = mix("degenerate-in-the-middle")
+        specs = [good if j % 3 else periodic for j in range(32)]
+        specs[4] = specs[13] = bad
+        return mats, specs, k, window
     if name == "overflow":
         # f grows by 1e10 a step.  The first explicit line follows it both
         # ways and overflows near t = 30 in each direction; the second
@@ -108,12 +117,29 @@ def without_place(entry):
     return {key: value for key, value in entry.items() if key not in ("index", "label")}
 
 
+def count_passes(monkeypatch):
+    """The sizes of the groups `estimate_splitting` is called on, as a list
+    that grows with each call."""
+    sizes = []
+    estimate = flowbundle.estimate_splitting
+
+    def counted(traj, k):
+        sizes.append(traj.size)
+        return estimate(traj, k)
+
+    monkeypatch.setattr(flowbundle, "estimate_splitting", counted)
+    return sizes
+
+
 @pytest.mark.parametrize(
-    "name", ["periodic-and-seeded", "degenerate-in-the-middle", "overflow", "n5-k2"]
+    "name", ["periodic-and-seeded", "degenerate-in-the-middle",
+             "two-degenerate-among-many", "overflow", "n5-k2"]
 )
-def test_each_line_matches_a_run_on_it_alone(name, tmp_path):
+def test_each_line_matches_a_run_on_it_alone(name, tmp_path, monkeypatch):
     mats, specs, k, window = mix(name)
+    sizes = count_passes(monkeypatch)
     code, summary, out, warned = run_split(tmp_path, "all", mats, specs, k, window)
+    passes = len(sizes)
     entries = summary["results"]["lines"]
     assert [e["index"] for e in entries] == list(range(len(specs)))
     alone_codes, alone_warned = [], 0
@@ -140,25 +166,73 @@ def test_each_line_matches_a_run_on_it_alone(name, tmp_path):
     statuses = [e["status"] for e in entries]
     if name == "degenerate-in-the-middle":
         assert statuses == ["ok", "degenerate", "ok"]
+    elif name == "two-degenerate-among-many":
+        assert [j for j, s in enumerate(statuses) if s != "ok"] == [4, 13]
     else:
         assert set(statuses) == {"ok"}
     if name == "overflow":
         assert [e["truncated"] for e in entries] == [False, True, False, True, False, False]
+    if "degenerate" in name:
+        # one group, halved down to each of its f degenerate lines; with 32
+        # lines that is fewer passes than one per line
+        f = statuses.count("degenerate")
+        assert sizes[0] == len(specs)
+        assert passes <= 1 + 2 * f * math.ceil(math.log2(len(specs)))
 
 
-def test_a_degenerate_group_falls_back_to_single_lines(tmp_path, monkeypatch):
+def test_a_degenerate_group_is_halved_down_to_its_degenerate_line(tmp_path, monkeypatch):
     mats, specs, k, window = mix("degenerate-in-the-middle")
-    sizes = []
-    estimate = flowbundle.estimate_splitting
-
-    def counted(traj, k):
-        sizes.append(traj.size)
-        return estimate(traj, k)
-
-    monkeypatch.setattr(flowbundle, "estimate_splitting", counted)
+    sizes = count_passes(monkeypatch)
     run_split(tmp_path, "all", mats, specs, k, window)
-    # one stacked attempt over the group, then each line on its own
-    assert sizes == [3, 1, 1, 1]
+    # the group of three, its first half [ok], then its second half
+    # [degenerate, ok] and that half's halves
+    assert sizes == [3, 1, 2, 1, 1]
+
+
+def test_a_group_of_degenerate_lines_takes_two_b_minus_one_passes(tmp_path, monkeypatch):
+    mats, (_, bad, _), k, window = mix("degenerate-in-the-middle")
+    sizes = count_passes(monkeypatch)
+    code, summary, out, _ = run_split(tmp_path, "all", mats, [bad] * 9, k, window)
+    # every group fails, so the halving visits every node of a binary tree
+    # with 9 leaves
+    assert len(sizes) == 2 * 9 - 1
+    assert sizes.count(1) == 9
+    assert code == 2
+    assert [e["status"] for e in summary["results"]["lines"]] == ["degenerate"] * 9
+    assert summary["csv_files"] == [] and list(out.glob("*.csv")) == []
+
+
+def test_a_residual_column_error_is_the_line_outcome(tmp_path, monkeypatch):
+    # the residual column fails for every group that holds line 5; the
+    # line comes out degenerate with that message, in the group of one it
+    # is halved down to, and every other line as in an unpatched run
+    mats, specs, k, window = mix("two-degenerate-among-many")
+    specs = [spec for j, spec in enumerate(specs) if j not in (4, 13)]
+    code, summary, out, _ = run_split(tmp_path, "plain", mats, specs, k, window)
+    assert code == 0
+    chosen = 5
+    columns = cli._residual_columns
+    error = DegenerateGapError("residual column refused", index=1, gap=0.0, time=7)
+
+    def refused(traj, k):
+        if chosen in traj.positions:
+            raise error
+        return columns(traj, k)
+
+    monkeypatch.setattr(cli, "_residual_columns", refused)
+    sizes = count_passes(monkeypatch)
+    code_p, patched, out_p, _ = run_split(tmp_path, "patched", mats, specs, k, window)
+    assert code_p == 2 and sizes[0] == len(specs) and 1 in sizes
+    for j, (entry, plain) in enumerate(zip(patched["results"]["lines"],
+                                           summary["results"]["lines"])):
+        csv = f"split_line{j}.csv"
+        if j == chosen:
+            assert entry == {"label": plain["label"], "index": j, "status": "degenerate",
+                             "detail": str(error), "truncated": False, "time": 7}
+            assert not (out_p / csv).exists()
+        else:
+            assert entry == plain, j
+            assert (out_p / csv).read_bytes() == (out / csv).read_bytes(), j
 
 
 def test_fallback_warns_no_more_than_single_lines(tmp_path):
