@@ -27,10 +27,11 @@ import datetime
 import json
 import math
 import os
+import re
 import sys
 import warnings
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 
@@ -58,6 +59,10 @@ DEFAULT_SEED = 0
 # rows formatted per call of `write_csv`: bounds the text held in memory
 CSV_CHUNK_ROWS = 4096
 
+# a string split at its last exponent: what comes before, the exponent
+# with its "e" and sign, and trailing space
+_EXPONENT = re.compile(r"(.*)([eE][-+]?[\d_]+)(\s*)", re.DOTALL)
+
 
 class InputFileError(Exception):
     """Input could not be parsed or validated; message includes location."""
@@ -68,7 +73,8 @@ class InputFileError(Exception):
 
 
 def _reject_constant(name):
-    raise InputFileError(f"non-finite JSON constant {name!r} is not accepted")
+    # a ValueError, so that `load_json` puts the path in front
+    raise ValueError(f"non-finite JSON constant {name!r} is not accepted")
 
 
 def load_json(path) -> dict:
@@ -86,11 +92,32 @@ def load_json(path) -> dict:
         ) from e
     except RecursionError as e:
         raise InputFileError(f"{path}: JSON nested too deeply") from e
-    except ValueError as e:  # an integer past Python's digit limit
+    except ValueError as e:  # a non-finite constant or an integer past the digit limit
         raise InputFileError(f"{path}: {e}") from e
     if not isinstance(doc, dict):
         raise InputFileError(f"{path}: top level must be a JSON object")
     return doc
+
+
+def _rational(text) -> float:
+    """``float(Fraction(text))``, without raising ten to a huge exponent.
+
+    With the exponent's digits zeroed, `Fraction` accepts or refuses the
+    same spelling and reads the mantissa.  A nonzero mantissa of d
+    characters lies between ``10**-d`` and ``10**d``, so past an exponent
+    of d + 400 either way the float is known: it overflows, or it is a zero
+    with the mantissa's sign.  Any other string goes to `Fraction` whole.
+    """
+    match = _EXPONENT.fullmatch(text)
+    if match:
+        head, exponent, tail = match.groups()
+        mantissa = Fraction(head + re.sub(r"\d", "0", exponent) + tail)
+        exponent, bound = int(exponent[1:]), len(head) + 400
+        if mantissa and exponent > bound:
+            raise OverflowError(text)
+        if not mantissa or exponent < -bound:
+            return -0.0 if mantissa < 0 else 0.0
+    return float(Fraction(text))
 
 
 def _number(value, where) -> float:
@@ -100,7 +127,7 @@ def _number(value, where) -> float:
     if not isinstance(value, (int, float, str)):
         raise InputFileError(f"{where}: expected a number, got {type(value).__name__}")
     try:
-        out = float(Fraction(value) if isinstance(value, str) else value)
+        out = _rational(value) if isinstance(value, str) else float(value)
     except (ValueError, ZeroDivisionError) as e:
         raise InputFileError(f"{where}: not a number or p/q rational: {value!r}") from e
     except OverflowError as e:
@@ -319,14 +346,18 @@ def _chunk_text(chunk, width):
 
     The rows are joined with ``,`` and LF and checked once: no ``"`` and no
     CR in the text, one comma fewer than the width per row, one LF per row,
-    and no one-column row holding the empty string.  A cell that is not a
-    string raises ``TypeError``."""
+    and no one-column row holding the empty string.  The commas and LFs are
+    counted with numpy in the text's UTF-8 bytes, where neither byte occurs
+    inside a multi-byte sequence; a lone surrogate is passed through the
+    count and fails as the text is written.  A cell that is not a string
+    raises ``TypeError``."""
     text = "\n".join(map(",".join, chunk)) + "\n"
+    data = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
     # a separator in a cell shows as one comma or LF more than the rows
     # account for, and a one-column row holding "" is written as '""'
     plain = ('"' not in text and "\r" not in text
-             and text.count(",") == (width - 1) * len(chunk)
-             and text.count("\n") == len(chunk)
+             and np.count_nonzero(data == ord(",")) == (width - 1) * len(chunk)
+             and np.count_nonzero(data == ord("\n")) == len(chunk)
              and not (width == 1 and any(row[0] == "" for row in chunk)))
     return text if plain else None
 
@@ -601,12 +632,14 @@ def cmd_dominate(args) -> int:
 def _cone_rows(gens, cone):
     """CSV rows of every cone sample, as tuples of formatted strings.
 
-    Each level is built a column at a time: the Jordan columns by
-    `format_floats`, the zero-index column gathered from one name per
-    distinct mask, and the word names.  An exhaustive level lists its words
-    in shortlex order, so the parent of row i is row ``i // (2 rank - 1)``
-    of the level before, and its name is the parent's plus one letter; a
-    sampled level joins each word's letter names.
+    The rows are the `zip` of one level's columns after another, chained
+    so that they are iterated in C, and a level's columns are built only
+    when the rows reach it: the n Jordan columns by one `format_floats`
+    call, the zero-index column gathered from one name per distinct mask,
+    and the word names.  An exhaustive level lists its words in shortlex
+    order, so the parent of row i is row ``i // (2 rank - 1)`` of the level
+    before, and its name is the parent's plus one letter; a sampled level
+    joins each word's letter names.
     """
     letter_names = np.empty(2 * gens.rank + 1, dtype=object)
     spaced = letter_names.copy()
@@ -614,23 +647,27 @@ def _cone_rows(gens, cone):
         letter_names[l] = gens.word_name((l,))  # a negative letter indexes from the end
         spaced[l] = " " + letter_names[l]
     fan = 2 * gens.rank - 1
-    names = None
-    for m, level in sorted(cone.levels.items()):
-        # a bool is one byte, so a void view makes each mask row one sortable key
-        keys = np.ascontiguousarray(level.zero).view(f"V{cone.n}").ravel()
-        _, first, mask_of_row = np.unique(keys, return_index=True, return_inverse=True)
-        zero_names = np.array([
-            ";".join(str(i + 1) for i in np.flatnonzero(level.zero[r])) for r in first
-        ], dtype=object)
-        if cone.exhaustive and names is not None:
-            names = (names[np.arange(len(level)) // fan]
-                     + spaced[level.letters[:, -1]])
-        else:
-            names = np.array([" ".join(w) for w in letter_names[level.letters].tolist()],
-                             dtype=object)
-        columns = [format_floats(column).tolist() for column in level.jordan.T]
-        zeros = zero_names[mask_of_row.ravel()].tolist()
-        yield from zip([str(m)] * len(level), *columns, zeros, names.tolist())
+
+    def levels():
+        names = None
+        for m, level in sorted(cone.levels.items()):
+            # a bool is one byte, so a void view makes each mask row one sortable key
+            keys = np.ascontiguousarray(level.zero).view(f"V{cone.n}").ravel()
+            _, first, mask_of_row = np.unique(keys, return_index=True, return_inverse=True)
+            zero_names = np.array([
+                ";".join(str(i + 1) for i in np.flatnonzero(level.zero[r])) for r in first
+            ], dtype=object)
+            if cone.exhaustive and names is not None:
+                names = (names[np.arange(len(level)) // fan]
+                         + spaced[level.letters[:, -1]])
+            else:
+                names = np.array(
+                    [" ".join(w) for w in letter_names[level.letters].tolist()], dtype=object)
+            columns = format_floats(level.jordan.T.ravel()).reshape(cone.n, -1).tolist()
+            zeros = zero_names[mask_of_row.ravel()].tolist()
+            yield zip(repeat(str(m), len(level)), *columns, zeros, names.tolist())
+
+    return chain.from_iterable(levels())
 
 
 def cmd_spectrum(args) -> int:

@@ -5,7 +5,8 @@ For a generator set S the cloud of normalized Jordan vectors
 compact convex body as m grows; its cone over the origin organizes the
 asymptotic spectral data of the whole group.  `sample_cone` collects the
 clouds for m = 1..m_max, reports the convex hull at the deepest level and a
-Hausdorff-distance convergence proxy between the last two clouds.
+Hausdorff-distance convergence proxy between the last two clouds, read on
+their distinct rows.
 
 Each level m is one columnar :class:`ConeLevel`: the words as an ``(N, m)``
 letter array and their normalized Jordan and Cartan vectors, zero
@@ -124,6 +125,28 @@ def _hull_of_cloud(cloud):
     return cloud[np.sort(hull.vertices)].copy(), adim
 
 
+def _distinct_rows(cloud):
+    """The rows of a float cloud with repeats dropped, told apart by their
+    bits: one lexsort of the bits puts equal rows next to each other."""
+    bits = np.ascontiguousarray(cloud).view(np.int64)
+    order = np.lexsort(bits.T)
+    bits = bits.take(order, axis=0)
+    first = np.ones(len(bits), dtype=bool)
+    np.any(bits[1:] != bits[:-1], axis=1, out=first[1:])
+    return cloud.take(order[first], axis=0)
+
+
+def _hausdorff(a, b) -> float:
+    """The Hausdorff distance between two point clouds, read on their
+    distinct rows: a max of mins of the same per-pair distances, so it has
+    the bits of the full clouds' value at a fraction of the pairs."""
+    # imported here: scipy.spatial is slow to import and few commands need it
+    from scipy.spatial.distance import directed_hausdorff
+
+    a, b = _distinct_rows(a), _distinct_rows(b)
+    return max(directed_hausdorff(a, b)[0], directed_hausdorff(b, a)[0])
+
+
 def sample_cone(gens, m_max: int, policy=words.Exhaustive()) -> ConeEstimate:
     """Collect normalized Jordan (and Cartan) samples for m = 1..m_max.
 
@@ -158,12 +181,7 @@ def sample_cone(gens, m_max: int, policy=words.Exhaustive()) -> ConeEstimate:
     cloud = levels[m_used].jordan
     vertices, adim = _hull_of_cloud(cloud)
     if m_used >= 2:
-        from scipy.spatial.distance import directed_hausdorff
-
-        prev = levels[m_used - 1].jordan
-        hausdorff = max(
-            directed_hausdorff(cloud, prev)[0], directed_hausdorff(prev, cloud)[0]
-        )
+        hausdorff = _hausdorff(cloud, levels[m_used - 1].jordan)
     else:
         hausdorff = float("nan")
 
@@ -302,10 +320,10 @@ def involution_symmetry_check(cone: ConeEstimate,
     for m, level in sorted(cone.levels.items()):
         partner = level.inverse
         paired = partner >= 0
-        jordan = _fold_columns(
-            np.maximum, np.abs(-level.jordan[:, ::-1] - level.jordan[partner]))
-        cartan = _fold_columns(
-            np.maximum, np.abs(-level.cartan[:, ::-1] - level.cartan[partner]))
+        jordan = _fold_columns(np.maximum, np.abs(
+            -level.jordan[:, ::-1] - level.jordan.take(partner, axis=0)))
+        cartan = _fold_columns(np.maximum, np.abs(
+            -level.cartan[:, ::-1] - level.cartan.take(partner, axis=0)))
         # Python's max(jordan, cartan): the first argument unless the second is larger
         dev = np.where(paired, np.where(cartan > jordan, cartan, jordan), np.nan)
         worst = float(np.fmax.reduce(dev, initial=worst))

@@ -12,6 +12,7 @@ from scipy.linalg import expm
 
 from repdyn.domination import GeneratorSet
 from repdyn.errors import NumericOverflowError
+from repdyn.words import letter_rank
 
 LOG2 = np.log(2.0)
 
@@ -114,6 +115,17 @@ def tree_distance(v, w) -> int:
             break
         common += 1
     return len(a) + len(b) - 2 * common
+
+
+def shortlex_rank(letters, rank: int) -> np.ndarray:
+    """Row of each word of an ``(N, L)`` letter array in the shortlex
+    ordered exhaustive sphere, read off its letters: digit j counts the
+    letters allowed before letter j, and weighs ``(2 rank - 1)**(L - 1 - j)``."""
+    positions = letter_rank(np.asarray(letters))
+    digits = positions.astype(np.int64)
+    digits[:, 1:] -= positions[:, 1:] > (positions[:, :-1] ^ 1)
+    weights = (2 * rank - 1) ** np.arange(positions.shape[1] - 1, -1, -1, dtype=np.int64)
+    return digits @ weights
 
 
 def reference_distances(g, h, half_width):

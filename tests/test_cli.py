@@ -8,6 +8,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repdyn
-from repdyn import affine, domination, linalg, spectrum, words
+from repdyn import affine, cli, domination, linalg, spectrum, words
 from repdyn.cli import (
     CSV_CHUNK_ROWS,
     EXIT_FAIL,
@@ -264,6 +266,78 @@ class TestInputHandling:
         assert rc == EXIT_USAGE
         assert capsys.readouterr().err == (
             f"repdyn: {path}: translations[0][0]: value outside the float64 range\n")
+
+    @pytest.mark.parametrize("text, value", [
+        ("3/4", 0.75), (" 3/4 ", 0.75), ("1_0", 10.0), ("+.5", 0.5), ("1.e5", 1e5),
+        ("-2.5E-3", -0.0025), ("1e-400", 0.0), ("-1e-400", -0.0), ("0e5", 0.0),
+        ("-0e5", 0.0), ("5e-324", 5e-324), ("1.7976931348623157e308", 1.7976931348623157e308),
+        # nine-digit exponents: known without raising ten to them
+        ("0e999999999", 0.0), ("-0.0e999999999", 0.0), ("1e-999999999", 0.0),
+        ("-1e-999999999", -0.0), (" 2.5e-999_999_999 ", 0.0),
+    ])
+    def test_string_entries_read_as_their_exact_rational(self, text, value):
+        start = time.perf_counter()
+        got = cli._number(text, "w")
+        assert time.perf_counter() - start < 1.0
+        assert np.float64(got).tobytes() == np.float64(value).tobytes()
+
+    @pytest.mark.parametrize("text, reason", [
+        ("inf", "not a number or p/q rational: 'inf'"),
+        ("nan", "not a number or p/q rational: 'nan'"),
+        ("0x10", "not a number or p/q rational: '0x10'"),
+        ("1e5e5", "not a number or p/q rational: '1e5e5'"),
+        ("1 e5", "not a number or p/q rational: '1 e5'"),
+        ("3/4e5", "not a number or p/q rational: '3/4e5'"),
+        ("1/0", "not a number or p/q rational: '1/0'"),
+        ("1e400", "value outside the float64 range"),
+        ("1e999999999", "value outside the float64 range"),
+        ("-1e999999999", "value outside the float64 range"),
+        ("1.5_1e+999_999_999", "value outside the float64 range"),
+    ])
+    def test_string_entries_refused_at_once(self, text, reason, tmp_path, capsys):
+        doc = {"n": 2, "generators": [{"name": "a", "rows": [[text, 0], [0, 1]]}]}
+        path = write_doc(tmp_path / "g.json", doc)
+        start = time.perf_counter()
+        rc = main(["dominate", "--input", path, "--out-dir", str(tmp_path / "out")])
+        assert time.perf_counter() - start < 1.0
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"repdyn: {path}: generators[0].rows[0][0]: {reason}\n")
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(
+        st.from_regex(r"\A\s?[-+]?[0-9_]{0,4}(\.[0-9_]{0,3})?([eE][-+]?[0-9_]{1,4})?\s?\Z"),
+        st.text(alphabet="0123456789eE+-._/ \n", max_size=12)))
+    @example("1e404")
+    @example("1e405")
+    @example("-9.99e-405")
+    @example("0.001e-407")
+    @example("1e1_0")
+    # long mantissas move the bound with them
+    @example("1" + "0" * 500 + "e-600")
+    @example("0." + "0" * 500 + "1e600")
+    @example("-0." + "0" * 500 + "1e-420")
+    @example("1 e5")
+    @example("3/4e5")
+    def test_spellings_read_as_fraction_reads_them(self, text):
+        # exponents of at most four digits, which `Fraction` itself answers at once
+        try:
+            expected = float(Fraction(text))
+        except (ValueError, ZeroDivisionError, OverflowError) as e:
+            with pytest.raises(type(e)):
+                cli._rational(text)
+        else:
+            assert np.float64(cli._rational(text)).tobytes() == np.float64(expected).tobytes()
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_nonfinite_constant_names_the_file(self, constant, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"n": 2, "generators": [{"name": "a", "rows": [[1, 0], [0, %s]]}]}'
+                       % constant, encoding="utf-8")
+        rc = main(["dominate", "--input", str(bad), "--out-dir", str(tmp_path / "out")])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"repdyn: {bad}: non-finite JSON constant {constant!r} is not accepted\n")
 
     @pytest.mark.parametrize("text, reason", [
         # past the recursion limit of the parser on every supported Python

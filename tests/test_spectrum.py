@@ -4,7 +4,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import directed_hausdorff
 
+from repdyn import spectrum
 from repdyn.domination import GeneratorSet
 from repdyn.spectrum import (
     ConeLevel,
@@ -17,6 +21,36 @@ from repdyn.words import Sampled
 from conftest import rotation3
 
 LOG2 = np.log(2.0)
+
+
+@st.composite
+def clouds_with_repeats(draw):
+    """Two clouds of one width drawn from a small pool of rows, so rows
+    repeat, with both zeros among the coordinates."""
+    width = draw(st.integers(1, 4))
+    coordinate = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                           st.floats(-1e3, 1e3, allow_subnormal=True))
+    pool = draw(st.lists(st.lists(coordinate, min_size=width, max_size=width),
+                         min_size=1, max_size=6))
+    cloud = st.lists(st.sampled_from(pool), min_size=1, max_size=30)
+    return np.array(draw(cloud)), np.array(draw(cloud))
+
+
+class TestHausdorffProxy:
+    @settings(max_examples=200, deadline=None)
+    @given(clouds_with_repeats())
+    @example((np.array([[0.0, -0.0], [0.0, -0.0], [-0.0, 0.0]]),
+              np.array([[1.0, 0.0], [-0.0, 1.0], [1.0, 0.0]])))
+    def test_distinct_rows_give_the_bits_of_the_full_clouds(self, clouds):
+        a, b = clouds
+        full = max(directed_hausdorff(a, b)[0], directed_hausdorff(b, a)[0])
+        got = spectrum._hausdorff(a, b)
+        assert np.float64(got).tobytes() == np.float64(full).tobytes()
+
+    def test_distinct_rows_keep_one_of_each_bit_pattern(self):
+        cloud = np.array([[1.0, 0.0], [1.0, -0.0], [1.0, 0.0], [2.0, 3.0], [1.0, -0.0]])
+        rows = spectrum._distinct_rows(cloud)
+        assert sorted(map(bytes, rows)) == sorted({bytes(r) for r in cloud})
 
 
 class TestSampleCone:

@@ -24,11 +24,10 @@ from repdyn.words import (
     letter_rank,
     random_word,
     sampled_words,
-    shortlex_rank,
 )
 from repdyn.words import _vertex_stack, _window_distances
 
-from conftest import reference_distances, reference_flow_metric, tree_distance
+from conftest import reference_distances, reference_flow_metric, shortlex_rank, tree_distance
 
 LOG2 = np.log(2.0)
 
@@ -313,6 +312,33 @@ class TestInverseRows:
     def test_open_draw_has_none(self):
         spheres = iter_sphere_products(rank_gens(2), 3, Sampled(count=5, seed=0))
         assert all(sphere.inverse is None for sphere in spheres)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    @pytest.mark.parametrize("first", [1, 4])
+    def test_recursion_is_the_shortlex_rank_of_the_inverse_letters(self, rank, first):
+        spheres = words._inverse_rows(rank, first, 7)
+        assert len(spheres) == 8 - first
+        for length, rows in enumerate(spheres, start=first):
+            letters = np.array([w.letters for w in enumerate_sphere(rank, length)])
+            assert rows.dtype == np.int64
+            assert np.array_equal(rows, shortlex_rank(-letters[:, ::-1], rank))
+
+    @pytest.mark.parametrize("block", [None, 52])
+    def test_group_of_several_spheres_reads_the_shortlex_rank(self, monkeypatch, block):
+        # at rank 2 one group holds spheres 1-5; a block of 52 rows groups
+        # spheres 1-3 and leaves 4 and 5 alone
+        if block:
+            monkeypatch.setattr(words.linalg, "KERNEL_BLOCK", block)
+        groups = {}
+        for sphere in iter_sphere_products(rank_gens(2), 5):
+            groups.setdefault(id(sphere.group), (sphere.group, []))[1].append(sphere)
+        assert max(len(spheres) for _, spheres in groups.values()) >= 3
+        for group, spheres in groups.values():
+            expected = np.concatenate([
+                shortlex_rank(-sphere.letters[:, ::-1], 2) + sphere.start
+                for sphere in spheres])
+            assert np.array_equal(group.inverse, expected)
+            assert not group.inverse.flags.writeable
 
 
 class TestEvaluate:
