@@ -5,21 +5,31 @@ constraints on its linear part rho: scanned word products must satisfy
 ``det(rho(g) - I) = 0`` (an eigenvalue 1), and the eigenvalue picture admits
 two finite readings tested here side by side.  `hks_test` scans the
 normalized determinant ``|det(rho(g) - I)| / (1 + smax(rho(g)))^n``;
-`eigenvalue_norm_one_check` requires every scanned product to carry an
-eigenvalue of modulus 1 up to tolerance; `bounded_singular_check` instead
+`eigenvalue_norm_one_check` requires every scanned conjugacy class to carry
+an eigenvalue of modulus 1 up to tolerance; `bounded_singular_check` instead
 asks the per-sphere worst ``min_i |log a_i|`` to plateau rather than grow.
+
+Having an eigenvalue of modulus 1 is a class function, so the eigenvalue
+check reads one word per conjugacy class: on an exhaustive sphere the words
+that are cyclically reduced and shortlex-least among their rotations
+(`Sphere.class_rows`), and under the sampled policy every drawn word.  A
+class representative's product is also the most accurate one: a conjugate
+``c v c^-1`` has a product whose norm grows with ``c`` while its spectrum
+does not.  The HKS and bounded-singular statistics are normalised by
+singular values, which are not class functions, so they read every word.
 
 `affine_checks` returns all three reports from one pass over the spheres.
 Each sphere reads its rows of the stacked singular-value kernel
 (`Sphere.log_singular_values`), which gives both the HKS ``smax`` and the
-bounded-singular ``a_i``, and of the stacked eigenvalue-modulus kernel
-(`Sphere.log_eigenvalue_moduli`), with each word's exact log-det and sign;
-each kernel runs once per kernel group of spheres
-(:class:`~repdyn.words.KernelGroup`).  Each sphere also takes one ``det``,
-and where that or the scale overflows, one `linalg.scaled_slogdet`.  The
-single checks run the same scan with their one statistic.  Only the
-eigenvalue check takes a tolerance; the others use DEFAULT_HKS_THRESHOLD
-and PLATEAU_SLOPE_FLOOR.
+bounded-singular ``a_i``, and its class rows of the stacked
+eigenvalue-modulus kernel (`Sphere.class_log_eigenvalue_moduli`), with each
+word's exact log-det and sign; each kernel runs once per kernel group of
+spheres (:class:`~repdyn.words.KernelGroup`), the eigenvalue kernel on the
+group's class rows only.  Each sphere also takes one ``det``, and where
+that or the scale overflows, one `linalg.scaled_slogdet`.  The single
+checks run the same scan with their one statistic.  Only the eigenvalue
+check takes a tolerance; the others use DEFAULT_HKS_THRESHOLD and
+PLATEAU_SLOPE_FLOOR.
 
 Every scan takes the linear part as a
 :class:`~repdyn.domination.GeneratorSet`; the translations of the affine
@@ -44,8 +54,10 @@ DEFAULT_EIGENVALUE_TOL = 1e-9
 PLATEAU_SLOPE_FLOOR = 1e-6
 
 _EIGENVALUE_ONE_CRITERION = (
-    "every scanned product has an eigenvalue of modulus 1 up to tolerance:"
-    " min_i |log lambda_i(rho(g))| <= tol"
+    "every scanned conjugacy class has an eigenvalue of modulus 1 up to"
+    " tolerance: min_i |log lambda_i(rho(g))| <= tol, with g the class's"
+    " shortlex-least cyclically reduced word on exhaustive spheres and each"
+    " drawn word under sampling"
 )
 _BOUNDED_SINGULAR_CRITERION = (
     "per-sphere maxima of min_i |log a_i(rho(g))| stay bounded:"
@@ -64,7 +76,7 @@ class SphereExtreme:
 
 
 # Each statistic maps a sphere and its stacked log singular values (largest
-# first) to one value per word.
+# first) to one value per word it reads, and the letters of those words.
 
 
 def _hks_values(products, logs):
@@ -84,15 +96,17 @@ def _hks_values(products, logs):
 
 
 def _hks_stat(sphere, logs):
-    return _hks_values(sphere.products, logs)
+    return _hks_values(sphere.products, logs), sphere.letters
 
 
 def _eigenvalue_values(sphere, logs):
-    return _fold_columns(np.minimum, np.abs(sphere.log_eigenvalue_moduli()))
+    # a class function: one word per conjugacy class (`Sphere.class_rows`)
+    values = _fold_columns(np.minimum, np.abs(sphere.class_log_eigenvalue_moduli()))
+    return values, sphere.letters.take(sphere.class_rows, axis=0)
 
 
 def _bounded_values(sphere, logs):
-    return _fold_columns(np.minimum, np.abs(logs))
+    return _fold_columns(np.minimum, np.abs(logs)), sphere.letters
 
 
 def _scan_extremes(gens, L_max, stats, policy):
@@ -105,11 +119,10 @@ def _scan_extremes(gens, L_max, stats, policy):
     overflows.
     """
     def extremes(sphere):
-        letters = sphere.letters
         logs = sphere.log_singular_values()
         out = []
         for stat in stats:
-            values = stat(sphere, logs)
+            values, letters = stat(sphere, logs)
             i = words.shortlex_argmin(-values, letters)
             out.append(SphereExtreme(
                 length=letters.shape[1], count=len(values), value=float(values[i]),
@@ -200,10 +213,12 @@ def _eigenvalue_report(records, L_max, truncated, tol) -> EigenvalueOneReport:
 
 def eigenvalue_norm_one_check(gens, L_max: int, tol=DEFAULT_EIGENVALUE_TOL,
                               policy=words.Exhaustive()) -> EigenvalueOneReport:
-    """Does every scanned product have an eigenvalue of modulus 1?
+    """Does every scanned conjugacy class have an eigenvalue of modulus 1?
 
-    The deviation of a product is ``min_i |log lambda_i|``; the check passes
-    when the worst deviation stays at or below ``tol``.
+    The deviation of a word is ``min_i |log lambda_i|`` of its product, read
+    on one word per class (`Sphere.class_rows`); the check passes when the
+    worst deviation stays at or below ``tol``.  Each sphere's ``count`` is
+    the number of words read.
     """
     (records,), truncated = _scan_extremes(gens, L_max, (_eigenvalue_values,), policy)
     return _eigenvalue_report(records, L_max, truncated, tol)

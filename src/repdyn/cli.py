@@ -24,6 +24,7 @@ import argparse
 import contextlib
 import csv
 import datetime
+import functools
 import json
 import math
 import os
@@ -951,7 +952,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1, help="dominated index")
     p.add_argument("--max-length", type=_int_at_least(3), default=8,
                    help="largest word sphere scanned")
-    p.set_defaults(handler=cmd_dominate)
 
     p = sub.add_parser("spectrum", parents=[common],
                        help="joint spectrum cone and zero-index containment")
@@ -960,14 +960,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="deepest normalized sample level")
     p.add_argument("--tol", type=_tolerance, default=None,
                    help="zero tolerance (default: scale aware per sample)")
-    p.set_defaults(handler=cmd_spectrum)
 
     p = sub.add_parser("split", parents=[common],
                        help="cocycle splitting and rates along flow lines")
     p.add_argument("--k", type=int, default=1, help="splitting index")
     p.add_argument("--window", type=_int_at_least(2),
                    default=flowbundle.DEFAULT_WINDOW, help="trajectory half width")
-    p.set_defaults(handler=cmd_split)
 
     p = sub.add_parser("affine", parents=[common],
                        help="eigenvalue-1 constraints for affine actions")
@@ -975,13 +973,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="largest word sphere scanned")
     p.add_argument("--tol", type=_tolerance, default=affine.DEFAULT_EIGENVALUE_TOL,
                    help="unit-modulus eigenvalue tolerance")
-    p.set_defaults(handler=cmd_affine)
 
     p = sub.add_parser("flowmetric", parents=[common],
                        help="weighted distances between tree geodesics")
     p.add_argument("--window", type=_int_at_least(1), default=40,
                    help="truncation half width of the distance integral")
-    p.set_defaults(handler=cmd_flowmetric)
     return parser
 
 
@@ -993,15 +989,24 @@ def _make_out_dir(path):
             f"cannot create output directory {path}: {e.strerror or e}") from e
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one `build_parser` parser that every `main` call of a process
+    reuses; parsing leaves it as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         # argparse exits 2 after printing a usage error and 0 after --help
         return EXIT_USAGE if e.code else EXIT_OK
     try:
         _make_out_dir(args.out_dir)
-        return args.handler(args)
+        # looked up by name on each call, so a handler replaced on the module
+        # after the parser was built is the one that runs
+        return globals()[f"cmd_{args.command}"](args)
     except np.linalg.LinAlgError as e:  # a ValueError subclass, so caught first
         print(f"repdyn: numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -38,6 +38,11 @@ a later sphere is built; a sampled group is the stack of one walk.  A group
 finds the row of each word's inverse on first use (`Sphere.inverse`), for
 exhaustive spheres by a recursion on the length that reads no letters;
 the n = 3 singular-value kernel and the cone's involution check read it.
+It also finds one row per conjugacy class on first use
+(`Sphere.class_rows`): in an exhaustive sphere the cyclically reduced
+words that are shortlex-least among their rotations, in a sampled one
+every row.  Class functions read the eigenvalue kernel on those rows only
+(`Sphere.class_log_eigenvalue_moduli`).
 """
 
 from __future__ import annotations
@@ -333,9 +338,40 @@ def _inverse_rows(rank: int, first: int, last: int) -> list:
     return out
 
 
+def _least_rotations(letters, rank: int) -> np.ndarray:
+    """Rows of an ``(N, L)`` letter array whose word is cyclically reduced
+    and shortlex-least among its rotations, in order.  On an exhaustive
+    sphere that is one row per conjugacy class of cyclic length L.
+
+    A word's key reads its alphabet positions as base-B digits, B =
+    ``2 rank``, first letter most significant, so keys of one length order
+    as shortlex does; the rotation by k letters has the key
+    ``(key mod B**(L - k)) B**k + key div B**(L - k)``.  Where ``B**L``
+    would overflow int64 the keys are Python integers.
+    """
+    length = letters.shape[1]
+    base = 2 * rank
+    rows = np.flatnonzero(letters[:, 0] != -letters[:, -1])
+    digits = letter_rank(letters[rows]).astype(np.int64 if base ** length < 2 ** 63 else object)
+    key = digits[:, 0]
+    for column in digits.T[1:]:
+        key = key * base + column
+    for k in range(1, length):
+        low = base ** (length - k)
+        least = key <= key % low * base ** k + key // low
+        rows, key = rows[least], key[least]
+    return rows
+
+
 def _read_only(a):
     a.flags.writeable = False
     return a
+
+
+def _log_eigenvalue_moduli_of_rows(products, logdet, sign, rows):
+    """`linalg.log_eigenvalue_moduli` of the given rows of the stacks."""
+    return linalg.log_eigenvalue_moduli(products.take(rows, axis=0), logdet.take(rows),
+                                        sign.take(rows))
 
 
 @dataclass(frozen=True, eq=False)
@@ -347,11 +383,11 @@ class KernelGroup:
     the group; ``letters`` holds each sphere's letter array, shortest word
     first, and ``starts`` the sphere's first row in the stacks.  ``rank``,
     ``exhaustive`` and ``inversion_closed`` are the spheres' own.  A kernel
-    runs on first use, over all the rows at once, and its output is
-    read-only and kept for the group's other spheres (`_run`).  A kernel
-    row has the same bits in any stack as alone, with its inverse row, so a
-    sphere's slice of the output is what a call on that sphere alone
-    returns.
+    runs on first use, over all the rows at once (or all the `class_rows`),
+    and its output is read-only and kept for the group's other spheres
+    (`_run`).  A kernel row has the same bits in any stack as alone, with
+    its inverse row, so a sphere's slice of the output is what a call on
+    that sphere alone returns.
     """
 
     letters: tuple
@@ -383,6 +419,18 @@ class KernelGroup:
             rows[start:start + len(part)] = part + start
         return _read_only(rows)
 
+    @cached_property
+    def class_rows(self):
+        """The rows in the stacks that class functions read, in order: in
+        an exhaustive group each sphere's `_least_rotations`, one row per
+        conjugacy class; in a sampled group every row."""
+        if not self.exhaustive:
+            return _read_only(np.arange(len(self.products)))
+        return _read_only(np.concatenate([
+            _least_rotations(letters, self.rank) + start
+            for letters, start in zip(self.letters, self.starts)
+        ]))
+
     def log_singular_values(self) -> np.ndarray:
         """`linalg.log_singular_values` of the products with the exact
         log-dets, and with the inverse rows for n = 3, the one size that
@@ -395,6 +443,11 @@ class KernelGroup:
         """`linalg.log_eigenvalue_moduli` of the products with the exact
         log-dets and signs."""
         return self._run(linalg.log_eigenvalue_moduli, self.logdet, self.sign)
+
+    def class_log_eigenvalue_moduli(self) -> np.ndarray:
+        """`log_eigenvalue_moduli` of the `class_rows` only, row for row."""
+        return self._run(_log_eigenvalue_moduli_of_rows, self.logdet, self.sign,
+                         self.class_rows)
 
     def _run(self, kernel, *args):
         """``kernel(products, *args)``, read-only, from one call.  A group of
@@ -454,6 +507,19 @@ class Sphere:
         rows = rows[self._rows]
         return _read_only(rows - self.start) if self.start else rows
 
+    @cached_property
+    def _class_span(self):
+        """The slice of `KernelGroup.class_rows` that falls in this sphere."""
+        lo, hi = self.group.class_rows.searchsorted([self.start, self.start + len(self.letters)])
+        return slice(int(lo), int(hi))
+
+    @cached_property
+    def class_rows(self):
+        """The read-only rows of this sphere that class functions read (see
+        `KernelGroup.class_rows`)."""
+        rows = self.group.class_rows[self._class_span]
+        return _read_only(rows - self.start) if self.start else rows
+
     def log_singular_values(self) -> np.ndarray:
         """This sphere's read-only rows of `KernelGroup.log_singular_values`."""
         return self.group.log_singular_values()[self._rows]
@@ -461,6 +527,12 @@ class Sphere:
     def log_eigenvalue_moduli(self) -> np.ndarray:
         """This sphere's read-only rows of `KernelGroup.log_eigenvalue_moduli`."""
         return self.group.log_eigenvalue_moduli()[self._rows]
+
+    def class_log_eigenvalue_moduli(self) -> np.ndarray:
+        """This sphere's read-only rows of
+        `KernelGroup.class_log_eigenvalue_moduli`, row for row with
+        `class_rows`."""
+        return self.group.class_log_eigenvalue_moduli()[self._class_span]
 
 
 def _kernel_group(draws, starts, stacks, rank, exhaustive, inversion_closed):

@@ -1,7 +1,9 @@
 """Shared fixtures: the generator sets exercised throughout the suite,
-the per-vertex flow metric reference, and the exact oracles of the
-one-column kernels, the n = 3 singular frames and the line fit."""
+Sym^m of 2x2 matrices, the per-vertex flow metric reference, and the exact
+oracles of the one-column kernels, the n = 3 singular frames and the line
+fit."""
 
+import math
 from fractions import Fraction
 
 import mpmath
@@ -12,7 +14,7 @@ from scipy.linalg import expm
 
 from repdyn.domination import GeneratorSet
 from repdyn.errors import NumericOverflowError
-from repdyn.words import letter_rank
+from repdyn.words import Word, letter_rank
 
 LOG2 = np.log(2.0)
 
@@ -48,6 +50,36 @@ def ping_pong_padded():
         p[:2, :2] = m
         out.append(p)
     return GeneratorSet(out, names=["a", "b"])
+
+
+def sym_power(a, m: int) -> np.ndarray:
+    """Sym^m of a 2x2 matrix, in the weighted orthonormal basis whose j-th
+    vector is ``sqrt(binom(m, j)) e1^(m - j) e2^j``, so that Sym^m of a
+    rotation is orthogonal.
+
+    Column j expands ``(a e1 + c e2)^(m - j) (b e1 + d e2)^j``, ``[[a, b],
+    [c, d]]`` being the matrix, with k of its e2 factors from the first
+    power.  For m = 2 this spells ``[[a², √2ab, b²], [√2ac, ad + bc, √2bd],
+    [c², √2cd, d²]]`` entry for entry.
+    """
+    (pa, pb), (pc, pd) = np.asarray(a, dtype=float).tolist()
+    out = np.zeros((m + 1, m + 1))
+    for i in range(m + 1):
+        for j in range(m + 1):
+            weight = math.sqrt(math.comb(m, j) / math.comb(m, i))
+            for k in range(max(0, i - j), min(m - j, i) + 1):
+                factors = ([pa] * (m - j - k) + [pc] * k + [pb] * (j - i + k)
+                           + [pd] * (i - k))
+                out[i, j] += math.prod(
+                    factors, start=math.comb(m - j, k) * math.comb(j, i - k) * weight)
+    return out
+
+
+@pytest.fixture(scope="session")
+def sym2_ping_pong():
+    """Sym² of the ping-pong pair: an SO(2,1) Schottky pair whose every
+    word has eigenvalues mu², 1 and mu⁻²."""
+    return GeneratorSet([sym_power(m, 2) for m in ping_pong_matrices()], names=["A", "B"])
 
 
 def rotation3(theta_xy: float, theta_yz: float) -> np.ndarray:
@@ -94,6 +126,12 @@ def form_preserving_matrix() -> np.ndarray:
     return expm(0.3 * x)
 
 
+def unipotent_so21() -> np.ndarray:
+    """``expm`` of a nilpotent element of so(2,1) for Q = antidiag(1, 1, 1):
+    every eigenvalue is 1."""
+    return expm(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, -1.0], [0.0, 0.0, 0.0]]))
+
+
 @pytest.fixture(scope="session")
 def form_preserving_affine():
     """The linear part of an affine action by the form-preserving matrix."""
@@ -126,6 +164,14 @@ def shortlex_rank(letters, rank: int) -> np.ndarray:
     digits[:, 1:] -= positions[:, 1:] > (positions[:, :-1] ^ 1)
     weights = (2 * rank - 1) ** np.arange(positions.shape[1] - 1, -1, -1, dtype=np.int64)
     return digits @ weights
+
+
+def is_class_representative(w) -> bool:
+    """Is the `Word` ``w`` cyclically reduced and shortlex-least among its
+    rotations, the one word of its conjugacy class that class functions read?"""
+    letters = w.letters
+    return w.is_cyclically_reduced and all(
+        w <= Word(letters[k:] + letters[:k]) for k in range(1, len(letters)))
 
 
 def reference_distances(g, h, half_width):

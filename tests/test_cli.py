@@ -617,6 +617,60 @@ class TestDeterminism:
         assert [code for code, _, _ in shipped[:2]] == [EXIT_OK, EXIT_OK]
 
 
+class TestOneParserPerProcess:
+    """`main` reuses one parser for the process and looks each handler up by
+    name when it runs; a run after other runs gives what a fresh process
+    gives."""
+
+    @staticmethod
+    def outputs(out):
+        body = {f.name: f.read_bytes() for f in sorted(out.glob("*.csv"))}
+        for f in sorted(out.glob("*_summary.json")):
+            summary = json.loads(f.read_text(encoding="utf-8"))
+            summary.pop("timestamp")
+            body[f.name] = summary
+        return body
+
+    def test_runs_after_runs_match_fresh_processes(self, ping_pong_doc, tmp_path,
+                                                   capsys, monkeypatch):
+        # help text wraps at the terminal width, which COLUMNS fixes
+        monkeypatch.setenv("COLUMNS", "80")
+        g, h = partial_hyperbolic_matrices()
+        aff = write_doc(tmp_path / "aff.json", {
+            "n": 3, "generators": [{"name": "g", "rows": rows(g)},
+                                   {"name": "h", "rows": rows(h)}],
+            "translations": [[0.5, 0.0, -0.25], [0.0, 1.0, 0.0]],
+        })
+        runs = {
+            "usage": ["dominate", "--input", ping_pong_doc, "--max-length", "2"],
+            "help": ["affine", "--help"],
+            "dominate": ["dominate", "--input", ping_pong_doc, "--max-length", "5"],
+            "affine": ["affine", "--input", aff, "--max-length", "4"],
+        }
+        src = Path(repdyn.__file__).resolve().parents[1]
+        fresh = {}
+        for label, argv in runs.items():
+            out = tmp_path / "fresh" / label
+            done = subprocess.run(
+                [sys.executable, "-m", "repdyn.cli", *argv, "--out-dir", str(out)],
+                env=dict(os.environ, PYTHONPATH=str(src), COLUMNS="80"),
+                capture_output=True, text=True,
+            )
+            fresh[label] = done.returncode, done.stdout, done.stderr, self.outputs(out)
+        assert [fresh[label][0] for label in runs] == [EXIT_USAGE, EXIT_OK, EXIT_OK, EXIT_FAIL]
+        assert fresh["dominate"][3] and fresh["affine"][3]
+        for label, argv in runs.items():
+            out = tmp_path / "reused" / label
+            code = main([*argv, "--out-dir", str(out)])
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err, self.outputs(out)) == fresh[label], label
+        assert cli._parser() is cli._parser()
+
+    def test_build_parser_gives_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+        assert cli.build_parser() is not cli._parser()
+
+
 def reference_format_cell(cell):
     """One non-string cell as the row-at-a-time writer formatted it."""
     if isinstance(cell, bool):

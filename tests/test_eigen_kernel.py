@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import expm
 
 from repdyn import linalg, spectrum
 from repdyn.domination import GeneratorSet
@@ -24,6 +23,7 @@ from conftest import (
     form_preserving_matrix,
     partial_hyperbolic_matrices,
     ping_pong_matrices,
+    unipotent_so21,
 )
 
 EPS = np.finfo(float).eps
@@ -40,12 +40,6 @@ def padded(matrices):
 
 def so21_pair():
     return [form_preserving_matrix(), np.diag([np.exp(0.5), 1.0, np.exp(-0.5)])]
-
-
-def unipotent_so21():
-    """``expm`` of a nilpotent element of so(2,1) for Q = antidiag(1, 1, 1):
-    every eigenvalue is 1."""
-    return expm(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, -1.0], [0.0, 0.0, 0.0]]))
 
 
 FIXTURES = {

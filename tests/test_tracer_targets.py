@@ -111,6 +111,29 @@ def test_affine_makes_one_sphere_pass(tracing, tmp_path):
     assert tracer.calls["cli.load_generator_set"] == 0
 
 
+def test_a_run_after_earlier_runs_shows_the_command_span(tracing, tmp_path):
+    # the process's parser is built by the first run, before the tracer
+    # replaces cli.cmd_affine; main looks the handler up by name when it
+    # runs, so the traced run still reaches the replacement
+    g, h = partial_hyperbolic_matrices()
+    doc = {"n": 3,
+           "generators": [{"name": "g", "rows": g.tolist()},
+                          {"name": "h", "rows": h.tolist()}],
+           "translations": [[0.5, 0.0, -0.25], [0.0, 1.0, 0.0]]}
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["affine", "--input", str(path), "--max-length", "3"]
+    first = cli.main(argv + ["--out-dir", str(tmp_path / "first")])
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        traced = cli.main(argv + ["--out-dir", str(tmp_path / "traced")])
+    assert traced == first
+    names = [s["name"] for s in tracer.span_records()]
+    assert "cli.main" in names and "cli.cmd_affine" in names
+    assert tracer.calls["cli.cmd_affine"] == 1
+    assert tracer.calls["words.map_sphere_products"] == 1
+
+
 def test_probe_validates_an_affine_plan(tmp_path):
     spec = importlib.util.spec_from_file_location("perfbench_probe", PROBE)
     probe = importlib.util.module_from_spec(spec)

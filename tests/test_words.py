@@ -1,5 +1,6 @@
 """Free-group words, sphere enumeration, flow lines, and the flow metric."""
 
+import math
 import warnings
 
 import numpy as np
@@ -27,7 +28,13 @@ from repdyn.words import (
 )
 from repdyn.words import _vertex_stack, _window_distances
 
-from conftest import reference_distances, reference_flow_metric, shortlex_rank, tree_distance
+from conftest import (
+    is_class_representative,
+    reference_distances,
+    reference_flow_metric,
+    shortlex_rank,
+    tree_distance,
+)
 
 LOG2 = np.log(2.0)
 
@@ -339,6 +346,109 @@ class TestInverseRows:
                 for sphere in spheres])
             assert np.array_equal(group.inverse, expected)
             assert not group.inverse.flags.writeable
+
+
+def necklace_count(rank, m):
+    """Conjugacy classes of cyclic length m in the free group of the given
+    rank: (1/m) sum over d | m of phi(m/d) c(d), with c(d) the number of
+    cyclically reduced words of length d."""
+    def phi(n):
+        return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+
+    def c(d):
+        return (2 * rank - 1) ** d + 1 + (rank - 1) * (1 + (-1) ** d)
+
+    total = sum(phi(m // d) * c(d) for d in range(1, m + 1) if m % d == 0)
+    assert total % m == 0
+    return total // m
+
+
+def rotation_class(w):
+    return min(Word(w.letters[k:] + w.letters[:k]) for k in range(len(w)))
+
+
+class TestClassRows:
+    @pytest.mark.parametrize("rank, L_max", [(1, 8), (2, 8), (3, 6)])
+    def test_counts_are_the_necklace_counts(self, rank, L_max):
+        counts = [len(s.class_rows) for s in iter_sphere_products(rank_gens(rank), L_max)]
+        assert counts == [necklace_count(rank, m) for m in range(1, L_max + 1)]
+
+    def test_rank_two_counts(self):
+        assert [necklace_count(2, m) for m in range(1, 9)] == [4, 8, 12, 26, 52, 132, 316, 836]
+        assert necklace_count(2, 10) == 5936
+
+    @pytest.mark.parametrize("rank, L_max", [(1, 5), (2, 6), (3, 4)])
+    def test_one_row_per_class_by_brute_force(self, rank, L_max):
+        for length, sphere in enumerate(iter_sphere_products(rank_gens(rank), L_max),
+                                        start=1):
+            rows = sphere.class_rows
+            assert not rows.flags.writeable and rows.dtype == np.int64
+            assert (np.diff(rows) > 0).all()
+            chosen = [Word(sphere.letters[r]) for r in rows.tolist()]
+            expected = [w for w in enumerate_sphere(rank, length)
+                        if is_class_representative(w)]
+            assert chosen == expected
+            # each class of cyclically reduced words has exactly one row
+            classes = [rotation_class(w) for w in enumerate_sphere(rank, length)
+                       if w.is_cyclically_reduced]
+            assert sorted(set(classes)) == chosen
+
+    @pytest.mark.parametrize("rank, length", [(1, 62), (1, 63), (1, 70), (2, 31), (2, 32),
+                                              (3, 24), (3, 25)])
+    def test_keys_past_int64_are_exact(self, rank, length):
+        # base (2 rank)**length reaches 2**63 between the two lengths of each
+        # rank; rows are random words next to rotations of themselves,
+        # the least one among them
+        rng = np.random.default_rng(length)
+        drawn = [random_word(rank, length, rng) for _ in range(12)]
+        drawn += [Word((1,) * length), Word((-1,) * length)]
+        rows = []
+        for w in drawn:
+            rows.append(w.letters)
+            if w.is_cyclically_reduced:
+                rows += [w.letters[k:] + w.letters[:k] for k in (1, length // 2)]
+                rows.append(rotation_class(w).letters)
+        letters = np.array(rows, dtype=np.int8)
+        got = words._least_rotations(letters, rank)
+        expected = [i for i, r in enumerate(rows) if is_class_representative(Word(r))]
+        assert got.tolist() == expected
+
+    @pytest.mark.parametrize("inversion_closed", [False, True])
+    def test_a_sampled_group_reads_every_row(self, inversion_closed):
+        spheres = iter_sphere_products(rank_gens(2), 6, Sampled(count=40, seed=3),
+                                       inversion_closed=inversion_closed)
+        for sphere in spheres:
+            assert np.array_equal(sphere.class_rows, np.arange(len(sphere.letters)))
+
+    @pytest.mark.parametrize("policy", [Exhaustive(), Sampled(count=300, seed=5)])
+    @pytest.mark.parametrize("block", [None, 52])
+    @pytest.mark.parametrize("fixture", ["ping_pong", "partial_hyperbolic_pair",
+                                         "ping_pong_padded"])
+    def test_values_are_the_full_kernel_rows(self, request, monkeypatch, fixture, policy,
+                                             block):
+        if block:
+            monkeypatch.setattr(words.linalg, "KERNEL_BLOCK", block)
+        gens = request.getfixturevalue(fixture)
+        calls = []
+        kernel = words.linalg.log_eigenvalue_moduli
+
+        def counted(products, *args):
+            calls.append(len(products))
+            return kernel(products, *args)
+
+        monkeypatch.setattr(words.linalg, "log_eigenvalue_moduli", counted)
+        groups, rows = [], 0
+        for sphere in iter_sphere_products(gens, 6, policy):
+            got = sphere.class_log_eigenvalue_moduli()
+            assert not got.flags.writeable
+            if not groups or groups[-1] is not sphere.group:
+                groups.append(sphere.group)
+            rows += len(sphere.class_rows)
+            # each row has the bits of the same row in the full-sphere kernel
+            alone = kernel(sphere.products, sphere.logdet, sphere.sign)
+            assert np.array_equal(got, alone[sphere.class_rows])
+        # the kernel ran once per group, on the class rows only
+        assert len(calls) == len(groups) and sum(calls) == rows
 
 
 class TestEvaluate:
