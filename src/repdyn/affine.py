@@ -27,8 +27,9 @@ word's exact log-det and sign; each kernel runs once per kernel group of
 spheres (:class:`~repdyn.words.KernelGroup`), the eigenvalue kernel on the
 group's class rows only.  Each sphere also takes one ``det``, and where
 that or the scale overflows, one `linalg.scaled_slogdet`.  The single
-checks run the same scan with their one statistic.  Only the eigenvalue
-check takes a tolerance; the others use DEFAULT_HKS_THRESHOLD and
+checks run the same scan with their one statistic, so the eigenvalue
+check alone runs no singular-value kernel.  Only the eigenvalue check
+takes a tolerance; the others use DEFAULT_HKS_THRESHOLD and
 PLATEAU_SLOPE_FLOOR.
 
 Every scan takes the linear part as a
@@ -38,6 +39,7 @@ action do not enter these checks.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -75,8 +77,8 @@ class SphereExtreme:
     word: words.Word
 
 
-# Each statistic maps a sphere and its stacked log singular values (largest
-# first) to one value per word it reads, and the letters of those words.
+# Each statistic maps a sphere and a callable giving its stacked log singular
+# values (largest first) to one value per word it reads, and their letters.
 
 
 def _hks_values(products, logs):
@@ -96,7 +98,7 @@ def _hks_values(products, logs):
 
 
 def _hks_stat(sphere, logs):
-    return _hks_values(sphere.products, logs), sphere.letters
+    return _hks_values(sphere.products, logs()), sphere.letters
 
 
 def _eigenvalue_values(sphere, logs):
@@ -106,20 +108,21 @@ def _eigenvalue_values(sphere, logs):
 
 
 def _bounded_values(sphere, logs):
-    return _fold_columns(np.minimum, np.abs(logs)), sphere.letters
+    return _fold_columns(np.minimum, np.abs(logs())), sphere.letters
 
 
 def _scan_extremes(gens, L_max, stats, policy):
     """Per-sphere maxima of each statistic in ``stats``, from one sphere pass.
 
-    Every sphere reads its rows of the group's singular values once, and
-    all the statistics share them; ties go to the shortlex-first word.
+    Every sphere reads its rows of the group's singular values on first
+    use, if a statistic reads them, and all the statistics share them;
+    ties go to the shortlex-first word.
     Returns one list of records per statistic and whether the scan was
     truncated: it stops at the last complete sphere when a product
     overflows.
     """
     def extremes(sphere):
-        logs = sphere.log_singular_values()
+        logs = functools.cache(sphere.log_singular_values)
         out = []
         for stat in stats:
             values, letters = stat(sphere, logs)

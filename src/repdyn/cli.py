@@ -782,6 +782,7 @@ def _split_outcomes(traj, k):
 
 def cmd_split(args) -> int:
     gens, doc = load_generator_set(args)
+    flowbundle.check_index(args.k, gens.dim)  # refuse a bad --k before any line
     lines = parse_lines(doc, gens, args.window, args.input)
     outcomes = [None] * len(lines)
     for traj in flowbundle.build_trajectory(gens, [line for _, line in lines]):

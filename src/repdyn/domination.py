@@ -47,10 +47,11 @@ _NAME_IDENTITY = "e"
 class GeneratorSet:
     """Invertible matrices indexed by free group letters.
 
-    ``image(i)`` returns the i-th matrix (1-based) and ``image(-i)`` its
-    inverse, so the set is closed under inversion by construction.  All
-    matrices share one dimension ``dim``; ``rank`` is the number of
-    generators.
+    ``letter_images`` is the one read-only stack of the letters' images in
+    alphabet order: the i-th matrix (1-based) and then its inverse, so the
+    set is closed under inversion by construction; ``image(i)`` and
+    ``image(-i)`` read its rows.  All matrices share one dimension
+    ``dim``; ``rank`` is the number of generators.
     """
 
     def __init__(self, images, names=None):
@@ -76,30 +77,30 @@ class GeneratorSet:
                 raise ValueError("need exactly one name per generator")
             if len(set(names)) != len(names):
                 raise ValueError("generator names must be distinct")
-        self._images = tuple(m.copy() for m in mats)
-        self._inverses = tuple(scaled_inv(np.stack(self._images)))
-        for i, inv in enumerate(self._inverses):
+        stack = np.stack(mats)
+        inverses = scaled_inv(stack)
+        for i, inv in enumerate(inverses):
             # a well-conditioned generator near the subnormal range still
             # inverts past float64
             if not np.isfinite(inv).all():
                 raise DegenerateInputError(f"generator {i + 1} has a non-finite inverse")
-        for m in self._images + self._inverses:
-            m.flags.writeable = False
+        self.letter_images = np.stack([stack, inverses], axis=1).reshape(-1, n, n)
+        self.letter_images.flags.writeable = False
         self._names = names
         # log |det| and the determinant sign indexed by letter: entry i for
         # letter i, and entry -i, the exact negative and the same sign, for
         # its inverse.
-        signs, logdets = scaled_slogdet(np.stack(mats))
+        signs, logdets = scaled_slogdet(stack)
         self._letter_log_dets = np.concatenate([[0.0], logdets, -logdets[::-1]])
         self._letter_signs = np.concatenate([[1], signs, signs[::-1]]).astype(np.int8)
 
     @property
     def rank(self) -> int:
-        return len(self._images)
+        return len(self.letter_images) // 2
 
     @property
     def dim(self) -> int:
-        return self._images[0].shape[0]
+        return self.letter_images.shape[-1]
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -108,9 +109,7 @@ class GeneratorSet:
     def image(self, letter: int) -> np.ndarray:
         if letter == 0 or abs(letter) > self.rank:
             raise ValueError(f"letter {letter} outside rank {self.rank}")
-        if letter > 0:
-            return self._images[letter - 1]
-        return self._inverses[-letter - 1]
+        return self.letter_images[words.letter_rank(letter)]
 
     def log_dets(self, letters):
         """``(logdet, sign)``: the exact ``log |det|`` and the determinant

@@ -57,7 +57,7 @@ from .linalg import (
     subspace_distance,
     unchecked_frames,
 )
-from .words import alphabet, letter_rank
+from .words import letter_rank
 
 # default half width for trajectory windows
 DEFAULT_WINDOW = 48
@@ -146,11 +146,6 @@ class CocycleTrajectory:
         )
 
 
-def _images(gens):
-    """The generator images in `alphabet` order, as one stack."""
-    return np.stack([gens.image(l) for l in alphabet(gens.rank)])
-
-
 def build_trajectory(gens: GeneratorSet, lines):
     """Compose generator images along flow line windows.
 
@@ -177,7 +172,7 @@ def build_trajectory(gens: GeneratorSet, lines):
         row[width - r : width + r] = line.letters_between(-r, r)
     steps = np.concatenate([letters[:, width:], -letters[:, width - 1 :: -1]])
     # a line past its reach or its last finite product steps by the identity
-    images = np.concatenate([_images(gens), np.eye(n)[None]])
+    images = np.concatenate([gens.letter_images, np.eye(n)[None]])
     stay = len(images) - 1
     ranks = np.where(steps == 0, stay, letter_rank(steps))
 
@@ -327,7 +322,7 @@ def splitting_at(traj, k: int, t_forward, t_backward):
     return tuple(b.reshape(traj.size, tf.size, n, -1) for b in blocks)
 
 
-def _check_index(k, n):
+def check_index(k, n):
     """Refuse a splitting index k without a nonempty neutral block."""
     if n < 3:
         raise ValueError("a splitting with a nonempty neutral block needs dimension"
@@ -347,7 +342,7 @@ def estimate_splitting(traj: CocycleTrajectory, k: int) -> list[SplittingEstimat
     linearly independent; the first line of the group that fails a check
     raises.  Returns a list of :class:`SplittingEstimate`, one per line.
     """
-    _check_index(k, traj.dim)
+    check_index(k, traj.dim)
     if traj.t_forward < 2 or traj.t_backward < 2:
         raise WindowBoundsError("need at least two steps in each direction")
     _check_gaps(traj, k, +1)
@@ -439,7 +434,7 @@ def measure_rates(traj: CocycleTrajectory, k: int) -> list[RateReport]:
     of the splitting, as given to `estimate_splitting`, and the result a
     list of :class:`RateReport`, one per line.
     """
-    _check_index(k, traj.dim)
+    check_index(k, traj.dim)
     n = traj.dim
     tb, tf = traj.t_backward, traj.t_forward
     h = max(1, min(_RELATIVE_WINDOW, min(tb, tf) // 2))
@@ -460,12 +455,11 @@ def measure_rates(traj: CocycleTrajectory, k: int) -> list[RateReport]:
     ranks = letter_rank(np.array(
         [line.letters_between(first, extent_f + h - 1) for line in traj.lines]
     ))
-    images = _images(traj.gens)
 
     def image_at(u, inverse=False):
         """Images of each line's letters at times ``u`` (an index array), or
         their inverses, as a ``(B, len(u), n, n)`` stack."""
-        return images[ranks[:, u - first] ^ inverse]
+        return traj.gens.letter_images[ranks[:, u - first] ^ inverse]
 
     forward = backward = np.eye(n)
     for j in range(h):

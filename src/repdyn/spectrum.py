@@ -24,7 +24,7 @@ negate-and-reverse, the spectral image of g -> g^-1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -151,8 +151,8 @@ def sample_cone(gens, m_max: int, policy=words.Exhaustive()) -> ConeEstimate:
     """Collect normalized Jordan (and Cartan) samples for m = 1..m_max.
 
     Every level keeps both projections so eigenvalue and singular value
-    readings can be compared downstream.  Sampled policies close each draw
-    under word inversion so involution symmetry stays structural.  A Jordan
+    readings can be compared downstream.  A sampled policy is read closed
+    under inversion so involution symmetry stays structural.  A Jordan
     coordinate is zero when its modulus is at most DEFAULT_ZERO_TOL_COEFF
     times max(1, sup-norm of its vector).  A product overflowing float64
     truncates the sweep at the last complete level, flagged in the
@@ -172,7 +172,9 @@ def sample_cone(gens, m_max: int, policy=words.Exhaustive()) -> ConeEstimate:
         return ConeLevel(sphere.letters, jordan, cartan,
                          np.abs(jordan) <= tols[:, None], sphere.inverse)
 
-    levels = words.map_sphere_products(gens, m_max, level, policy, inversion_closed=True)
+    if isinstance(policy, words.Sampled):
+        policy = replace(policy, inversion_closed=True)
+    levels = words.map_sphere_products(gens, m_max, level, policy)
     if not levels:  # a level-1 statistic can leave float64 range
         raise NumericOverflowError("no complete sample level before overflow")
     m_used = len(levels)

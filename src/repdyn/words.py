@@ -13,17 +13,18 @@ all its lines off one zero-padded letter stack, built in one pass, and
 integrates the distances between lines against the weight ``2**-|t|`` for
 many pairs and all times at once.
 
-Scan policies select between exhaustive sphere enumeration
-(:class:`Exhaustive`) and seeded random sampling (:class:`Sampled`).
-`iter_sphere_products` is the one sphere engine behind every scan: it yields
-each sphere as stacked letter and product arrays, together with each word's
-exact log-det and determinant sign, building an exhaustive sphere from the
-previous one with a single stacked multiply and a single add.  Sampled
-spheres of consecutive lengths are walked as one stack, longest word
-first, with one stacked multiply per letter for the whole group; a group
-holds at most twice the rows of the one before it and at most
-``linalg.KERNEL_BLOCK`` rows.  Each sphere is then a row slice with the
-bits of a walk of its own.  A non-finite product stays non-finite, so each
+A scan policy says which words a scan reads: whole spheres
+(:class:`Exhaustive`) or a seeded draw per sphere (:class:`Sampled`),
+closed under inversion or not.  `iter_sphere_products` is the one sphere
+engine behind every scan: it yields each sphere as stacked letter and
+product arrays, with each word's exact log-det and determinant sign, from
+the generator set's one letter table (``letter_images``), building an
+exhaustive sphere from the previous one with a single stacked multiply and
+a single add.  Sampled spheres of consecutive lengths are walked as one
+stack, longest word first, with one stacked multiply per letter for the
+whole group; a group holds at most twice the rows of the one before it and
+at most ``linalg.KERNEL_BLOCK`` rows.  Each sphere is then a row slice
+with the bits of a walk of its own.  A non-finite product stays non-finite, so each
 sphere is checked once, when complete, and the first that overflowed
 stops the scan.
 
@@ -245,10 +246,12 @@ class Exhaustive:
 
 @dataclass(frozen=True)
 class Sampled:
-    """Scan policy: draw ``count`` random words per sphere from seed ``seed``."""
+    """Scan policy: draw ``count`` random words per sphere from seed ``seed``,
+    each followed by its inverse if ``inversion_closed`` (`sampled_words`)."""
 
     count: int
     seed: int
+    inversion_closed: bool = False
 
     def __post_init__(self):
         if self.count < 1:
@@ -280,17 +283,17 @@ def _draw_highs(rank: int, length: int) -> np.ndarray:
     return highs
 
 
-def sampled_words(rank: int, length: int, policy: Sampled, inversion_closed=False):
+def sampled_words(rank: int, length: int, policy: Sampled):
     """Deterministic ``(N, length)`` letter array of sampled words for one sphere.
 
     The seed is mixed with the length so different spheres draw different
     words.  Row i is the word that the i-th of ``policy.count`` calls of
     `random_word` on the same generator would draw: one array draw takes
-    the same random integers in the same order.  With ``inversion_closed``
-    each word is followed by its inverse and repeated rows are dropped,
-    keeping the first of each.  A word repeats exactly when its inverse
-    does, so the pairs are kept or dropped together: row ``2i + 1`` is the
-    inverse of row ``2i``.
+    the same random integers in the same order.  Under an inversion-closed
+    policy (``policy.inversion_closed``) each word is followed by its
+    inverse and repeated rows are dropped, keeping the first of each.  A
+    word repeats exactly when its inverse does, so the pairs are kept or
+    dropped together: row ``2i + 1`` is the inverse of row ``2i``.
     """
     rng = np.random.default_rng([policy.seed, length])
     # turn each column of draws into alphabet positions once the one before
@@ -300,7 +303,7 @@ def sampled_words(rank: int, length: int, policy: Sampled, inversion_closed=Fals
     for i in range(1, length):
         positions[:, i] = allowed[positions[:, i - 1], positions[:, i]]
     letters = np.array(alphabet(rank), dtype=_letter_dtype(rank))[positions]
-    if inversion_closed:
+    if policy.inversion_closed:
         both = np.stack([letters, -letters[:, ::-1]], axis=1).reshape(-1, length)
         _, first = np.unique(both, axis=0, return_index=True)
         letters = both[np.sort(first)]
@@ -381,13 +384,14 @@ class KernelGroup:
 
     ``products``, ``logdet`` and ``sign`` stack the rows of every sphere of
     the group; ``letters`` holds each sphere's letter array, shortest word
-    first, and ``starts`` the sphere's first row in the stacks.  ``rank``,
-    ``exhaustive`` and ``inversion_closed`` are the spheres' own.  A kernel
-    runs on first use, over all the rows at once (or all the `class_rows`),
-    and its output is read-only and kept for the group's other spheres
-    (`_run`).  A kernel row has the same bits in any stack as alone, with
-    its inverse row, so a sphere's slice of the output is what a call on
-    that sphere alone returns.
+    first, and ``starts`` the sphere's first row in the stacks.  ``rank`` and
+    ``policy`` are the scan's; the policy says whether the rows are whole
+    spheres, or draws that hold their inverses.  A kernel runs on first
+    use, over all the rows at once (or all the `class_rows`), and its
+    output is read-only and kept for the group's other spheres (`_run`).
+    A kernel row has the same bits in any stack as alone, with its inverse
+    row, so a sphere's slice of the output is what a call on that sphere
+    alone returns.
     """
 
     letters: tuple
@@ -396,8 +400,7 @@ class KernelGroup:
     logdet: np.ndarray
     sign: np.ndarray
     rank: int
-    exhaustive: bool
-    inversion_closed: bool
+    policy: object
     _outputs: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
@@ -407,13 +410,13 @@ class KernelGroup:
         `_inverse_rows` recursion on the length, which reads no letters; an
         inversion-closed draw pairs each row with the next row over
         (`sampled_words`)."""
-        if not (self.exhaustive or self.inversion_closed):
-            return None
-        if self.exhaustive:
+        if not isinstance(self.policy, Sampled):
             parts = _inverse_rows(self.rank, self.letters[0].shape[1],
                                   self.letters[-1].shape[1])
-        else:
+        elif self.policy.inversion_closed:
             parts = [np.arange(len(letters)) ^ 1 for letters in self.letters]
+        else:
+            return None
         rows = np.empty(len(self.products), dtype=np.int64)
         for part, start in zip(parts, self.starts):
             rows[start:start + len(part)] = part + start
@@ -424,7 +427,7 @@ class KernelGroup:
         """The rows in the stacks that class functions read, in order: in
         an exhaustive group each sphere's `_least_rotations`, one row per
         conjugacy class; in a sampled group every row."""
-        if not self.exhaustive:
+        if isinstance(self.policy, Sampled):
             return _read_only(np.arange(len(self.products)))
         return _read_only(np.concatenate([
             _least_rotations(letters, self.rank) + start
@@ -469,28 +472,17 @@ class Sphere:
     ``letters`` is ``(N, L)``, ``products`` the ``(N, n, n)`` stack of the
     words' images, and ``logdet`` and ``sign`` hold each word's exact
     ``log |det|`` and determinant sign: its letters' entries of
-    ``gens.log_dets``, added and multiplied left to right.  ``rank`` is the
-    free group's rank; ``exhaustive`` marks a whole sphere in shortlex
-    order and ``inversion_closed`` a sampled draw closed under inversion.
-    The sphere's rows are those of its `KernelGroup` ``group`` from
-    ``start`` on; a sphere made without one is a group of one.
+    ``gens.log_dets``, added and multiplied left to right.  The sphere's
+    rows are those of its `KernelGroup` ``group`` from ``start`` on; the
+    group holds the rank and the policy of the scan.
     """
 
     letters: np.ndarray
     products: np.ndarray
     logdet: np.ndarray
     sign: np.ndarray
-    rank: int
-    exhaustive: bool
-    inversion_closed: bool = False
-    group: KernelGroup = field(default=None, repr=False)
-    start: int = 0
-
-    def __post_init__(self):
-        if self.group is None:
-            object.__setattr__(self, "group", KernelGroup(
-                (self.letters,), (0,), self.products, self.logdet, self.sign,
-                self.rank, self.exhaustive, self.inversion_closed))
+    group: KernelGroup = field(repr=False)
+    start: int
 
     @property
     def _rows(self):
@@ -535,7 +527,7 @@ class Sphere:
         return self.group.class_log_eigenvalue_moduli()[self._class_span]
 
 
-def _kernel_group(draws, starts, stacks, rank, exhaustive, inversion_closed):
+def _kernel_group(draws, starts, stacks, rank, policy):
     """The spheres of the letter arrays ``draws``, shortest first, sharing
     one `KernelGroup`.  The rows of ``draws[i]`` start at ``starts[i]`` in
     each of the ``stacks`` (products, log-dets, signs), and the draws
@@ -544,11 +536,11 @@ def _kernel_group(draws, starts, stacks, rank, exhaustive, inversion_closed):
     lo = min(starts)
     hi = max(start + len(letters) for letters, start in zip(draws, starts))
     group = KernelGroup(tuple(draws), tuple(start - lo for start in starts),
-                        *(a[lo:hi] for a in stacks), rank, exhaustive, inversion_closed)
+                        *(a[lo:hi] for a in stacks), rank, policy)
     return [
         Sphere(letters, *(a[start:start + len(letters)]
                           for a in (group.products, group.logdet, group.sign)),
-               rank, exhaustive, inversion_closed, group, start)
+               group, start)
         for letters, start in zip(group.letters, group.starts)
     ]
 
@@ -574,7 +566,7 @@ def _walk(positions, walking, images, letter_logdets, letter_signs):
     return products, logdet, sign
 
 
-def _sampled_group(draws, rank, tables, inversion_closed):
+def _sampled_group(draws, rank, tables, policy):
     """The spheres of consecutive lengths' ``sampled_words`` draws, shortest
     first, from one `_walk` of all their rows stacked longest word first;
     the walk's stacks are their `KernelGroup`'s.  ``tables`` holds the
@@ -600,8 +592,7 @@ def _sampled_group(draws, rank, tables, inversion_closed):
             break
         finite += 1
     if finite:
-        yield from _kernel_group(draws[:finite], starts[:finite], stacks, rank, False,
-                                 inversion_closed)
+        yield from _kernel_group(draws[:finite], starts[:finite], stacks, rank, policy)
     if finite < len(draws):
         raise NumericOverflowError(_OVERFLOW)
 
@@ -624,7 +615,7 @@ def _extend(parent, letter_set, children, tables):
             np.repeat(sign, fan) * letter_signs.take(nxt))
 
 
-def _exhaustive_groups(rank, L_max, letter_set, tables, inversion_closed):
+def _exhaustive_groups(rank, L_max, letter_set, tables, policy):
     """The exhaustive spheres 1 .. L_max, one `KernelGroup` at a time.
 
     A group takes the next sphere while its rows and that sphere's
@@ -657,14 +648,13 @@ def _exhaustive_groups(rank, L_max, letter_set, tables, inversion_closed):
             draws, *parts = zip(*spheres)
             stacks = [np.concatenate(part) if len(part) > 1 else part[0] for part in parts]
             starts = np.cumsum([0] + [len(letters) for letters in draws[:-1]]).tolist()
-            yield from _kernel_group(draws, starts, stacks, rank, True, inversion_closed)
+            yield from _kernel_group(draws, starts, stacks, rank, policy)
         if not finite:
             raise NumericOverflowError(_OVERFLOW)
         first = last + 1
 
 
-def iter_sphere_products(gens, L_max: int, policy=Exhaustive(),
-                         inversion_closed=False):
+def iter_sphere_products(gens, L_max: int, policy=Exhaustive()):
     """Yield a :class:`Sphere` for each length 1 .. L_max, in kernel groups.
 
     A `KernelGroup` is a run of consecutive spheres whose rows the stacked
@@ -685,9 +675,9 @@ def iter_sphere_products(gens, L_max: int, policy=Exhaustive(),
     most ``linalg.KERNEL_BLOCK`` rows, so a scan that stops early has
     walked at most three times the rows it read, and memory stays bounded.
     A draw larger than its group's cap walks alone.  Every sphere reads the
-    bits of a walk of its own.
+    bits of a walk of its own, and each group keeps the policy.
 
-    ``gens`` provides ``rank``, ``dim``, ``image`` and ``log_dets`` (see
+    ``gens`` provides ``rank``, ``letter_images`` and ``log_dets`` (see
     :class:`~repdyn.domination.GeneratorSet`).  Raises
     :class:`NumericOverflowError` at the first sphere holding a product
     outside float64 range, after yielding the spheres before it, whose
@@ -695,26 +685,23 @@ def iter_sphere_products(gens, L_max: int, policy=Exhaustive(),
     checked once, when its sphere is complete.
     """
     letter_set = np.array(alphabet(gens.rank), dtype=_letter_dtype(gens.rank))
-    images = np.stack([gens.image(l) for l in letter_set])
-    tables = (images, *gens.log_dets(letter_set[:, None]))
+    tables = (gens.letter_images, *gens.log_dets(letter_set[:, None]))
     if not isinstance(policy, Sampled):
-        yield from _exhaustive_groups(gens.rank, L_max, letter_set, tables,
-                                      inversion_closed)
+        yield from _exhaustive_groups(gens.rank, L_max, letter_set, tables, policy)
         return
     group, cap = [], 0
     for L in range(1, L_max + 1):
-        letters = sampled_words(gens.rank, L, policy, inversion_closed)
+        letters = sampled_words(gens.rank, L, policy)
         rows = sum(map(len, group))
         if group and rows + len(letters) > cap:
-            yield from _sampled_group(group, gens.rank, tables, inversion_closed)
+            yield from _sampled_group(group, gens.rank, tables, policy)
             group, cap = [], min(2 * rows, linalg.KERNEL_BLOCK)
         group.append(letters)
     if group:
-        yield from _sampled_group(group, gens.rank, tables, inversion_closed)
+        yield from _sampled_group(group, gens.rank, tables, policy)
 
 
-def map_sphere_products(gens, L_max: int, stat, policy=Exhaustive(),
-                        inversion_closed=False) -> list:
+def map_sphere_products(gens, L_max: int, stat, policy=Exhaustive()) -> list:
     """``stat(sphere)`` of each complete :class:`Sphere` 1 .. L_max, in order.
 
     The spheres come in kernel groups (`iter_sphere_products`), so the
@@ -725,7 +712,7 @@ def map_sphere_products(gens, L_max: int, stat, policy=Exhaustive(),
     """
     out = []
     try:
-        for sphere in iter_sphere_products(gens, L_max, policy, inversion_closed):
+        for sphere in iter_sphere_products(gens, L_max, policy):
             out.append(stat(sphere))
     except NumericOverflowError:
         pass

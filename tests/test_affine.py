@@ -6,8 +6,15 @@ import warnings
 import numpy as np
 import pytest
 
-from repdyn.affine import bounded_singular_check, eigenvalue_norm_one_check, hks_test
+from repdyn import linalg
+from repdyn.affine import (
+    affine_checks,
+    bounded_singular_check,
+    eigenvalue_norm_one_check,
+    hks_test,
+)
 from repdyn.domination import GeneratorSet
+from repdyn.words import iter_sphere_products
 
 from conftest import (
     form_preserving_matrix,
@@ -106,6 +113,37 @@ class TestEigenvalueNormOne:
     def test_the_worst_word_is_a_class_representative(self, sym2_ping_pong):
         rep = eigenvalue_norm_one_check(sym2_ping_pong, L_max=5)
         assert all(is_class_representative(r.word) for r in rep.spheres)
+
+
+class TestSingularValueKernelCalls:
+    """A scan runs the singular-value kernel only for a statistic that reads
+    it, and then once per kernel group."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The row count of each `linalg.log_singular_values` call."""
+        calls, kernel = [], linalg.log_singular_values
+
+        def counted(products, *args):
+            calls.append(len(products))
+            return kernel(products, *args)
+
+        monkeypatch.setattr(linalg, "log_singular_values", counted)
+        return calls
+
+    @pytest.fixture(scope="class")
+    def so21(self):
+        return GeneratorSet([form_preserving_matrix(), unipotent_so21()])
+
+    def test_a_lone_eigenvalue_check_runs_none(self, so21, calls):
+        assert eigenvalue_norm_one_check(so21, L_max=8).passed
+        assert calls == []
+
+    @pytest.mark.parametrize("scan", [affine_checks, hks_test, bounded_singular_check])
+    def test_the_other_scans_run_it_once_per_group(self, so21, calls, scan):
+        groups = dict.fromkeys(sphere.group for sphere in iter_sphere_products(so21, 8))
+        scan(so21, L_max=8)
+        assert calls == [len(group.products) for group in groups]
 
 
 class TestSymPower:

@@ -182,6 +182,40 @@ class TestInputHandling:
             "repdyn: a splitting with a nonempty neutral block needs dimension"
             " at least 3, got 2\n")
 
+    @pytest.mark.parametrize("n, k, message", [
+        (3, "2", "k must satisfy 1 <= k < 1.5 for dimension 3"),
+        (4, "2", "k must satisfy 1 <= k < 2 for dimension 4"),
+        (2, "1", "a splitting with a nonempty neutral block needs dimension at least 3,"
+                 " got 2"),
+    ])
+    def test_split_k_is_refused_before_any_line_is_walked(self, n, k, message, tmp_path,
+                                                         capsys, monkeypatch):
+        def walked(*args):
+            raise AssertionError("a line was walked")
+
+        monkeypatch.setattr(cli.flowbundle, "build_trajectory", walked)
+        doc = {"n": n, "generators": [{"name": "a", "rows": rows(np.diag(
+            [2.0] + [1.0] * (n - 2) + [0.5]))}]}
+        out = tmp_path / "out"
+        rc = main(["split", "--input", write_doc(tmp_path / "g.json", doc), "--k", k,
+                   "--out-dir", str(out)])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == f"repdyn: {message}\n"
+        assert list(out.iterdir()) == []
+
+    def test_split_k_is_refused_on_lines_that_overflow_within_two_steps(self, tmp_path,
+                                                                       capsys):
+        # every line of 1e200 times a rotation overflows at t = 2, which made
+        # it degenerate (exit 2) before the index was read
+        r3 = np.eye(3)
+        r3[:2, :2] = rotation2(0.9)
+        doc = {"n": 3, "generators": [{"name": "r", "rows": rows(1e200 * r3)}]}
+        rc = main(["split", "--input", write_doc(tmp_path / "r.json", doc), "--k", "2",
+                   "--window", "6", "--out-dir", str(tmp_path / "out")])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "repdyn: k must satisfy 1 <= k < 1.5 for dimension 3\n")
+
     def test_split_line_with_one_step_each_way_is_refused(self, tmp_path, capsys):
         # an explicit line of 8 letters at offset 3 reaches one step back
         doc = {"n": 3,

@@ -44,10 +44,11 @@ def alone(sphere):
                                              sphere.sign))
 
 
+# each policy, and whether it is a sampled draw closed under inversion
 POLICIES = [
     (Exhaustive(), False),
     (Sampled(count=5, seed=2), False),
-    (Sampled(count=5, seed=2), True),
+    (Sampled(count=5, seed=2, inversion_closed=True), True),
 ]
 
 
@@ -64,7 +65,7 @@ def test_grouped_kernels_are_the_per_sphere_calls(monkeypatch, case, policy,
     monkeypatch.setattr(linalg, "KERNEL_BLOCK", block)
     rank, n, scale, L_max = case
     gens = diagonal_gens(n) if scale is None else seeded_gens(rank, n, scale, 10 * rank + n)
-    spheres, stopped = collect(iter_sphere_products(gens, L_max, policy, inversion_closed))
+    spheres, stopped = collect(iter_sphere_products(gens, L_max, policy))
     if scale is None:
         assert stopped and len(spheres) == 51
     elif isinstance(policy, Exhaustive):
@@ -77,8 +78,13 @@ def test_grouped_kernels_are_the_per_sphere_calls(monkeypatch, case, policy,
             assert got.tobytes() == expected.tobytes()
             with pytest.raises(ValueError):
                 got[0, 0] = 0.0
-        # the group holds the sphere's rows, and only finite ones
+        # the group reads its policy: inverse rows for whole spheres and
+        # inversion-closed draws, none for an open draw
         group = sphere.group
+        assert group.policy is policy
+        assert (sphere.inverse is None) == (isinstance(policy, Sampled)
+                                            and not inversion_closed)
+        # the group holds the sphere's rows, and only finite ones
         rows = slice(sphere.start, sphere.start + len(sphere.letters))
         assert group.products[rows].tobytes() == sphere.products.tobytes()
         assert np.isfinite(group.products).all()

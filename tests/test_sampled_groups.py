@@ -18,7 +18,7 @@ from repdyn.domination import GeneratorSet, domination_scan
 from repdyn.errors import NumericOverflowError
 from repdyn.words import (
     Sampled,
-    Sphere,
+    _kernel_group,
     alphabet,
     iter_sphere_products,
     letter_rank,
@@ -28,14 +28,14 @@ from repdyn.words import (
 from conftest import collect
 
 
-def reference_spheres(gens, L_max, policy, inversion_closed=False):
+def reference_spheres(gens, L_max, policy):
     """Yield each length's sphere, drawn and walked alone; raise at the
     first letter that leaves a product of a sphere outside float64 range."""
     letter_set = np.array(alphabet(gens.rank))
     images = np.stack([gens.image(l) for l in letter_set])
     letter_logdets, letter_signs = gens.log_dets(letter_set[:, None])
     for L in range(1, L_max + 1):
-        letters = sampled_words(gens.rank, L, policy, inversion_closed)
+        letters = sampled_words(gens.rank, L, policy)
         products = np.eye(gens.dim)
         logdet = np.zeros(len(letters))
         sign = np.ones(len(letters), dtype=letter_signs.dtype)
@@ -47,7 +47,7 @@ def reference_spheres(gens, L_max, policy, inversion_closed=False):
                 sign = sign * letter_signs[rank]
                 if not np.isfinite(products).all():
                     raise NumericOverflowError("reference overflow")
-        yield Sphere(letters, products, logdet, sign, gens.rank, False, inversion_closed)
+        yield from _kernel_group([letters], [0], (products, logdet, sign), gens.rank, policy)
 
 
 def assert_same_spheres(got, expected):
@@ -59,8 +59,7 @@ def assert_same_spheres(got, expected):
             x, y = getattr(a, name), getattr(b, name)
             assert x.dtype == y.dtype and x.shape == y.shape, name
             assert x.tobytes() == y.tobytes(), name
-        assert (a.rank, a.exhaustive, a.inversion_closed) == (
-            b.rank, b.exhaustive, b.inversion_closed)
+        assert (a.group.rank, a.group.policy) == (b.group.rank, b.group.policy)
 
 
 def seeded_gens(rank, n, scale, seed):
@@ -104,10 +103,9 @@ def test_grouped_walk_matches_per_length_walk(rank, n, inversion_closed, walks):
     gens = seeded_gens(rank, n, 0.5, 10 * rank + n)
     groups = []
     for count, seed in ((1, 0), (30, 7)):
-        policy = Sampled(count=count, seed=seed)
-        got = collect(iter_sphere_products(gens, 12, policy, inversion_closed))
-        assert_same_spheres(got, collect(reference_spheres(gens, 12, policy,
-                                                           inversion_closed)))
+        policy = Sampled(count=count, seed=seed, inversion_closed=inversion_closed)
+        got = collect(iter_sphere_products(gens, 12, policy))
+        assert_same_spheres(got, collect(reference_spheres(gens, 12, policy)))
         draws = [len(sphere.letters) for sphere in got[0]]
         groups += expected_groups(draws, linalg.KERNEL_BLOCK)
     assert walks == groups
@@ -121,9 +119,9 @@ def test_inversion_closed_draws_that_drop_repeated_pairs(rank):
     # rank 1 has two words per length and rank 2 few short ones, so a draw
     # of 40 repeats words and keeps fewer rows than 2 * 40
     gens = seeded_gens(rank, 3, 0.5, 4)
-    policy = Sampled(count=40, seed=3)
-    got = collect(iter_sphere_products(gens, 8, policy, inversion_closed=True))
-    assert_same_spheres(got, collect(reference_spheres(gens, 8, policy, True)))
+    policy = Sampled(count=40, seed=3, inversion_closed=True)
+    got = collect(iter_sphere_products(gens, 8, policy))
+    assert_same_spheres(got, collect(reference_spheres(gens, 8, policy)))
     assert min(len(sphere.letters) for sphere in got[0]) < 80
 
 
@@ -132,11 +130,10 @@ def test_inversion_closed_draws_that_drop_repeated_pairs(rank):
 def test_row_cap_splits_the_scan_into_groups(monkeypatch, walks, block, inversion_closed):
     monkeypatch.setattr(linalg, "KERNEL_BLOCK", block)
     gens = seeded_gens(2, 2, 0.5, 1)
-    policy = Sampled(count=20, seed=5)
-    got = collect(iter_sphere_products(gens, 15, policy, inversion_closed))
-    assert_same_spheres(got, collect(reference_spheres(gens, 15, policy,
-                                                       inversion_closed)))
-    draws = [len(sampled_words(2, L, policy, inversion_closed)) for L in range(1, 16)]
+    policy = Sampled(count=20, seed=5, inversion_closed=inversion_closed)
+    got = collect(iter_sphere_products(gens, 15, policy))
+    assert_same_spheres(got, collect(reference_spheres(gens, 15, policy)))
+    draws = [len(sampled_words(2, L, policy)) for L in range(1, 16)]
     assert walks == expected_groups(draws, block)
     # a group stays within the cap unless one draw alone exceeds it
     assert all(size <= block or size in draws for size in walks)
@@ -147,9 +144,9 @@ def test_row_cap_splits_the_scan_into_groups(monkeypatch, walks, block, inversio
 def test_one_draw_per_length_through_the_module_global(monkeypatch):
     calls = []
 
-    def counted(rank, length, policy, inversion_closed=False):
+    def counted(rank, length, policy):
         calls.append(length)
-        return sampled_words(rank, length, policy, inversion_closed)
+        return sampled_words(rank, length, policy)
 
     monkeypatch.setattr(words, "sampled_words", counted)
     gens = seeded_gens(2, 2, 0.5, 2)
@@ -185,9 +182,9 @@ def test_overflow_in_the_middle_of_a_group(monkeypatch, case):
     rank, n, scale, seed, inversion_closed, block = case
     monkeypatch.setattr(linalg, "KERNEL_BLOCK", block)
     gens = uneven_gens(rank, n, scale, seed)
-    policy = Sampled(count=4, seed=seed)
-    got = collect(iter_sphere_products(gens, 200, policy, inversion_closed))
-    expected = collect(reference_spheres(gens, 200, policy, inversion_closed))
+    policy = Sampled(count=4, seed=seed, inversion_closed=inversion_closed)
+    got = collect(iter_sphere_products(gens, 200, policy))
+    expected = collect(reference_spheres(gens, 200, policy))
     assert_same_spheres(got, expected)
     spheres, stopped = got
     assert stopped and 50 < len(spheres) < 190

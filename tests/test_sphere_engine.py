@@ -63,9 +63,9 @@ def gens(request):
     return request.getfixturevalue(request.param)
 
 
-def reference_rows(gens, length, policy, inversion_closed=False):
+def reference_rows(gens, length, policy):
     if isinstance(policy, Sampled):
-        letters = sampled_words(gens.rank, length, policy, inversion_closed)
+        letters = sampled_words(gens.rank, length, policy)
         drawn = [Word(row) for row in letters.tolist()]
     else:
         drawn = list(enumerate_sphere(gens.rank, length))
@@ -191,8 +191,11 @@ def test_cone_samples(request, fixture, policy):
     gens = request.getfixturevalue(fixture)
     cone = sample_cone(gens, 4, policy)
     assert sorted(cone.levels) == [1, 2, 3, 4]
+    # a sampled cone reads its draws closed under inversion
+    if isinstance(policy, Sampled):
+        policy = dataclasses.replace(policy, inversion_closed=True)
     for m, level in cone.levels.items():
-        rows = reference_rows(gens, m, policy, inversion_closed=True)
+        rows = reference_rows(gens, m, policy)
         assert level.length == m and len(level) == len(rows)
         for r, (w, p) in enumerate(rows):
             jv = word_log_eigenvalue_moduli(gens, w, p) / m
@@ -316,3 +319,30 @@ def test_shortlex_argmin_breaks_ties_by_word():
     assert shortlex_argmin(np.array([0.5, 0.5, 0.5, 0.7]), letters) == 2
     assert shortlex_argmin(np.array([0.5, 0.1, 0.5, 0.1]), letters) == 3
     assert shortlex_argmin(np.array([0.5, np.nan, 0.1, 0.1]), letters) == 1
+
+
+# Sym² of a 2x2 word of determinant 1 with top singular value s has singular
+# values s², 1 and s⁻², so its log singular values are (2, 0, -2) log s.
+# Measured at most 1.1e-14 at L <= 10 under both policies below, where the
+# values reach 2 * 10 * log 4 = 27.7.
+SYM2_TOL = 1e-13
+
+
+@pytest.mark.parametrize("policy", [Exhaustive(),
+                                    Sampled(count=300, seed=3, inversion_closed=True)])
+def test_sym2_singular_values_are_the_closed_form(sym2_ping_pong, ping_pong, policy):
+    lengths = []
+    for sym2, pair in zip(iter_sphere_products(sym2_ping_pong, 10, policy),
+                          iter_sphere_products(ping_pong, 10, policy)):
+        assert np.array_equal(sym2.letters, pair.letters)
+        log_s = np.log(np.linalg.svd(pair.products, compute_uv=False)[:, 0])
+        np.testing.assert_allclose(sym2.log_singular_values(), log_s[:, None] * [2, 0, -2],
+                                   rtol=0, atol=SYM2_TOL)
+        lengths.append(sym2.letters.shape[1])
+    assert lengths == list(range(1, 11))
+
+
+def test_sym2_ping_pong_is_partially_hyperbolic(sym2_ping_pong):
+    rep = domination_scan(sym2_ping_pong, k=1, L_max=10)
+    assert rep.verdict == "partially-hyperbolic"
+    assert rep.A_lower == pytest.approx(1.9315, abs=1e-4)

@@ -245,7 +245,7 @@ class TestSphere:
         draw2 = sampled_words(2, 5, pol)
         assert draw1.shape == (25, 5)
         assert np.array_equal(draw1, draw2)
-        closed = sampled_words(2, 5, pol, inversion_closed=True)
+        closed = sampled_words(2, 5, Sampled(count=25, seed=9, inversion_closed=True))
         got = {Word(row) for row in closed.tolist()}
         assert len(got) == len(closed)
         assert {w.inverse() for w in got} == got
@@ -270,8 +270,9 @@ class TestSphere:
         for length in (1, 2, 5, 24):
             for seed in (0, 1, 1618389002, 2**40 + 3):
                 for count in (1, 7, 300):
-                    policy = Sampled(count=count, seed=seed)
-                    got = sampled_words(rank, length, policy, inversion_closed)
+                    policy = Sampled(count=count, seed=seed,
+                                     inversion_closed=inversion_closed)
+                    got = sampled_words(rank, length, policy)
                     assert got.shape[1] == length
                     assert [tuple(r) for r in got.tolist()] == reference(length, policy)
 
@@ -304,9 +305,8 @@ class TestInverseRows:
     def test_inversion_closed_draws(self, rank):
         duplicates = mutual = 0
         for count, seed in ((1, 0), (7, 3), (40, 5), (300, 11)):
-            policy = Sampled(count=count, seed=seed)
-            spheres = iter_sphere_products(rank_gens(rank), 4, policy,
-                                           inversion_closed=True)
+            policy = Sampled(count=count, seed=seed, inversion_closed=True)
+            spheres = iter_sphere_products(rank_gens(rank), 4, policy)
             for length, sphere in enumerate(spheres, start=1):
                 assert_inverse_rows(sphere)
                 assert np.array_equal(sphere.inverse, np.arange(len(sphere.letters)) ^ 1)
@@ -415,8 +415,8 @@ class TestClassRows:
 
     @pytest.mark.parametrize("inversion_closed", [False, True])
     def test_a_sampled_group_reads_every_row(self, inversion_closed):
-        spheres = iter_sphere_products(rank_gens(2), 6, Sampled(count=40, seed=3),
-                                       inversion_closed=inversion_closed)
+        policy = Sampled(count=40, seed=3, inversion_closed=inversion_closed)
+        spheres = iter_sphere_products(rank_gens(2), 6, policy)
         for sphere in spheres:
             assert np.array_equal(sphere.class_rows, np.arange(len(sphere.letters)))
 
