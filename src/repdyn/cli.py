@@ -244,6 +244,8 @@ def parse_lines(doc, gens, window, path=""):
         where = f"{path}: lines[{idx}]"
         if not isinstance(spec, dict):
             raise InputFileError(f"{where}: expected an object")
+        if "pattern" in spec and "letters" in spec:
+            raise InputFileError(f"{where}: give \"pattern\" or \"letters\", not both")
         if "pattern" in spec:
             letters = _letters(spec["pattern"], f"{where}.pattern")
         elif "letters" in spec:
@@ -630,40 +632,37 @@ def cmd_dominate(args) -> int:
     return EXIT_INCONCLUSIVE
 
 
-def _cone_rows(gens, cone):
+def _cone_rows(gens, cone, tol=None):
     """CSV rows of every cone sample, as tuples of formatted strings.
 
     The rows are the `zip` of one level's columns after another, chained
     so that they are iterated in C, and a level's columns are built only
     when the rows reach it: the n Jordan columns by one `format_floats`
-    call, the zero-index column gathered from one name per distinct mask,
-    and the word names.  An exhaustive level lists its words in shortlex
-    order, so the parent of row i is row ``i // (2 rank - 1)`` of the level
-    before, and its name is the parent's plus one letter; a sampled level
-    joins each word's letter names.
+    call, the zero-index column of ``level.zero_mask(tol)`` from one name
+    per distinct mask, and the word names from ``gens.letter_names``.  An
+    exhaustive level lists its words in shortlex order, so the parent of
+    row i is row ``i // (2 rank - 1)`` of the level before, and its name is
+    the parent's plus one letter; a sampled level joins its letters' names.
     """
-    letter_names = np.empty(2 * gens.rank + 1, dtype=object)
-    spaced = letter_names.copy()
-    for l in words.alphabet(gens.rank):
-        letter_names[l] = gens.word_name((l,))  # a negative letter indexes from the end
-        spaced[l] = " " + letter_names[l]
+    spaced = " " + gens.letter_names
     fan = 2 * gens.rank - 1
 
     def levels():
         names = None
         for m, level in sorted(cone.levels.items()):
+            zero = level.zero_mask(tol)
             # a bool is one byte, so a void view makes each mask row one sortable key
-            keys = np.ascontiguousarray(level.zero).view(f"V{cone.n}").ravel()
+            keys = np.ascontiguousarray(zero).view(f"V{cone.n}").ravel()
             _, first, mask_of_row = np.unique(keys, return_index=True, return_inverse=True)
             zero_names = np.array([
-                ";".join(str(i + 1) for i in np.flatnonzero(level.zero[r])) for r in first
+                ";".join(str(i + 1) for i in np.flatnonzero(zero[r])) for r in first
             ], dtype=object)
             if cone.exhaustive and names is not None:
                 names = (names[np.arange(len(level)) // fan]
-                         + spaced[level.letters[:, -1]])
+                         + spaced[words.letter_rank(level.letters[:, -1])])
             else:
-                names = np.array(
-                    [" ".join(w) for w in letter_names[level.letters].tolist()], dtype=object)
+                names = np.array([" ".join(w) for w in gens.letter_names[
+                    words.letter_rank(level.letters)].tolist()], dtype=object)
             columns = format_floats(level.jordan.T.ravel()).reshape(cone.n, -1).tolist()
             zeros = zero_names[mask_of_row.ravel()].tolist()
             yield zip(repeat(str(m), len(level)), *columns, zeros, names.tolist())
@@ -684,7 +683,7 @@ def cmd_spectrum(args) -> int:
     write_csv(
         samples_path,
         ["m"] + coord_names + ["zero_indices", "word"],
-        _cone_rows(gens, cone),
+        _cone_rows(gens, cone, args.tol),
     )
     hull_path = os.path.join(args.out_dir, "spectrum_hull.csv")
     write_csv(hull_path, coord_names, cone.hull_vertices.tolist())

@@ -29,7 +29,7 @@ from .errors import DegenerateInputError, NumericOverflowError
 from .fitting import fit_line
 from .linalg import (
     _principal_angles,
-    require_matrix,
+    _require_square,
     require_orthonormal,
     scaled_inv,
     scaled_slogdet,
@@ -47,28 +47,44 @@ _NAME_IDENTITY = "e"
 class GeneratorSet:
     """Invertible matrices indexed by free group letters.
 
-    ``letter_images`` is the one read-only stack of the letters' images in
-    alphabet order: the i-th matrix (1-based) and then its inverse, so the
-    set is closed under inversion by construction; ``image(i)`` and
-    ``image(-i)`` read its rows.  All matrices share one dimension
-    ``dim``; ``rank`` is the number of generators.
+    The set owns every per-letter table, each read-only and in alphabet
+    order ``1, -1, 2, -2, ...``, letter ``l`` at row ``words.letter_rank(l)``:
+    ``letter_images``, each generator and then its inverse taken scaled
+    (`linalg.scaled_inv`); ``letter_log_dets``, exact
+    (`linalg.scaled_slogdet`), an inverse's the exact negative and +0.0 for
+    a unimodular letter; ``letter_signs`` (``int8``); and ``letter_names``,
+    ``name`` and ``name + "^-1"``.  ``rank`` is the number of generators
+    and ``dim`` their one dimension.
+
+    Each generator in turn must be square with side in [2, 16], finite, not
+    the zero matrix, of the first generator's dimension, and have smallest
+    singular value above 1e-14 times the largest; the first that fails is
+    named in a :class:`DegenerateInputError`.  Then the names are checked
+    (``ValueError``), then the inverses.
     """
 
     def __init__(self, images, names=None):
-        mats = [require_matrix(m, f"generator {i + 1}") for i, m in enumerate(images)]
-        if not mats:
-            raise DegenerateInputError("generator set must be nonempty")
-        n = mats[0].shape[0]
-        for i, m in enumerate(mats):
-            if m.shape[0] != n:
+        mats = []
+        for i, m in enumerate(images):
+            what = f"generator {i + 1}"
+            m = np.asarray(m, dtype=float)
+            _require_square(m.shape, what)
+            if not np.isfinite(m).all():
+                raise DegenerateInputError(f"{what} has non-finite entries")
+            # the largest entry, not a norm: squaring would underflow or overflow
+            if np.abs(m).max() == 0.0:
+                raise DegenerateInputError(f"{what} is the zero matrix")
+            if mats and len(m) != len(mats[0]):
                 raise DegenerateInputError(
-                    f"generator {i + 1} has dimension {m.shape[0]}, expected {n}"
-                )
+                    f"{what} has dimension {len(m)}, expected {len(mats[0])}")
             # generators are inverted and multiplied thousands of times, so
             # insist on honest float-level invertibility up front
             s = np.linalg.svd(m, compute_uv=False)
             if s[-1] <= s[0] * 1e-14:
-                raise DegenerateInputError(f"generator {i + 1} is numerically singular")
+                raise DegenerateInputError(f"{what} is numerically singular")
+            mats.append(m)
+        if not mats:
+            raise DegenerateInputError("generator set must be nonempty")
         if names is None:
             names = tuple(f"g{i + 1}" for i in range(len(mats)))
         else:
@@ -84,15 +100,16 @@ class GeneratorSet:
             # inverts past float64
             if not np.isfinite(inv).all():
                 raise DegenerateInputError(f"generator {i + 1} has a non-finite inverse")
-        self.letter_images = np.stack([stack, inverses], axis=1).reshape(-1, n, n)
-        self.letter_images.flags.writeable = False
-        self._names = names
-        # log |det| and the determinant sign indexed by letter: entry i for
-        # letter i, and entry -i, the exact negative and the same sign, for
-        # its inverse.
         signs, logdets = scaled_slogdet(stack)
-        self._letter_log_dets = np.concatenate([[0.0], logdets, -logdets[::-1]])
-        self._letter_signs = np.concatenate([[1], signs, signs[::-1]]).astype(np.int8)
+        self.letter_images = np.stack([stack, inverses], axis=1).reshape(-1, *stack.shape[1:])
+        # adding 0.0 reads a unimodular letter's -0.0 as +0.0
+        self.letter_log_dets = 0.0 + np.stack([logdets, -logdets], axis=1).ravel()
+        self.letter_signs = np.repeat(signs, 2).astype(np.int8)
+        self.letter_names = np.array(
+            [s for name in names for s in (name, name + "^-1")], dtype=object)
+        for table in (self.letter_images, self.letter_log_dets,
+                      self.letter_signs, self.letter_names):
+            table.flags.writeable = False
 
     @property
     def rank(self) -> int:
@@ -104,7 +121,7 @@ class GeneratorSet:
 
     @property
     def names(self) -> tuple[str, ...]:
-        return self._names
+        return tuple(self.letter_names[::2])
 
     def image(self, letter: int) -> np.ndarray:
         if letter == 0 or abs(letter) > self.rank:
@@ -114,27 +131,24 @@ class GeneratorSet:
     def log_dets(self, letters):
         """``(logdet, sign)``: the exact ``log |det|`` and the determinant
         sign of each word of an ``(N, L)`` letter array, its letters'
-        entries added and multiplied left to right.  An inverse letter has
-        the exact negative log-det of its letter, so a word and its inverse
-        read exact negatives up to the order of the adds."""
+        entries of ``letter_log_dets`` and ``letter_signs`` added and
+        multiplied left to right.  A word and its inverse read exact
+        negatives up to the order of the adds."""
         letters = np.asarray(letters)
         logdet = np.zeros(len(letters))
         sign = np.ones(len(letters), dtype=np.int8)
-        for column in letters.T:
-            logdet += self._letter_log_dets[column]
-            sign *= self._letter_signs[column]
+        for column in words.letter_rank(letters).T:
+            logdet += self.letter_log_dets[column]
+            sign *= self.letter_signs[column]
         return logdet, sign
 
     def word_name(self, word) -> str:
-        """Human-readable name of a word, e.g. ``"a b^-1"``."""
+        """Human-readable name of a word, its letters' ``letter_names``
+        joined by spaces, e.g. ``"a b^-1"``; ``"e"`` for the identity."""
         letters = word.letters if isinstance(word, words.Word) else tuple(word)
         if not letters:
             return _NAME_IDENTITY
-        parts = []
-        for l in letters:
-            name = self._names[abs(l) - 1]
-            parts.append(name if l > 0 else name + "^-1")
-        return " ".join(parts)
+        return " ".join(self.letter_names[words.letter_rank(np.asarray(letters))])
 
 
 @dataclass
@@ -218,6 +232,8 @@ def domination_scan(gens: GeneratorSet, k: int, L_max: int,
 
     Notes
     -----
+    ``"dominated"`` needs an exhaustive, untruncated scan whose fit of the
+    per-sphere minimum gaps rises (``A_lower > 0``), whatever ``A_hat`` reads.
     The scan stops at the first refuting sphere, one whose minimum gap is
     at or below DEFAULT_GAP_TOL (the report's ``gap_tol``).  A product
     overflowing float64 truncates the scan at the last complete sphere,
@@ -265,7 +281,7 @@ def domination_scan(gens: GeneratorSet, k: int, L_max: int,
     verdict = "inconclusive"
     if refuted_at is not None:
         verdict = "refuted"
-    elif exhaustive and not truncated and len(fit_spheres) >= 2 and A_hat > 0.0:
+    elif exhaustive and not truncated and len(fit_spheres) >= 2 and A_lower > 0.0:
         verdict = "dominated"
         if 2 * k < n:
             for r in spheres:

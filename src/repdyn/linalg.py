@@ -27,8 +27,8 @@ characteristic cubic for n = 3, the smallest real root from the exact
 log-det, and LAPACK near a multiple eigenvalue and for larger n.
 
 `singular_frames` gives the singular values and right singular vectors of
-a stack in one call, checking each matrix (`require_matrix`'s checks, the
-span of its singular values, the gap at a given index) and raising one
+a stack in one call, checking each matrix (finite, not zero, invertible,
+the span of its singular values, the gap at a given index) and raising one
 aggregated :class:`~repdyn.errors.ConditionWarning`.  A degenerate gap
 raises :class:`~repdyn.errors.DegenerateGapError` instead of returning an
 arbitrary basis.  For n = 3 the frames come in closed form, from the top
@@ -107,8 +107,9 @@ def _require_square(shape, what):
 
 
 def _first_invalid(ms, what):
-    """``(row, error)`` for the first matrix of a stack that `require_matrix`
-    rejects, or ``(len(ms), None)`` when every matrix passes."""
+    """``(row, error)`` for the first matrix of a stack that is not finite,
+    is zero or is singular (a failed LU, confirmed spectrally), or
+    ``(len(ms), None)`` when every matrix passes."""
     finite = _fold_columns(np.logical_and, np.isfinite(ms))
     stop = len(ms) if finite.all() else int(np.argmin(finite))
     head = ms[:stop]
@@ -130,28 +131,6 @@ def _first_invalid(ms, what):
     if stop < len(ms):
         return stop, DegenerateInputError(f"{what} has non-finite entries")
     return stop, None
-
-
-def require_matrix(m, what="matrix"):
-    """Validate a square invertible matrix and return it as float64.
-
-    Checks shape (square, side between MIN_DIM and MAX_DIM), finiteness, and
-    float-level invertibility.  Raises :class:`DegenerateInputError` on any
-    violation.  Merely ill-conditioned matrices pass; those draw a
-    :class:`ConditionWarning` at the decomposition sites instead.
-    """
-    m = np.asarray(m, dtype=float)
-    _require_square(m.shape, what)
-    if not np.isfinite(m).all():
-        raise DegenerateInputError(f"{what} has non-finite entries")
-    # the zero matrix has no pivot, so only a failed LU needs the full
-    # verdict; scaled exactly to unit largest entry, the LU cannot overflow
-    sign, logdet = np.linalg.slogdet(_scale_to_unit(m[None])[0][0])
-    if sign == 0.0 or not np.isfinite(logdet):
-        _, error = _first_invalid(m[None], what)
-        if error is not None:
-            raise error
-    return m
 
 
 _SPAN_MESSAGE = "singular values span more than float64 allows"
@@ -188,7 +167,7 @@ def singular_frames(ms, gap_index: int, stacklevel=2, frames=None):
     `unchecked_frames` of ``ms`` (or the same rows of a larger stack),
     stands in for the decomposition, and only the checks run.
 
-    Each matrix in turn gets the checks of `require_matrix`, then the check
+    Each matrix in turn gets the checks of `_first_invalid`, then the check
     that its singular values span less than float64 allows, then the gap
     check: the relative gap between singular values ``gap_index`` and
     ``gap_index + 1`` (1-based) must reach GAP_TOL.  The first failing

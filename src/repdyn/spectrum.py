@@ -76,6 +76,10 @@ class ConeLevel:
     def word(self, row) -> words.Word:
         return words.Word(self.letters[row].tolist())
 
+    def zero_mask(self, tol=None) -> np.ndarray:
+        """The zero mask at ``tol``, ``|jordan| <= tol``, or ``zero`` without one."""
+        return self.zero if tol is None else np.abs(self.jordan) <= tol
+
 
 @dataclass
 class ConeEstimate:
@@ -258,7 +262,7 @@ def containment_check(cone: ConeEstimate, k: int, tol=None) -> ContainmentReport
     C_hat = float("inf")
     n_samples = n_zero = n_empty = 0
     for m, level in sorted(cone.levels.items()):
-        zero = level.zero if tol is None else np.abs(level.jordan) <= tol
+        zero = level.zero_mask(tol)
         count = _fold_columns(np.add, zero)
         nonzero = count < n
         n_samples += len(level)

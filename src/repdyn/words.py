@@ -18,15 +18,15 @@ A scan policy says which words a scan reads: whole spheres
 closed under inversion or not.  `iter_sphere_products` is the one sphere
 engine behind every scan: it yields each sphere as stacked letter and
 product arrays, with each word's exact log-det and determinant sign, from
-the generator set's one letter table (``letter_images``), building an
-exhaustive sphere from the previous one with a single stacked multiply and
-a single add.  Sampled spheres of consecutive lengths are walked as one
-stack, longest word first, with one stacked multiply per letter for the
-whole group; a group holds at most twice the rows of the one before it and
-at most ``linalg.KERNEL_BLOCK`` rows.  Each sphere is then a row slice
-with the bits of a walk of its own.  A non-finite product stays non-finite, so each
-sphere is checked once, when complete, and the first that overflowed
-stops the scan.
+the generator set's letter tables (``letter_images``, ``letter_log_dets``,
+``letter_signs``), building an exhaustive sphere from the previous one with
+a single stacked multiply and a single add.  Sampled spheres of consecutive
+lengths are walked as one stack, longest word first, with one stacked
+multiply per letter for the whole group; a group holds at most twice the
+rows of the one before it and at most ``linalg.KERNEL_BLOCK`` rows.  Each
+sphere is then a row slice with the bits of a walk of its own.  A
+non-finite product stays non-finite, so each sphere is checked once, when
+complete, and the first that overflowed stops the scan.
 
 The spheres come in kernel groups (:class:`KernelGroup`): runs of
 consecutive spheres whose rows the stacked singular-value and
@@ -472,9 +472,10 @@ class Sphere:
     ``letters`` is ``(N, L)``, ``products`` the ``(N, n, n)`` stack of the
     words' images, and ``logdet`` and ``sign`` hold each word's exact
     ``log |det|`` and determinant sign: its letters' entries of
-    ``gens.log_dets``, added and multiplied left to right.  The sphere's
-    rows are those of its `KernelGroup` ``group`` from ``start`` on; the
-    group holds the rank and the policy of the scan.
+    ``gens.letter_log_dets`` and ``gens.letter_signs``, added and
+    multiplied left to right.  The sphere's rows are those of its
+    `KernelGroup` ``group`` from ``start`` on; the group holds the rank and
+    the policy of the scan.
     """
 
     letters: np.ndarray
@@ -677,15 +678,15 @@ def iter_sphere_products(gens, L_max: int, policy=Exhaustive()):
     A draw larger than its group's cap walks alone.  Every sphere reads the
     bits of a walk of its own, and each group keeps the policy.
 
-    ``gens`` provides ``rank``, ``letter_images`` and ``log_dets`` (see
-    :class:`~repdyn.domination.GeneratorSet`).  Raises
+    ``gens`` provides ``rank`` and the letter tables ``letter_images``,
+    ``letter_log_dets`` and ``letter_signs`` (see `domination.GeneratorSet`).  Raises
     :class:`NumericOverflowError` at the first sphere holding a product
     outside float64 range, after yielding the spheres before it, whose
     group holds no other rows.  Each product is multiplied once and
     checked once, when its sphere is complete.
     """
     letter_set = np.array(alphabet(gens.rank), dtype=_letter_dtype(gens.rank))
-    tables = (gens.letter_images, *gens.log_dets(letter_set[:, None]))
+    tables = (gens.letter_images, gens.letter_log_dets, gens.letter_signs)
     if not isinstance(policy, Sampled):
         yield from _exhaustive_groups(gens.rank, L_max, letter_set, tables, policy)
         return

@@ -235,6 +235,21 @@ class TestInputHandling:
         assert "argument --window: must be at least 2, got 1" in capsys.readouterr().err
         assert list(out.iterdir()) == []  # no report for the other line
 
+    def test_split_line_with_pattern_and_letters_is_refused(self, tmp_path, capsys):
+        # read as its pattern, this line would drop its letters and offset
+        doc = {"n": 3,
+               "generators": [{"name": "g", "rows": [[2, 0, 0], [0, 1, 0], [0, 0, 0.5]]}],
+               "lines": [{"pattern": [1]},
+                         {"pattern": [1], "letters": [1] * 6, "offset": 9}]}
+        path = write_doc(tmp_path / "g.json", doc)
+        out = tmp_path / "out"
+        rc = main(["split", "--input", path, "--k", "1", "--window", "6",
+                   "--out-dir", str(out)])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f'repdyn: {path}: lines[1]: give "pattern" or "letters", not both\n')
+        assert list(out.iterdir()) == []
+
     def test_nonfinite_constant_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(
@@ -976,6 +991,57 @@ class TestSpectrumCsv:
         text = (out / csv_name).read_bytes()
         assert text == expected.getvalue().encode("utf-8")
         assert text.count(b"\n") > 4  # three rows, and quoted names break lines
+
+    @pytest.mark.parametrize("command, policy", [
+        ("spectrum", []),
+        ("spectrum", ["--policy", "sampled", "--samples", "7", "--seed", "5"]),
+        ("dominate", []),
+    ], ids=["cone-exhaustive", "cone-sampled", "dominate"])
+    def test_word_columns_read_back_as_word_names(self, command, policy, tmp_path):
+        names = ["a,b", 'q "r"', "é^-1"]
+        mats = hostile_generators()
+        doc = {"n": 3, "generators": [
+            {"name": name, "rows": rows(m)} for name, m in zip(names, mats)
+        ]}
+        out = tmp_path / "out"
+        length = "--m-max" if command == "spectrum" else "--max-length"
+        main([command, "--input", write_doc(tmp_path / "g.json", doc), length, "3",
+              "--out-dir", str(out), *policy])
+        gens = GeneratorSet(mats, names=names)
+        if command == "spectrum":
+            cone = spectrum.sample_cone(
+                gens, 3, words.Sampled(7, 5) if policy else words.Exhaustive())
+            letters = [level.letters[r] for _, level in sorted(cone.levels.items())
+                       for r in range(len(level))]
+            csv_name = "spectrum_cone_samples.csv"
+        else:
+            letters = [r.argmin for r in domination.domination_scan(gens, 1, 3).spheres]
+            csv_name = "dominate_spheres.csv"
+        with open(out / csv_name, encoding="utf-8", newline="") as fh:
+            table = list(csv.reader(fh))
+        assert table[0][-1] in ("word", "argmin_word")
+        assert [row[-1] for row in table[1:]] == [gens.word_name(w) for w in letters]
+
+    @pytest.mark.parametrize("tol", ["0.5", "0"])
+    def test_zero_indices_follow_tol(self, padded_doc, tmp_path, tol):
+        """Under --tol each row's zero indices are its printed coordinates of
+        modulus at most tol, and the rows zero in every coordinate are the
+        summary's n_zero."""
+        out = tmp_path / "out"
+        main(["spectrum", "--input", padded_doc, "--m-max", "4", "--tol", tol,
+              "--out-dir", str(out)])
+        with open(out / "spectrum_cone_samples.csv", encoding="utf-8", newline="") as fh:
+            header, *table = list(csv.reader(fh))
+        n = len(header) - 3
+        moved = 0
+        for row in table:
+            coords = [float(x) for x in row[1:1 + n]]
+            expected = [i + 1 for i, c in enumerate(coords) if abs(c) <= float(tol)]
+            assert row[1 + n] == ";".join(map(str, expected))
+            moved += any(0.0 < abs(c) <= float(tol) for c in coords)
+        assert (moved > 0) == (tol != "0")
+        n_zero = read_summary(out, "spectrum")["results"]["containment"]["n_zero"]
+        assert sum(row[1 + n].count(";") == n - 1 for row in table) == n_zero
 
 
 class TestFlowmetricCsv:

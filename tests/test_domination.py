@@ -10,12 +10,21 @@ from repdyn.domination import (
     transversality_check,
 )
 from repdyn.errors import DegenerateInputError
-from repdyn.linalg import subspace_distance
-from repdyn.words import Sampled, Word, evaluate
+from repdyn.linalg import scaled_inv, scaled_slogdet, subspace_distance
+from repdyn.words import Sampled, Word, evaluate, random_word
 
 from conftest import rotation2
 
 LOG4 = np.log(4.0)
+
+# a unimodular swap with determinant -1, a generic matrix and one near the
+# float maximum, for generator sets of ranks 1 to 3
+TABLE_MATRICES = [
+    np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
+    np.random.default_rng(34).standard_normal((3, 3)),
+    1e300 * np.random.default_rng(35).standard_normal((3, 3)),
+]
+TABLE_NAMES = ["a", 'b, "c"', "é^-1"]
 
 
 class TestGeneratorSet:
@@ -31,14 +40,17 @@ class TestGeneratorSet:
         assert ping_pong.word_name(Word([1, -2, 1])) == "a b^-1 a"
 
     def test_rejects_mixed_dimensions(self):
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(DegenerateInputError,
+                           match="^generator 2 has dimension 3, expected 2$"):
             GeneratorSet([np.eye(2), np.eye(3)])
 
     def test_rejects_singular_generator(self):
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(DegenerateInputError, match="^generator 1 is the zero matrix$"):
             GeneratorSet([np.zeros((2, 2))])
-        with pytest.raises(DegenerateInputError):
-            GeneratorSet([np.array([[1.0, 2.0], [2.0, 4.0]])])
+        for m in (np.array([[1.0, 2.0], [2.0, 4.0]]), np.diag([1.0, 1e-15])):
+            with pytest.raises(DegenerateInputError,
+                               match="^generator 2 is numerically singular$"):
+                GeneratorSet([np.eye(2), m])
 
     @pytest.mark.parametrize("theta", [0.7, 0.3])
     def test_log_det_of_a_generator_near_the_float_maximum(self, theta):
@@ -57,6 +69,83 @@ class TestGeneratorSet:
         with pytest.raises(DegenerateInputError,
                            match="generator 2 has a non-finite inverse"):
             GeneratorSet([np.eye(2), 1e-310 * np.eye(2)])
+
+    @pytest.mark.parametrize("images, names, error, message", [
+        ([], None, DegenerateInputError, "generator set must be nonempty"),
+        ([np.eye(2)], ["a", "b"], ValueError, "need exactly one name per generator"),
+        ([np.eye(2), 2 * np.eye(2)], ["a", "a"], ValueError,
+         "generator names must be distinct"),
+    ], ids=["empty", "name-count", "name-repeated"])
+    def test_rejects_empty_sets_and_bad_names(self, images, names, error, message):
+        with pytest.raises(error) as info:
+            GeneratorSet(images, names)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("images, names, message", [
+        # each generator gets every matrix check before the next one
+        ([np.diag([1.0, 1e-15]), np.zeros((2, 2))], None,
+         "generator 1 is numerically singular"),
+        ([np.eye(2), np.eye(3), np.full((2, 2), np.nan)], None,
+         "generator 2 has dimension 3, expected 2"),
+        # the names after every matrix, the inverses after the names
+        ([np.eye(2), 1e-310 * np.eye(2), np.zeros((2, 2))], ["a", "a", "b"],
+         "generator 3 is the zero matrix"),
+        ([np.eye(2), 1e-310 * np.eye(2)], ["a", "a"], "generator names must be distinct"),
+    ], ids=["singular-before-zero", "dimension-before-nonfinite", "matrices-first",
+            "names-before-inverses"])
+    def test_first_failing_generator_is_named(self, images, names, message):
+        with pytest.raises((DegenerateInputError, ValueError)) as info:
+            GeneratorSet(images, names)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_letter_tables_read_each_generator(self, rank):
+        mats, names = TABLE_MATRICES[:rank], TABLE_NAMES[:rank]
+        gens = GeneratorSet(mats, names)
+        assert (gens.rank, gens.dim) == (rank, 3)
+        for table in (gens.letter_images, gens.letter_log_dets,
+                      gens.letter_signs, gens.letter_names):
+            assert len(table) == 2 * rank
+            with pytest.raises(ValueError):
+                table[0] = table[1]
+        assert gens.letter_signs.dtype == np.int8
+        for i, (m, name) in enumerate(zip(mats, names)):
+            sign, logdet = (float(x[0]) for x in scaled_slogdet(m[None]))
+            forward, inverse = 2 * i, 2 * i + 1
+            assert np.array_equal(gens.letter_images[forward], m)
+            assert np.array_equal(gens.letter_images[inverse], scaled_inv(m[None])[0])
+            assert np.array_equal(gens.image(i + 1), m)
+            assert np.array_equal(gens.image(-(i + 1)), gens.letter_images[inverse])
+            assert gens.letter_log_dets[forward] == logdet
+            assert gens.letter_log_dets[inverse] == -logdet
+            assert gens.letter_signs[forward] == gens.letter_signs[inverse] == sign
+            assert gens.letter_names[forward] == name
+            assert gens.letter_names[inverse] == name + "^-1"
+        # the swap is unimodular: both its letters read +0.0, not -0.0
+        assert gens.letter_log_dets[0] == 0.0 and not np.signbit(gens.letter_log_dets[:2]).any()
+        assert gens.letter_signs[0] == -1
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_log_dets_and_word_names_are_the_per_letter_loop(self, rank):
+        mats, names = TABLE_MATRICES[:rank], TABLE_NAMES[:rank]
+        gens = GeneratorSet(mats, names)
+        slogdets = [tuple(float(x[0]) for x in scaled_slogdet(m[None])) for m in mats]
+        rng = np.random.default_rng(rank)
+        for length in (1, 2, 7):
+            letters = np.array([random_word(rank, length, rng).letters for _ in range(40)],
+                               dtype=np.int8)
+            logdet, sign = gens.log_dets(letters)
+            for row, word in enumerate(letters.tolist()):
+                expected_logdet, expected_sign, parts = 0.0, 1, []
+                for l in word:
+                    s, d = slogdets[abs(l) - 1]
+                    expected_logdet += d if l > 0 else -d
+                    expected_sign *= s
+                    parts.append(names[abs(l) - 1] + ("" if l > 0 else "^-1"))
+                assert logdet[row] == expected_logdet
+                assert sign[row] == expected_sign
+                assert gens.word_name(Word(word)) == " ".join(parts)
+                assert gens.word_name(letters[row]) == " ".join(parts)
 
 
 class TestDominationScan:
@@ -102,11 +191,12 @@ class TestDominationScan:
     def test_mixed_pair_stays_dominated_at_desk_scale(
         self, partial_hyperbolic_pair
     ):
-        # near-commutator words keep the sphere minimum of log a_1 small
-        # and oscillating, so the tail fit cannot certify the stronger
-        # verdict at these lengths; domination itself is still clear
+        # the pair is not 1-dominated: h's attracting line lies in g's
+        # attracting plane.  The mean gaps still rise, but the minima fall,
+        # and minima decide
         rep = domination_scan(partial_hyperbolic_pair, k=1, L_max=6)
-        assert rep.verdict == "dominated"
+        assert rep.verdict == "inconclusive"
+        assert rep.A_hat > 0.0 > rep.A_lower
         assert all(r.gap_min > 0.0 for r in rep.spheres)
 
     def test_sampled_policy_is_inconclusive(self, ping_pong):

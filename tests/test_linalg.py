@@ -18,7 +18,6 @@ from repdyn.linalg import (
     log_column_lengths,
     log_eigenvalue_moduli,
     log_singular_values,
-    require_matrix,
     require_orthonormal,
     singular_frames,
     subspace_distance,
@@ -90,7 +89,7 @@ class TestJordanProjection:
 
 def test_rank_drop_reads_minus_infinity_without_a_warning():
     # the float determinant of this matrix is exactly 0, but its smallest
-    # singular value is not, so require_matrix lets it through
+    # singular value is not, so _first_invalid lets it through
     m = np.array([[[1.0, 2.0], [2.0, 4.0]]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -220,34 +219,44 @@ class TestSubspaceGeometry:
 
 
 class TestRequireMatrix:
+    """The matrix checks of each generator in `GeneratorSet`: those of the
+    stacked `_first_invalid`, with the same messages, and a stricter
+    invertibility test."""
+
     def test_rejects_nonsquare(self):
-        with pytest.raises(DegenerateInputError):
-            require_matrix(np.ones((2, 3)))
+        with pytest.raises(DegenerateInputError,
+                           match=r"^generator 1 must be square, got shape \(2, 3\)$"):
+            GeneratorSet([np.ones((2, 3))])
 
     def test_rejects_tiny_and_huge(self):
-        with pytest.raises(DegenerateInputError):
-            require_matrix(np.ones((1, 1)))
-        with pytest.raises(DegenerateInputError):
-            require_matrix(np.eye(17))
+        with pytest.raises(DegenerateInputError,
+                           match=r"^generator 1 side must lie in \[2, 16\], got 1$"):
+            GeneratorSet([np.ones((1, 1))])
+        with pytest.raises(DegenerateInputError,
+                           match=r"^generator 1 side must lie in \[2, 16\], got 17$"):
+            GeneratorSet([np.eye(17)])
 
     def test_rejects_nonfinite(self):
         m = np.eye(2)
         m[0, 0] = np.nan
-        with pytest.raises(DegenerateInputError):
-            require_matrix(m)
+        with pytest.raises(DegenerateInputError, match="^generator 1 has non-finite entries$"):
+            GeneratorSet([m])
 
     def test_rejects_zero_matrix(self):
-        with pytest.raises(DegenerateInputError):
-            require_matrix(np.zeros((2, 2)))
+        with pytest.raises(DegenerateInputError, match="^generator 1 is the zero matrix$"):
+            GeneratorSet([np.zeros((2, 2))])
 
     def test_tiny_entries_are_not_the_zero_matrix(self):
         # a norm would square 1e-200 to 0
-        require_matrix(np.diag([1e-200, 1e-200]))
+        GeneratorSet([np.diag([1e-200, 1e-200])])
 
     def test_huge_entries_raise_no_runtime_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            require_matrix(np.diag([1e200, 1e-100]))
+            GeneratorSet([np.diag([1e200, 1e190])])
+            with pytest.raises(DegenerateInputError,
+                               match="^generator 1 is numerically singular$"):
+                GeneratorSet([np.diag([1e200, 1e-100])])
 
     @pytest.mark.parametrize("m", [
         np.zeros((2, 2)), np.ones((2, 2)), np.diag([1.0, 0.0, 2.0]),
@@ -257,22 +266,26 @@ class TestRequireMatrix:
         np.array([[1.0, 1.0], [1.0, 1.0 + 1e-16]]), np.eye(3),
     ])
     def test_same_verdict_as_the_stacked_check(self, m):
-        """One matrix gets the verdict of `_first_invalid` on a stack of one,
-        and no warning on the way."""
-        _, expected = _first_invalid(m[None], "matrix")
+        """A generator refused by `_first_invalid` on a stack of one is
+        refused with the same message; one it passes is refused, if at all,
+        only as numerically singular.  No warning is raised on the way."""
+        _, expected = _first_invalid(m[None], "generator 1")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            if expected is None:
-                assert require_matrix(m) is not None
+            try:
+                GeneratorSet([m])
+            except DegenerateInputError as e:
+                got = str(e)
             else:
-                with pytest.raises(DegenerateInputError) as info:
-                    require_matrix(m)
-                assert str(info.value) == str(expected)
+                got = None
+        if expected is not None:
+            assert got == str(expected)
+        else:
+            assert got in (None, "generator 1 is numerically singular")
 
     def test_accepts_large_norm_unimodular(self):
-        # determinant-one with norm ~1e9; must not be mistaken for singular
-        m = np.diag([1e9, 1e-9])
-        require_matrix(m)
+        # determinant one with norm 1e6: must not be mistaken for singular
+        GeneratorSet([np.diag([1e6, 1e-6])])
 
     def test_ill_conditioning_warns(self):
         with pytest.warns(ConditionWarning):

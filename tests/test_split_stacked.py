@@ -69,7 +69,8 @@ CURVES = (
 
 
 def reference_require(m):
-    """`require_matrix` as a sequence of checks on one matrix."""
+    """The checks of `linalg._first_invalid` as a sequence of checks on one
+    matrix."""
     m = np.asarray(m, dtype=float)
     if not np.isfinite(m).all():
         raise DegenerateInputError("matrix has non-finite entries")
