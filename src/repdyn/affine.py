@@ -39,7 +39,6 @@ action do not enter these checks.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -77,8 +76,8 @@ class SphereExtreme:
     word: words.Word
 
 
-# Each statistic maps a sphere and a callable giving its stacked log singular
-# values (largest first) to one value per word it reads, and their letters.
+# Each statistic maps a sphere to one value per word it reads, and their
+# letters.
 
 
 def _hks_values(products, logs):
@@ -97,35 +96,34 @@ def _hks_values(products, logs):
     return values
 
 
-def _hks_stat(sphere, logs):
-    return _hks_values(sphere.products, logs()), sphere.letters
+def _hks_stat(sphere):
+    return _hks_values(sphere.products, sphere.log_singular_values()), sphere.letters
 
 
-def _eigenvalue_values(sphere, logs):
+def _eigenvalue_values(sphere):
     # a class function: one word per conjugacy class (`Sphere.class_rows`)
     values = _fold_columns(np.minimum, np.abs(sphere.class_log_eigenvalue_moduli()))
     return values, sphere.letters.take(sphere.class_rows, axis=0)
 
 
-def _bounded_values(sphere, logs):
-    return _fold_columns(np.minimum, np.abs(logs())), sphere.letters
+def _bounded_values(sphere):
+    return _fold_columns(np.minimum, np.abs(sphere.log_singular_values())), sphere.letters
 
 
 def _scan_extremes(gens, L_max, stats, policy):
     """Per-sphere maxima of each statistic in ``stats``, from one sphere pass.
 
-    Every sphere reads its rows of the group's singular values on first
-    use, if a statistic reads them, and all the statistics share them;
-    ties go to the shortlex-first word.
+    Each statistic reads the sphere's rows of its kernel group's outputs,
+    which the group computes once and keeps, so the statistics share one
+    singular-value kernel call; ties go to the shortlex-first word.
     Returns one list of records per statistic and whether the scan was
     truncated: it stops at the last complete sphere when a product
     overflows.
     """
     def extremes(sphere):
-        logs = functools.cache(sphere.log_singular_values)
         out = []
         for stat in stats:
-            values, letters = stat(sphere, logs)
+            values, letters = stat(sphere)
             i = words.shortlex_argmin(-values, letters)
             out.append(SphereExtreme(
                 length=letters.shape[1], count=len(values), value=float(values[i]),

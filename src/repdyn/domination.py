@@ -41,6 +41,10 @@ from .linalg import (
 # refutation triggers on "indistinguishable from zero" rather than "< 0"
 DEFAULT_GAP_TOL = 1e-10
 
+# a fit of fewer minima has no error to read (a two-point line is exact), so
+# it decides nothing
+MIN_FIT_SPHERES = 3
+
 _NAME_IDENTITY = "e"
 
 
@@ -128,20 +132,6 @@ class GeneratorSet:
             raise ValueError(f"letter {letter} outside rank {self.rank}")
         return self.letter_images[words.letter_rank(letter)]
 
-    def log_dets(self, letters):
-        """``(logdet, sign)``: the exact ``log |det|`` and the determinant
-        sign of each word of an ``(N, L)`` letter array, its letters'
-        entries of ``letter_log_dets`` and ``letter_signs`` added and
-        multiplied left to right.  A word and its inverse read exact
-        negatives up to the order of the adds."""
-        letters = np.asarray(letters)
-        logdet = np.zeros(len(letters))
-        sign = np.ones(len(letters), dtype=np.int8)
-        for column in words.letter_rank(letters).T:
-            logdet += self.letter_log_dets[column]
-            sign *= self.letter_signs[column]
-        return logdet, sign
-
     def word_name(self, word) -> str:
         """Human-readable name of a word, its letters' ``letter_names``
         joined by spaces, e.g. ``"a b^-1"``; ``"e"`` for the identity."""
@@ -173,8 +163,9 @@ class DominationReport:
     typical per-letter gap growth (least squares on per-sphere mean gaps,
     ``L >= 2``); ``A_lower``/``C_lower`` fit the per-sphere minima, the
     empirical universal-constant pair.  Minima, not means, decide every
-    verdict.  ``A_ci`` is a two-standard-error interval on ``A_hat``
-    (degenerate with fewer than three fitted spheres).
+    verdict, and only from a fit of at least MIN_FIT_SPHERES spheres.
+    ``A_ci`` is a two-standard-error interval on ``A_hat`` (degenerate with
+    fewer than three fitted spheres).
     """
 
     verdict: str
@@ -202,6 +193,8 @@ def _sphere_record(k, sphere) -> SphereRecord:
     letters = sphere.letters
     n = sphere.products.shape[-1]
     s = sphere.log_singular_values()
+    if not np.isfinite(s).all():
+        raise NumericOverflowError("log singular value is not finite")
     gaps = np.minimum(s[:, k - 1] - s[:, k], s[:, n - k - 1] - s[:, n - k])
     i = words.shortlex_argmin(gaps, letters)
     return SphereRecord(
@@ -225,7 +218,8 @@ def domination_scan(gens: GeneratorSet, k: int, L_max: int,
     k : int
         Dominated index, ``1 <= k <= n / 2``.
     L_max : int
-        Largest sphere length, at least 3.
+        Largest sphere length, at least 3; a ``"dominated"`` verdict needs
+        at least 4.
     policy : Exhaustive or Sampled
         Sampled scans can refute but never certify; their verdict is
         ``"refuted"`` or ``"inconclusive"``.
@@ -233,14 +227,15 @@ def domination_scan(gens: GeneratorSet, k: int, L_max: int,
     Notes
     -----
     ``"dominated"`` needs an exhaustive, untruncated scan whose fit of the
-    per-sphere minimum gaps rises (``A_lower > 0``), whatever ``A_hat`` reads.
-    The scan stops at the first refuting sphere, one whose minimum gap is
-    at or below DEFAULT_GAP_TOL (the report's ``gap_tol``).  A product
-    overflowing float64 truncates the scan at the last complete sphere,
-    flagged in the report.  The partial hyperbolicity verdict additionally needs
-    ``k < n / 2``, per-sphere ``min log a_k > 0`` and ``max log a_(n-k+1) <
-    0`` for all lengths beyond some ``L0 <= L_used - 2``, and margin slopes
-    of the right signs.
+    per-sphere minimum gaps over at least MIN_FIT_SPHERES lengths ``L >= 2``
+    rises (``A_lower > 0``), whatever ``A_hat`` reads.  The scan stops at the
+    first refuting sphere, one whose minimum gap is at or below
+    DEFAULT_GAP_TOL (the report's ``gap_tol``).  A product overflowing
+    float64, or a log singular value that is not finite, truncates the scan
+    at the last complete sphere, flagged in the report.  The partial
+    hyperbolicity verdict additionally needs ``k < n / 2``, per-sphere
+    ``min log a_k > 0`` and ``max log a_(n-k+1) < 0`` for all lengths beyond
+    some ``L0 <= L_used - 2``, and margin slopes of the right signs.
     """
     n = gens.dim
     if not 1 <= k <= n // 2:
@@ -281,7 +276,8 @@ def domination_scan(gens: GeneratorSet, k: int, L_max: int,
     verdict = "inconclusive"
     if refuted_at is not None:
         verdict = "refuted"
-    elif exhaustive and not truncated and len(fit_spheres) >= 2 and A_lower > 0.0:
+    elif (exhaustive and not truncated and len(fit_spheres) >= MIN_FIT_SPHERES
+          and A_lower > 0.0):
         verdict = "dominated"
         if 2 * k < n:
             for r in spheres:

@@ -511,9 +511,9 @@ def log_singular_values(products, logdet=None, inverse=None):
     """Log singular values of each matrix of an ``(N, n, n)`` stack.
 
     Returns an ``(N, n)`` array, largest first.  ``logdet`` gives each
-    row's ``log |det|``: a word product should pass the sum over its letters
-    (``GeneratorSet.log_dets``), which keeps the small singular values the
-    float product has lost.  ``inverse`` gives the row of each row's
+    row's ``log |det|``: a word product should pass the sum of its letters'
+    ``GeneratorSet.letter_log_dets``, which keeps the small singular values
+    the float product has lost.  ``inverse`` gives the row of each row's
     inverse word, -1 for none (``words.Sphere.inverse``).
 
     - n = 2: ``s1 = (hypot(a + d, b - c) + hypot(a - d, b + c)) / 2`` of
@@ -765,9 +765,9 @@ def log_eigenvalue_moduli(products, logdet=None, sign=None):
     Returns an ``(N, n)`` array, largest first, taken KERNEL_BLOCK rows at a
     time.  Every row has the same bits as when its matrix comes alone.
     ``logdet`` and ``sign`` give each row's ``log |det|`` and the sign of
-    its determinant; a word product should pass the sums over its letters
-    (see ``GeneratorSet.log_dets``).  Without them the matrix's own
-    determinant is used.
+    its determinant; a word product should pass the sum of its letters'
+    ``GeneratorSet.letter_log_dets`` and the product of their
+    ``letter_signs``.  Without them the matrix's own determinant is used.
 
     - An index whose off-diagonal row or column is exactly zero gives the
       eigenvalue ``P_ii`` exactly, as LAPACK's balancing does, and in n = 3

@@ -31,9 +31,10 @@ complete, and the first that overflowed stops the scan.
 The spheres come in kernel groups (:class:`KernelGroup`): runs of
 consecutive spheres whose rows the stacked singular-value and
 eigenvalue-modulus kernels take in one call, so that small spheres do not
-each pay a kernel call's fixed cost.  Each sphere reads its own read-only
-rows (`Sphere.log_singular_values`, `Sphere.log_eigenvalue_moduli`), with
-the bits of a call on that sphere alone.  An exhaustive group holds at most
+each pay a kernel call's fixed cost.  The group runs each kernel once, on
+first use, and keeps its output; each sphere reads its own read-only rows
+(`Sphere.log_singular_values`, `Sphere.log_eigenvalue_moduli`), with the
+bits of a call on that sphere alone.  An exhaustive group holds at most
 ``linalg.KERNEL_BLOCK`` rows, or one larger sphere, and is yielded before
 a later sphere is built; a sampled group is the stack of one walk.  A group
 finds the row of each word's inverse on first use (`Sphere.inverse`), for
@@ -371,12 +372,6 @@ def _read_only(a):
     return a
 
 
-def _log_eigenvalue_moduli_of_rows(products, logdet, sign, rows):
-    """`linalg.log_eigenvalue_moduli` of the given rows of the stacks."""
-    return linalg.log_eigenvalue_moduli(products.take(rows, axis=0), logdet.take(rows),
-                                        sign.take(rows))
-
-
 @dataclass(frozen=True, eq=False)
 class KernelGroup:
     """Consecutive spheres of one scan whose rows the stacked kernels take in
@@ -386,12 +381,12 @@ class KernelGroup:
     the group; ``letters`` holds each sphere's letter array, shortest word
     first, and ``starts`` the sphere's first row in the stacks.  ``rank`` and
     ``policy`` are the scan's; the policy says whether the rows are whole
-    spheres, or draws that hold their inverses.  A kernel runs on first
-    use, over all the rows at once (or all the `class_rows`), and its
-    output is read-only and kept for the group's other spheres (`_run`).
-    A kernel row has the same bits in any stack as alone, with its inverse
-    row, so a sphere's slice of the output is what a call on that sphere
-    alone returns.
+    spheres, or draws that hold their inverses.  Each kernel output is a
+    read-only array that the group computes on first use, over all the
+    rows at once (or all the `class_rows`), and keeps, so each kernel runs
+    once per group.  A kernel row has the same bits in any stack as alone,
+    with its inverse row, so a sphere's slice of the output is what a call
+    on that sphere alone returns.
     """
 
     letters: tuple
@@ -401,7 +396,6 @@ class KernelGroup:
     sign: np.ndarray
     rank: int
     policy: object
-    _outputs: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def inverse(self):
@@ -434,35 +428,27 @@ class KernelGroup:
             for letters, start in zip(self.letters, self.starts)
         ]))
 
+    @cached_property
     def log_singular_values(self) -> np.ndarray:
         """`linalg.log_singular_values` of the products with the exact
         log-dets, and with the inverse rows for n = 3, the one size that
         reads them."""
         n = self.products.shape[-1]
-        return self._run(linalg.log_singular_values, self.logdet,
-                         self.inverse if n == 3 else None)
+        return _read_only(linalg.log_singular_values(
+            self.products, self.logdet, self.inverse if n == 3 else None))
 
+    @cached_property
     def log_eigenvalue_moduli(self) -> np.ndarray:
         """`linalg.log_eigenvalue_moduli` of the products with the exact
         log-dets and signs."""
-        return self._run(linalg.log_eigenvalue_moduli, self.logdet, self.sign)
+        return _read_only(linalg.log_eigenvalue_moduli(self.products, self.logdet, self.sign))
 
+    @cached_property
     def class_log_eigenvalue_moduli(self) -> np.ndarray:
         """`log_eigenvalue_moduli` of the `class_rows` only, row for row."""
-        return self._run(_log_eigenvalue_moduli_of_rows, self.logdet, self.sign,
-                         self.class_rows)
-
-    def _run(self, kernel, *args):
-        """``kernel(products, *args)``, read-only, from one call.  A group of
-        several spheres keeps it for the others; a group of one hands it
-        out and keeps nothing, so a sphere over ``linalg.KERNEL_BLOCK`` rows
-        holds no more memory once read than before it was."""
-        out = self._outputs.get(kernel)
-        if out is None:
-            out = _read_only(kernel(self.products, *args))
-            if len(self.letters) > 1:
-                self._outputs[kernel] = out
-        return out
+        rows = self.class_rows
+        return _read_only(linalg.log_eigenvalue_moduli(
+            self.products.take(rows, axis=0), self.logdet.take(rows), self.sign.take(rows)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -515,17 +501,17 @@ class Sphere:
 
     def log_singular_values(self) -> np.ndarray:
         """This sphere's read-only rows of `KernelGroup.log_singular_values`."""
-        return self.group.log_singular_values()[self._rows]
+        return self.group.log_singular_values[self._rows]
 
     def log_eigenvalue_moduli(self) -> np.ndarray:
         """This sphere's read-only rows of `KernelGroup.log_eigenvalue_moduli`."""
-        return self.group.log_eigenvalue_moduli()[self._rows]
+        return self.group.log_eigenvalue_moduli[self._rows]
 
     def class_log_eigenvalue_moduli(self) -> np.ndarray:
         """This sphere's read-only rows of
         `KernelGroup.class_log_eigenvalue_moduli`, row for row with
         `class_rows`."""
-        return self.group.class_log_eigenvalue_moduli()[self._class_span]
+        return self.group.class_log_eigenvalue_moduli[self._class_span]
 
 
 def _kernel_group(draws, starts, stacks, rank, policy):

@@ -1,7 +1,7 @@
 """Shared fixtures: the generator sets exercised throughout the suite,
-Sym^m of 2x2 matrices, the per-vertex flow metric reference, and the exact
-oracles of the one-column kernels, the n = 3 singular frames and the line
-fit."""
+Sym^m of 2x2 matrices, the per-letter log-det reference, the per-vertex
+flow metric reference, and the exact oracles of the one-column kernels, the
+n = 3 singular frames and the line fit."""
 
 import math
 from fractions import Fraction
@@ -80,6 +80,21 @@ def sym2_ping_pong():
     """Sym² of the ping-pong pair: an SO(2,1) Schottky pair whose every
     word has eigenvalues mu², 1 and mu⁻²."""
     return GeneratorSet([sym_power(m, 2) for m in ping_pong_matrices()], names=["A", "B"])
+
+
+def word_log_dets(gens, letters):
+    """``(logdet, sign)`` of each word of an ``(N, L)`` letter array: its
+    letters' entries of ``gens.letter_log_dets`` and ``gens.letter_signs``,
+    added and multiplied left to right, the per-letter reference of the
+    kernels' log-dets.  A word and its inverse read exact negatives up to
+    the order of the adds."""
+    letters = np.asarray(letters)
+    logdet = np.zeros(len(letters))
+    sign = np.ones(len(letters), dtype=np.int8)
+    for column in letter_rank(letters).T:
+        logdet += gens.letter_log_dets[column]
+        sign *= gens.letter_signs[column]
+    return logdet, sign
 
 
 def rotation3(theta_xy: float, theta_yz: float) -> np.ndarray:

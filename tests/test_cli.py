@@ -40,6 +40,7 @@ from conftest import (
     ping_pong_matrices,
     reference_flow_metric,
     rotation2,
+    sym_power,
 )
 
 
@@ -440,6 +441,38 @@ class TestVerdictExitCodes:
         assert validate_report(summary) == []
         assert summary["results"]["verdict"] == "dominated"
         assert (out / "dominate_spheres.csv").exists()
+
+    @pytest.mark.parametrize("matrices, A_lower", [
+        (ping_pong_matrices, 1.953), (partial_hyperbolic_matrices, 0.494)])
+    def test_a_two_sphere_fit_is_inconclusive(self, tmp_path, matrices, A_lower):
+        # --max-length 3 fits the minima of L = 2 and 3 alone; they rise on
+        # both pairs, and the mixed pair is not dominated (ROADMAP wrong
+        # output 3), so a fit of two points decides nothing
+        gens = [{"name": f"g{i}", "rows": rows(m)} for i, m in enumerate(matrices())]
+        path = write_doc(tmp_path / "g.json", {"n": len(gens[0]["rows"]), "generators": gens})
+        out = tmp_path / "out"
+        rc = main(["dominate", "--input", path, "--k", "1", "--max-length", "3",
+                   "--out-dir", str(out)])
+        assert rc == EXIT_INCONCLUSIVE
+        results = read_summary(out, "dominate")["results"]
+        assert results["verdict"] == "inconclusive" and not results["truncated"]
+        assert results["A_lower"] == pytest.approx(A_lower, abs=1e-3)
+
+    def test_non_finite_log_singular_values_truncate_the_scan(self, tmp_path):
+        # Sym⁴ ping-pong (n = 5) reads a smallest singular value of 0, so a
+        # log of -inf, from L = 8 on; the gap of two -inf columns leaked a
+        # RuntimeWarning and wrote A_lower null.  The scan stops before it.
+        gens = [{"name": name, "rows": rows(sym_power(m, 4))}
+                for name, m in zip("ab", ping_pong_matrices())]
+        path = write_doc(tmp_path / "sym4.json", {"n": 5, "generators": gens})
+        out = tmp_path / "out"
+        rc = main(["dominate", "--input", path, "--k", "1", "--max-length", "9",
+                   "--out-dir", str(out)])
+        assert rc == EXIT_INCONCLUSIVE
+        results = read_summary(out, "dominate")["results"]
+        assert results["truncated"] and results["L_used"] == 7
+        assert [r["L"] for r in results["spheres"]] == list(range(1, 8))
+        assert all(isinstance(results[key], float) for key in ("A_hat", "A_lower"))
 
     def test_refuted_exits_two(self, tmp_path):
         doc = {"n": 2, "generators": [{"name": "r", "rows": rows(rotation2(0.7))}]}

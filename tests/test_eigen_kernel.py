@@ -24,6 +24,7 @@ from conftest import (
     partial_hyperbolic_matrices,
     ping_pong_matrices,
     unipotent_so21,
+    word_log_dets,
 )
 
 EPS = np.finfo(float).eps
@@ -70,7 +71,7 @@ def lapack(ms):
 def kernel_word(gens, letters):
     """The kernel on the one word ``letters``, with that word's log-det."""
     product = evaluate(letters, gens)
-    return linalg.log_eigenvalue_moduli(product[None], *gens.log_dets([letters]))[0], product
+    return linalg.log_eigenvalue_moduli(product[None], *word_log_dets(gens, [letters]))[0], product
 
 
 @pytest.fixture
@@ -267,14 +268,14 @@ def test_block_diagonal_singular_values_read_the_exact_log_det():
     word = Word((1, 2) * 12)
     letters = np.array([word.letters, word.inverse().letters])
     products = np.stack([evaluate(w, gens) for w in letters])
-    got = linalg.log_singular_values(products, gens.log_dets(letters)[0], [1, 0])[0]
+    got = linalg.log_singular_values(products, word_log_dets(gens, letters)[0], [1, 0])[0]
     with mpmath.workdps(50):
         s = mpmath.svd_r(exact_product(gens, word.letters), compute_uv=False)
     exact = np.array(sorted((float(mpmath.log(x)) for x in s), reverse=True))
     assert abs(got[1]) <= 1e-13
     assert np.abs(got - exact).max() <= 1e-13
     # without its inverse row the float product goes through LAPACK
-    lapack = linalg.log_singular_values(products[:1], gens.log_dets(letters[:1])[0])[0]
+    lapack = linalg.log_singular_values(products[:1], word_log_dets(gens, letters[:1])[0])[0]
     assert abs(lapack[2] - exact[2]) > 1.0
 
 

@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 
 from repdyn import linalg, words
+from repdyn.affine import affine_checks, eigenvalue_norm_one_check
 from repdyn.domination import GeneratorSet, domination_scan
+from repdyn.spectrum import sample_cone
 from repdyn.words import Exhaustive, Sampled, count_sphere, iter_sphere_products
 
-from conftest import collect
+from conftest import collect, ping_pong_matrices, sym_power
 
 DEFAULT_BLOCK = linalg.KERNEL_BLOCK
 
@@ -188,3 +190,55 @@ def test_refuted_scan_builds_nothing_past_its_group(monkeypatch, events, block, 
     report = domination_scan(rotation_pair(), 1, 12, Exhaustive())
     assert report.verdict == "refuted" and report.refuted_at == 1
     assert [L for kind, L in events[0] if kind == "built"] == built
+
+
+def all_rows(group):
+    return group.products
+
+
+def class_rows(group):
+    return group.products[group.class_rows]
+
+
+# each scan, and the kernels it reads per group in the order it reads them:
+# (linalg kernel, the group's rows it should get)
+SCANS = {
+    "dominate": (lambda gens, policy: domination_scan(gens, 1, 5, policy),
+                 [("log_singular_values", all_rows)]),
+    "cone": (lambda gens, policy: sample_cone(gens, 5, policy),
+             [("log_eigenvalue_moduli", all_rows), ("log_singular_values", all_rows)]),
+    "affine": (lambda gens, policy: affine_checks(gens, 5, policy),
+               [("log_singular_values", all_rows), ("log_eigenvalue_moduli", class_rows)]),
+    "eigenvalue-one": (lambda gens, policy: eigenvalue_norm_one_check(gens, 5, policy=policy),
+                       [("log_eigenvalue_moduli", class_rows)]),
+}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("policy", [Exhaustive(), Sampled(count=6, seed=1)])
+@pytest.mark.parametrize("scan", SCANS)
+def test_each_kernel_runs_once_per_group(monkeypatch, scan, policy, n):
+    # a block of one row makes every sphere a group of its own, so a kernel
+    # output that a group did not keep would be computed again per statistic
+    monkeypatch.setattr(linalg, "KERNEL_BLOCK", 1)
+    groups, calls = [], []
+    make = words._kernel_group
+
+    def recorded(*args):
+        spheres = make(*args)
+        groups.append(spheres[0].group)
+        return spheres
+
+    monkeypatch.setattr(words, "_kernel_group", recorded)
+    for name in ("log_singular_values", "log_eigenvalue_moduli"):
+        def counted(products, *args, name=name, kernel=getattr(linalg, name)):
+            calls.append((name, products.tobytes()))
+            return kernel(products, *args)
+
+        monkeypatch.setattr(linalg, name, counted)
+    run, kernels = SCANS[scan]
+    gens = GeneratorSet([sym_power(a, n - 1) for a in ping_pong_matrices()])
+    run(gens, policy)
+    assert [len(group.letters) for group in groups] == [1] * 5
+    assert calls == [(name, rows(group).tobytes())
+                     for group in groups for name, rows in kernels]

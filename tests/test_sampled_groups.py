@@ -25,7 +25,7 @@ from repdyn.words import (
     sampled_words,
 )
 
-from conftest import collect
+from conftest import collect, word_log_dets
 
 
 def reference_spheres(gens, L_max, policy):
@@ -33,7 +33,7 @@ def reference_spheres(gens, L_max, policy):
     first letter that leaves a product of a sphere outside float64 range."""
     letter_set = np.array(alphabet(gens.rank))
     images = np.stack([gens.image(l) for l in letter_set])
-    letter_logdets, letter_signs = gens.log_dets(letter_set[:, None])
+    letter_logdets, letter_signs = word_log_dets(gens, letter_set[:, None])
     for L in range(1, L_max + 1):
         letters = sampled_words(gens.rank, L, policy)
         products = np.eye(gens.dim)

@@ -27,6 +27,7 @@ from conftest import (
     form_preserving_matrix,
     partial_hyperbolic_matrices,
     ping_pong_matrices,
+    word_log_dets,
 )
 
 EPS = np.finfo(float).eps
@@ -72,7 +73,7 @@ def exact_product(gens, letters):
 def kernel_word(gens, letters):
     """The kernel on the one word ``letters``, with that word's log-det."""
     product = evaluate(letters, gens)
-    return linalg.log_singular_values(product[None], gens.log_dets([letters])[0])[0], product
+    return linalg.log_singular_values(product[None], word_log_dets(gens, [letters])[0])[0], product
 
 
 def kernel_pair(gens, letters):
@@ -80,7 +81,7 @@ def kernel_pair(gens, letters):
     their log-dets; and the two float products."""
     pair = np.array([letters, Word(letters).inverse().letters])
     products = np.stack([evaluate(w, gens) for w in pair])
-    return linalg.log_singular_values(products, gens.log_dets(pair)[0], [1, 0])[0], products
+    return linalg.log_singular_values(products, word_log_dets(gens, pair)[0], [1, 0])[0], products
 
 
 def mp_log_top(m):
@@ -202,7 +203,7 @@ def test_equal_singular_values_stay_ordered():
         gens = GeneratorSet([np.array([[c, -s], [s, c]])])
         letters = np.array([[1], [-1], [1], [-1]])
         products = np.stack([gens.image(1), gens.image(-1)] * 2)
-        for logs in (linalg.log_singular_values(products[:2], gens.log_dets(letters[:2])[0]),
+        for logs in (linalg.log_singular_values(products[:2], word_log_dets(gens, letters[:2])[0]),
                      linalg.log_singular_values(products)):
             gaps = logs[:, 0] - logs[:, 1]
             assert (gaps >= 0.0).all() and (gaps <= 4 * EPS).all()
